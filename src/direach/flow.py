@@ -9,6 +9,7 @@ rate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -140,6 +141,31 @@ def _padded(box: Box) -> Box:
     )
 
 
+def _contraction(
+    sys: InputAffineSystem, box: Box, w_sups: Sequence[float], h: float, t0: float
+) -> tuple[float, float]:
+    """(log-norm rate, Picard contraction factor h*Lip) of the surrogate
+    field on box; raises when the Picard operator does not contract."""
+    lam_rate, lip_rate = local_rates(sys, box, w_sups)
+    kappa = _mul_up(h, lip_rate)
+    if kappa >= 1.0:
+        raise CertificationError(
+            f"Picard operator not contracting (h*Lip = {kappa:g} >= 1) at t={t0:g}; "
+            "try a smaller step size"
+        )
+    return lam_rate, kappa
+
+
+def _banach_bounds(y: VectorModel, kappa: float, rho: float) -> tuple[float, Box]:
+    """Banach a-posteriori bounds for the last Picard step y -> y_next with
+    residual rho: ||y* - y_next|| <= kappa*rho/(1-kappa), and the tube
+    range(y) + rho/(1-kappa) that must contain the fixed point y*."""
+    denom = Interval.point(1.0) - Interval.point(kappa)
+    e_flow = (_mul_up(kappa, rho) / denom).hi if rho else 0.0
+    ball = (Interval.point(rho) / denom).hi if rho else 0.0
+    return e_flow, Box(tuple(c.range().inflate(ball) for c in y))
+
+
 def _strip_errors(X: VectorModel) -> tuple[VectorModel, float]:
     e_x = max(c.error for c in X)
     if e_x == 0.0:
@@ -168,13 +194,7 @@ def _picard_core(
     w_models = w_for(vars_t, tpos)
 
     work_box = _padded(bound.box)
-    lam_rate, lip_rate = local_rates(sys, work_box, w_sups)
-    kappa = _mul_up(h, lip_rate)
-    if kappa >= 1.0:
-        raise CertificationError(
-            f"Picard operator not contracting (h*Lip = {kappa:g} >= 1) at t={t0:g}; "
-            "try a smaller step size"
-        )
+    lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
 
     def apply_once(y: VectorModel) -> VectorModel:
         comps = []
@@ -208,17 +228,28 @@ def _picard_core(
             break
         y, rho_prev = y_next, rho
 
-    # Banach a-posteriori bound: ||y* - y_next|| <= kappa*rho/(1-kappa)
-    denom = 1.0 - kappa
-    e_flow = (_mul_up(kappa, rho) / Interval.point(denom)).hi if rho else 0.0
-    ball = (Interval.point(rho) / Interval.point(denom)).hi if rho else 0.0
-    for c in range(sys.n):
-        tube = y[c].range().inflate(ball)
-        if not work_box[c].contains_interval(tube):
+    if not math.isfinite(rho):
+        raise CertificationError(
+            f"Picard iteration diverged at t={t0:g}; try a smaller step size"
+        )
+    e_flow, tube = _banach_bounds(y, kappa, rho)
+    if not work_box.contains_box(tube):
+        # The term-sum range of y may overshoot a box flush with the initial
+        # set.  Any superset of the a-priori box bounds the rates, so grow the
+        # work box to the tube and bound the rates there.
+        work_box = _padded(bound.box.hull(tube))
+        try:
+            lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
+        except ValueError as exc:  # field Jacobian not finite on the tube
             raise CertificationError(
-                f"Picard tube escapes the a-priori bound in component {c} at t={t0:g}; "
+                f"field rates unbounded on the Picard tube at t={t0:g}; "
                 "try a smaller step size"
-            )
+            ) from exc
+        e_flow, tube = _banach_bounds(y, kappa, rho)
+    if not work_box.contains_box(tube):
+        raise CertificationError(
+            f"Picard tube escapes the a-priori bound at t={t0:g}; try a smaller step size"
+        )
 
     e_ic = 0.0
     if e_x > 0.0:

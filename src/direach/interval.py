@@ -3,8 +3,10 @@
 Endpoints are IEEE doubles.  Every operation returns an interval containing
 the exact real result set; endpoints are nudged to the next representable
 value only when a computation is inexact, so small-integer arithmetic stays
-exact.  Exactness is detected with error-free transformations (addition) or
-exact rational comparison (multiplication, division).
+exact.  The sign of the rounding error is found with error-free
+transformations: Knuth's two-sum for addition and Dekker's two-product for
+multiplication (with an exact rational comparison where the two-product could
+overflow or underflow), and an exact rational comparison for division.
 """
 from __future__ import annotations
 
@@ -29,6 +31,12 @@ __all__ = [
 _INF = math.inf
 _MAX = sys.float_info.max
 _TINY = 5e-324
+# Veltkamp's splitting constant 2**27 + 1, and the operand magnitudes for which
+# Dekker's two-product is exact: the split cannot overflow and no partial
+# product underflows
+_SPLIT = 134217729.0
+_TWO_PROD_LO = 2.0**-450
+_TWO_PROD_HI = 2.0**450
 
 
 class IntervalDomainError(ArithmeticError):
@@ -75,6 +83,23 @@ def _add_down(a: float, b: float) -> float:
     return _down(s)
 
 
+def _mul_residual(a: float, b: float, p: float) -> float | Fraction:
+    """Exact a*b - p for finite nonzero a, b and p = fl(a*b).
+
+    Dekker's two-product gives it as a float when both magnitudes lie in
+    (2**-450, 2**450); outside that range it is computed as a Fraction.
+    """
+    if _TWO_PROD_LO < abs(a) < _TWO_PROD_HI and _TWO_PROD_LO < abs(b) < _TWO_PROD_HI:
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    return Fraction(a) * Fraction(b) - Fraction(p)
+
+
 def _mul_up(a: float, b: float) -> float:
     p = a * b
     if math.isnan(p):
@@ -91,7 +116,7 @@ def _mul_up(a: float, b: float) -> float:
         return _TINY if (a > 0.0) == (b > 0.0) else 0.0
     if math.isinf(a) or math.isinf(b):
         return p
-    if Fraction(a) * Fraction(b) > Fraction(p):
+    if _mul_residual(a, b, p) > 0:
         return _up(p)
     return p
 
@@ -110,7 +135,7 @@ def _mul_down(a: float, b: float) -> float:
         return -_TINY if (a > 0.0) != (b > 0.0) else 0.0
     if math.isinf(a) or math.isinf(b):
         return p
-    if Fraction(a) * Fraction(b) < Fraction(p):
+    if _mul_residual(a, b, p) < 0:
         return _down(p)
     return p
 

@@ -66,6 +66,23 @@ def test_apriori_failure_for_huge_step():
         apriori_bound(sys, Box.from_bounds([(1, 2)]), ZERO, StepGeometry(0.0, 50.0))
 
 
+@pytest.mark.parametrize(
+    "field, h, iterations, reason",
+    [("x1^2", 0.45, 40, "diverged"), ("x1^7", 0.1, 15, "unbounded")],
+)
+def test_picard_diverging_iterate_raises_certification_error(field, h, iterations, reason):
+    # A bound far too small for the step: the Picard iterates diverge, to an
+    # infinite residual (x1^2) or to a finite tube on which the field
+    # Jacobian overflows (x1^7).  Both stay certification failures, which
+    # callers retry with a smaller step.
+    sys = InputAffineSystem(1, [field])
+    bound = AprioriBound(Box.from_bounds([(0.99, 1.01)]), ())
+    with pytest.raises(CertificationError, match=reason):
+        picard_flow(
+            sys, point_model([1.0]), ZERO, StepGeometry(0.0, h), bound, iterations=iterations
+        )
+
+
 def test_input_hull_ranges_cover_surrogates():
     sys = InputAffineSystem(1, ["0"], [["1"]], [0.4])
     (r,) = input_hull_ranges(sys, AFFINE)
@@ -109,25 +126,30 @@ def test_picard_pure_parameter_flow():
     assert phi[0].error < 1e-12
 
 
-def _integrate_surrogate(sys, x0, w_fns, t0, h, n=4000):
-    # fine RK4 for dx/dt = f(x) + sum g_i(x) w_i(t)
+def _integrate_surrogate(sys, x0, w_of_t, t0, h, n=4000):
+    """Fine RK4 for dx/dt = f(x) + sum g_i(x) w_i(t), batched over samples.
+
+    x0 holds one initial state per row; w_of_t(t) gives the inputs at time t,
+    one row per sample.  Returns the states at t0 + h, one row per sample."""
     rhs = compile_field(sys)
-    x = np.array([x0], dtype=float)
+    x = np.array(x0, dtype=float)
     dt = h / n
     t = t0
     for _ in range(n):
         # classic RK4 with time-varying input evaluated at substage times
-        def f_at(xx, tt):
-            V = np.array([[w(tt) for w in w_fns]])
-            return rhs(xx, V)
-
-        k1 = f_at(x, t)
-        k2 = f_at(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f_at(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f_at(x + dt * k3, t + dt)
+        w_mid = w_of_t(t + 0.5 * dt)
+        k1 = rhs(x, w_of_t(t))
+        k2 = rhs(x + 0.5 * dt * k1, w_mid)
+        k3 = rhs(x + 0.5 * dt * k2, w_mid)
+        k4 = rhs(x + dt * k3, w_of_t(t + dt))
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-    return x[0]
+    return x
+
+
+def _box_points(X0, zs):
+    """Points of box X0 at unit coordinates zs (one row per sample)."""
+    return np.array([[c.mid + c.rad * z for c, z in zip(X0, row)] for row in zs])
 
 
 def harmonic():
@@ -146,20 +168,18 @@ def test_picard_containment_harmonic_affine():
     b = apriori_bound(sys, X0, AFFINE, geom)
     phi = picard_flow(sys, X, AFFINE, geom, b)
     rng = random.Random(71)
+    zs, za = [], []
     for _ in range(200):
-        zs = [rng.uniform(-1, 1) for _ in range(2)]
-        za = [rng.uniform(-1, 1) for _ in range(4)]
-        x0 = (X0[0].mid + X0[0].rad * zs[0], X0[1].mid + X0[1].rad * zs[1])
-
-        def w_of(i):
-            a0 = 0.1 * za[2 * i]
-            a1 = 3 * 0.1 * za[2 * i + 1]
-            return lambda t: a0 + a1 * (t - geom.mid) / geom.h
-
-        ref = _integrate_surrogate(sys, x0, [w_of(0), w_of(1)], 0.0, 0.25)
-        got = phi.eval_point(tuple(zs + za))
+        zs.append([rng.uniform(-1, 1) for _ in range(2)])
+        za.append([rng.uniform(-1, 1) for _ in range(4)])
+    alpha = np.array(za)
+    a0, a1 = 0.1 * alpha[:, 0::2], 3 * 0.1 * alpha[:, 1::2]
+    w = lambda t: a0 + a1 * (t - geom.mid) / geom.h
+    ref = _integrate_surrogate(sys, _box_points(X0, zs), w, 0.0, 0.25)
+    for z, a, r in zip(zs, za, ref):
+        got = phi.eval_point(tuple(z + a))
         for c in range(2):
-            assert abs(ref[c] - got[c]) <= phi[c].error * (1 + 1e-9) + 1e-12
+            assert abs(r[c] - got[c]) <= phi[c].error * (1 + 1e-9) + 1e-12
 
 
 def test_picard_containment_vdp_affine():
@@ -170,16 +190,18 @@ def test_picard_containment_vdp_affine():
     b = apriori_bound(sys, X0, AFFINE, geom)
     phi = picard_flow(sys, X, AFFINE, geom, b)
     rng = random.Random(73)
+    zs, za = [], []
     for _ in range(200):
-        zs = [rng.uniform(-1, 1) for _ in range(2)]
-        za = [rng.uniform(-1, 1) for _ in range(2)]
-        x0 = (X0[0].mid + X0[0].rad * zs[0], X0[1].mid + X0[1].rad * zs[1])
-        a0, a1 = 0.08 * za[0], 3 * 0.08 * za[1]
-        w = lambda t: a0 + a1 * (t - geom.mid) / geom.h
-        ref = _integrate_surrogate(sys, x0, [w], 0.0, 0.005, n=2000)
-        got = phi.eval_point(tuple(zs + za))
+        zs.append([rng.uniform(-1, 1) for _ in range(2)])
+        za.append([rng.uniform(-1, 1) for _ in range(2)])
+    alpha = np.array(za)
+    a0, a1 = 0.08 * alpha[:, :1], 3 * 0.08 * alpha[:, 1:]
+    w = lambda t: a0 + a1 * (t - geom.mid) / geom.h
+    ref = _integrate_surrogate(sys, _box_points(X0, zs), w, 0.0, 0.005, n=2000)
+    for z, a, r in zip(zs, za, ref):
+        got = phi.eval_point(tuple(z + a))
         for c in range(2):
-            assert abs(ref[c] - got[c]) <= phi[c].error * (1 + 1e-9) + 1e-12
+            assert abs(r[c] - got[c]) <= phi[c].error * (1 + 1e-9) + 1e-12
 
 
 def test_picard_more_iterations_never_worse():
@@ -200,12 +222,13 @@ def test_step_scheme_halves_enclose_constant_flow():
     b = apriori_bound(sys, X.box(), STEP, geom)
     phi = picard_flow(sys, X, STEP, geom, b)
     rng = random.Random(79)
-    for _ in range(100):
-        z = rng.uniform(-0.5, 0.5)  # equal on both halves, |w|=|2Vz| <= V
-        w = 2 * 0.5 * z
-        ref = _integrate_surrogate(sys, (1.0,), [lambda t: w], 0.0, 0.2, n=2000)
+    # equal on both halves, |w| = |2Vz| <= V
+    zs = [rng.uniform(-0.5, 0.5) for _ in range(100)]
+    ws = np.array([[2 * 0.5 * z] for z in zs])
+    ref = _integrate_surrogate(sys, np.ones((len(zs), 1)), lambda t: ws, 0.0, 0.2, n=2000)
+    for z, r in zip(zs, ref):
         got = phi.eval_point((z, z))
-        assert abs(ref[0] - got[0]) <= phi[0].error * (1 + 1e-9) + 1e-12
+        assert abs(r[0] - got[0]) <= phi[0].error * (1 + 1e-9) + 1e-12
 
 
 def test_incoming_error_propagates():

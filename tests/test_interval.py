@@ -1,11 +1,15 @@
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from direach.interval import (
+    _mul_down,
+    _mul_up,
     Box,
     Interval,
     IntervalDomainError,
@@ -202,3 +206,80 @@ def test_norm_rejects_infinite_entries():
         mat_inf_norm(m)
     with pytest.raises(ValueError):
         lognorm_inf(m)
+
+
+_MAX = sys.float_info.max
+
+
+def _mul_reference(a, b, up):
+    """Nearest float at or above (up) or at or below the exact a*b, with
+    a*b beyond the largest float rounded to +-inf outward and to +-max
+    inward, from an exact rational comparison."""
+    exact = Fraction(a) * Fraction(b)
+    p = a * b
+    if math.isinf(p):
+        if up:
+            return math.inf if exact > 0 else -_MAX
+        return _MAX if exact > 0 else -math.inf
+    if up:
+        return p if Fraction(p) >= exact else math.nextafter(p, math.inf)
+    return p if Fraction(p) <= exact else math.nextafter(p, -math.inf)
+
+
+def _signed(rng, x):
+    return x if rng.random() < 0.5 else -x
+
+
+def _mul_fuzz_operands(rng):
+    """Operand pairs for the rounded product, by kind."""
+    edges = []
+    for e in (-450, 450):
+        p = math.ldexp(1.0, e)
+        edges += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+    for _ in range(3_000):
+        # one operand just inside or outside 2**+-450, the other anywhere
+        a = rng.choice(edges) if rng.random() < 0.3 else math.ldexp(rng.uniform(1, 2), rng.choice((-451, -450, 449, 450)))
+        b = math.ldexp(rng.uniform(1, 2), rng.randint(-600, 560))
+        yield "edge-450", _signed(rng, a), _signed(rng, b)
+    for _ in range(3_000):
+        # subnormal times anything: subnormal, tiny or normal products
+        a = rng.randint(1, 2**52 - 1) * 5e-324
+        b = math.ldexp(rng.uniform(1, 2), rng.randint(-60, 1023)) if rng.random() < 0.8 else rng.randint(1, 2**20) * 5e-324
+        yield "subnormal", _signed(rng, a), _signed(rng, b)
+    for _ in range(1_000):
+        # a power of two times anything is exact unless it leaves the normal range
+        a = math.ldexp(1.0, rng.randint(-1074, 1023))
+        b = math.ldexp(rng.uniform(1, 2), rng.randint(-1022, 1023))
+        yield "power-of-two", _signed(rng, a), _signed(rng, b)
+    for _ in range(3_000):
+        # at most 26 significant bits each: the product is exact
+        a = math.ldexp(rng.randint(1, 2**26 - 1), rng.randint(-500, 470))
+        b = math.ldexp(rng.randint(1, 2**26 - 1), rng.randint(-500, 470))
+        yield "exact", _signed(rng, a), _signed(rng, b)
+    for _ in range(3_000):
+        # products within an ulp or two of the largest float
+        a = math.ldexp(rng.uniform(1, 2), rng.randint(0, 1022))
+        b = _MAX / a
+        for _ in range(rng.randint(0, 2)):
+            b = math.nextafter(b, rng.choice((0.0, math.inf)))
+        yield "near-max", _signed(rng, a), _signed(rng, b)
+    for _ in range(10_000):
+        # random bit patterns over the whole finite range
+        a, b = (struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(2))
+        if math.isfinite(a) and math.isfinite(b):
+            yield "random", a, b
+
+
+def test_mul_rounding_matches_rational_reference():
+    rng = random.Random(23)
+    seen = set()
+    for kind, a, b in _mul_fuzz_operands(rng):
+        up, down = _mul_up(a, b), _mul_down(a, b)
+        assert up == _mul_reference(a, b, True), (kind, a, b, up)
+        assert down == _mul_reference(a, b, False), (kind, a, b, down)
+        seen.add((kind, up == down))
+    # the exact kind never rounds; the kinds that can round did
+    kinds = {k for k, _ in seen}
+    assert kinds == {"edge-450", "subnormal", "power-of-two", "exact", "near-max", "random"}
+    assert ("exact", False) not in seen
+    assert all((k, False) in seen for k in kinds - {"exact", "power-of-two"})

@@ -278,3 +278,65 @@ def test_compress_moves_mass_to_error():
     c = m.compress(1e-15)
     assert unpack(c) == {(1, 0): 1.0}
     assert c.error >= 1e-16
+
+
+def _random_key(rng, arity, degree):
+    exps = [0] * arity
+    for _ in range(degree):
+        exps[rng.randrange(arity)] += 1
+    return sum(e << (4 * i) for i, e in enumerate(exps))
+
+
+def _random_model(rng, vars_, cap, keys):
+    # dyadic coefficients make sums of products cancel exactly now and then
+    terms = {}
+    for _ in range(rng.randint(0, 30)):
+        k = rng.choice(keys) if keys and rng.random() < 0.5 else _random_key(rng, len(vars_), rng.randint(0, cap + 2))
+        keys.append(k)
+        c = rng.choice([1.0, -1.0, 0.5, -0.25, 3.0]) if rng.random() < 0.4 else rng.uniform(-2, 2) * 10.0 ** rng.randint(-8, 3)
+        terms[k] = c
+    error = rng.choice([0.0, 0.0, rng.random() * 1e-6])
+    return PolynomialModel(vars_, terms, error, cap)
+
+
+def _degree(key):
+    return sum((key >> (4 * i)) & 0xF for i in range(16))
+
+
+def test_mul_exact_fuzz():
+    """The truncated product against an all-pairs expansion over the
+    rationals: the error covers the coefficient deviations, the exact
+    dropped mass and the propagated operand errors."""
+    rng = random.Random(83)
+    for _ in range(300):
+        arity, cap = rng.randint(3, 8), rng.randint(0, 7)
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        keys = []
+        a = _random_model(rng, vars_, cap, keys)
+        b = _random_model(rng, vars_, cap, keys)
+        if rng.random() < 0.3:
+            # a times a with some signs flipped: cross terms cancel exactly
+            b = PolynomialModel(vars_, {k: rng.choice([c, -c]) for k, c in a.terms.items()}, b.error, cap)
+        r = a * b
+        exact = {}
+        dropped = Fraction(0)
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b.terms.items():
+                c = Fraction(c1) * Fraction(c2)
+                if _degree(k1) + _degree(k2) > cap:
+                    dropped += abs(c)
+                else:
+                    exact[k1 + k2] = exact.get(k1 + k2, Fraction(0)) + c
+        assert set(r.terms) <= set(exact)
+        assert all(_degree(k) <= cap for k in r.terms)
+        err = Fraction(r.error)
+        deviation = Fraction(0)
+        for k, v in exact.items():
+            d = abs(Fraction(r.terms.get(k, 0.0)) - v)
+            assert d <= err
+            deviation += d
+        assert err >= dropped
+        mass_a = sum(abs(Fraction(c)) for c in a.terms.values())
+        mass_b = sum(abs(Fraction(c)) for c in b.terms.values())
+        ea, eb = Fraction(a.error), Fraction(b.error)
+        assert err >= deviation + dropped + mass_a * eb + mass_b * ea + ea * eb

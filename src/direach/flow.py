@@ -2,10 +2,23 @@
 
 apriori_bound certifies a box containing all trajectories over one step for
 every admissible input (true or surrogate); picard_flow then iterates the
-integral operator on polynomial models and converts the final Picard
+integral operator P on polynomial models and converts the final Picard
 residual into a rigorous remainder via the Banach fixed-point bound, with
 the incoming model error propagated separately at the local logarithmic-norm
 rate.
+
+Only the last iterate is certified.  The Banach bound needs one function y,
+a certified enclosure y_next of P(y) and a residual rho >= ||P(y) - y||; it
+does not need y to enclose anything.  So each iterate's error band is
+dropped before the next application of P (the polynomial part is computed
+without validation, as in Taylor-model integrators), starting from the
+error-free initial model, and rho is |y_next - y| plus the error of y_next
+alone.  The iteration stops once the polynomial change is no bigger than
+the iterate's own error (rho <= 2 * err(y_next)), when rho stalls
+(rho > 0.7 * previous rho) or vanishes, and after at most
+max(iterations, 4 * (cap + 2)) iterates.  Every failure to certify (no contraction, a tube outside the
+bound, a diverging iterate, a field undefined or unbounded where it is
+evaluated) raises CertificationError.
 """
 from __future__ import annotations
 
@@ -13,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .interval import Box, Interval, iv_exp, lognorm_inf, mat_inf_norm, _add_up, _mul_up
+from .interval import Box, Interval, IntervalDomainError, iv_exp, lognorm_inf, mat_inf_norm, _add_up, _mul_up
 from .inputs import InputScheme, SchemeKind, realize_w
 from .polymodel import PolynomialModel, Role, VarInfo, VectorModel, compose_expr
 from .symexpr import InputAffineSystem
@@ -71,8 +84,18 @@ def input_hull_ranges(sys: InputAffineSystem, scheme: InputScheme) -> tuple[Inte
     return tuple(Interval(-v * f, v * f) for v in sys.V)
 
 
-def _try_map(sys: InputAffineSystem, X: Box, box: Box, u, h: float) -> Box:
-    rhs = sys.rhs_interval(box, u)
+def _rhs(sys: InputAffineSystem, box: Box, u, t0: float) -> tuple[Interval, ...]:
+    """Field hull on box; a field not bounded there is a certification failure."""
+    try:
+        return sys.rhs_interval(box, u)
+    except IntervalDomainError as exc:
+        raise CertificationError(
+            f"field not bounded on the a-priori box at t={t0:g} ({exc}); try a smaller step size"
+        ) from exc
+
+
+def _try_map(sys: InputAffineSystem, X: Box, box: Box, u, h: float, t0: float) -> Box:
+    rhs = _rhs(sys, box, u, t0)
     step = Interval(0.0, h)
     return Box(tuple(X[i] + step * rhs[i] for i in range(sys.n)))
 
@@ -88,17 +111,17 @@ def apriori_bound(
     inclusion and for every surrogate of the scheme."""
     u = input_hull_ranges(sys, scheme)
     h = geom.h
-    rhs0 = sys.rhs_interval(X, u)
+    rhs0 = _rhs(sys, X, u, geom.t0)
     box = X.inflate([2.0 * h * r.mag + 1e-14 * max(1.0, r.mag) for r in rhs0])
     for _ in range(max_inflations):
-        trial = _try_map(sys, X, box, u, h)
+        trial = _try_map(sys, X, box, u, h, geom.t0)
         if not all(c.is_finite for c in trial):
             raise CertificationError(
                 f"a-priori bound diverged at t={geom.t0:g}; try a smaller step size"
             )
         if box.contains_box(trial):
             # trial maps into itself as well (inclusion monotonicity); verify
-            refined = _try_map(sys, X, trial, u, h)
+            refined = _try_map(sys, X, trial, u, h, geom.t0)
             if trial.contains_box(refined):
                 return AprioriBound(trial, u)
             return AprioriBound(box, u)
@@ -146,7 +169,13 @@ def _contraction(
 ) -> tuple[float, float]:
     """(log-norm rate, Picard contraction factor h*Lip) of the surrogate
     field on box; raises when the Picard operator does not contract."""
-    lam_rate, lip_rate = local_rates(sys, box, w_sups)
+    try:
+        lam_rate, lip_rate = local_rates(sys, box, w_sups)
+    except IntervalDomainError as exc:  # field Jacobian not finite on box
+        raise CertificationError(
+            f"field rates unbounded on the Picard work box at t={t0:g} ({exc}); "
+            "try a smaller step size"
+        ) from exc
     kappa = _mul_up(h, lip_rate)
     if kappa >= 1.0:
         raise CertificationError(
@@ -197,54 +226,52 @@ def _picard_core(
     lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
 
     def apply_once(y: VectorModel) -> VectorModel:
+        memo: dict = {}  # one composition per distinct subterm of the fields
         comps = []
-        for c in range(sys.n):
-            rhs = compose_expr(sys.f[c], y)
-            for k in range(sys.m):
-                gk = compose_expr(sys.g[k][c], y)
-                rhs = rhs + gk * w_models[k]
-            comps.append(Xt[c] + rhs.antiderivative(tpos))
+        try:
+            for c in range(sys.n):
+                rhs = compose_expr(sys.f[c], y, memo)
+                for k in range(sys.m):
+                    gk = compose_expr(sys.g[k][c], y, memo)
+                    rhs = rhs + gk * w_models[k]
+                comps.append(Xt[c] + rhs.antiderivative(tpos))
+        except IntervalDomainError as exc:
+            raise CertificationError(
+                f"field not composable on the Picard iterate at t={t0:g} ({exc}); "
+                "try a smaller step size"
+            ) from exc
         return VectorModel(tuple(comps))
 
-    mids = bound.box.midpoint
-    y = VectorModel(
-        tuple(
-            PolynomialModel.constant(mids[c], vars_t, X0.components[0].max_degree)
-            for c in range(sys.n)
-        )
-    )
+    # Error-free iterates: y is one polynomial, y_next a certified enclosure
+    # of P(y), which is all the Banach bound needs.
+    cap = X0.components[0].max_degree
+    max_iters = max(iterations, 4 * (cap + 2))
+    y = Xt
     rho_prev = None
-    max_iters = 4 * iterations
     j = 0
     while True:
         y_next = apply_once(y)
-        rho = max(
-            (y_next[c] - y[c]).range().mag for c in range(sys.n)
-        )
+        rho = max((y_next[c] - y[c]).range().mag for c in range(sys.n))
+        if not math.isfinite(rho):
+            raise CertificationError(
+                f"Picard iteration diverged at t={t0:g}; try a smaller step size"
+            )
         j += 1
-        if j >= iterations and (
-            rho_prev is not None and (rho > 0.7 * rho_prev or rho < 1e-300) or j >= max_iters
+        if j >= max_iters or j >= iterations and (
+            rho <= 2.0 * max(c.error for c in y_next)
+            or rho < 1e-300
+            or rho_prev is not None and rho > 0.7 * rho_prev
         ):
             break
-        y, rho_prev = y_next, rho
+        y, rho_prev = _strip_errors(y_next)[0], rho
 
-    if not math.isfinite(rho):
-        raise CertificationError(
-            f"Picard iteration diverged at t={t0:g}; try a smaller step size"
-        )
     e_flow, tube = _banach_bounds(y, kappa, rho)
     if not work_box.contains_box(tube):
         # The term-sum range of y may overshoot a box flush with the initial
         # set.  Any superset of the a-priori box bounds the rates, so grow the
         # work box to the tube and bound the rates there.
         work_box = _padded(bound.box.hull(tube))
-        try:
-            lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
-        except ValueError as exc:  # field Jacobian not finite on the tube
-            raise CertificationError(
-                f"field rates unbounded on the Picard tube at t={t0:g}; "
-                "try a smaller step size"
-            ) from exc
+        lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
         e_flow, tube = _banach_bounds(y, kappa, rho)
     if not work_box.contains_box(tube):
         raise CertificationError(
@@ -270,19 +297,26 @@ def picard_flow(
     scheme: InputScheme,
     geom: StepGeometry,
     bound: AprioriBound,
-    iterations: int | None = None,
+    iterations: int = 1,
     born: int = 0,
 ) -> VectorModel:
     """Flow map enclosure at time t0+h over (existing parameters, fresh
     input parameters): for every initial point in X's band and every
     normalized parameter choice, the surrogate solution at t0+h lies in the
-    returned band."""
+    returned band.
+
+    iterations is the minimum number of Picard iterates.  Past it, the
+    iteration stops at the first iterate whose polynomial change is no
+    bigger than its own error, or when the residual stalls; at most
+    max(iterations, 4 * (cap + 2)) iterates run.  Iterates carry no error
+    band: only the last one is certified, which is sound because the Banach
+    bound needs only one function y and a certified enclosure of P(y) (see
+    the module docstring).  Raises CertificationError when the step cannot
+    be certified."""
     if not _padded(bound.box).contains_box(X.box()):
         raise ValueError("a-priori bound does not cover the initial set")
     p = scheme.params_per_input
     cap = X.components[0].max_degree
-    if iterations is None:
-        iterations = cap + 2
     new_infos = tuple(VarInfo(Role.INPUT, born=born) for _ in range(sys.m * p))
     base = len(X.vars)
     X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X

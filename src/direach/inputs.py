@@ -77,10 +77,6 @@ class InputScheme:
     def uses_half_steps(self) -> bool:
         return self.kind is SchemeKind.STEP
 
-    def matches_first_moment(self) -> bool:
-        """True when the family reproduces the centered first moment too."""
-        return self.kind in (SchemeKind.AFFINE, SchemeKind.AFFINE_REDUCED, SchemeKind.STEP)
-
 
 @dataclass(frozen=True)
 class ParamDomain:

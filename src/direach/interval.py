@@ -39,8 +39,10 @@ _TWO_PROD_LO = 2.0**-450
 _TWO_PROD_HI = 2.0**450
 
 
-class IntervalDomainError(ArithmeticError):
-    """Operation undefined on the given interval (e.g. division by 0-straddling interval)."""
+class IntervalDomainError(ArithmeticError, ValueError):
+    """Operation undefined on its operands: division by a 0-straddling
+    interval, a non-finite argument where finite endpoints are needed, or
+    polynomial-model arithmetic that overflowed."""
 
 
 def _up(x: float) -> float:
@@ -242,10 +244,6 @@ class Interval:
     def point(v: float) -> "Interval":
         return Interval(v, v)
 
-    @staticmethod
-    def hull_of(values: Sequence[float]) -> "Interval":
-        return Interval(min(values), max(values))
-
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
@@ -286,9 +284,6 @@ class Interval:
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_inside(self, other: "Interval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -387,7 +382,7 @@ class Interval:
 
 def iv_exp(a: Interval) -> Interval:
     if not a.is_finite:
-        raise ValueError("iv_exp requires finite endpoints")
+        raise IntervalDomainError("iv_exp requires finite endpoints")
     return Interval(_exp_down(a.lo), _exp_up(a.hi))
 
 
@@ -405,7 +400,7 @@ def _trig_endpoint(fn, x: float, exact0: float) -> Interval:
 
 def _trig(a: Interval, fn, exact0: float, max_offset: float, min_offset: float) -> Interval:
     if not a.is_finite:
-        raise ValueError("trigonometric range requires finite endpoints")
+        raise IntervalDomainError("trigonometric range requires finite endpoints")
     if a.hi - a.lo >= 6.3:
         return Interval(-1.0, 1.0)
     r = _trig_endpoint(fn, a.lo, exact0)
@@ -485,10 +480,6 @@ class Box:
     def radius(self) -> float:
         return self.diameter / 2.0
 
-    @property
-    def midpoint(self) -> tuple[float, ...]:
-        return tuple(c.mid for c in self.components)
-
     def sample(self, rng) -> tuple[float, ...]:
         return tuple(c.lo + rng.random() * (c.hi - c.lo) for c in self.components)
 
@@ -526,7 +517,7 @@ def mat_inf_norm(m: IntervalMatrix) -> float:
         s = 0.0
         for entry in row:
             if not entry.is_finite:
-                raise ValueError("matrix norm requires finite entries")
+                raise IntervalDomainError("matrix norm requires finite entries")
             s = _add_up(s, entry.mag)
         best = max(best, s)
     return best
@@ -541,7 +532,7 @@ def lognorm_inf(m: IntervalMatrix) -> float:
     best = -_INF
     for k, row in enumerate(m.rows):
         if any(not entry.is_finite for entry in row):
-            raise ValueError("logarithmic norm requires finite entries")
+            raise IntervalDomainError("logarithmic norm requires finite entries")
         s = 0.0
         for i, entry in enumerate(row):
             s = _add_up(s, entry.hi if i == k else entry.mag)

@@ -49,7 +49,6 @@ class ArityMismatchError(ValueError):
 class Role(str, Enum):
     STATE = "state"
     INPUT = "input"
-    NOISE = "noise"
     TIME = "time"
 
 
@@ -100,7 +99,9 @@ class PolynomialModel:
     max_degree: int
 
     def __post_init__(self):
-        if self.error < 0 or math.isnan(self.error):
+        if not self.error >= 0:
+            if math.isnan(self.error):  # inf - inf or inf * 0 in the arithmetic
+                raise IntervalDomainError("model arithmetic overflowed")
             raise ValueError("model error must be nonnegative")
         if not 0 <= self.max_degree <= 7:
             raise ValueError("degree cap must be between 0 and 7")
@@ -250,6 +251,8 @@ class PolynomialModel:
     # ------------------------------------------------------------------ range
     def range(self, method: str = "term-sum") -> Interval:
         """Enclosure of {p(z)+d : z in unit box, |d| <= error}."""
+        if self.error == math.inf:  # overflowed; its coefficients may be too
+            return Interval(-math.inf, math.inf)
         if method == "term-sum":
             r = self._range_term_sum(self.terms)
         elif method == "subdivide":
@@ -516,15 +519,6 @@ class PolynomialModel:
             total += v
         return total
 
-    def var_mass(self, position: int) -> float:
-        """Total coefficient magnitude of terms involving the variable."""
-        mask = 0xF << (4 * position)
-        return sum(abs(c) for k, c in self.terms.items() if k & mask)
-
-    def depends_on(self, position: int) -> bool:
-        mask = 0xF << (4 * position)
-        return any(k & mask for k in self.terms)
-
     def __repr__(self) -> str:
         return f"PolynomialModel(arity={self.arity}, terms={len(self.terms)}, error={self.error:.3g})"
 
@@ -653,20 +647,44 @@ def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
     return result
 
 
-def compose_expr(e: Expr, args: VectorModel | Sequence[PolynomialModel]) -> PolynomialModel:
+def compose_expr(
+    e: Expr,
+    args: VectorModel | Sequence[PolynomialModel],
+    memo: dict[int, tuple[Expr, PolynomialModel]] | None = None,
+) -> PolynomialModel:
     """Evaluate an expression over polynomial-model arguments, producing an
-    enclosure of the composition."""
+    enclosure of the composition.
+
+    Each distinct subexpression node is composed once.  Its model is kept
+    in memo under id(node), next to the node itself, which the memo keeps
+    alive so that no other node can take its id.  Calls over the same args
+    that pass one memo share the subterms they hold as one object (as
+    InputAffineSystem interns its fields): the fields of one Picard iterate compose sin(x3) once,
+    however many of them contain it.  A shared subterm's model is reused as
+    is, so every result is bit-identical to composing its expression alone.
+    Variables are returned directly, not memoized.
+    """
     models = tuple(args) if not isinstance(args, VectorModel) else args.components
     if not models:
         raise ValueError("composition needs at least one argument model")
     vars_ = models[0].vars
     cap = models[0].max_degree
+    if memo is None:
+        memo = {}
 
     def rec(node: Expr) -> PolynomialModel:
         if isinstance(node, symexpr.Var):
             if node.index > len(models):
                 raise IndexError(f"expression references x{node.index} but only {len(models)} args given")
             return models[node.index - 1]
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        out = build(node)
+        memo[id(node)] = (node, out)
+        return out
+
+    def build(node: Expr) -> PolynomialModel:
         if isinstance(node, symexpr.Const):
             return PolynomialModel.constant(node.value, vars_, cap)
         if isinstance(node, symexpr.Add):

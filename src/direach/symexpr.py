@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -484,6 +484,23 @@ def max_var_index(e: Expr) -> int:
     raise TypeError(type(e).__name__)
 
 
+def _intern(e: Expr, table: dict) -> Expr:
+    """e rebuilt so that, among all expressions interned into the same
+    table, equal subtrees are one object.  Constants are told apart by their
+    bits, so 0.0 and -0.0 stay two nodes."""
+    parts = [getattr(e, f.name) for f in fields(e)]
+    parts = [_intern(p, table) if isinstance(p, Expr) else p for p in parts]
+    key = (type(e),) + tuple(
+        id(p) if isinstance(p, Expr) else p.hex() if isinstance(p, float) else p for p in parts
+    )
+    node = table.get(key)
+    if node is None:
+        # the table keeps node, and so its interned children, alive: the
+        # child ids in the keys stay unique
+        node = table[key] = type(e)(*parts)
+    return node
+
+
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
@@ -491,8 +508,10 @@ def _is_zero(e: Expr) -> bool:
 class InputAffineSystem:
     """System dx/dt = f(x) + sum_i g_i(x) v_i(t) with |v_i| <= V_i.
 
-    Drift and input fields are expression vectors over x1..xn; first and
-    second derivatives are prepared once at construction.
+    Drift and input fields are expression vectors over x1..xn, interned
+    together so that a subterm they share is one object (compose_expr then
+    composes it once per memo); first and second derivatives are prepared
+    once at construction.
     """
 
     def __init__(
@@ -502,8 +521,10 @@ class InputAffineSystem:
         inputs: Sequence[Sequence[Expr | str]] = (),
         magnitudes: Sequence[float] = (),
     ):
+        table: dict = {}
+
         def _coerce(e):
-            return parse(e) if isinstance(e, str) else e
+            return _intern(parse(e) if isinstance(e, str) else e, table)
 
         self.n = int(dim)
         if self.n < 1:

@@ -66,20 +66,37 @@ def test_apriori_failure_for_huge_step():
         apriori_bound(sys, Box.from_bounds([(1, 2)]), ZERO, StepGeometry(0.0, 50.0))
 
 
+def test_apriori_unbounded_field_raises_certification_error():
+    # 40^200 overflows, so sin of it has no finite interval argument
+    sys = InputAffineSystem(1, ["sin(x1^200)"])
+    with pytest.raises(CertificationError, match="not bounded"):
+        apriori_bound(sys, Box.from_bounds([(40, 40)]), ZERO, StepGeometry(0.0, 1e-3))
+
+
 @pytest.mark.parametrize(
-    "field, h, iterations, reason",
-    [("x1^2", 0.45, 40, "diverged"), ("x1^7", 0.1, 15, "unbounded")],
+    "field, x0, h, iterations, reason",
+    [
+        ("x1^2", 1e160, 2e-162, 1, "diverged"),
+        ("1/(2-x1)", 1.0, 0.9, 1, "unbounded"),
+        ("1/(2-x1)", 1.0, 0.6, 10, "composable"),
+        ("x1^2*0.5 - x1^2", 1e160, 2e-162, 1, "composable"),
+    ],
 )
-def test_picard_diverging_iterate_raises_certification_error(field, h, iterations, reason):
-    # A bound far too small for the step: the Picard iterates diverge, to an
-    # infinite residual (x1^2) or to a finite tube on which the field
-    # Jacobian overflows (x1^7).  Both stay certification failures, which
-    # callers retry with a smaller step.
+def test_picard_diverging_iterate_raises_certification_error(field, x0, h, iterations, reason):
+    # A bound of +-1 % around x0, too small for the step or the field:
+    #   x1^2 from 1e160: the first iterate overflows, an infinite residual;
+    #   1/(2-x1), h = 0.9: the tube reaches the pole, so the grown work box
+    #     has no finite Jacobian;
+    #   1/(2-x1), h = 0.6, 10 iterates: an iterate's range reaches the pole
+    #     inside the composition;
+    #   x1^2*0.5 - x1^2 from 1e160: inf - inf inside the composition.
+    # All stay certification failures, which callers retry with a smaller
+    # step.
     sys = InputAffineSystem(1, [field])
-    bound = AprioriBound(Box.from_bounds([(0.99, 1.01)]), ())
+    bound = AprioriBound(Box.from_bounds([(0.99 * x0, 1.01 * x0)]), ())
     with pytest.raises(CertificationError, match=reason):
         picard_flow(
-            sys, point_model([1.0]), ZERO, StepGeometry(0.0, h), bound, iterations=iterations
+            sys, point_model([x0]), ZERO, StepGeometry(0.0, h), bound, iterations=iterations
         )
 
 
@@ -202,6 +219,18 @@ def test_picard_containment_vdp_affine():
         got = phi.eval_point(tuple(z + a))
         for c in range(2):
             assert abs(r[c] - got[c]) <= phi[c].error * (1 + 1e-9) + 1e-12
+
+
+def test_picard_stop_rule_not_early():
+    # the default stops on its own; forcing cap + 2 = 6 iterates gains < 1 %
+    sys = vdp()
+    X0 = Box.from_bounds([(0.1, 0.105), (1.5, 1.505)])
+    X = box_model(X0, cap=4)
+    geom = StepGeometry(0.0, 0.005)
+    b = apriori_bound(sys, X0, AFFINE, geom)
+    e_default = max(c.error for c in picard_flow(sys, X, AFFINE, geom, b))
+    e_forced = max(c.error for c in picard_flow(sys, X, AFFINE, geom, b, iterations=6))
+    assert e_default <= 1.01 * e_forced
 
 
 def test_picard_more_iterations_never_worse():

@@ -14,7 +14,7 @@ from direach.polymodel import (
     VectorModel,
     compose_expr,
 )
-from direach.symexpr import parse
+from direach.symexpr import InputAffineSystem, parse
 
 V2 = (VarInfo(Role.STATE, axis=0), VarInfo(Role.STATE, axis=1))
 
@@ -235,6 +235,34 @@ def test_compose_elementary_soundness_fuzz():
                 z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
                 v = math_fn(inner.eval_point(z))
                 assert abs(v - out.eval_point(z)) <= out.error * (1 + 1e-9) + 1e-14
+
+
+def test_compose_shared_memo_bit_identical():
+    # sin(x3) and cos(x3) recur across the fields; InputAffineSystem interns
+    # them into one object each, so one memo composes each of them once
+    sys = InputAffineSystem(
+        3,
+        ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "sin(x3)*cos(x3) - sin(x3)^2"],
+        [["cos(x3)", "sin(x3)", "0"], ["0", "0", "cos(x3)*x1"]],
+        [0.05, 0.05],
+    )
+    exprs = list(sys.f) + [e for gi in sys.g for e in gi]
+    vars3 = tuple(VarInfo(Role.STATE, axis=i) for i in range(3))
+    args = VectorModel(
+        tuple(
+            PolynomialModel.constant(0.5 + i, vars3, 3, error=1e-9)
+            + PolynomialModel.from_var(i, vars3, 3).scale(0.1)
+            for i in range(3)
+        )
+    )
+    memo = {}
+    shared = [compose_expr(e, args, memo) for e in exprs]
+    alone_memos = [{} for _ in exprs]
+    alone = [compose_expr(e, args, m) for e, m in zip(exprs, alone_memos)]
+    for s, a in zip(shared, alone):
+        assert [(k, c.hex()) for k, c in s.terms.items()] == [(k, c.hex()) for k, c in a.terms.items()]
+        assert s.error.hex() == a.error.hex()
+    assert len(memo) < sum(len(m) for m in alone_memos)
 
 
 def test_truncation_preserves_enclosure():

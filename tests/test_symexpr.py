@@ -231,3 +231,17 @@ def test_additive_detection():
     assert harmonic_system().has_constant_inputs
     bilinear = InputAffineSystem(2, ["x2", "x1"], [["x1", "0"]], [1.0])
     assert not bilinear.has_constant_inputs
+
+
+def test_system_interns_equal_subtrees():
+    texts = ["sin(x3)*x1 + sin(x3)", "2*sin(x3) - x1", "cos(x3)"]
+    sys = InputAffineSystem(3, texts, [["cos(x3)", "sin(x3)", "0"]], [0.1])
+    a, b, c = sys.f
+    assert list(sys.f) == [parse(t) for t in texts]
+    assert a.a.a is a.b is b.a.b is sys.g[0][1]
+    assert b.b is a.a.b
+    assert c is sys.g[0][0]
+    # constants are told apart by their bits
+    sys = InputAffineSystem(2, [Mul(Const(0.0), Var(1)), Mul(Const(-0.0), Var(1))])
+    assert sys.f[0] is not sys.f[1]
+    assert math.copysign(1.0, sys.f[1].a.value) == -1.0

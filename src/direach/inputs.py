@@ -8,17 +8,15 @@ physical scaling happens inside the realization.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .polymodel import PolynomialModel, Role, VarInfo
+from .polymodel import PolynomialModel, VarInfo
 
 __all__ = [
     "SchemeKind",
     "InputScheme",
-    "ParamDomain",
     "PiecewiseConstant",
     "realize_w",
     "match_parameters",
@@ -76,28 +74,6 @@ class InputScheme:
     @property
     def uses_half_steps(self) -> bool:
         return self.kind is SchemeKind.STEP
-
-
-@dataclass(frozen=True)
-class ParamDomain:
-    """Normalized parameter box for one step: m inputs x p parameters each,
-    every coordinate in [-1, 1].  The physical meaning of the coordinates
-    is fixed by realize_w."""
-
-    scheme: InputScheme
-    magnitudes: tuple[float, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.magnitudes)
-
-    @property
-    def per_input(self) -> int:
-        return self.scheme.params_per_input
-
-    @property
-    def total(self) -> int:
-        return self.m * self.per_input
 
 
 def realize_w(

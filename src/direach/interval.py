@@ -5,8 +5,9 @@ the exact real result set; endpoints are nudged to the next representable
 value only when a computation is inexact, so small-integer arithmetic stays
 exact.  The sign of the rounding error is found with error-free
 transformations: Knuth's two-sum for addition and Dekker's two-product for
-multiplication (with an exact rational comparison where the two-product could
-overflow or underflow), and an exact rational comparison for division.
+multiplication, and for division the two-product of the quotient and the
+divisor, whose residual gives the sign of a - q*b; an exact rational
+comparison takes over where the two-product could overflow or underflow.
 """
 from __future__ import annotations
 
@@ -142,6 +143,26 @@ def _mul_down(a: float, b: float) -> float:
     return p
 
 
+def _div_residual(a: float, b: float, q: float) -> float | Fraction:
+    """A number with the sign of the exact a - q*b, for finite nonzero a, b
+    and q = fl(a/b); the exact quotient lies above q when it is positive and
+    b is, or when both are negative.
+
+    When a, b and q all lie in (2**-450, 2**450) it is (a - p) - e with
+    p = fl(q*b) and e = q*b - p from the two-product: p is within a factor 2
+    of a, so a - p is exact (Sterbenz), and the one rounded subtraction
+    keeps the sign.  Outside that range it is computed as a Fraction.
+    """
+    if (
+        _TWO_PROD_LO < abs(a) < _TWO_PROD_HI
+        and _TWO_PROD_LO < abs(b) < _TWO_PROD_HI
+        and _TWO_PROD_LO < abs(q) < _TWO_PROD_HI
+    ):
+        p = q * b
+        return (a - p) - _mul_residual(q, b, p)
+    return Fraction(a) - Fraction(q) * Fraction(b)
+
+
 def _div_up(a: float, b: float) -> float:
     # caller guarantees b != 0
     q = a / b
@@ -157,8 +178,8 @@ def _div_up(a: float, b: float) -> float:
         return 0.0 if (a > 0.0) != (b > 0.0) else _TINY
     if q == 0.0:
         return _TINY if (a > 0.0) == (b > 0.0) else 0.0
-    qb = Fraction(q) * Fraction(b)
-    if (b > 0.0 and qb < Fraction(a)) or (b < 0.0 and qb > Fraction(a)):
+    r = _div_residual(a, b, q)
+    if r != 0 and (r > 0) == (b > 0.0):
         return _up(q)
     return q
 
@@ -177,8 +198,8 @@ def _div_down(a: float, b: float) -> float:
         return 0.0 if (a > 0.0) == (b > 0.0) else -_TINY
     if q == 0.0:
         return -_TINY if (a > 0.0) != (b > 0.0) else 0.0
-    qb = Fraction(q) * Fraction(b)
-    if (b > 0.0 and qb > Fraction(a)) or (b < 0.0 and qb < Fraction(a)):
+    r = _div_residual(a, b, q)
+    if r != 0 and (r > 0) != (b > 0.0):
         return _down(q)
     return q
 

@@ -9,8 +9,8 @@ implementation can only increase the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .interval import Interval, iv_exp
 from .inputs import InputScheme, SchemeKind
@@ -169,39 +169,42 @@ def param_requirements(m: int) -> tuple[int, int, int]:
     return equations, degree, parameters
 
 
-def _candidates(
-    sys: InputAffineSystem, scheme: InputScheme, b: StepErrorBounds, h: float
-) -> list[tuple[ErrorOrder, float]]:
-    # higher-order formulas first, so min() resolves ties to the best order
-    out: list[tuple[ErrorOrder, float]] = []
-    kind = scheme.kind
-    if kind is SchemeKind.ZERO:
-        return [(ErrorOrder.O1_ZERO, err_o1(b, h))]
-    if kind is SchemeKind.CONSTANT:
-        try:
-            out.append((ErrorOrder.O2_CONSTANT_C2, err_o2_constant_c2(b, h)))
-        except InapplicableError:
-            pass
-        out.append((ErrorOrder.O2_CONSTANT, err_o2_constant(b, h)))
-    else:
-        # affine, affine-reduced and step surrogates all match both moments
-        additive = not (any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi))
-        if additive:
-            try:
-                out.append((ErrorOrder.O3_ADDITIVE, err_o3_additive(b, h)))
-            except InapplicableError:
-                pass
-        elif sys.m == 1:
-            try:
-                out.append((ErrorOrder.O3_SINGLE, err_o3_single(b, h, m=1)))
-            except InapplicableError:
-                pass
-        try:
-            out.append((ErrorOrder.O2_AFFINE, err_o2_affine(b, h)))
-        except InapplicableError:
-            pass
-    out.append((ErrorOrder.O1_ZERO, _first_order(b, h, scheme.w_sup_factor)))
-    return out
+def _additive(sys: InputAffineSystem, b: StepErrorBounds) -> bool:
+    return not (any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi))
+
+
+def _always(sys: InputAffineSystem, b: StepErrorBounds) -> bool:
+    return True
+
+
+class _Formula(NamedTuple):
+    order: ErrorOrder
+    forced_by: int | None  # the integer that forces it; None for a refinement
+    bound: Callable[[InputAffineSystem, InputScheme, StepErrorBounds, float], float]
+    kinds: frozenset[SchemeKind]  # the schemes whose surrogates it covers
+    applies: Callable[[InputAffineSystem, StepErrorBounds], bool] = _always
+
+
+_TWO_MOMENT = frozenset((SchemeKind.AFFINE, SchemeKind.AFFINE_REDUCED, SchemeKind.STEP))
+_CONSTANT = frozenset((SchemeKind.CONSTANT,))
+
+# Higher orders first, so that min() resolves ties to the best order.  An
+# integer forces the base theorem of the scheme's family: the C2 refinement
+# of the constant-surrogate bound is chosen only by value or by name.
+_FORMULAS = (
+    _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h: err_o3_additive(b, h), _TWO_MOMENT, _additive),
+    _Formula(
+        ErrorOrder.O3_SINGLE,
+        3,
+        lambda sys, s, b, h: err_o3_single(b, h, m=sys.m),
+        _TWO_MOMENT,
+        lambda sys, b: sys.m == 1 and not _additive(sys, b),
+    ),
+    _Formula(ErrorOrder.O2_CONSTANT_C2, None, lambda sys, s, b, h: err_o2_constant_c2(b, h), _CONSTANT),
+    _Formula(ErrorOrder.O2_CONSTANT, 2, lambda sys, s, b, h: err_o2_constant(b, h), _CONSTANT),
+    _Formula(ErrorOrder.O2_AFFINE, 2, lambda sys, s, b, h: err_o2_affine(b, h), _TWO_MOMENT),
+    _Formula(ErrorOrder.O1_ZERO, 1, lambda sys, s, b, h: _first_order(b, h, s.w_sup_factor), frozenset(SchemeKind)),
+)
 
 
 def select_error(
@@ -211,49 +214,36 @@ def select_error(
     h: float,
     forced=None,
 ) -> tuple[ErrorOrder, float]:
-    """Pick the analytical per-step bound.
+    """Pick the analytical per-step bound for a step of length h > 0.
 
-    forced = None picks the smallest applicable bound; an ErrorOrder forces
-    that formula; 1/2/3 force the order (2 = the base theorem of the
-    scheme's family, 3 = additive or single-input corollary).
+    forced = None picks the smallest bound among the formulas that cover the
+    scheme and apply to the inputs, skipping those whose hypotheses fail at
+    this h; an ErrorOrder forces that formula; 1/2/3 force the order (2 = the
+    base theorem of the scheme's family, 3 = additive or single-input
+    corollary) and raise InapplicableError when no formula of that order
+    applies.  Without inputs, or with inputs that vanish on the box, the
+    bound is 0.
     """
     if sys.m == 0 or b.Kp == 0.0:
         return (ErrorOrder.O1_ZERO, 0.0)
+    if h <= 0:
+        raise InapplicableError("step size must be positive")
+    if forced is None:
+        cands = []
+        for f in _FORMULAS:
+            if scheme.kind in f.kinds and f.applies(sys, b):
+                try:
+                    cands.append((f.order, f.bound(sys, scheme, b, h)))
+                except InapplicableError:
+                    pass
+        return min(cands, key=lambda t: t[1])
     if isinstance(forced, ErrorOrder):
-        if forced is ErrorOrder.O1_ZERO:
-            f = scheme.w_sup_factor if scheme.kind is not SchemeKind.ZERO else 0.0
-            return (forced, _first_order(b, h, f))
-        fn = {
-            ErrorOrder.O2_CONSTANT: err_o2_constant,
-            ErrorOrder.O2_CONSTANT_C2: err_o2_constant_c2,
-            ErrorOrder.O2_AFFINE: err_o2_affine,
-            ErrorOrder.O3_ADDITIVE: err_o3_additive,
-        }.get(forced)
-        if fn is not None:
-            return (forced, fn(b, h))
-        return (forced, err_o3_single(b, h, m=sys.m))
-    if forced is not None:
-        order = int(forced)
-        if order == 1:
-            f = scheme.w_sup_factor if scheme.kind is not SchemeKind.ZERO else 0.0
-            return (ErrorOrder.O1_ZERO, _first_order(b, h, f))
-        if order == 2:
-            if scheme.kind is SchemeKind.CONSTANT:
-                return (ErrorOrder.O2_CONSTANT, err_o2_constant(b, h))
-            if scheme.kind is SchemeKind.ZERO:
-                raise InapplicableError("second-order bounds need a moment-matching surrogate")
-            return (ErrorOrder.O2_AFFINE, err_o2_affine(b, h))
-        if order == 3:
-            if scheme.kind in (SchemeKind.ZERO, SchemeKind.CONSTANT):
-                raise InapplicableError("third-order bounds need a two-moment surrogate")
-            additive = not (any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi))
-            if additive:
-                return (ErrorOrder.O3_ADDITIVE, err_o3_additive(b, h))
-            if sys.m == 1:
-                return (ErrorOrder.O3_SINGLE, err_o3_single(b, h, m=1))
-            raise InapplicableError(
-                "no third-order bound for multiple state-dependent inputs"
-            )
-        raise ValueError(f"unknown forced order {forced!r}")
-    cands = _candidates(sys, scheme, b, h)
-    return min(cands, key=lambda t: t[1])
+        rows = [f for f in _FORMULAS if f.order is forced]
+    else:
+        k = int(forced)
+        if k not in (1, 2, 3):
+            raise ValueError(f"unknown forced order {forced!r}")
+        rows = [f for f in _FORMULAS if f.forced_by == k and scheme.kind in f.kinds and f.applies(sys, b)]
+        if not rows:
+            raise InapplicableError(f"no order-{k} bound for the {scheme.kind.value} scheme with these inputs")
+    return (rows[0].order, rows[0].bound(sys, scheme, b, h))

@@ -2,73 +2,44 @@
 
 This is the oracle side: trajectories of the true inclusion under random
 piecewise-constant disturbances, integrated by fixed-step RK4 on a grid much
-finer than the reachability grid.  It deliberately shares nothing with the
-validated pipeline except the symbolic system definition.
+finer than the reachability grid.  It shares with the validated pipeline
+only the symbolic system definition and symexpr.fold, evaluated here in
+plain numpy floating point with no rounding control.
 """
 from __future__ import annotations
-
-import math
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import symexpr
 from .interval import Box
-from .symexpr import Expr, InputAffineSystem
+from .symexpr import InputAffineSystem
 
 __all__ = ["compile_field", "rk4_segment", "sample_trajectories"]
 
 
-def _to_numpy(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(e, symexpr.Var):
-        j = e.index - 1
-        return lambda X: X[:, j]
-    if isinstance(e, symexpr.Const):
-        v = e.value
-        return lambda X: np.full(X.shape[0], v)
-    if isinstance(e, symexpr.Add):
-        fa, fb = _to_numpy(e.a), _to_numpy(e.b)
-        return lambda X: fa(X) + fb(X)
-    if isinstance(e, symexpr.Sub):
-        fa, fb = _to_numpy(e.a), _to_numpy(e.b)
-        return lambda X: fa(X) - fb(X)
-    if isinstance(e, symexpr.Neg):
-        fa = _to_numpy(e.a)
-        return lambda X: -fa(X)
-    if isinstance(e, symexpr.Mul):
-        fa, fb = _to_numpy(e.a), _to_numpy(e.b)
-        return lambda X: fa(X) * fb(X)
-    if isinstance(e, symexpr.Div):
-        fa, fb = _to_numpy(e.a), _to_numpy(e.b)
-        return lambda X: fa(X) / fb(X)
-    if isinstance(e, symexpr.Pow):
-        fa, n = _to_numpy(e.base), e.exponent
-        return lambda X: fa(X) ** n
-    if isinstance(e, symexpr.Sin):
-        fa = _to_numpy(e.a)
-        return lambda X: np.sin(fa(X))
-    if isinstance(e, symexpr.Cos):
-        fa = _to_numpy(e.a)
-        return lambda X: np.cos(fa(X))
-    if isinstance(e, symexpr.Exp):
-        fa = _to_numpy(e.a)
-        return lambda X: np.exp(fa(X))
-    raise TypeError(type(e).__name__)
+# fold over numpy columns: x<i> is column i-1 of the states; a constant is a
+# full column, so that every field component gives one value per trajectory
+_NUMPY_OPS = {
+    **symexpr.ARITH_OPS,
+    symexpr.Const: lambda v, cols: np.full(cols.shape[1], v),
+    symexpr.Sin: np.sin,
+    symexpr.Cos: np.cos,
+    symexpr.Exp: np.exp,
+}
 
 
 def compile_field(sys: InputAffineSystem):
     """Vectorized right-hand side: (states (N,n), inputs (N,m)) -> (N,n)."""
-    f_fns = [_to_numpy(e) for e in sys.f]
-    g_fns = [[_to_numpy(e) for e in gi] for gi in sys.g]
 
     def rhs(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        cols = []
+        cols = X.T
+        out = []
         for c in range(sys.n):
-            acc = f_fns[c](X)
+            acc = symexpr.fold(sys.f[c], cols, _NUMPY_OPS)
             for k in range(sys.m):
-                acc = acc + g_fns[k][c](X) * V[:, k]
-            cols.append(acc)
-        return np.stack(cols, axis=1)
+                acc = acc + symexpr.fold(sys.g[k][c], cols, _NUMPY_OPS) * V[:, k]
+            out.append(acc)
+        return np.stack(out, axis=1)
 
     return rhs
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin, _add_up, _mul_up
@@ -249,20 +250,12 @@ class PolynomialModel:
         return s * _SLACK_INFLATE + _TINY if s else 0.0
 
     # ------------------------------------------------------------------ range
-    def range(self, method: str = "term-sum") -> Interval:
-        """Enclosure of {p(z)+d : z in unit box, |d| <= error}."""
+    def range(self) -> Interval:
+        """Enclosure of {p(z)+d : z in unit box, |d| <= error}: monomials with
+        any odd exponent span [-1,1], all-even ones [0,1]."""
         if self.error == math.inf:  # overflowed; its coefficients may be too
             return Interval(-math.inf, math.inf)
-        if method == "term-sum":
-            r = self._range_term_sum(self.terms)
-        elif method == "subdivide":
-            r = self._range_subdivide()
-        else:
-            raise ValueError(f"unknown range method {method!r}")
-        return r.inflate(self.error) if self.error else r
-
-    def _range_term_sum(self, terms: dict[int, float]) -> Interval:
-        # monomials with any odd exponent span [-1,1]; all-even span [0,1]
+        terms = self.terms
         lo = hi = terms.get(0, 0.0)
         odd = _odd_mask(self.arity)
         for k, c in terms.items():
@@ -276,45 +269,8 @@ class PolynomialModel:
                 hi = _add_up(hi, c)
             else:
                 lo = -_add_up(-lo, a)
-        return Interval(lo, hi)
-
-    def _range_subdivide(self) -> Interval:
-        v = self.arity
-        if v == 0 or v > 10:
-            return self._range_term_sum(self.terms)
-        result: Interval | None = None
-        for mask in range(1 << v):
-            lo = hi = self.terms.get(0, 0.0)
-            for k, c in self.terms.items():
-                if k == 0:
-                    continue
-                # sign of the monomial over this orthant: parity of
-                # odd-exponent variables sitting in negative halves
-                neg_parity = 0
-                kk = k
-                pos = 0
-                while kk:
-                    e = kk & 0xF
-                    if (e & 1) and (mask >> pos) & 1:
-                        neg_parity ^= 1
-                    kk >>= 4
-                    pos += 1
-                a = abs(c)
-                if neg_parity == 0:
-                    # monomial in [0, 1] here
-                    if c >= 0:
-                        hi = _add_up(hi, a)
-                    else:
-                        lo = -_add_up(-lo, a)
-                else:
-                    # monomial in [-1, 0] here
-                    if c >= 0:
-                        lo = -_add_up(-lo, a)
-                    else:
-                        hi = _add_up(hi, a)
-            piece = Interval(lo, hi)
-            result = piece if result is None else result.hull(piece)
-        return result if result is not None else Interval.point(0.0)
+        r = Interval(lo, hi)
+        return r.inflate(self.error) if self.error else r
 
     # ------------------------------------------------------------------ structure ops
     def truncate(self, cap: int) -> "PolynomialModel":
@@ -549,8 +505,8 @@ class VectorModel:
     def __getitem__(self, i: int) -> PolynomialModel:
         return self.components[i]
 
-    def box(self, method: str = "term-sum") -> Box:
-        return Box(tuple(c.range(method) for c in self.components))
+    def box(self) -> Box:
+        return Box(tuple(c.range() for c in self.components))
 
     def map(self, fn: Callable[[PolynomialModel], PolynomialModel]) -> "VectorModel":
         return VectorModel(tuple(fn(c) for c in self.components))
@@ -647,71 +603,47 @@ def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
     return result
 
 
+def _model_div(a: PolynomialModel, b: PolynomialModel) -> PolynomialModel:
+    if not b.error and b.terms.keys() <= {0}:  # an exact constant: scale
+        v = b.terms.get(0, 0.0)
+        if v == 0.0:
+            raise IntervalDomainError("division by a zero model")
+        return a.scale(1.0 / v).add_error(_grown(abs(1.0 / v) * _EPS))
+    return a * _compose_elementary("recip", b)
+
+
+_MODEL_OPS = {
+    **symexpr.ARITH_OPS,
+    symexpr.Const: lambda v, args: PolynomialModel.constant(v, args[0].vars, args[0].max_degree),
+    symexpr.Div: _model_div,
+    symexpr.Pow: _pow_model,
+    symexpr.Sin: partial(_compose_elementary, "sin"),
+    symexpr.Cos: partial(_compose_elementary, "cos"),
+    symexpr.Exp: partial(_compose_elementary, "exp"),
+}
+
+
 def compose_expr(
     e: Expr,
     args: VectorModel | Sequence[PolynomialModel],
     memo: dict[int, tuple[Expr, PolynomialModel]] | None = None,
 ) -> PolynomialModel:
     """Evaluate an expression over polynomial-model arguments, producing an
-    enclosure of the composition.
+    enclosure of the composition: symexpr.fold over models, where sums,
+    products and integer powers are model arithmetic, sin/cos/exp and
+    reciprocals are Taylor compositions with a Lagrange remainder, and a
+    division by an exact constant model (such as a Const node's) is a
+    scaling.
 
-    Each distinct subexpression node is composed once.  Its model is kept
-    in memo under id(node), next to the node itself, which the memo keeps
-    alive so that no other node can take its id.  Calls over the same args
-    that pass one memo share the subterms they hold as one object (as
-    InputAffineSystem interns its fields): the fields of one Picard iterate compose sin(x3) once,
-    however many of them contain it.  A shared subterm's model is reused as
-    is, so every result is bit-identical to composing its expression alone.
-    Variables are returned directly, not memoized.
+    Each distinct subexpression node is composed once, and its model is
+    kept in memo (see symexpr.fold).  Calls over the same args that pass one
+    memo share the subterms they hold as one object (as InputAffineSystem
+    interns its fields): the fields of one Picard iterate compose sin(x3)
+    once, however many of them contain it.  A shared subterm's model is
+    reused as is, so every result is bit-identical to composing its
+    expression alone.
     """
     models = tuple(args) if not isinstance(args, VectorModel) else args.components
     if not models:
         raise ValueError("composition needs at least one argument model")
-    vars_ = models[0].vars
-    cap = models[0].max_degree
-    if memo is None:
-        memo = {}
-
-    def rec(node: Expr) -> PolynomialModel:
-        if isinstance(node, symexpr.Var):
-            if node.index > len(models):
-                raise IndexError(f"expression references x{node.index} but only {len(models)} args given")
-            return models[node.index - 1]
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit[1]
-        out = build(node)
-        memo[id(node)] = (node, out)
-        return out
-
-    def build(node: Expr) -> PolynomialModel:
-        if isinstance(node, symexpr.Const):
-            return PolynomialModel.constant(node.value, vars_, cap)
-        if isinstance(node, symexpr.Add):
-            return rec(node.a) + rec(node.b)
-        if isinstance(node, symexpr.Sub):
-            return rec(node.a) - rec(node.b)
-        if isinstance(node, symexpr.Neg):
-            return -rec(node.a)
-        if isinstance(node, symexpr.Mul):
-            return rec(node.a) * rec(node.b)
-        if isinstance(node, symexpr.Div):
-            denom = rec(node.b)
-            if isinstance(node.b, symexpr.Const):
-                if node.b.value == 0.0:
-                    raise ZeroDivisionError("division by zero constant")
-                return rec(node.a).scale(1.0 / node.b.value).add_error(
-                    _grown(abs(1.0 / node.b.value) * _EPS)
-                )
-            return rec(node.a) * _compose_elementary("recip", denom)
-        if isinstance(node, symexpr.Pow):
-            return _pow_model(rec(node.base), node.exponent)
-        if isinstance(node, symexpr.Sin):
-            return _compose_elementary("sin", rec(node.a))
-        if isinstance(node, symexpr.Cos):
-            return _compose_elementary("cos", rec(node.a))
-        if isinstance(node, symexpr.Exp):
-            return _compose_elementary("exp", rec(node.a))
-        raise TypeError(f"cannot compose {type(node).__name__}")
-
-    return rec(e)
+    return symexpr.fold(e, models, _MODEL_OPS, {} if memo is None else memo)

@@ -3,12 +3,15 @@ extraction of step-error constants over a bounding box.
 
 The grammar covers what the drift and input fields of an input-affine system
 need: variables x1..xn, decimal literals, + - * /, integer powers with ^,
-and sin/cos/exp.  Differentiation is exact; evaluation is available over
-points and over boxes (natural interval extension).
+and sin/cos/exp.  Differentiation is exact.  Evaluation over points, over boxes
+(natural interval extension), over numpy columns (mc) and over polynomial
+models (polymodel.compose_expr) is one fold with a table of operations per
+domain.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -43,6 +46,8 @@ __all__ = [
     "ExprSyntaxError",
     "parse",
     "diff",
+    "fold",
+    "ARITH_OPS",
     "eval_point",
     "eval_interval",
     "max_var_index",
@@ -417,71 +422,74 @@ def diff(e: Expr, j: int) -> Expr:
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
+_BINARY = frozenset((Add, Sub, Mul, Div))
+
+
+def fold(e: Expr, args: Sequence, ops: dict, memo: dict | None = None):
+    """Value of e over one domain: x<i> is args[i-1], and every other node is
+    ops[type(node)] applied to its children's values.  Const gets its value
+    and args (from which a domain takes its shape), Pow its base's value and
+    its exponent.
+
+    With a memo, each node's value is kept under id(node), next to the node
+    itself (which the memo keeps alive, so no other node takes its id), and
+    a node met again is not folded again.  Variables are not memoized.
+    """
+    t = type(e)
+    if t is Var:
+        return args[e.index - 1]
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit[1]
+    op = ops.get(t)
+    if op is None:
+        raise TypeError(f"cannot evaluate {t.__name__}")
+    if t is Const:
+        out = op(e.value, args)
+    elif t is Pow:
+        out = op(fold(e.base, args, ops, memo), e.exponent)
+    elif t in _BINARY:
+        out = op(fold(e.a, args, ops, memo), fold(e.b, args, ops, memo))
+    else:
+        out = op(fold(e.a, args, ops, memo))
+    if memo is not None:
+        memo[id(e)] = (e, out)
+    return out
+
+
+# the arithmetic nodes in every domain: the operators dispatch on the value type
+ARITH_OPS = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Neg: operator.neg,
+    Pow: operator.pow,
+}
+_POINT_OPS = {**ARITH_OPS, Const: lambda v, args: v, Sin: math.sin, Cos: math.cos, Exp: math.exp}
+_INTERVAL_OPS = {**ARITH_OPS, Const: lambda v, args: Interval.point(v), Sin: iv_sin, Cos: iv_cos, Exp: iv_exp}
+# folding over the variable indices themselves gives the largest one
+_VAR_INDICES = range(1, 2**63)
+_MAX_INDEX_OPS = {
+    **{t: max for t in _BINARY},
+    **{t: (lambda a: a) for t in (Neg, Sin, Cos, Exp)},
+    Const: lambda v, args: 0,
+    Pow: lambda a, n: a,
+}
+
+
 def eval_point(e: Expr, x: Sequence[float]) -> float:
-    if isinstance(e, Var):
-        return float(x[e.index - 1])
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Add):
-        return eval_point(e.a, x) + eval_point(e.b, x)
-    if isinstance(e, Sub):
-        return eval_point(e.a, x) - eval_point(e.b, x)
-    if isinstance(e, Neg):
-        return -eval_point(e.a, x)
-    if isinstance(e, Mul):
-        return eval_point(e.a, x) * eval_point(e.b, x)
-    if isinstance(e, Div):
-        return eval_point(e.a, x) / eval_point(e.b, x)
-    if isinstance(e, Pow):
-        return eval_point(e.base, x) ** e.exponent
-    if isinstance(e, Sin):
-        return math.sin(eval_point(e.a, x))
-    if isinstance(e, Cos):
-        return math.cos(eval_point(e.a, x))
-    if isinstance(e, Exp):
-        return math.exp(eval_point(e.a, x))
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    return fold(e, [float(v) for v in x], _POINT_OPS)
 
 
 def eval_interval(e: Expr, x: Box) -> Interval:
     """Natural interval extension; encloses {e(p) : p in x}."""
-    if isinstance(e, Var):
-        return x[e.index - 1]
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, Add):
-        return eval_interval(e.a, x) + eval_interval(e.b, x)
-    if isinstance(e, Sub):
-        return eval_interval(e.a, x) - eval_interval(e.b, x)
-    if isinstance(e, Neg):
-        return -eval_interval(e.a, x)
-    if isinstance(e, Mul):
-        return eval_interval(e.a, x) * eval_interval(e.b, x)
-    if isinstance(e, Div):
-        return eval_interval(e.a, x) / eval_interval(e.b, x)
-    if isinstance(e, Pow):
-        return eval_interval(e.base, x) ** e.exponent
-    if isinstance(e, Sin):
-        return iv_sin(eval_interval(e.a, x))
-    if isinstance(e, Cos):
-        return iv_cos(eval_interval(e.a, x))
-    if isinstance(e, Exp):
-        return iv_exp(eval_interval(e.a, x))
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    return fold(e, x.components, _INTERVAL_OPS)
 
 
 def max_var_index(e: Expr) -> int:
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, (Const,)):
-        return 0
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_var_index(e.a), max_var_index(e.b))
-    if isinstance(e, (Neg, Sin, Cos, Exp)):
-        return max_var_index(e.a)
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    raise TypeError(type(e).__name__)
+    return fold(e, _VAR_INDICES, _MAX_INDEX_OPS)
 
 
 def _intern(e: Expr, table: dict) -> Expr:
@@ -591,8 +599,8 @@ class StepErrorBounds:
     """Constants bounding the field and its derivatives over a box.
 
     Primed values are assembled componentwise (sup-norm of sum_i V_i|g_i|
-    and its derivatives), which is what the error formulas consume; the
-    plain per-input weighted sums are kept alongside as *_sum.
+    and its derivatives), which is what the error formulas consume; Ki, Li
+    and Hi are the per-input sup-norms.
     """
 
     K: float
@@ -605,9 +613,6 @@ class StepErrorBounds:
     Ki: tuple[float, ...]
     Li: tuple[float, ...]
     Hi: tuple[float, ...]
-    Kp_sum: float
-    Lp_sum: float
-    Hp_sum: float
 
     def __post_init__(self):
         if min(self.K, self.Kp, self.L, self.Lp, self.H, self.Hp) < 0:
@@ -618,18 +623,15 @@ def _sup_abs(e: Expr, box: Box) -> float:
     return eval_interval(e, box).mag
 
 
-def compute_bounds(
-    sys: InputAffineSystem, box: Box, hessian_norm: str = "max-entry"
-) -> StepErrorBounds:
-    """Upper bounds for ||f||, ||Df||, lognorm(Df), ||D^2 f|| and the input
-    analogues over box; everything rounded upward.
+def _hessian_bound(d2, box: Box) -> float:
+    return max((_sup_abs(e, box) for plane in d2 for row in plane for e in row), default=0.0)
 
-    hessian_norm selects the convention for ||D^2 f||: "max-entry" (default)
-    takes the largest second-derivative magnitude, "max-row-sum" sums each
-    Hessian row before maximizing.
+
+def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
+    """Upper bounds for ||f||, ||Df||, lognorm(Df), ||D^2 f|| and the input
+    analogues over box; everything rounded upward.  ||D^2 f|| is the
+    largest second-derivative magnitude.
     """
-    if hessian_norm not in ("max-entry", "max-row-sum"):
-        raise ValueError(f"unknown hessian norm {hessian_norm!r}")
     n = sys.n
 
     K = max(_sup_abs(e, box) for e in sys.f)
@@ -638,23 +640,8 @@ def compute_bounds(
     Li = tuple(mat_inf_norm(sys.input_jacobian(k, box)) for k in range(sys.m))
     Lam = lognorm_inf(sys.drift_jacobian(box))
 
-    def hess_bound(d2):
-        if hessian_norm == "max-entry":
-            return max(
-                (_sup_abs(d2[i][j][k], box) for i in range(n) for j in range(n) for k in range(n)),
-                default=0.0,
-            )
-        best = 0.0
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for k in range(n):
-                    s = _add_up(s, _sup_abs(d2[i][j][k], box))
-                best = max(best, s)
-        return best
-
-    H = hess_bound(sys.d2f)
-    Hi = tuple(hess_bound(d2gi) for d2gi in sys.d2g)
+    H = _hessian_bound(sys.d2f, box)
+    Hi = tuple(_hessian_bound(d2gi, box) for d2gi in sys.d2g)
 
     # componentwise primes: sup-norm of sum_i V_i |g_i| and derivatives
     Kp = 0.0
@@ -675,43 +662,12 @@ def compute_bounds(
         Lp = max(Lp, s)
 
     Hp = 0.0
-    if hessian_norm == "max-entry":
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    s = 0.0
-                    for k in range(sys.m):
-                        s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.d2g[k][i][j][l], box)))
-                    Hp = max(Hp, s)
-    else:
-        for i in range(n):
-            for j in range(n):
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
                 s = 0.0
                 for k in range(sys.m):
-                    row = 0.0
-                    for l in range(n):
-                        row = _add_up(row, _sup_abs(sys.d2g[k][i][j][l], box))
-                    s = _add_up(s, _mul_up(sys.V[k], row))
+                    s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.d2g[k][i][j][l], box)))
                 Hp = max(Hp, s)
 
-    def weighted_sum(values):
-        s = 0.0
-        for k, v in enumerate(values):
-            s = _add_up(s, _mul_up(sys.V[k], v))
-        return s
-
-    return StepErrorBounds(
-        K=K,
-        Kp=Kp,
-        L=L,
-        Lp=Lp,
-        H=H,
-        Hp=Hp,
-        Lam=Lam,
-        Ki=Ki,
-        Li=Li,
-        Hi=Hi,
-        Kp_sum=weighted_sum(Ki),
-        Lp_sum=weighted_sum(Li),
-        Hp_sum=weighted_sum(Hi),
-    )
+    return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam, Ki=Ki, Li=Li, Hi=Hi)

@@ -5,7 +5,6 @@ import pytest
 
 from direach.inputs import (
     InputScheme,
-    ParamDomain,
     PiecewiseConstant,
     SchemeKind,
     match_parameters,
@@ -150,13 +149,6 @@ def test_moment_matching_coverage_property():
         assert abs(a0) <= V + 1e-12
         assert abs(a1) <= 3 * V + 1e-9
         assert quadratic_envelope_check(a0, a1, V, tol=1e-9)
-
-
-def test_param_domain_counts():
-    d = ParamDomain(InputScheme(SchemeKind.AFFINE), (0.1, 0.2, 0.3))
-    assert d.m == 3 and d.per_input == 2 and d.total == 6
-    z = ParamDomain(InputScheme(SchemeKind.ZERO), (0.1,))
-    assert z.total == 0
 
 
 def test_scheme_from_name():

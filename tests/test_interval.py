@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import struct
 import sys
@@ -8,6 +9,8 @@ import mpmath
 import pytest
 
 from direach.interval import (
+    _div_down,
+    _div_up,
     _mul_down,
     _mul_up,
     Box,
@@ -211,12 +214,12 @@ def test_norm_rejects_infinite_entries():
 _MAX = sys.float_info.max
 
 
-def _mul_reference(a, b, up):
-    """Nearest float at or above (up) or at or below the exact a*b, with
-    a*b beyond the largest float rounded to +-inf outward and to +-max
-    inward, from an exact rational comparison."""
-    exact = Fraction(a) * Fraction(b)
-    p = a * b
+def _reference(op, a, b, up):
+    """Nearest float at or above (up) or at or below the exact op(a, b), from
+    an exact rational comparison with the float op(a, b); a result beyond
+    the largest float goes to +-inf outward and to +-max inward."""
+    exact = op(Fraction(a), Fraction(b))
+    p = op(a, b)
     if math.isinf(p):
         if up:
             return math.inf if exact > 0 else -_MAX
@@ -224,6 +227,18 @@ def _mul_reference(a, b, up):
     if up:
         return p if Fraction(p) >= exact else math.nextafter(p, math.inf)
     return p if Fraction(p) <= exact else math.nextafter(p, -math.inf)
+
+
+def _rounding_outcomes(op, rounded_up, rounded_down, operands):
+    """(kind, rounded) for every operand kind, after checking both rounded
+    kernels against the rational reference."""
+    seen = set()
+    for kind, a, b in operands:
+        up, down = rounded_up(a, b), rounded_down(a, b)
+        assert up == _reference(op, a, b, True), (kind, a, b, up)
+        assert down == _reference(op, a, b, False), (kind, a, b, down)
+        seen.add((kind, up != down))
+    return seen
 
 
 def _signed(rng, x):
@@ -271,15 +286,65 @@ def _mul_fuzz_operands(rng):
 
 
 def test_mul_rounding_matches_rational_reference():
-    rng = random.Random(23)
-    seen = set()
-    for kind, a, b in _mul_fuzz_operands(rng):
-        up, down = _mul_up(a, b), _mul_down(a, b)
-        assert up == _mul_reference(a, b, True), (kind, a, b, up)
-        assert down == _mul_reference(a, b, False), (kind, a, b, down)
-        seen.add((kind, up == down))
+    seen = _rounding_outcomes(operator.mul, _mul_up, _mul_down, _mul_fuzz_operands(random.Random(23)))
     # the exact kind never rounds; the kinds that can round did
     kinds = {k for k, _ in seen}
     assert kinds == {"edge-450", "subnormal", "power-of-two", "exact", "near-max", "random"}
-    assert ("exact", False) not in seen
-    assert all((k, False) in seen for k in kinds - {"exact", "power-of-two"})
+    assert ("exact", True) not in seen
+    assert all((k, True) in seen for k in kinds - {"exact", "power-of-two"})
+
+
+def _div_fuzz_operands(rng):
+    """Dividend/divisor pairs for the rounded quotient, by kind."""
+    edges = []
+    for e in (-450, 450):
+        p = math.ldexp(1.0, e)
+        edges += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+
+    def near_edge():
+        return rng.choice(edges) if rng.random() < 0.3 else math.ldexp(rng.uniform(1, 2), rng.choice((-451, -450, 449, 450)))
+
+    for _ in range(3_000):
+        # dividend, divisor or quotient just inside or outside 2**+-450
+        x = math.ldexp(rng.uniform(1, 2), rng.randint(-600, 560))
+        which = rng.randrange(3)
+        if which == 0:
+            a, b = near_edge(), x
+        elif which == 1:
+            a, b = x, near_edge()
+        else:
+            a, b = near_edge() * x, x
+            if a == 0.0 or math.isinf(a):
+                continue
+        yield "edge-450", _signed(rng, a), _signed(rng, b)
+    for _ in range(3_000):
+        # a subnormal dividend or divisor: subnormal, tiny, normal or huge quotients
+        s = rng.randint(1, 2**52 - 1) * 5e-324
+        x = math.ldexp(rng.uniform(1, 2), rng.randint(-60, 1023)) if rng.random() < 0.8 else rng.randint(1, 2**20) * 5e-324
+        a, b = (s, x) if rng.random() < 0.5 else (x, s)
+        yield "subnormal", _signed(rng, a), _signed(rng, b)
+    for _ in range(3_000):
+        # a dividend below 2**-450 over a divisor that puts the quotient in range
+        a = math.ldexp(rng.uniform(1, 2), rng.randint(-1022, -451))
+        e = math.frexp(a)[1]
+        b = math.ldexp(rng.uniform(1, 2), e - rng.randint(-440, min(440, e + 1021)))
+        yield "tiny-a", _signed(rng, a), _signed(rng, b)
+    for _ in range(3_000):
+        # quotient and divisor of at most 26 significant bits: the quotient is exact
+        q = math.ldexp(rng.randint(1, 2**26 - 1), rng.randint(-500, 470))
+        b = math.ldexp(rng.randint(1, 2**26 - 1), rng.randint(-500, 470))
+        yield "exact", _signed(rng, q * b), _signed(rng, b)
+    for _ in range(10_000):
+        # random bit patterns over the whole finite range
+        a, b = (struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(2))
+        if math.isfinite(a) and math.isfinite(b) and b != 0.0:
+            yield "random", a, b
+
+
+def test_div_rounding_matches_rational_reference():
+    seen = _rounding_outcomes(operator.truediv, _div_up, _div_down, _div_fuzz_operands(random.Random(29)))
+    # the exact kind never rounds; every other kind did
+    kinds = {k for k, _ in seen}
+    assert kinds == {"edge-450", "subnormal", "tiny-a", "exact", "random"}
+    assert ("exact", True) not in seen
+    assert all((k, True) in seen for k in kinds - {"exact"})

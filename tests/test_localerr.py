@@ -29,7 +29,7 @@ ZERO = InputScheme(SchemeKind.ZERO)
 def mk(K=0.0, Kp=0.0, L=0.0, Lp=0.0, H=0.0, Hp=0.0, Lam=0.0):
     return StepErrorBounds(
         K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam,
-        Ki=(Kp,), Li=(Lp,), Hi=(Hp,), Kp_sum=Kp, Lp_sum=Lp, Hp_sum=Hp,
+        Ki=(Kp,), Li=(Lp,), Hi=(Hp,),
     )
 
 
@@ -128,7 +128,7 @@ def test_err_o3_additive_vdp_direct_substitution():
 def test_err_o3_additive_rejects_state_dependent_inputs():
     b = StepErrorBounds(
         K=1, Kp=1, L=1, Lp=1, H=0, Hp=0, Lam=0,
-        Ki=(1.0,), Li=(1.0,), Hi=(0.0,), Kp_sum=1, Lp_sum=1, Hp_sum=0,
+        Ki=(1.0,), Li=(1.0,), Hi=(0.0,),
     )
     with pytest.raises(InapplicableError):
         err_o3_additive(b, 0.01)
@@ -194,7 +194,7 @@ def test_select_harmonic_affine_picks_additive():
     b = mk(K=1.2, Kp=0.1, L=1.0, H=0.0, Lam=1.0)
     b = StepErrorBounds(
         K=1.2, Kp=0.1, L=1.0, Lp=0.0, H=0.0, Hp=0.0, Lam=1.0,
-        Ki=(1.0, 1.0), Li=(0.0, 0.0), Hi=(0.0, 0.0), Kp_sum=0.2, Lp_sum=0.0, Hp_sum=0.0,
+        Ki=(1.0, 1.0), Li=(0.0, 0.0), Hi=(0.0, 0.0),
     )
     order, eps = select_error(sys, AFFINE, b, 0.0628)
     assert order is ErrorOrder.O3_ADDITIVE
@@ -207,7 +207,7 @@ def test_select_two_state_dependent_inputs_picks_affine_o2():
     )
     b = StepErrorBounds(
         K=2, Kp=2, L=1, Lp=2, H=0, Hp=0, Lam=1,
-        Ki=(1.0, 1.0), Li=(1.0, 1.0), Hi=(0.0, 0.0), Kp_sum=2, Lp_sum=2, Hp_sum=0,
+        Ki=(1.0, 1.0), Li=(1.0, 1.0), Hi=(0.0, 0.0),
     )
     order, _ = select_error(sys, AFFINE, b, 0.01)
     assert order is ErrorOrder.O2_AFFINE
@@ -225,7 +225,7 @@ def test_select_forced_orders():
     sys = harmonic()
     b = StepErrorBounds(
         K=1.2, Kp=0.1, L=1.0, Lp=0.0, H=0.0, Hp=0.0, Lam=1.0,
-        Ki=(1.0, 1.0), Li=(0.0, 0.0), Hi=(0.0, 0.0), Kp_sum=0.2, Lp_sum=0.0, Hp_sum=0.0,
+        Ki=(1.0, 1.0), Li=(0.0, 0.0), Hi=(0.0, 0.0),
     )
     order, eps = select_error(sys, CONSTANT, b, 0.01, forced=2)
     assert order is ErrorOrder.O2_CONSTANT
@@ -234,6 +234,15 @@ def test_select_forced_orders():
     assert order is ErrorOrder.O3_ADDITIVE
     order, eps = select_error(sys, AFFINE, b, 0.01, forced=ErrorOrder.O2_AFFINE)
     assert eps == pytest.approx(err_o2_affine(b, 0.01), rel=1e-12)
+
+
+def test_select_rejects_nonpositive_step():
+    sys = harmonic()
+    b = mk(K=1.2, Kp=0.1, L=1.0, Lam=1.0)
+    for kind in SchemeKind:
+        for forced in (None, 1, 2, 3, *ErrorOrder):
+            with pytest.raises(InapplicableError):
+                select_error(sys, InputScheme(kind), b, 0.0, forced=forced)
 
 
 def _rand_bounds(rng, additive=False):

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from .interval import Box, Interval, IntervalDomainError, iv_exp, lognorm_inf, mat_inf_norm, _add_up, _mul_up
 from .inputs import InputScheme, SchemeKind, realize_w
 from .polymodel import PolynomialModel, Role, VarInfo, VectorModel, compose_expr
-from .symexpr import InputAffineSystem
+from .symexpr import InputAffineSystem, _is_zero
 
 __all__ = [
     "StepGeometry",
@@ -142,14 +142,16 @@ def local_rates(
     sys: InputAffineSystem, box: Box, w_sups: Sequence[float]
 ) -> tuple[float, float]:
     """(log-norm rate, Lipschitz rate) of the surrogate field on box, i.e.
-    lognorm(Df) + sum w_sup_i ||Dg_i|| and ||Df|| + sum w_sup_i ||Dg_i||."""
-    dfm = sys.drift_jacobian(box)
+    lognorm(Df) + sum w_sup_i ||Dg_i|| and ||Df|| + sum w_sup_i ||Dg_i||.
+    One memo serves every Jacobian entry on box."""
+    memo: dict = {}
+    dfm = sys.drift_jacobian(box, memo)
     lam = lognorm_inf(dfm)
     lip = mat_inf_norm(dfm)
     for k, ws in enumerate(w_sups):
         if ws == 0.0:
             continue
-        nk = mat_inf_norm(sys.input_jacobian(k, box))
+        nk = mat_inf_norm(sys.input_jacobian(k, box, memo))
         lam = _add_up(lam, _mul_up(ws, nk))
         lip = _add_up(lip, _mul_up(ws, nk))
     return lam, lip
@@ -164,18 +166,22 @@ def _padded(box: Box) -> Box:
     )
 
 
-def _contraction(
-    sys: InputAffineSystem, box: Box, w_sups: Sequence[float], h: float, t0: float
-) -> tuple[float, float]:
-    """(log-norm rate, Picard contraction factor h*Lip) of the surrogate
-    field on box; raises when the Picard operator does not contract."""
+def _rates(sys: InputAffineSystem, box: Box, w_sups: Sequence[float], t0: float) -> tuple[float, float]:
+    """local_rates on the Picard work box; raises CertificationError when the
+    field Jacobian is not finite there."""
     try:
-        lam_rate, lip_rate = local_rates(sys, box, w_sups)
-    except IntervalDomainError as exc:  # field Jacobian not finite on box
+        return local_rates(sys, box, w_sups)
+    except IntervalDomainError as exc:
         raise CertificationError(
             f"field rates unbounded on the Picard work box at t={t0:g} ({exc}); "
             "try a smaller step size"
         ) from exc
+
+
+def _contraction(rates: tuple[float, float], h: float, t0: float) -> tuple[float, float]:
+    """(log-norm rate, Picard contraction factor h*Lip) from the rates of
+    the surrogate field; raises when the Picard operator does not contract."""
+    lam_rate, lip_rate = rates
     kappa = _mul_up(h, lip_rate)
     if kappa >= 1.0:
         raise CertificationError(
@@ -214,7 +220,10 @@ def _picard_core(
     bound: AprioriBound,
     iterations: int,
     w_sups: Sequence[float],
+    rates: tuple[float, float],
 ) -> VectorModel:
+    """One Picard step over [t0, t0 + h]; rates are local_rates on the
+    padded a-priori box."""
     X0, e_x = _strip_errors(X)
     tvar = VarInfo(Role.TIME, center=t0 + h / 2.0, radius=h / 2.0)
     vars_t = X0.vars + (tvar,)
@@ -223,7 +232,7 @@ def _picard_core(
     w_models = w_for(vars_t, tpos)
 
     work_box = _padded(bound.box)
-    lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
+    lam_rate, kappa = _contraction(rates, h, t0)
 
     def apply_once(y: VectorModel) -> VectorModel:
         memo: dict = {}  # one composition per distinct subterm of the fields
@@ -232,6 +241,8 @@ def _picard_core(
             for c in range(sys.n):
                 rhs = compose_expr(sys.f[c], y, memo)
                 for k in range(sys.m):
+                    if _is_zero(sys.g[k][c]):  # its product and sum change nothing
+                        continue
                     gk = compose_expr(sys.g[k][c], y, memo)
                     rhs = rhs + gk * w_models[k]
                 comps.append(Xt[c] + rhs.antiderivative(tpos))
@@ -271,7 +282,7 @@ def _picard_core(
         # set.  Any superset of the a-priori box bounds the rates, so grow the
         # work box to the tube and bound the rates there.
         work_box = _padded(bound.box.hull(tube))
-        lam_rate, kappa = _contraction(sys, work_box, w_sups, h, t0)
+        lam_rate, kappa = _contraction(_rates(sys, work_box, w_sups, t0), h, t0)
         e_flow, tube = _banach_bounds(y, kappa, rho)
     if not work_box.contains_box(tube):
         raise CertificationError(
@@ -322,6 +333,8 @@ def picard_flow(
     X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X
     positions = [tuple(base + i * p + q for q in range(p)) for i in range(sys.m)]
     w_sups = [v * scheme.w_sup_factor for v in sys.V]
+    # both half steps of the step scheme work on this box: one set of rates
+    rates = _rates(sys, _padded(bound.box), w_sups, geom.t0)
 
     if scheme.uses_half_steps:
         def w_half(half):
@@ -334,10 +347,10 @@ def picard_flow(
             return build
 
         mid = _picard_core(
-            sys, X_ext, w_half(0), geom.t0, geom.half, bound, iterations, w_sups
+            sys, X_ext, w_half(0), geom.t0, geom.half, bound, iterations, w_sups, rates
         )
         return _picard_core(
-            sys, mid, w_half(1), geom.t0 + geom.half, geom.half, bound, iterations, w_sups
+            sys, mid, w_half(1), geom.t0 + geom.half, geom.half, bound, iterations, w_sups, rates
         )
 
     def build(vars_t, tpos):
@@ -346,4 +359,4 @@ def picard_flow(
             for i in range(sys.m)
         ]
 
-    return _picard_core(sys, X_ext, build, geom.t0, geom.h, bound, iterations, w_sups)
+    return _picard_core(sys, X_ext, build, geom.t0, geom.h, bound, iterations, w_sups, rates)

@@ -221,8 +221,12 @@ def select_error(
     this h; an ErrorOrder forces that formula; 1/2/3 force the order (2 = the
     base theorem of the scheme's family, 3 = additive or single-input
     corollary) and raise InapplicableError when no formula of that order
-    applies.  Without inputs, or with inputs that vanish on the box, the
-    bound is 0.
+    covers the scheme and applies to the inputs.  A forced ErrorOrder must
+    cover the scheme too, or InapplicableError is raised; its applies
+    predicate is not consulted, since the formula still checks its own
+    hypotheses (for O3-single-input the predicate only prefers the additive
+    corollary, which is no hypothesis).  Without inputs, or with inputs
+    that vanish on the box, the bound is 0.
     """
     if sys.m == 0 or b.Kp == 0.0:
         return (ErrorOrder.O1_ZERO, 0.0)
@@ -238,7 +242,9 @@ def select_error(
                     pass
         return min(cands, key=lambda t: t[1])
     if isinstance(forced, ErrorOrder):
-        rows = [f for f in _FORMULAS if f.order is forced]
+        rows = [f for f in _FORMULAS if f.order is forced and scheme.kind in f.kinds]
+        if not rows:
+            raise InapplicableError(f"the {forced.value} bound does not cover the {scheme.kind.value} scheme")
     else:
         k = int(forced)
         if k not in (1, 2, 3):

@@ -15,14 +15,20 @@ it multiplies only the term pairs whose total degree fits under the cap, so
 its cost is the number of kept pairs (3,003 of 63,504 for two full
 arity-5, cap-5 models).  The mass of the dropped pairs is bounded from
 suffix sums of the right operand's coefficient magnitudes by degree, which
-are built by addition only, so cancellation cannot under-count it.
+are built by addition only, so cancellation cannot under-count it.  A
+product with an exact constant (no error, no term but the constant one) is
+a scaling.
+
+compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
+the argument's range as sum a_k (inner - c)^k plus a Lagrange remainder.
+One power table per argument model and memo holds c, the powers of
+inner - c and their ranges, so every function of one argument shares them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin, _add_up, _mul_up
@@ -164,8 +170,20 @@ class PolynomialModel:
         Those masses are suffix sums over the right terms grouped by degree,
         built by addition only: "total minus kept" would cancel and could
         under-count the dropped mass.
+
+        An exact constant operand (no error, no term but the constant one),
+        such as the 0.3 of 0.3*sin(x3), is a scalar: the product is the
+        other operand's scale by it, which skips the pair loop and does not
+        charge the constant's poly_magnitude inflation to the other's error.
+        Terms of the other operand above the cap still drop into the error.
         """
         self._check_compat(other)
+        s = self._scalar()
+        if s is not None:
+            return other.truncate(other.max_degree).scale(s)
+        s = other._scalar()
+        if s is not None:
+            return self.truncate(self.max_degree).scale(s)
         cap = self.max_degree
         out: dict[int, float] = {}
         slack = 0.0
@@ -211,6 +229,13 @@ class PolynomialModel:
         e = _add_up(e, _grown(dropped))
         e = _add_up(e, _grown(slack))
         return PolynomialModel(self.vars, out, e, self.max_degree)
+
+    def _scalar(self) -> float | None:
+        """The value of an exact constant model (no error, no term but the
+        constant one), else None."""
+        if not self.error and self.terms.keys() <= {0}:
+            return self.terms.get(0, 0.0)
+        return None
 
     def scale(self, s: float) -> "PolynomialModel":
         if s == 0.0:
@@ -274,9 +299,14 @@ class PolynomialModel:
 
     # ------------------------------------------------------------------ structure ops
     def truncate(self, cap: int) -> "PolynomialModel":
-        """Reduce the degree cap, folding removed mass into the error."""
-        if cap >= self.max_degree:
+        """Reduce the degree cap, folding removed mass (the terms above the
+        new cap) into the error.  At the model's own cap this is self unless
+        a term lies above it (only a model built from explicit terms can
+        hold one)."""
+        if cap > self.max_degree:
             return replace(self, max_degree=cap)
+        if cap == self.max_degree and all(_degree_of(k) <= cap for k in self.terms):
+            return self
         out = {}
         dropped = 0.0
         for k, c in self.terms.items():
@@ -550,34 +580,61 @@ def _series_coefficients(kind: str, c: float, rng: Interval, d: int) -> tuple[li
     raise ValueError(kind)
 
 
-def _compose_elementary(kind: str, inner: PolynomialModel) -> PolynomialModel:
-    rng = inner.range()
+class _PowerTable:
+    """What the Taylor compositions about one inner model share: its range
+    rng, the centre c = rng.mid, rho >= sup|inner - c|, the powers
+    delta^0 .. delta^d of delta = inner - c (built on first use) and each
+    power's range magnitude (computed on first use, that is, only when some
+    series coefficient has a nonzero radius)."""
+
+    __slots__ = ("inner", "rng", "c", "rho", "_powers", "_mags")
+
+    def __init__(self, inner: PolynomialModel):
+        self.inner = inner  # kept alive, so no other model takes its id
+        self.rng = inner.range()
+        self._powers = None
+        if self.rng.is_finite:
+            self.c = self.rng.mid
+            rho = (self.rng - Interval.point(self.c)).mag
+            self.rho = _add_up(rho, rho * 4 * _EPS)
+
+    def powers(self) -> list[PolynomialModel]:
+        if self._powers is None:
+            inner = self.inner
+            delta = inner.add_scalar(-self.c)
+            power = PolynomialModel.constant(1.0, inner.vars, inner.max_degree)
+            self._powers = [power]
+            for _ in range(inner.max_degree):
+                power = power * delta
+                self._powers.append(power)
+            self._mags = [None] * len(self._powers)
+        return self._powers
+
+    def mag(self, k: int) -> float:
+        m = self._mags[k]
+        if m is None:
+            m = self._mags[k] = self._powers[k].range().mag
+        return m
+
+
+def _compose_elementary(kind: str, table: _PowerTable) -> PolynomialModel:
+    """kind (sin, cos, exp or recip) of table.inner: sum a_k delta^k over
+    the table's powers plus a Lagrange remainder over the full range."""
+    rng = table.rng
     if not rng.is_finite:
         raise IntervalDomainError(f"{kind} composition requires a finite range")
-    c = rng.mid
-    d = inner.max_degree
-    coeffs, rem_factor = _series_coefficients(kind, c, rng, d)
-    delta = inner.add_scalar(-c)
-    drng = rng - Interval.point(c)
-    rho = drng.mag
-    rho = _add_up(rho, rho * 4 * _EPS)
-
-    result = PolynomialModel.constant(0.0, inner.vars, d)
-    power = PolynomialModel.constant(1.0, inner.vars, d)
+    d = table.inner.max_degree
+    coeffs, rem_factor = _series_coefficients(kind, table.c, rng, d)
+    powers = table.powers()
+    result = PolynomialModel.constant(0.0, table.inner.vars, d)
     extra = 0.0
-    for k in range(d + 1):
-        a = coeffs[k]
-        mid = a.mid
+    for k, a in enumerate(coeffs):
+        result = result + powers[k].scale(a.mid)
         half = a.rad
-        result = result + power.scale(mid)
         if half:
-            extra = _add_up(extra, _mul_up(half, power.range().mag))
-        if k < d:
-            power = power * delta
-    # Lagrange remainder over the full range
-    rem = _mul_up(rem_factor, _pow_up_pos(rho, d + 1))
-    result = result.add_error(_add_up(extra, rem))
-    return result
+            extra = _add_up(extra, _mul_up(half, table.mag(k)))
+    rem = _mul_up(rem_factor, _pow_up_pos(table.rho, d + 1))
+    return result.add_error(_add_up(extra, rem))
 
 
 def _pow_up_pos(x: float, n: int) -> float:
@@ -587,11 +644,11 @@ def _pow_up_pos(x: float, n: int) -> float:
     return r
 
 
-def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
+def _pow_model(base: PolynomialModel, n: int, recip: Callable) -> PolynomialModel:
     if n == 0:
         return PolynomialModel.constant(1.0, base.vars, base.max_degree)
     if n < 0:
-        return _pow_model(_compose_elementary("recip", base), -n)
+        return _pow_model(recip(base), -n, recip)
     result = None
     power = base
     while n:
@@ -603,47 +660,78 @@ def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
     return result
 
 
-def _model_div(a: PolynomialModel, b: PolynomialModel) -> PolynomialModel:
-    if not b.error and b.terms.keys() <= {0}:  # an exact constant: scale
-        v = b.terms.get(0, 0.0)
+def _model_div(a: PolynomialModel, b: PolynomialModel, recip: Callable) -> PolynomialModel:
+    v = b._scalar()
+    if v is not None:  # an exact constant: scale
         if v == 0.0:
             raise IntervalDomainError("division by a zero model")
         return a.scale(1.0 / v).add_error(_grown(abs(1.0 / v) * _EPS))
-    return a * _compose_elementary("recip", b)
+    return a * recip(b)
 
 
 _MODEL_OPS = {
     **symexpr.ARITH_OPS,
     symexpr.Const: lambda v, args: PolynomialModel.constant(v, args[0].vars, args[0].max_degree),
-    symexpr.Div: _model_div,
-    symexpr.Pow: _pow_model,
-    symexpr.Sin: partial(_compose_elementary, "sin"),
-    symexpr.Cos: partial(_compose_elementary, "cos"),
-    symexpr.Exp: partial(_compose_elementary, "exp"),
 }
+# the memo key of a memo's op table: no node id (an int) takes it
+_OPS_KEY = "ops"
+
+
+def _memo_ops(memo: dict) -> dict:
+    """The fold's op table for one memo, built once and kept in it: its
+    sin, cos, exp and reciprocal (of Div and negative Pow) of one inner
+    model share one _PowerTable."""
+    ops = memo.get(_OPS_KEY)
+    if ops is None:
+        tables: dict[int, _PowerTable] = {}
+
+        def series(kind):
+            def compose(inner):
+                table = tables.get(id(inner))
+                if table is None:
+                    table = tables[id(inner)] = _PowerTable(inner)
+                return _compose_elementary(kind, table)
+
+            return compose
+
+        recip = series("recip")
+        ops = memo[_OPS_KEY] = {
+            **_MODEL_OPS,
+            symexpr.Div: lambda a, b: _model_div(a, b, recip),
+            symexpr.Pow: lambda base, n: _pow_model(base, n, recip),
+            symexpr.Sin: series("sin"),
+            symexpr.Cos: series("cos"),
+            symexpr.Exp: series("exp"),
+        }
+    return ops
 
 
 def compose_expr(
     e: Expr,
     args: VectorModel | Sequence[PolynomialModel],
-    memo: dict[int, tuple[Expr, PolynomialModel]] | None = None,
+    memo: dict | None = None,
 ) -> PolynomialModel:
     """Evaluate an expression over polynomial-model arguments, producing an
     enclosure of the composition: symexpr.fold over models, where sums,
     products and integer powers are model arithmetic, sin/cos/exp and
     reciprocals are Taylor compositions with a Lagrange remainder, and a
     division by an exact constant model (such as a Const node's) is a
-    scaling.
+    scaling, as is a product with one (PolynomialModel.__mul__).
 
     Each distinct subexpression node is composed once, and its model is
     kept in memo (see symexpr.fold).  Calls over the same args that pass one
     memo share the subterms they hold as one object (as InputAffineSystem
     interns its fields): the fields of one Picard iterate compose sin(x3)
-    once, however many of them contain it.  A shared subterm's model is
-    reused as is, so every result is bit-identical to composing its
-    expression alone.
+    once, however many of them contain it.  The memo also holds one power
+    table per inner model that some composition expands (Makino & Berz,
+    2003: f(inner) = sum a_k delta^k with delta = inner - c), so sin(x3)
+    and cos(x3) share the range of x3, c, the powers of delta and their
+    ranges.  Shared subterms and tables are reused as they are, so every
+    result is bit-identical to composing its expression alone.
     """
     models = tuple(args) if not isinstance(args, VectorModel) else args.components
     if not models:
         raise ValueError("composition needs at least one argument model")
-    return symexpr.fold(e, models, _MODEL_OPS, {} if memo is None else memo)
+    if memo is None:
+        memo = {}
+    return symexpr.fold(e, models, _memo_ops(memo), memo)

@@ -483,9 +483,10 @@ def eval_point(e: Expr, x: Sequence[float]) -> float:
     return fold(e, [float(v) for v in x], _POINT_OPS)
 
 
-def eval_interval(e: Expr, x: Box) -> Interval:
-    """Natural interval extension; encloses {e(p) : p in x}."""
-    return fold(e, x.components, _INTERVAL_OPS)
+def eval_interval(e: Expr, x: Box, memo: dict | None = None) -> Interval:
+    """Natural interval extension; encloses {e(p) : p in x}.  Calls over
+    one box that pass one memo evaluate each shared node once (see fold)."""
+    return fold(e, x.components, _INTERVAL_OPS, memo)
 
 
 def max_var_index(e: Expr) -> int:
@@ -516,10 +517,12 @@ def _is_zero(e: Expr) -> bool:
 class InputAffineSystem:
     """System dx/dt = f(x) + sum_i g_i(x) v_i(t) with |v_i| <= V_i.
 
-    Drift and input fields are expression vectors over x1..xn, interned
-    together so that a subterm they share is one object (compose_expr then
-    composes it once per memo); first and second derivatives are prepared
-    once at construction.
+    Drift and input fields are expression vectors over x1..xn; their first
+    and second derivatives are prepared once at construction.  Fields and
+    derivatives are interned together, so that a subterm they share is one
+    object: compose_expr composes it once per memo, and eval_interval
+    evaluates it once per memo (one per box in compute_bounds and
+    flow.local_rates).
     """
 
     def __init__(
@@ -558,13 +561,17 @@ class InputAffineSystem:
                     raise ValueError(f"expression {e} references a variable beyond x{self.n}")
 
         n = self.n
-        self.df = tuple(tuple(diff(self.f[i], j + 1) for j in range(n)) for i in range(n))
-        self.dg = tuple(tuple(tuple(diff(gi[i], j + 1) for j in range(n)) for i in range(n)) for gi in self.g)
+
+        def _d(e, j):
+            return _intern(diff(e, j), table)
+
+        self.df = tuple(tuple(_d(self.f[i], j + 1) for j in range(n)) for i in range(n))
+        self.dg = tuple(tuple(tuple(_d(gi[i], j + 1) for j in range(n)) for i in range(n)) for gi in self.g)
         self.d2f = tuple(
-            tuple(tuple(diff(self.df[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n)
+            tuple(tuple(_d(self.df[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n)
         )
         self.d2g = tuple(
-            tuple(tuple(tuple(diff(dgi[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n))
+            tuple(tuple(tuple(_d(dgi[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n))
             for dgi in self.dg
         )
 
@@ -577,19 +584,21 @@ class InputAffineSystem:
         """True when every input field has identically zero Jacobian (additive noise)."""
         return all(_is_zero(entry) for dgi in self.dg for row in dgi for entry in row)
 
-    def drift_jacobian(self, box: Box) -> IntervalMatrix:
-        return IntervalMatrix(tuple(tuple(eval_interval(e, box) for e in row) for row in self.df))
+    # memo is an eval_interval memo for box, shared with other calls on box
+    def drift_jacobian(self, box: Box, memo: dict) -> IntervalMatrix:
+        return IntervalMatrix(tuple(tuple(eval_interval(e, box, memo) for e in row) for row in self.df))
 
-    def input_jacobian(self, k: int, box: Box) -> IntervalMatrix:
-        return IntervalMatrix(tuple(tuple(eval_interval(e, box) for e in row) for row in self.dg[k]))
+    def input_jacobian(self, k: int, box: Box, memo: dict) -> IntervalMatrix:
+        return IntervalMatrix(tuple(tuple(eval_interval(e, box, memo) for e in row) for row in self.dg[k]))
 
     def rhs_interval(self, box: Box, input_ranges: Sequence[Interval]) -> tuple[Interval, ...]:
         """Interval hull of f(x) + sum g_i(x)u_i over x in box, u_i in input_ranges."""
+        memo: dict = {}
         out = []
         for c in range(self.n):
-            acc = eval_interval(self.f[c], box)
+            acc = eval_interval(self.f[c], box, memo)
             for k, u in enumerate(input_ranges):
-                acc = acc + eval_interval(self.g[k][c], box) * u
+                acc = acc + eval_interval(self.g[k][c], box, memo) * u
             out.append(acc)
         return tuple(out)
 
@@ -619,36 +628,40 @@ class StepErrorBounds:
             raise ValueError("bounds must be nonnegative")
 
 
-def _sup_abs(e: Expr, box: Box) -> float:
-    return eval_interval(e, box).mag
+def _sup_abs(e: Expr, box: Box, memo: dict) -> float:
+    return eval_interval(e, box, memo).mag
 
 
-def _hessian_bound(d2, box: Box) -> float:
-    return max((_sup_abs(e, box) for plane in d2 for row in plane for e in row), default=0.0)
+def _hessian_bound(d2, box: Box, memo: dict) -> float:
+    return max((_sup_abs(e, box, memo) for plane in d2 for row in plane for e in row), default=0.0)
 
 
 def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
     """Upper bounds for ||f||, ||Df||, lognorm(Df), ||D^2 f|| and the input
     analogues over box; everything rounded upward.  ||D^2 f|| is the
-    largest second-derivative magnitude.
+    largest second-derivative magnitude.  One memo serves every evaluation
+    on box, so each distinct node of the fields and their derivatives is
+    evaluated once.
     """
     n = sys.n
+    memo: dict = {}
 
-    K = max(_sup_abs(e, box) for e in sys.f)
-    Ki = tuple(max(_sup_abs(e, box) for e in gi) for gi in sys.g)
-    L = mat_inf_norm(sys.drift_jacobian(box))
-    Li = tuple(mat_inf_norm(sys.input_jacobian(k, box)) for k in range(sys.m))
-    Lam = lognorm_inf(sys.drift_jacobian(box))
+    K = max(_sup_abs(e, box, memo) for e in sys.f)
+    Ki = tuple(max(_sup_abs(e, box, memo) for e in gi) for gi in sys.g)
+    dfm = sys.drift_jacobian(box, memo)
+    L = mat_inf_norm(dfm)
+    Li = tuple(mat_inf_norm(sys.input_jacobian(k, box, memo)) for k in range(sys.m))
+    Lam = lognorm_inf(dfm)
 
-    H = _hessian_bound(sys.d2f, box)
-    Hi = tuple(_hessian_bound(d2gi, box) for d2gi in sys.d2g)
+    H = _hessian_bound(sys.d2f, box, memo)
+    Hi = tuple(_hessian_bound(d2gi, box, memo) for d2gi in sys.d2g)
 
     # componentwise primes: sup-norm of sum_i V_i |g_i| and derivatives
     Kp = 0.0
     for c in range(n):
         s = 0.0
         for k in range(sys.m):
-            s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.g[k][c], box)))
+            s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.g[k][c], box, memo)))
         Kp = max(Kp, s)
 
     Lp = 0.0
@@ -657,7 +670,7 @@ def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
         for k in range(sys.m):
             row = 0.0
             for j in range(n):
-                row = _add_up(row, _sup_abs(sys.dg[k][r][j], box))
+                row = _add_up(row, _sup_abs(sys.dg[k][r][j], box, memo))
             s = _add_up(s, _mul_up(sys.V[k], row))
         Lp = max(Lp, s)
 
@@ -667,7 +680,7 @@ def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
             for l in range(n):
                 s = 0.0
                 for k in range(sys.m):
-                    s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.d2g[k][i][j][l], box)))
+                    s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.d2g[k][i][j][l], box, memo)))
                 Hp = max(Hp, s)
 
     return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam, Ki=Ki, Li=Li, Hi=Hi)

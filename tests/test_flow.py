@@ -221,6 +221,40 @@ def test_picard_containment_vdp_affine():
             assert abs(r[c] - got[c]) <= phi[c].error * (1 + 1e-9) + 1e-12
 
 
+def test_picard_containment_trig_two_inputs_step():
+    """sin/cos in the drift and in an input field, two inputs, the step
+    scheme: over three steps, each sweeping its input parameters into the
+    band, every sampled surrogate trajectory stays in the band."""
+    sys = InputAffineSystem(
+        3,
+        ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "-x3 + 0.5*x1"],
+        [["0", "0", "1"], ["cos(x3)", "sin(x3)", "0"]],
+        [0.05, 0.05],
+    )
+    X0 = Box.from_bounds([(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)])
+    X = box_model(X0, cap=3)
+    h = 0.05
+    rng = np.random.default_rng(89)
+    zs = rng.uniform(-1, 1, size=(200, 3))
+    ref = _box_points(X0, zs)
+    for k in range(3):
+        geom = StepGeometry(k * h, h)
+        b = apriori_bound(sys, X.box(), STEP, geom)
+        Y = picard_flow(sys, X, STEP, geom, b, born=k + 1)
+        fresh = [i for i, v in enumerate(Y.vars) if v.role is Role.INPUT]
+        X = Y.map(lambda c: c.sweep(fresh))
+        # the step surrogate: w_i = 2 V_i alpha_i on each half, |alpha_i| <= 1;
+        # alpha at the corners reaches the band's edge (within 1 %)
+        for t0 in (geom.t0, geom.mid):
+            w = 2 * 0.05 * rng.choice([-1.0, 1.0], size=(len(zs), 2))
+            ref = _integrate_surrogate(sys, ref, lambda t: w, t0, geom.half, n=200)
+    assert max(c.error for c in X) < 0.05
+    for z, r in zip(zs, ref):
+        got = X.eval_point(tuple(z))
+        for c in range(3):
+            assert abs(r[c] - got[c]) <= X[c].error * (1 + 1e-9) + 1e-12
+
+
 def test_picard_stop_rule_not_early():
     # the default stops on its own; forcing cap + 2 = 6 iterates gains < 1 %
     sys = vdp()

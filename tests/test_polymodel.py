@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from direach import polymodel
 from direach.interval import Interval, IntervalDomainError
 from direach.polymodel import (
     ArityMismatchError,
@@ -280,6 +281,75 @@ def test_compose_shared_memo_bit_identical():
     assert len(memo) < sum(len(m) for m in alone_memos)
 
 
+def _bits(model):
+    return [(k, c.hex()) for k, c in model.terms.items()], model.error.hex()
+
+
+def test_compose_power_table_shared_bit_identical(monkeypatch):
+    # sin, cos, exp and the reciprocals of one interned argument expand it
+    # once per memo, and each result equals its composition alone
+    arg = "(2 + 0.3*x1 - 0.2*x1*x2 + 0.05*x3^2)"
+    texts = [f"sin{arg}", f"cos{arg}", f"exp{arg}", f"1/{arg}", f"{arg}^-2"]
+    sys = InputAffineSystem(len(texts), texts)  # interns the argument: one node
+    vars3 = tuple(VarInfo(Role.STATE, axis=i) for i in range(3))
+    args = VectorModel(
+        tuple(
+            PolynomialModel.constant(0.2 * i, vars3, 4, error=1e-9)
+            + PolynomialModel.from_var(i, vars3, 4).scale(0.5)
+            for i in range(3)
+        )
+    )
+    built = []
+
+    class CountedTable(polymodel._PowerTable):
+        __slots__ = ()
+
+        def __init__(self, inner):
+            built.append(inner)
+            super().__init__(inner)
+
+    monkeypatch.setattr(polymodel, "_PowerTable", CountedTable)
+    memo = {}
+    shared = [compose_expr(e, args, memo) for e in sys.f]
+    assert len(built) == 1
+    alone = [compose_expr(e, args) for e in sys.f]
+    assert len(built) == 1 + len(texts)
+    for s, a in zip(shared, alone):
+        assert _bits(s) == _bits(a)
+        assert s.error > 0.0
+
+
+def test_compose_domain_errors_keep_messages():
+    wild = pm({(1, 0): 1.0}, error=math.inf)
+    args = VectorModel((wild, pm({(0, 1): 1.0})))
+    memo = {}
+    for kind in ("sin", "cos", "exp"):
+        # each kind reports itself, also when a table for the argument exists
+        with pytest.raises(IntervalDomainError, match=f"^{kind} composition requires a finite range$"):
+            compose_expr(parse(f"{kind}(x1)"), args, memo)
+    straddler = VectorModel((pm({(1, 0): 1.0, (0, 0): 0.5}), pm({(0, 1): 1.0})))
+    memo = {}
+    for text in ("1/x1", "x1^-2", "sin(x1)/x1"):
+        with pytest.raises(IntervalDomainError, match="^reciprocal of a model whose range contains zero$"):
+            compose_expr(parse(text), straddler, memo)
+
+
+def test_mul_by_exact_constant_scales():
+    # coefficients as in the truncated product; the error drops only the
+    # constant's poly_magnitude inflation, so it is bit-identical on an
+    # error-free operand and no larger on one with error
+    m = pm({(1, 0): 0.3, (0, 2): -1.7, (2, 1): 0.1})
+    for s in (0.5, -3.0, 0.1):
+        c = pm({(0, 0): s})
+        for r in (c * m, m * c):
+            assert _bits(r) == _bits(m.scale(s))
+    e = pm({(1, 0): 0.3, (0, 2): -1.7}, error=1e-3)
+    r = pm({(0, 0): 0.1}) * e
+    assert 0.1 * 1e-3 <= r.error < pm({(0, 0): 0.1}).poly_magnitude() * 1e-3
+    # a constant with an error is no scalar
+    assert (pm({(0, 0): 2.0}, error=1e-9) * m).error >= m.poly_magnitude() * 1e-9
+
+
 def test_truncation_preserves_enclosure():
     rng = random.Random(59)
     for _ in range(500):
@@ -349,9 +419,12 @@ def _degree(key):
 def test_mul_exact_fuzz():
     """The truncated product against an all-pairs expansion over the
     rationals: the error covers the coefficient deviations, the exact
-    dropped mass and the propagated operand errors."""
+    dropped mass and the propagated operand errors.  Some operands are
+    exact constants (0, +-1 or a random value), which the product scales
+    by; the other operand often has terms above the cap."""
     rng = random.Random(83)
-    for _ in range(300):
+    scalars = 0
+    for _ in range(400):
         arity, cap = rng.randint(3, 8), rng.randint(0, 7)
         vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
         keys = []
@@ -360,6 +433,11 @@ def test_mul_exact_fuzz():
         if rng.random() < 0.3:
             # a times a with some signs flipped: cross terms cancel exactly
             b = PolynomialModel(vars_, {k: rng.choice([c, -c]) for k, c in a.terms.items()}, b.error, cap)
+        if rng.random() < 0.3:
+            s = rng.choice([0.0, 1.0, -1.0, rng.uniform(-2, 2) * 10.0 ** rng.randint(-8, 3)])
+            const = PolynomialModel.constant(s, vars_, cap)
+            a, b = (const, b) if rng.random() < 0.5 else (a, const)
+            scalars += 1
         r = a * b
         exact = {}
         dropped = Fraction(0)
@@ -383,3 +461,4 @@ def test_mul_exact_fuzz():
         mass_b = sum(abs(Fraction(c)) for c in b.terms.values())
         ea, eb = Fraction(a.error), Fraction(b.error)
         assert err >= deviation + dropped + mass_a * eb + mass_b * ea + ea * eb
+    assert scalars >= 100

@@ -3,7 +3,11 @@ structures, step sizes and forced orders.
 
 The answers in select_error_golden.json were recorded from the per-order
 implementation that the formula table replaced; every (order, value) must
-stay bit-identical and every rejection must keep its exception type.
+stay bit-identical and every rejection must keep its exception type.  The
+94 cells that force an ErrorOrder whose formula does not cover the scheme
+(such as O3-additive for the zero scheme) were re-recorded as
+InapplicableError: the recorded implementation returned that formula's
+value, which does not bound the scheme's surrogate error.
 """
 import json
 from pathlib import Path

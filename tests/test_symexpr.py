@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from direach import symexpr
+from direach.flow import local_rates
 from direach.interval import Box, Interval, IntervalDomainError
 from direach.mc import compile_field
 from direach.symexpr import (
@@ -256,6 +258,63 @@ def test_system_interns_equal_subtrees():
     sys = InputAffineSystem(2, [Mul(Const(0.0), Var(1)), Mul(Const(-0.0), Var(1))])
     assert sys.f[0] is not sys.f[1]
     assert math.copysign(1.0, sys.f[1].a.value) == -1.0
+
+
+def trig3_system():
+    return InputAffineSystem(
+        3,
+        ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "-x3 + 0.5*x1"],
+        [["0", "0", "1"], ["cos(x3)", "sin(x3)", "0"]],
+        [0.05, 0.05],
+    )
+
+
+def test_system_interns_derivatives_with_fields():
+    sys = trig3_system()
+    cos3, sin3 = sys.g[1][0], sys.g[1][1]
+    # d/dx3 of 0.3*sin(x3) is 0.3*cos(x3), whose cos(x3) is the input field's
+    assert sys.df[0][2].b is cos3
+    assert sys.dg[1][1][2] is cos3
+    assert sys.dg[1][0][2].a is sin3  # -sin(x3)
+    assert sys.d2g[1][0][2][2].a is cos3  # -cos(x3)
+    # 0.3*(-sin(x3)) shares the field's Const(0.3) and sin(x3)
+    assert sys.d2f[0][2][2].a is sys.f[0].b.a
+    assert sys.d2f[0][2][2].b.a is sin3
+
+
+def _unmemoized(monkeypatch):
+    """Route every eval_interval call through a copy that drops the memo, so
+    each expression is evaluated on its own."""
+    plain = symexpr.eval_interval
+    monkeypatch.setattr(symexpr, "eval_interval", lambda e, x, memo=None: plain(e, x))
+
+
+# the systems of the select_error golden grid, and trig3
+MEMO_CASES = [
+    (InputAffineSystem(2, ["x2", "-x1 - 0.2*x2"], [["0", "1"]], [0.1]), Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)])),
+    (
+        InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05]),
+        Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)]),
+    ),
+    (
+        InputAffineSystem(
+            2, ["x2", "-x1 + 0.5*sin(x2)"], [["0.2*x1^2", "1"], ["0", "x1*x2"]], [0.05, 0.1]
+        ),
+        Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)]),
+    ),
+    (trig3_system(), Box.from_bounds([(0.9, 1.1), (-0.2, 0.1), (0.3, 0.7)])),
+]
+
+
+@pytest.mark.parametrize("sys, box", MEMO_CASES)
+def test_compute_bounds_memo_matches_unmemoized(sys, box, monkeypatch):
+    memoized = compute_bounds(sys, box)
+    rates = local_rates(sys, box, [0.1] * sys.m)
+    rhs = sys.rhs_interval(box, [Interval(-0.1, 0.1)] * sys.m)
+    _unmemoized(monkeypatch)
+    assert compute_bounds(sys, box) == memoized
+    assert local_rates(sys, box, [0.1] * sys.m) == rates
+    assert sys.rhs_interval(box, [Interval(-0.1, 0.1)] * sys.m) == rhs
 
 
 def test_compile_field_matches_eval_point():

@@ -7,6 +7,19 @@ done in doubles and the rounding slack is pushed into e, degree-truncated
 mass is pushed into e, and composition with elementary functions carries a
 Lagrange remainder.
 
+Sums are bounded in one of two ways, never with a directed rounding per term:
+
+- A sum of exact nonnegative floats (the term magnitudes that range() adds
+  up, the mass that sweep() moves into the error) is added in plain floats
+  and bounded once by _sum_bound, Higham's a-priori bound for n terms
+  (Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2).
+- The rounding errors of coefficient arithmetic (sums, products, scaling,
+  the Taylor series sum, the antiderivative) are accumulated as slack, the
+  plain-float sum of |v|*_EPS over each rounded result v, and bounded by
+  _grown, which also charges each rounded product or quotient the absolute
+  error it can lose to underflow.  Dropped or truncated mass, a sum of
+  exact magnitudes, goes through _grown as well.
+
 Exponent tuples are packed 4 bits per variable into a single int, so the
 degree cap must stay <= 7 (monomial products then never overflow a nibble).
 
@@ -22,7 +35,8 @@ a scaling.
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
 the argument's range as sum a_k (inner - c)^k plus a Lagrange remainder.
 One power table per argument model and memo holds c, the powers of
-inner - c and their ranges, so every function of one argument shares them.
+inner - c and their ranges, so every function of one argument shares them,
+and each series is summed in one pass over those powers (_series_sum).
 """
 from __future__ import annotations
 
@@ -31,7 +45,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin, _add_up, _mul_up
+from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin, _add_down, _add_up, _mul_up
 from . import symexpr
 from .symexpr import Expr
 
@@ -91,11 +105,40 @@ def _odd_mask(arity: int) -> int:
     return int("1" * arity, 16) if arity else 0
 
 
-def _grown(slack: float) -> float:
-    """Sound upper bound for a plain-float accumulated slack sum."""
-    if slack == 0.0:
+def _grown(slack: float, products: int = 0) -> float:
+    """Sound upper bound for accumulated rounding slack or dropped mass.
+
+    slack is a plain-float sum of nonnegative terms: |v|*_EPS for each
+    rounded result v (twice the unit roundoff, so it covers that rounding
+    with room to spare), or dropped magnitudes.  The factor
+    _SLACK_INFLATE = 1 + 2e-9 covers the rounding of that sum, gamma_{n-1}
+    with gamma_k = k*u/(1 - k*u), for sums of up to 10**7 terms.
+
+    products is the number of rounded products or quotients among the
+    results, or an upper bound for it.  A product that underflows loses up
+    to 2**-1075 absolutely (Higham's eta term), which |v|*_EPS does not
+    see, and |v|*_EPS may itself lose as much; each is charged one _TINY
+    = 2**-1074.  Sums need no such term: an addition whose result lies in
+    the subnormal range is exact.
+    """
+    if slack == 0.0 and not products:
         return 0.0
-    return slack * _SLACK_INFLATE + _TINY
+    return slack * _SLACK_INFLATE + (products + 1) * _TINY
+
+
+def _sum_bound(s: float, n: int) -> float:
+    """Upper bound for the exact sum S of n nonnegative floats, given their
+    plain-float sum s, added in any order (Higham 2002, sec. 4.2):
+    s >= S * (1 - gamma_{n-1}), so S <= s / (1 - gamma_{n-1}).
+
+    s + s*n*_EPS exceeds that by about s*n*u (u = _EPS/2), which also
+    covers the two roundings of its own evaluation, for n < 2**50.  The
+    _TINY covers underflow of the product s*n*_EPS; the sum itself needs
+    no underflow term, because additions are exact below 2**-1021.  Exact
+    for n <= 1, and for s == 0, where every term is 0."""
+    if n <= 1 or not s:
+        return s
+    return s + (s * (n * _EPS) + _TINY)
 
 
 @dataclass(frozen=True)
@@ -156,7 +199,24 @@ class PolynomialModel:
         return PolynomialModel(self.vars, out, e, self.max_degree)
 
     def __sub__(self, other: "PolynomialModel") -> "PolynomialModel":
-        return self + (-other)
+        # the loop of __add__ with other's coefficients negated: a - b and
+        # a + (-b) round alike, so this is bit-identical to self + (-other)
+        self._check_compat(other)
+        out = dict(self.terms)
+        slack = 0.0
+        for k, c in other.terms.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = -c
+            else:
+                v = prev - c
+                if v == 0.0:
+                    del out[k]
+                else:
+                    out[k] = v
+                slack += abs(v) * _EPS
+        e = _add_up(_add_up(self.error, other.error), _grown(slack))
+        return PolynomialModel(self.vars, out, e, self.max_degree)
 
     def __mul__(self, other: "PolynomialModel") -> "PolynomialModel":
         """Truncated product: only term pairs whose degree fits under the cap
@@ -180,14 +240,16 @@ class PolynomialModel:
         self._check_compat(other)
         s = self._scalar()
         if s is not None:
-            return other.truncate(other.max_degree).scale(s)
+            return other.scale(s)
         s = other._scalar()
         if s is not None:
-            return self.truncate(self.max_degree).scale(s)
+            return self.scale(s)
         cap = self.max_degree
         out: dict[int, float] = {}
         slack = 0.0
         dropped = 0.0
+        # products formed, for the underflow terms of the two slack bounds
+        n_kept = n_dropped = 0
         if self.terms:
             right = [(k2, c2, _degree_of(k2)) for k2, c2 in other.terms.items()]
             # above[r + 1]: |c| mass of the right terms of degree > r, r = -1..cap
@@ -201,12 +263,15 @@ class PolynomialModel:
                 r = cap - _degree_of(k1)
                 if r < 0:
                     dropped += abs(c1) * above[0]
+                    n_dropped += 1
                     continue
                 if above[r + 1]:
                     dropped += abs(c1) * above[r + 1]
+                    n_dropped += 1
                 row = rows.get(r)
                 if row is None:
                     row = rows[r] = [(k2, c2) for k2, c2, d2 in right if d2 <= r]
+                n_kept += len(row)
                 for k2, c2 in row:
                     c = c1 * c2
                     k = k1 + k2
@@ -226,8 +291,8 @@ class PolynomialModel:
         e = _mul_up(pa, other.error)
         e = _add_up(e, _mul_up(pb, self.error))
         e = _add_up(e, _mul_up(self.error, other.error))
-        e = _add_up(e, _grown(dropped))
-        e = _add_up(e, _grown(slack))
+        e = _add_up(e, _grown(dropped, n_dropped))
+        e = _add_up(e, _grown(slack, n_kept))
         return PolynomialModel(self.vars, out, e, self.max_degree)
 
     def _scalar(self) -> float | None:
@@ -238,16 +303,25 @@ class PolynomialModel:
         return None
 
     def scale(self, s: float) -> "PolynomialModel":
+        """The model times the float s.  Terms above the degree cap (only a
+        model built from explicit terms holds one) drop into the error
+        before scaling, as truncate(max_degree) would drop them."""
         if s == 0.0:
             return PolynomialModel.constant(0.0, self.vars, self.max_degree)
+        cap = self.max_degree
         out = {}
         slack = 0.0
+        dropped = 0.0
         for k, c in self.terms.items():
+            if _degree_of(k) > cap:
+                dropped += abs(c)
+                continue
             v = c * s
             out[k] = v
             slack += abs(v) * _EPS
-        e = _add_up(_mul_up(abs(s), self.error), _grown(slack))
-        return PolynomialModel(self.vars, out, e, self.max_degree)
+        e = _add_up(self.error, _grown(dropped)) if dropped else self.error
+        e = _add_up(_mul_up(abs(s), e), _grown(slack, len(out)))
+        return PolynomialModel(self.vars, out, e, cap)
 
     def add_scalar(self, v: float) -> "PolynomialModel":
         if v == 0.0:
@@ -281,20 +355,22 @@ class PolynomialModel:
         if self.error == math.inf:  # overflowed; its coefficients may be too
             return Interval(-math.inf, math.inf)
         terms = self.terms
-        lo = hi = terms.get(0, 0.0)
-        odd = _odd_mask(self.arity)
+        odd_mask = _odd_mask(self.arity)
+        # plain-float sums of the non-constant terms' magnitudes: the odd
+        # monomials count on both sides, the all-even ones on one
+        odd = pos = neg = 0.0
         for k, c in terms.items():
-            if k == 0:
+            if k & odd_mask:
+                odd += abs(c)
+            elif not k:
                 continue
-            a = abs(c)
-            if k & odd:
-                lo = -_add_up(-lo, a)
-                hi = _add_up(hi, a)
-            elif c >= 0:
-                hi = _add_up(hi, c)
+            elif c > 0.0:
+                pos += c
             else:
-                lo = -_add_up(-lo, a)
-        r = Interval(lo, hi)
+                neg -= c
+        c0 = terms.get(0, 0.0)
+        n = len(terms) - (0 in terms)
+        r = Interval(_add_down(c0, -_sum_bound(odd + neg, n)), _add_up(c0, _sum_bound(odd + pos, n)))
         return r.inflate(self.error) if self.error else r
 
     # ------------------------------------------------------------------ structure ops
@@ -345,10 +421,10 @@ class PolynomialModel:
         swept = 0.0
         for k, c in self.terms.items():
             if k & mask:
-                swept = _add_up(swept, abs(c))
+                swept += abs(c)
             else:
                 out[k] = c
-        e = _add_up(self.error, swept)
+        e = _add_up(self.error, _sum_bound(swept, len(self.terms) - len(out)))
         m = PolynomialModel(self.vars, out, e, self.max_degree)
         if drop:
             keep = [i for i in range(self.arity) if i not in set(pos)]
@@ -454,38 +530,41 @@ class PolynomialModel:
         out: dict[int, float] = {}
         slack = 0.0
         dropped = 0.0
-
-        def acc(key: int, value: float):
-            nonlocal slack
-            if value == 0.0:
-                return
+        one = 1 << shift
+        clear = ~(0xF << shift)
+        for k, c in self.terms.items():
+            e = (k >> shift) & 0xF
+            coeff = c * r / (e + 1)
+            if coeff == 0.0:
+                continue
+            slack += abs(coeff) * _EPS * 2
+            # the antiderivative term: its key has time exponent e + 1 >= 1,
+            # which no other term's antiderivative and no value at tau = -1
+            # takes
+            if _degree_of(k) + 1 > cap:
+                dropped += abs(coeff)
+            else:
+                out[k + one] = coeff
+            # minus its value at tau = -1 (the integral starts at t_k)
+            key = k & clear
+            if e & 1:
+                coeff = -coeff
             prev = out.get(key)
             if prev is None:
-                out[key] = value
+                out[key] = coeff
             else:
-                v = prev + value
+                v = prev + coeff
                 if v == 0.0:
                     del out[key]
                 else:
                     out[key] = v
                 slack += abs(v) * _EPS
 
-        for k, c in self.terms.items():
-            e = (k >> shift) & 0xF
-            coeff = c * r / (e + 1)
-            slack += abs(coeff) * _EPS * 2
-            # antiderivative term
-            if _degree_of(k) + 1 > cap:
-                dropped += abs(coeff)
-            else:
-                acc(k + (1 << shift), coeff)
-            # subtract the value at tau = -1 (integral starts at t_k)
-            acc(k & ~(0xF << shift), coeff if e % 2 == 0 else -coeff)
-
         h = 2.0 * r
         e_out = _mul_up(self.error, h)
         e_out = _add_up(e_out, _grown(dropped))
-        e_out = _add_up(e_out, _grown(slack))
+        # a product and a quotient per coefficient
+        e_out = _add_up(e_out, _grown(slack, 2 * len(self.terms)))
         return PolynomialModel(self.vars, out, e_out, self.max_degree)
 
     # ------------------------------------------------------------------ queries
@@ -625,16 +704,49 @@ def _compose_elementary(kind: str, table: _PowerTable) -> PolynomialModel:
         raise IntervalDomainError(f"{kind} composition requires a finite range")
     d = table.inner.max_degree
     coeffs, rem_factor = _series_coefficients(kind, table.c, rng, d)
-    powers = table.powers()
-    result = PolynomialModel.constant(0.0, table.inner.vars, d)
-    extra = 0.0
-    for k, a in enumerate(coeffs):
-        result = result + powers[k].scale(a.mid)
-        half = a.rad
-        if half:
-            extra = _add_up(extra, _mul_up(half, table.mag(k)))
     rem = _mul_up(rem_factor, _pow_up_pos(table.rho, d + 1))
-    return result.add_error(_add_up(extra, rem))
+    return _series_sum(coeffs, table.powers(), table.mag).add_error(rem)
+
+
+def _series_sum(
+    coeffs: Sequence[Interval], powers: Sequence[PolynomialModel], mag: Callable[[int], float]
+) -> PolynomialModel:
+    """An enclosure of sum a_k powers[k] for a_k in coeffs, given
+    mag(k) >= the range magnitude of powers[k].
+
+    The sum is built in one pass into one dict, in the order that adding
+    up the scaled powers would take, so its coefficients are those of
+    sum_k powers[k].scale(mid a_k).  The error is one slack sum over every
+    product and merge, sum_k |mid a_k| * err(powers[k]) rounded up, and the
+    radius of each a_k times mag(k)."""
+    out: dict[int, float] = {}
+    slack = 0.0
+    products = 0
+    err = 0.0
+    for k, a in enumerate(coeffs):
+        m = a.mid
+        if m:
+            power = powers[k]
+            for key, c in power.terms.items():
+                v = c * m
+                slack += abs(v) * _EPS
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = v
+                else:
+                    v = prev + v
+                    if v == 0.0:
+                        del out[key]
+                    else:
+                        out[key] = v
+                    slack += abs(v) * _EPS
+            products += len(power.terms)
+            if power.error:
+                err = _add_up(err, _mul_up(abs(m), power.error))
+        if a.rad:
+            err = _add_up(err, _mul_up(a.rad, mag(k)))
+    err = _add_up(err, _grown(slack, products))
+    return PolynomialModel(powers[0].vars, out, err, powers[0].max_degree)
 
 
 def _pow_up_pos(x: float, n: int) -> float:

@@ -69,6 +69,18 @@ def test_add_errors_accumulate():
     assert 0.3 <= r.error <= 0.3 + 1e-12
 
 
+def test_sub_is_add_of_negation_bit_identical():
+    rng = random.Random(37)
+    vars3 = tuple(VarInfo(Role.STATE, axis=i) for i in range(3))
+    for _ in range(200):
+        keys = []
+        a = _random_model(rng, vars3, 4, keys)
+        b = _random_model(rng, vars3, 4, keys)
+        if rng.random() < 0.3:
+            b = PolynomialModel(vars3, dict(a.terms), b.error, 4)  # every term cancels
+        assert _bits(a - b) == _bits(a + (-b))
+
+
 def test_arity_mismatch():
     a = pm({(1, 0): 1.0})
     b = PolynomialModel.from_var(0, (VarInfo(Role.STATE),), 5)
@@ -343,6 +355,9 @@ def test_mul_by_exact_constant_scales():
         c = pm({(0, 0): s})
         for r in (c * m, m * c):
             assert _bits(r) == _bits(m.scale(s))
+    # a term above the cap drops into the error as truncate would drop it
+    high = pm({(1, 0): 0.3, (3, 3): 0.7}, cap=4)
+    assert _bits(pm({(0, 0): 0.1}, cap=4) * high) == _bits(high.truncate(4).scale(0.1))
     e = pm({(1, 0): 0.3, (0, 2): -1.7}, error=1e-3)
     r = pm({(0, 0): 0.1}) * e
     assert 0.1 * 1e-3 <= r.error < pm({(0, 0): 0.1}).poly_magnitude() * 1e-3
@@ -462,3 +477,212 @@ def test_mul_exact_fuzz():
         ea, eb = Fraction(a.error), Fraction(b.error)
         assert err >= deviation + dropped + mass_a * eb + mass_b * ea + ea * eb
     assert scalars >= 100
+
+
+# ---------------------------------------------------------------- exact soundness fuzz
+# Each case checks an operation against its exact answer over the rationals,
+# on models of arity 1-8 whose coefficients are +-1, random values, values
+# near 2**1000 or 2**-1000, or subnormals: the result must enclose it.
+
+_SUBNORMAL = 5e-324
+
+
+def _fuzz_coefficient(rng, regime):
+    if regime == "unit":
+        return rng.choice([1.0, -1.0])
+    if regime == "huge":
+        return rng.uniform(-2, 2) * 2.0**1000
+    if regime == "tiny":
+        return rng.uniform(-2, 2) * 2.0**-1000
+    if regime == "subnormal":
+        return rng.choice([1, -1]) * rng.randint(1, 2**20) * _SUBNORMAL
+    return rng.uniform(-2, 2) * 10.0 ** rng.randint(-8, 3)
+
+
+_REGIMES = ("unit", "huge", "tiny", "subnormal", "random")
+
+
+def _fuzz_model(rng, vars_, cap, n_terms, regime=None):
+    """A model with up to n_terms terms, some of them above the cap; one
+    coefficient regime, or a mix of all of them."""
+    terms = {}
+    for _ in range(n_terms):
+        key = _random_key(rng, len(vars_), rng.randint(0, cap + 1))
+        terms[key] = _fuzz_coefficient(rng, regime or rng.choice(_REGIMES))
+    error = rng.choice([0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL])
+    return PolynomialModel(vars_, terms, error, cap)
+
+
+def _fuzz_cases(seed, count, max_arity, max_terms):
+    rng = random.Random(seed)
+    for i in range(count):
+        arity = rng.randint(1, max_arity)
+        n_terms = max_terms if i % 10 == 0 else rng.randint(1, max_terms)
+        regime = rng.choice(_REGIMES + (None,))
+        yield rng, arity, rng.randint(1, 7), n_terms, regime
+
+
+def _check_range(rng, m):
+    odd = polymodel._odd_mask(m.arity)
+    lo = hi = Fraction(m.terms.get(0, 0.0))
+    for k, c in m.terms.items():
+        a = abs(Fraction(c))
+        if k & odd:
+            lo, hi = lo - a, hi + a
+        elif k and c > 0:
+            hi += a
+        elif k:
+            lo -= a
+    r = m.range()
+    assert Fraction(r.lo) <= lo - Fraction(m.error)
+    assert Fraction(r.hi) >= hi + Fraction(m.error)
+
+
+def _check_sweep(rng, m):
+    positions = rng.sample(range(m.arity), rng.randint(1, m.arity))
+    mask = sum(0xF << (4 * p) for p in positions)
+    r = m.sweep(positions, drop=False)
+    assert r.terms == {k: c for k, c in m.terms.items() if not k & mask}
+    swept = sum((abs(Fraction(c)) for k, c in m.terms.items() if k & mask), Fraction(0))
+    assert Fraction(r.error) >= Fraction(m.error) + swept
+
+
+def _check_antiderivative(rng, m):
+    # the time variable at a random position, with a radius that rounds
+    # (0.05, 0.3), a power of two, or one that makes products underflow
+    tpos = rng.randrange(m.arity)
+    radius = rng.choice([0.05, 0.5, 0.3, 2.0**-40])
+    vars_ = m.vars[:tpos] + (VarInfo(Role.TIME, center=radius, radius=radius),) + m.vars[tpos + 1 :]
+    m = PolynomialModel(vars_, m.terms, m.error, m.max_degree)
+    r = m.antiderivative(tpos)
+    radius = Fraction(m.vars[tpos].radius)
+    shift = 4 * tpos
+    exact: dict[int, Fraction] = {}
+    dropped = Fraction(0)
+    for k, c in m.terms.items():
+        e = (k >> shift) & 0xF
+        coeff = Fraction(c) * radius / (e + 1)
+        if _degree(k) + 1 > m.max_degree:
+            dropped += abs(coeff)
+        else:
+            exact[k + (1 << shift)] = exact.get(k + (1 << shift), Fraction(0)) + coeff
+        base = k & ~(0xF << shift)
+        exact[base] = exact.get(base, Fraction(0)) + (coeff if e % 2 == 0 else -coeff)
+    assert set(r.terms) <= set(exact)
+    deviation = sum((abs(Fraction(r.terms.get(k, 0.0)) - v) for k, v in exact.items()), Fraction(0))
+    assert Fraction(r.error) >= deviation + dropped + Fraction(m.error) * 2 * radius
+
+
+def _check_substitute_unit(rng, m):
+    position = rng.randrange(m.arity)
+    value = rng.choice([-1.0, 1.0])
+    r = m.substitute_unit(position, value)
+    exact: dict[tuple, Fraction] = {}
+    for exps, c in unpack(m).items():
+        rest = exps[:position] + exps[position + 1 :]
+        sign = -1 if value == -1.0 and exps[position] % 2 else 1
+        exact[rest] = exact.get(rest, Fraction(0)) + sign * Fraction(c)
+    got = unpack(r)
+    assert set(got) <= set(exact)
+    deviation = sum((abs(Fraction(got.get(k, 0.0)) - v) for k, v in exact.items()), Fraction(0))
+    assert Fraction(r.error) >= Fraction(m.error) + deviation
+
+
+_STRUCTURE_CHECKS = {
+    "range": _check_range,
+    "sweep": _check_sweep,
+    "substitute_unit": _check_substitute_unit,
+    "antiderivative": _check_antiderivative,
+}
+
+
+def _structure_fuzz(op, seed, count, max_arity, max_terms):
+    check = _STRUCTURE_CHECKS[op]
+    for rng, arity, cap, n_terms, regime in _fuzz_cases(seed, count, max_arity, max_terms):
+        states = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        check(rng, _fuzz_model(rng, states, cap, n_terms, regime))
+
+
+@pytest.mark.parametrize("op", sorted(_STRUCTURE_CHECKS))
+def test_structure_ops_exact_fuzz(op):
+    """range, sweep, substitute_unit and antiderivative enclose their exact
+    rational answers."""
+    _structure_fuzz(op, seed=101, count=300, max_arity=8, max_terms=40)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("op", sorted(_STRUCTURE_CHECKS))
+def test_structure_ops_exact_fuzz_large(op):
+    _structure_fuzz(op, seed=103, count=200, max_arity=8, max_terms=800)
+
+
+def _check_series_sum(rng, powers):
+    coeffs = []
+    for _ in powers:
+        mid = rng.choice([0.0, 1.0, -0.5, rng.uniform(-2, 2), rng.uniform(-2, 2) * 2.0**-600])
+        rad = rng.choice([0.0, 0.0, abs(mid) * 1e-16, 1e-300])
+        coeffs.append(Interval(mid - rad, mid + rad))
+    mags = [p.range().mag for p in powers]
+    r = polymodel._series_sum(coeffs, powers, mags.__getitem__)
+    exact: dict[int, Fraction] = {}
+    needed = Fraction(0)
+    for a, power, mag in zip(coeffs, powers, mags):
+        m = Fraction(a.mid)
+        for key, c in power.terms.items():
+            exact[key] = exact.get(key, Fraction(0)) + m * Fraction(c)
+        needed += abs(m) * Fraction(power.error) + Fraction(a.rad) * Fraction(mag)
+    assert set(r.terms) <= set(exact)
+    needed += sum((abs(Fraction(r.terms.get(k, 0.0)) - v) for k, v in exact.items()), Fraction(0))
+    assert Fraction(r.error) >= needed
+
+
+def _series_sum_fuzz(seed, count, max_arity, max_terms):
+    for rng, arity, cap, n_terms, regime in _fuzz_cases(seed, count, max_arity, max_terms):
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        # powers of one argument share their keys now and then, so merges cancel
+        keys = []
+        powers = []
+        for _ in range(rng.randint(1, 8)):
+            m = _fuzz_model(rng, vars_, cap, rng.randint(0, n_terms), regime)
+            if keys and rng.random() < 0.5:
+                m = PolynomialModel(vars_, {rng.choice(keys): c for c in m.terms.values()}, m.error, cap)
+            keys.extend(m.terms)
+            powers.append(m)
+        _check_series_sum(rng, powers)
+
+
+def test_series_sum_exact_fuzz():
+    """The one-pass Taylor sum of mid(a_k) * powers[k], with its error
+    terms, encloses the exact sum over every a_k."""
+    _series_sum_fuzz(seed=107, count=300, max_arity=8, max_terms=40)
+
+
+@pytest.mark.slow
+def test_series_sum_exact_fuzz_large():
+    _series_sum_fuzz(seed=109, count=200, max_arity=8, max_terms=800)
+
+
+def test_subnormal_products_keep_their_rounding_error():
+    """A product that underflows can round by up to 2**-1075, which a
+    relative slack of |v| * eps does not see: 3 * 2**-1074 times 0.5 rounds
+    to 2 * 2**-1074."""
+    v1 = (VarInfo(Role.STATE),)
+    tiny = 3 * _SUBNORMAL
+    exact = Fraction(tiny) / 2
+
+    def off_by(model, key, value):
+        return abs(Fraction(model.terms.get(key, 0.0)) - value)
+
+    m = PolynomialModel(v1, {1: tiny}, 0.0, 3)
+    r = m.scale(0.5)
+    assert r.terms == {1: 2 * _SUBNORMAL}
+    assert Fraction(r.error) >= off_by(r, 1, exact) > 0
+
+    # not an exact constant, so the pair loop: six products that each round
+    halves = PolynomialModel(v1, {j: 0.5 for j in range(6)}, 0.0, 7)
+    r = PolynomialModel(v1, {1: tiny}, 0.0, 7) * halves
+    assert Fraction(r.error) >= sum(off_by(r, j + 1, exact) for j in range(6)) > 2 * Fraction(_SUBNORMAL)
+
+    time = (VarInfo(Role.TIME, center=0.5, radius=0.5),)
+    r = PolynomialModel(time, {0: tiny}, 0.0, 3).antiderivative(0)
+    assert Fraction(r.error) >= off_by(r, 0, exact) + off_by(r, 1, exact)

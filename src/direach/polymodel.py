@@ -24,13 +24,26 @@ Exponent tuples are packed 4 bits per variable into a single int, so the
 degree cap must stay <= 7 (monomial products then never overflow a nibble).
 
 The product is truncated Taylor-model multiplication (Makino & Berz, 2003):
-it multiplies only the term pairs whose total degree fits under the cap, so
-its cost is the number of kept pairs (3,003 of 63,504 for two full
-arity-5, cap-5 models).  The mass of the dropped pairs is bounded from
-suffix sums of the right operand's coefficient magnitudes by degree, which
-are built by addition only, so cancellation cannot under-count it.  A
-product with an exact constant (no error, no term but the constant one) is
-a scaling.
+it multiplies only the term pairs whose total degree fits under the cap
+(3,003 of 63,504 for two full arity-5, cap-5 models).  It has two kernels,
+chosen from the operands' sizes alone:
+
+- When len(a.terms) * len(b.terms) reaches the kept pairs of two full
+  models, C(2*arity + cap, cap), the dense kernel multiplies the whole
+  kept-pair table of the (arity, cap) layout (one slot per monomial of
+  degree <= cap, built on first use and cached) with numpy and sums each
+  slot k's n_k products with bincount.  Whatever the order of summation,
+  slot k's rounding error is at most gamma_{n_k} times the sum of its
+  product magnitudes (Higham 2002, sec. 3.1), so the slack charged is
+  n_k * |p| * _EPS per product p, through _grown.
+- Otherwise, and for operands with a term above the cap, more than 15
+  variables, or a product that overflows, a loop visits only the kept
+  pairs of the operands' terms and charges each rounded product and merge.
+
+Both bound the mass of the dropped pairs from suffix sums of the right
+operand's coefficient magnitudes by degree, which are built by addition
+only, so cancellation cannot under-count it.  A product with an exact
+constant (no error, no term but the constant one) is a scaling.
 
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
 the argument's range as sum a_k (inner - c)^k plus a Lagrange remainder.
@@ -44,6 +57,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin, _add_down, _add_up, _mul_up
 from . import symexpr
@@ -141,6 +156,160 @@ def _sum_bound(s: float, n: int) -> float:
     return s + (s * (n * _EPS) + _TINY)
 
 
+def _pair_product(a: dict[int, float], b: dict[int, float], cap: int) -> tuple:
+    """The truncated product of the term dicts a and b by a loop over the
+    kept pairs: (terms, dropped mass, products behind it, rounding slack,
+    products behind it).
+
+    A left term of degree d1 pairs with the right terms of degree
+    <= cap - d1 (in the right operand's term order, so the result is the
+    same as expanding every pair); the rest of its row is dropped and
+    bounded by |c1| times the mass of the right terms above cap - d1.
+    Those masses are suffix sums over the right terms grouped by degree,
+    built by addition only: "total minus kept" would cancel and could
+    under-count the dropped mass.
+    """
+    out: dict[int, float] = {}
+    slack = 0.0
+    dropped = 0.0
+    n_kept = n_dropped = 0
+    if a:
+        right = [(k2, c2, _degree_of(k2)) for k2, c2 in b.items()]
+        # above[r + 1]: |c| mass of the right terms of degree > r, r = -1..cap
+        above = [0.0] * (cap + 2)
+        for _, c2, d2 in right:
+            above[d2 if d2 <= cap else cap + 1] += abs(c2)
+        for r in range(cap, -1, -1):
+            above[r] += above[r + 1]
+        rows: dict[int, list[tuple[int, float]]] = {}
+        for k1, c1 in a.items():
+            r = cap - _degree_of(k1)
+            if r < 0:
+                dropped += abs(c1) * above[0]
+                n_dropped += 1
+                continue
+            if above[r + 1]:
+                dropped += abs(c1) * above[r + 1]
+                n_dropped += 1
+            row = rows.get(r)
+            if row is None:
+                row = rows[r] = [(k2, c2) for k2, c2, d2 in right if d2 <= r]
+            n_kept += len(row)
+            for k2, c2 in row:
+                c = c1 * c2
+                k = k1 + k2
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = c
+                else:
+                    v = prev + c
+                    if v == 0.0:
+                        del out[k]
+                    else:
+                        out[k] = v
+                    slack += abs(v) * _EPS
+                slack += abs(c) * _EPS
+    return out, dropped, n_dropped, slack, n_kept
+
+
+def _pair_count(arity: int, cap: int) -> float:
+    """The kept pairs of two full models, the monomials of degree <= cap in
+    2 * arity variables; infinite above 15 variables, whose packed keys
+    reach the nibble of int64's sign bit, so the dense layout is not
+    used."""
+    return math.comb(2 * arity + cap, cap) if arity <= 15 else math.inf
+
+
+class _DenseLayout:
+    """The dense product's tables for one (arity, cap): a slot per monomial
+    of degree <= cap, ordered by degree, with its packed key and degree;
+    the kept-pair table I, J -> K (slot I times slot J lands on slot K);
+    and weight, n_K * _EPS per pair, where n_k counts the pairs that land
+    on slot k."""
+
+    __slots__ = ("cap", "size", "keys", "slot_of", "degree", "I", "J", "K", "weight")
+
+    def __init__(self, arity: int, cap: int):
+        keys = [0]
+        for v in range(arity):
+            one = 1 << (4 * v)
+            keys = [k + e * one for k in keys for e in range(cap + 1 - _degree_of(k))]
+        keys.sort(key=lambda k: (_degree_of(k), k))
+        self.cap = cap
+        self.size = len(keys)
+        self.keys = keys
+        self.slot_of = {k: i for i, k in enumerate(keys)}
+        self.degree = np.array([_degree_of(k) for k in keys], dtype=np.intp)
+        # slot i pairs with the slots of degree <= cap - degree[i]: a prefix
+        row = np.searchsorted(self.degree, cap - self.degree, side="right")
+        self.I = np.repeat(np.arange(self.size), row)
+        self.J = np.arange(len(self.I)) - np.repeat(np.cumsum(row) - row, row)
+        packed = np.array(keys, dtype=np.int64)
+        order = np.argsort(packed)
+        self.K = order[np.searchsorted(packed[order], packed[self.I] + packed[self.J])]
+        self.weight = np.bincount(self.K, minlength=self.size)[self.K] * _EPS
+
+    def vector(self, terms: dict[int, float]) -> np.ndarray | None:
+        """The coefficients of terms by slot, or None when a term lies above
+        the cap."""
+        n = len(terms)
+        try:
+            slots = np.fromiter(map(self.slot_of.__getitem__, terms), np.intp, n)
+        except KeyError:
+            return None
+        v = np.zeros(self.size)
+        v[slots] = np.fromiter(terms.values(), float, n)
+        return v
+
+
+_LAYOUTS: dict[tuple[int, int], _DenseLayout] = {}
+
+
+def _layout(arity: int, cap: int) -> _DenseLayout:
+    layout = _LAYOUTS.get((arity, cap))
+    if layout is None:
+        layout = _LAYOUTS[arity, cap] = _DenseLayout(arity, cap)
+    return layout
+
+
+def _dense_product(a: dict[int, float], b: dict[int, float], layout: _DenseLayout) -> tuple | None:
+    """The truncated product of the term dicts a and b over a dense layout,
+    as _pair_product returns it, or None when an operand has a term above
+    the cap or the arithmetic overflows (the pair loop then does what it
+    does on overflow).
+
+    Slot k sums n_k products in bincount's fixed order; for any order its
+    rounding error is at most gamma_{n_k} times the sum of their
+    magnitudes (Higham 2002, sec. 3.1), which the slack n_k * |p| * _EPS
+    per product p covers.  The dropped mass pairs the left operand's
+    magnitudes by degree with suffix sums of the right operand's."""
+    va = layout.vector(a)
+    vb = layout.vector(b)
+    if va is None or vb is None:
+        return None
+    cap = layout.cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = va[layout.I] * vb[layout.J]
+        out = np.bincount(layout.K, p, layout.size)
+        if not np.isfinite(out).all():
+            return None
+        np.abs(p, out=p)
+        p *= layout.weight
+        slack = float(p.sum())
+        mass_a = np.bincount(layout.degree, np.abs(va), cap + 1).tolist()
+        mass_b = np.bincount(layout.degree, np.abs(vb), cap + 1).tolist()
+    # left terms of degree cap + 1 - d drop the right terms of degree >= d
+    above = dropped = 0.0
+    for d in range(cap, 0, -1):
+        above += mass_b[d]
+        dropped += mass_a[cap + 1 - d] * above
+    if not math.isfinite(dropped):
+        return None
+    terms = {k: c for k, c in zip(layout.keys, out.tolist()) if c}
+    # cap products make up the dropped mass, len(p) the slack
+    return terms, dropped, cap, slack, len(p)
+
+
 @dataclass(frozen=True)
 class PolynomialModel:
     vars: tuple[VarInfo, ...]
@@ -220,20 +389,14 @@ class PolynomialModel:
 
     def __mul__(self, other: "PolynomialModel") -> "PolynomialModel":
         """Truncated product: only term pairs whose degree fits under the cap
-        are multiplied, so the cost is the number of kept pairs, not
-        len(self.terms) * len(other.terms).
-
-        A left term of degree d1 pairs with the right terms of degree
-        <= cap - d1 (in the right operand's term order, so the result is the
-        same as expanding every pair); the rest of its row is dropped and
-        bounded by |c1| times the mass of the right terms above cap - d1.
-        Those masses are suffix sums over the right terms grouped by degree,
-        built by addition only: "total minus kept" would cancel and could
-        under-count the dropped mass.
+        are multiplied.  When len(self.terms) * len(other.terms) reaches the
+        kept pairs of two full models, _dense_product multiplies the whole
+        pair table of the (arity, cap) layout with numpy; otherwise, or when
+        it declines, _pair_product loops over the kept pairs of the terms.
 
         An exact constant operand (no error, no term but the constant one),
         such as the 0.3 of 0.3*sin(x3), is a scalar: the product is the
-        other operand's scale by it, which skips the pair loop and does not
+        other operand's scale by it, which skips the pair kernels and does not
         charge the constant's poly_magnitude inflation to the other's error.
         Terms of the other operand above the cap still drop into the error.
         """
@@ -245,54 +408,19 @@ class PolynomialModel:
         if s is not None:
             return self.scale(s)
         cap = self.max_degree
-        out: dict[int, float] = {}
-        slack = 0.0
-        dropped = 0.0
-        # products formed, for the underflow terms of the two slack bounds
-        n_kept = n_dropped = 0
-        if self.terms:
-            right = [(k2, c2, _degree_of(k2)) for k2, c2 in other.terms.items()]
-            # above[r + 1]: |c| mass of the right terms of degree > r, r = -1..cap
-            above = [0.0] * (cap + 2)
-            for _, c2, d2 in right:
-                above[d2 if d2 <= cap else cap + 1] += abs(c2)
-            for r in range(cap, -1, -1):
-                above[r] += above[r + 1]
-            rows: dict[int, list[tuple[int, float]]] = {}
-            for k1, c1 in self.terms.items():
-                r = cap - _degree_of(k1)
-                if r < 0:
-                    dropped += abs(c1) * above[0]
-                    n_dropped += 1
-                    continue
-                if above[r + 1]:
-                    dropped += abs(c1) * above[r + 1]
-                    n_dropped += 1
-                row = rows.get(r)
-                if row is None:
-                    row = rows[r] = [(k2, c2) for k2, c2, d2 in right if d2 <= r]
-                n_kept += len(row)
-                for k2, c2 in row:
-                    c = c1 * c2
-                    k = k1 + k2
-                    prev = out.get(k)
-                    if prev is None:
-                        out[k] = c
-                    else:
-                        v = prev + c
-                        if v == 0.0:
-                            del out[k]
-                        else:
-                            out[k] = v
-                        slack += abs(v) * _EPS
-                    slack += abs(c) * _EPS
+        part = None
+        if len(self.terms) * len(other.terms) >= _pair_count(self.arity, cap):
+            part = _dense_product(self.terms, other.terms, _layout(self.arity, cap))
+        if part is None:
+            part = _pair_product(self.terms, other.terms, cap)
+        out, dropped, n_dropped, slack, n_products = part
         pa = self.poly_magnitude()
         pb = other.poly_magnitude()
         e = _mul_up(pa, other.error)
         e = _add_up(e, _mul_up(pb, self.error))
         e = _add_up(e, _mul_up(self.error, other.error))
         e = _add_up(e, _grown(dropped, n_dropped))
-        e = _add_up(e, _grown(slack, n_kept))
+        e = _add_up(e, _grown(slack, n_products))
         return PolynomialModel(self.vars, out, e, self.max_degree)
 
     def _scalar(self) -> float | None:
@@ -305,7 +433,8 @@ class PolynomialModel:
     def scale(self, s: float) -> "PolynomialModel":
         """The model times the float s.  Terms above the degree cap (only a
         model built from explicit terms holds one) drop into the error
-        before scaling, as truncate(max_degree) would drop them."""
+        before scaling: their magnitudes, bounded by _grown, join the error
+        that is scaled."""
         if s == 0.0:
             return PolynomialModel.constant(0.0, self.vars, self.max_degree)
         cap = self.max_degree
@@ -374,39 +503,6 @@ class PolynomialModel:
         return r.inflate(self.error) if self.error else r
 
     # ------------------------------------------------------------------ structure ops
-    def truncate(self, cap: int) -> "PolynomialModel":
-        """Reduce the degree cap, folding removed mass (the terms above the
-        new cap) into the error.  At the model's own cap this is self unless
-        a term lies above it (only a model built from explicit terms can
-        hold one)."""
-        if cap > self.max_degree:
-            return replace(self, max_degree=cap)
-        if cap == self.max_degree and all(_degree_of(k) <= cap for k in self.terms):
-            return self
-        out = {}
-        dropped = 0.0
-        for k, c in self.terms.items():
-            if _degree_of(k) > cap:
-                dropped += abs(c)
-            else:
-                out[k] = c
-        return PolynomialModel(self.vars, out, _add_up(self.error, _grown(dropped)), cap)
-
-    def compress(self, threshold: float) -> "PolynomialModel":
-        """Fold coefficients with |c| <= threshold into the error."""
-        if threshold <= 0.0:
-            return self
-        out = {}
-        dropped = 0.0
-        for k, c in self.terms.items():
-            if k != 0 and abs(c) <= threshold:
-                dropped += abs(c)
-            else:
-                out[k] = c
-        if not dropped:
-            return self
-        return PolynomialModel(self.vars, out, _add_up(self.error, _grown(dropped)), self.max_degree)
-
     def sweep(self, positions: Iterable[int], drop: bool = True) -> "PolynomialModel":
         """Replace dependence on the given variables by a uniform error."""
         pos = sorted(set(positions))
@@ -487,32 +583,6 @@ class PolynomialModel:
         m = PolynomialModel(self.vars, out, _add_up(self.error, _grown(slack)), self.max_degree)
         keep = [i for i in range(self.arity) if i != position]
         return m.reindex(keep)
-
-    def affine_substitute(self, position: int, offset: float, scale: float) -> "PolynomialModel":
-        """Substitute z_position := offset + scale * z_position."""
-        shift = 4 * position
-        out: dict[int, float] = {}
-        slack = 0.0
-        for k, c in self.terms.items():
-            e = (k >> shift) & 0xF
-            base = k & ~(0xF << shift)
-            if e == 0:
-                prev = out.get(k, 0.0)
-                v = prev + c
-                out[k] = v
-                slack += abs(v) * _EPS
-                continue
-            for j in range(e + 1):
-                coeff = c * math.comb(e, j) * (offset ** (e - j)) * (scale**j)
-                if coeff == 0.0:
-                    continue
-                nk = base | (j << shift)
-                prev = out.get(nk, 0.0)
-                v = prev + coeff
-                out[nk] = v
-                slack += (abs(coeff) + abs(v)) * _EPS
-        out = {k: c for k, c in out.items() if c != 0.0}
-        return PolynomialModel(self.vars, out, _add_up(self.error, _grown(slack)), self.max_degree)
 
     def antiderivative(self, time_position: int) -> "PolynomialModel":
         """Integral from the interval start in the semantic time variable.

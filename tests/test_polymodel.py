@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -355,9 +356,10 @@ def test_mul_by_exact_constant_scales():
         c = pm({(0, 0): s})
         for r in (c * m, m * c):
             assert _bits(r) == _bits(m.scale(s))
-    # a term above the cap drops into the error as truncate would drop it
+    # a term above the cap drops into the error before scaling
     high = pm({(1, 0): 0.3, (3, 3): 0.7}, cap=4)
-    assert _bits(pm({(0, 0): 0.1}, cap=4) * high) == _bits(high.truncate(4).scale(0.1))
+    low = pm({(1, 0): 0.3}, error=polymodel._grown(0.7), cap=4)
+    assert _bits(pm({(0, 0): 0.1}, cap=4) * high) == _bits(low.scale(0.1))
     e = pm({(1, 0): 0.3, (0, 2): -1.7}, error=1e-3)
     r = pm({(0, 0): 0.1}) * e
     assert 0.1 * 1e-3 <= r.error < pm({(0, 0): 0.1}).poly_magnitude() * 1e-3
@@ -366,30 +368,20 @@ def test_mul_by_exact_constant_scales():
 
 
 def test_truncation_preserves_enclosure():
+    # the same operands at cap 6 and at cap 3, where terms of degree 4 to 6
+    # lie above the cap and drop into the error with the product's own
     rng = random.Random(59)
     for _ in range(500):
-        a = pm({(rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-1, 1) for _ in range(4)}, cap=6)
-        b = pm({(rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-1, 1) for _ in range(4)}, cap=6)
-        full = a * b  # cap 6 keeps everything
-        low = a.truncate(3) * b.truncate(3)
+        ta = {(rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-1, 1) for _ in range(4)}
+        tb = {(rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-1, 1) for _ in range(4)}
+        a, b = pm(ta, cap=6), pm(tb, cap=6)
+        full = a * b
+        low = pm(ta, cap=3) * pm(tb, cap=3)
         for _ in range(10):
             z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             v = a.eval_point(z) * b.eval_point(z)
             assert abs(v - low.eval_point(z)) <= low.error * (1 + 1e-9) + 1e-13
             assert abs(v - full.eval_point(z)) <= full.error * (1 + 1e-9) + 1e-13
-
-
-def test_affine_substitute_halves():
-    rng = random.Random(61)
-    m = pm({(2, 1): 0.7, (1, 0): -0.4, (0, 3): 0.2}, error=0.01)
-    lo = m.affine_substitute(0, -0.5, 0.5)
-    hi = m.affine_substitute(0, 0.5, 0.5)
-    for _ in range(500):
-        z1, z2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        v_lo = m.eval_point((-0.5 + 0.5 * z1, z2))
-        v_hi = m.eval_point((0.5 + 0.5 * z1, z2))
-        assert lo.eval_point((z1, z2)) == pytest.approx(v_lo, abs=1e-12)
-        assert hi.eval_point((z1, z2)) == pytest.approx(v_hi, abs=1e-12)
 
 
 def test_substitute_unit_endpoint():
@@ -399,13 +391,6 @@ def test_substitute_unit_endpoint():
     assert unpack(r) == {(1,): -0.25, (0,): 2.0}
     r2 = m.substitute_unit(0, -1.0)
     assert unpack(r2) == {(1,): -0.75, (0,): 2.0}
-
-
-def test_compress_moves_mass_to_error():
-    m = pm({(1, 0): 1.0, (0, 1): 1e-16})
-    c = m.compress(1e-15)
-    assert unpack(c) == {(1, 0): 1.0}
-    assert c.error >= 1e-16
 
 
 def _random_key(rng, arity, degree):
@@ -431,12 +416,71 @@ def _degree(key):
     return sum((key >> (4 * i)) & 0xF for i in range(16))
 
 
-def test_mul_exact_fuzz():
-    """The truncated product against an all-pairs expansion over the
-    rationals: the error covers the coefficient deviations, the exact
-    dropped mass and the propagated operand errors.  Some operands are
-    exact constants (0, +-1 or a random value), which the product scales
-    by; the other operand often has terms above the cap."""
+_SCALE = 1074  # 2**1074 times a finite double is an integer
+
+
+def _scaled(x):
+    """The double x times 2**1074, an exact integer."""
+    n, d = x.as_integer_ratio()
+    return n * ((1 << _SCALE) // d)
+
+
+def _check_mul(a, b):
+    """a * b against an all-pairs expansion over the rationals (integers
+    scaled by 2**2148): the error covers the coefficient deviations, the
+    exact dropped mass and the propagated operand errors."""
+    cap = a.max_degree
+    r = a * b
+    right = [(k, _degree(k), _scaled(c)) for k, c in b.terms.items()]
+    exact = {}
+    dropped = 0
+    for k1, c1 in a.terms.items():
+        d1, c1 = _degree(k1), _scaled(c1)
+        for k2, d2, c2 in right:
+            if d1 + d2 > cap:
+                dropped += abs(c1 * c2)
+            else:
+                exact[k1 + k2] = exact.get(k1 + k2, 0) + c1 * c2
+    assert set(r.terms) <= set(exact)
+    assert all(_degree(k) <= cap for k in r.terms)
+    err = _scaled(r.error) << _SCALE
+    deviation = 0
+    for k, v in exact.items():
+        d = abs((_scaled(r.terms.get(k, 0.0)) << _SCALE) - v)
+        assert d <= err
+        deviation += d
+    assert err >= dropped
+    mass_a = sum(abs(_scaled(c)) for c in a.terms.values())
+    mass_b = sum(abs(_scaled(c)) for c in b.terms.values())
+    ea, eb = _scaled(a.error), _scaled(b.error)
+    assert err >= deviation + dropped + mass_a * eb + mass_b * ea + ea * eb
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Counts of the products each kernel computed (a declined dense
+    product does not count)."""
+    used = {"dense": 0, "pairs": 0}
+
+    def counted(name, kernel):
+        def run(*args):
+            part = kernel(*args)
+            used[name] += part is not None
+            return part
+
+        monkeypatch.setattr(polymodel, kernel.__name__, run)
+
+    counted("dense", polymodel._dense_product)
+    counted("pairs", polymodel._pair_product)
+    return used
+
+
+def test_mul_exact_fuzz(kernels):
+    """The truncated product encloses its exact rational answer.  Some
+    operands are exact constants (0, +-1 or a random value), which the
+    product scales by; the other operand often has terms above the cap.
+    Operands without such terms and of low cap are large enough for the
+    dense kernel."""
     rng = random.Random(83)
     scalars = 0
     for _ in range(400):
@@ -446,6 +490,11 @@ def test_mul_exact_fuzz():
         a = _random_model(rng, vars_, cap, keys)
         b = _random_model(rng, vars_, cap, keys)
         if rng.random() < 0.3:
+            a, b = (
+                PolynomialModel(vars_, {k: c for k, c in m.terms.items() if _degree(k) <= cap}, m.error, cap)
+                for m in (a, b)
+            )
+        if rng.random() < 0.3:
             # a times a with some signs flipped: cross terms cancel exactly
             b = PolynomialModel(vars_, {k: rng.choice([c, -c]) for k, c in a.terms.items()}, b.error, cap)
         if rng.random() < 0.3:
@@ -453,30 +502,129 @@ def test_mul_exact_fuzz():
             const = PolynomialModel.constant(s, vars_, cap)
             a, b = (const, b) if rng.random() < 0.5 else (a, const)
             scalars += 1
-        r = a * b
-        exact = {}
-        dropped = Fraction(0)
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                c = Fraction(c1) * Fraction(c2)
-                if _degree(k1) + _degree(k2) > cap:
-                    dropped += abs(c)
-                else:
-                    exact[k1 + k2] = exact.get(k1 + k2, Fraction(0)) + c
-        assert set(r.terms) <= set(exact)
-        assert all(_degree(k) <= cap for k in r.terms)
-        err = Fraction(r.error)
-        deviation = Fraction(0)
-        for k, v in exact.items():
-            d = abs(Fraction(r.terms.get(k, 0.0)) - v)
-            assert d <= err
-            deviation += d
-        assert err >= dropped
-        mass_a = sum(abs(Fraction(c)) for c in a.terms.values())
-        mass_b = sum(abs(Fraction(c)) for c in b.terms.values())
-        ea, eb = Fraction(a.error), Fraction(b.error)
-        assert err >= deviation + dropped + mass_a * eb + mass_b * ea + ea * eb
+        _check_mul(a, b)
     assert scalars >= 100
+    assert kernels["dense"] >= 5 and kernels["pairs"] >= 100
+
+
+def _dense_operands(rng, keys, fill, case):
+    """Term dicts a and b over the monomials keys, each held with
+    probability fill.  In case "ties" and "underflow" every product rounds
+    the same way, which is what the slack must cover:
+
+    - ties: a's constant is 2**53 times its other terms, and b's terms are
+      all equal, so slot k first gets a_0 * b_k, a power of two, and every
+      later product is half its ulp; each such addition rounds to even and
+      loses it, n_k - 1 times in all;
+    - underflow: 3 * 2**-1074 times 0.5, where each product rounds up by
+      2**-1075.
+
+    Otherwise each operand has one coefficient regime (huge times huge,
+    which overflows, is left to the overflow test), and b is sometimes a
+    with some signs flipped, so that cross terms cancel exactly."""
+    held = [k for k in keys if k == 0 or rng.random() < fill]
+    if case == "ties":
+        s = 2.0 ** rng.randint(-400, 400)
+        return {k: s * (2.0**53 if k == 0 else 1.0) for k in held}, {k: s for k in held}
+    if case == "underflow":
+        return {k: 3 * _SUBNORMAL for k in held}, {k: 0.5 for k in held}
+    ra = rng.choice(_REGIMES)
+    rb = rng.choice([r for r in _REGIMES if ra != "huge" or r != "huge"])
+    a = {k: _fuzz_coefficient(rng, ra) for k in held}
+    if ra != "huge" and rng.random() < 0.3:
+        return a, {k: rng.choice([c, -c]) for k, c in a.items()}
+    return a, {k: _fuzz_coefficient(rng, rb) for k in keys if rng.random() < fill}
+
+
+def _dense_fuzz(seed, count, fill):
+    """Products of models at (arity, cap) = (5, 5) and (8, 3) built by
+    _dense_operands; every fifth case is ties and every fifth underflow,
+    without operand errors, which would hide the rounding."""
+    rng = random.Random(seed)
+    for n in range(count):
+        arity, cap = rng.choice([(5, 5), (8, 3)])
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        case = ("ties", "underflow", "regimes", "regimes", "regimes")[n % 5]
+        a, b = _dense_operands(rng, polymodel._layout(arity, cap).keys, fill, case)
+        errors = [0.0, 0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL] if case == "regimes" else [0.0]
+        _check_mul(
+            PolynomialModel(vars_, a, rng.choice(errors), cap),
+            PolynomialModel(vars_, b, rng.choice(errors), cap),
+        )
+
+
+def test_dense_mul_exact_fuzz(kernels):
+    """Half-full models take the dense kernel and enclose the exact
+    product: with ties and underflows that round one way, cancellations,
+    coefficients near 2**+-1000 and subnormals."""
+    _dense_fuzz(seed=89, count=80, fill=0.5)
+    assert kernels["dense"] >= 60
+
+
+@pytest.mark.slow
+def test_dense_mul_exact_fuzz_full(kernels):
+    _dense_fuzz(seed=97, count=100, fill=1.0)
+    assert kernels["dense"] == 100
+
+
+def _full_model(rng, arity, cap, coefficient):
+    vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+    keys = polymodel._layout(arity, cap).keys
+    return PolynomialModel(vars_, {k: coefficient(rng) for k in keys}, 0.0, cap)
+
+
+def test_dense_overflow_raises_like_pair_loop(monkeypatch):
+    """Squaring 252 terms of +-1e200 overflows: the dense kernel declines
+    it without a numpy warning, and the pair loop raises, as it does when
+    the dense kernel is never chosen."""
+    a = _full_model(random.Random(5), 5, 5, lambda rng: rng.choice([1e200, -1e200]))
+    layout = polymodel._layout(5, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polymodel._dense_product(a.terms, a.terms, layout) is None
+        with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+            a * a
+        monkeypatch.setattr(polymodel, "_pair_count", lambda arity, cap: math.inf)
+        with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+            a * a
+
+
+def test_dense_product_deterministic():
+    """A dense product is bit-identical across repeats and across operands
+    that hold the same terms in another insertion order (error-free, so the
+    error is the kernel's own slack and dropped mass)."""
+    rng = random.Random(7)
+    a = _full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1))
+    b = _full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 3))
+    first = a * b
+    assert _bits(a * b) == _bits(first)
+    for _ in range(3):
+        shuffled = []
+        for m in (a, b):
+            items = list(m.terms.items())
+            rng.shuffle(items)
+            shuffled.append(PolynomialModel(m.vars, dict(items), m.error, m.max_degree))
+        assert _bits(shuffled[0] * shuffled[1]) == _bits(first)
+
+
+def test_layout_built_only_for_large_products(monkeypatch):
+    """A product below the pair count of its (arity, cap), such as 30 x 30
+    terms at (8, 7), whose layout would hold 245,157 pairs, builds no
+    layout; a 252 x 252 product at (5, 5) builds one."""
+    monkeypatch.setattr(polymodel, "_LAYOUTS", {})
+    rng = random.Random(11)
+    vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(8))
+    for _ in range(20):
+        a, b = (
+            PolynomialModel(vars8, {_random_key(rng, 8, rng.randint(0, 7)): rng.uniform(-1, 1) for _ in range(30)}, 0.0, 7)
+            for _ in range(2)
+        )
+        a * b
+    assert polymodel._LAYOUTS == {}
+    vars5 = tuple(VarInfo(Role.STATE, axis=i) for i in range(5))
+    full = PolynomialModel(vars5, {k: 0.5 for k in polymodel._DenseLayout(5, 5).keys}, 0.0, 5)
+    full * full
+    assert list(polymodel._LAYOUTS) == [(5, 5)]
 
 
 # ---------------------------------------------------------------- exact soundness fuzz

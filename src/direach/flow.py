@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .interval import Box, Interval, IntervalDomainError, iv_exp, lognorm_inf, mat_inf_norm, _add_up, _mul_up
 from .inputs import InputScheme, SchemeKind, realize_w
@@ -40,6 +40,10 @@ __all__ = [
     "local_rates",
     "input_hull_ranges",
 ]
+
+
+# inflations of the trial box before apriori_bound gives up
+_MAX_INFLATIONS = 20
 
 
 class CertificationError(RuntimeError):
@@ -105,7 +109,6 @@ def apriori_bound(
     X: Box,
     scheme: InputScheme,
     geom: StepGeometry,
-    max_inflations: int = 20,
 ) -> AprioriBound:
     """Certified a-priori bound for one step from X, valid for the original
     inclusion and for every surrogate of the scheme."""
@@ -113,7 +116,7 @@ def apriori_bound(
     h = geom.h
     rhs0 = _rhs(sys, X, u, geom.t0)
     box = X.inflate([2.0 * h * r.mag + 1e-14 * max(1.0, r.mag) for r in rhs0])
-    for _ in range(max_inflations):
+    for _ in range(_MAX_INFLATIONS):
         trial = _try_map(sys, X, box, u, h, geom.t0)
         if not all(c.is_finite for c in trial):
             raise CertificationError(
@@ -133,7 +136,7 @@ def apriori_bound(
             )
         )
     raise CertificationError(
-        f"no a-priori bound certified within {max_inflations} inflations at t={geom.t0:g}; "
+        f"no a-priori bound certified within {_MAX_INFLATIONS} inflations at t={geom.t0:g}; "
         "try a smaller step size"
     )
 
@@ -214,7 +217,9 @@ def _strip_errors(X: VectorModel) -> tuple[VectorModel, float]:
 def _picard_core(
     sys: InputAffineSystem,
     X: VectorModel,
-    w_for: Callable[[tuple[VarInfo, ...], int], list[PolynomialModel]],
+    scheme: InputScheme,
+    positions: Sequence[tuple[int, ...]],
+    half: int | None,
     t0: float,
     h: float,
     bound: AprioriBound,
@@ -223,13 +228,18 @@ def _picard_core(
     rates: tuple[float, float],
 ) -> VectorModel:
     """One Picard step over [t0, t0 + h]; rates are local_rates on the
-    padded a-priori box."""
+    padded a-priori box.  Input i's surrogate has its parameters at
+    positions[i]; half selects the step scheme's sub-step parameter."""
     X0, e_x = _strip_errors(X)
     tvar = VarInfo(Role.TIME, center=t0 + h / 2.0, radius=h / 2.0)
     vars_t = X0.vars + (tvar,)
     tpos = len(vars_t) - 1
     Xt = X0.map(lambda c: c.extend((tvar,)))
-    w_models = w_for(vars_t, tpos)
+    cap = X0.components[0].max_degree
+    w_models = [
+        realize_w(scheme, sys.V[i], vars_t, positions[i], tpos, cap, half=half)
+        for i in range(sys.m)
+    ]
 
     work_box = _padded(bound.box)
     lam_rate, kappa = _contraction(rates, h, t0)
@@ -255,7 +265,6 @@ def _picard_core(
 
     # Error-free iterates: y is one polynomial, y_next a certified enclosure
     # of P(y), which is all the Banach bound needs.
-    cap = X0.components[0].max_degree
     max_iters = max(iterations, 4 * (cap + 2))
     y = Xt
     rho_prev = None
@@ -327,7 +336,6 @@ def picard_flow(
     if not _padded(bound.box).contains_box(X.box()):
         raise ValueError("a-priori bound does not cover the initial set")
     p = scheme.params_per_input
-    cap = X.components[0].max_degree
     new_infos = tuple(VarInfo(Role.INPUT, born=born) for _ in range(sys.m * p))
     base = len(X.vars)
     X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X
@@ -336,27 +344,12 @@ def picard_flow(
     # both half steps of the step scheme work on this box: one set of rates
     rates = _rates(sys, _padded(bound.box), w_sups, geom.t0)
 
-    if scheme.uses_half_steps:
-        def w_half(half):
-            def build(vars_t, tpos):
-                return [
-                    realize_w(scheme, sys.V[i], vars_t, positions[i], tpos, cap, half=half)
-                    for i in range(sys.m)
-                ]
-
-            return build
-
-        mid = _picard_core(
-            sys, X_ext, w_half(0), geom.t0, geom.half, bound, iterations, w_sups, rates
-        )
-        return _picard_core(
-            sys, mid, w_half(1), geom.t0 + geom.half, geom.half, bound, iterations, w_sups, rates
-        )
-
-    def build(vars_t, tpos):
-        return [
-            realize_w(scheme, sys.V[i], vars_t, positions[i], tpos, cap)
-            for i in range(sys.m)
-        ]
-
-    return _picard_core(sys, X_ext, build, geom.t0, geom.h, bound, iterations, w_sups, rates)
+    # the step scheme takes two half steps, one per input parameter; the
+    # other schemes one full step
+    halves = (0, 1) if scheme.uses_half_steps else (None,)
+    sub = geom.h / len(halves)
+    Y = X_ext
+    for k, half in enumerate(halves):
+        t0 = geom.t0 + k * sub
+        Y = _picard_core(sys, Y, scheme, positions, half, t0, sub, bound, iterations, w_sups, rates)
+    return Y

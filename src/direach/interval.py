@@ -8,6 +8,14 @@ transformations: Knuth's two-sum for addition and Dekker's two-product for
 multiplication, and for division the two-product of the quotient and the
 divisor, whose residual gives the sign of a - q*b; an exact rational
 comparison takes over where the two-product could overflow or underflow.
+
+Only the upward roundings are written out.  Round-to-nearest is symmetric
+under negation, fl(-x) = -fl(x), and an error-free residual flips its sign
+with its operands, so each downward rounding is its upward twin negated:
+down(a + b) = -up(-a - b), down(a*b) = -up(-a*b), down(a/b) = -up(-a/b).
+It is computed as 0.0 - up(...), not -up(...), so that a zero bound is
++0.0, as fl gives for an exact cancellation.  The other modules round
+through these functions (symexpr's exact constant folding too).
 """
 from __future__ import annotations
 
@@ -32,6 +40,7 @@ __all__ = [
 _INF = math.inf
 _MAX = sys.float_info.max
 _TINY = 5e-324
+_EPS = 2.220446049250313e-16
 # Veltkamp's splitting constant 2**27 + 1, and the operand magnitudes for which
 # Dekker's two-product is exact: the split cannot overflow and no partial
 # product underflows
@@ -61,29 +70,13 @@ def _add_up(a: float, b: float) -> float:
             return s
         return _INF if s > 0 else -_MAX
     t = s - a
-    if math.isfinite(t):
-        err = (a - (s - t)) + (b - t)
-        if err == 0.0:
-            return s
-        if err < 0.0:
-            return s
+    if math.isfinite(t) and (a - (s - t)) + (b - t) <= 0.0:
+        return s
     return _up(s)
 
 
 def _add_down(a: float, b: float) -> float:
-    s = a + b
-    if math.isinf(s):
-        if math.isinf(a) or math.isinf(b):
-            return s
-        return _MAX if s > 0 else -_INF
-    t = s - a
-    if math.isfinite(t):
-        err = (a - (s - t)) + (b - t)
-        if err == 0.0:
-            return s
-        if err > 0.0:
-            return s
-    return _down(s)
+    return 0.0 - _add_up(-a, -b)
 
 
 def _mul_residual(a: float, b: float, p: float) -> float | Fraction:
@@ -125,22 +118,7 @@ def _mul_up(a: float, b: float) -> float:
 
 
 def _mul_down(a: float, b: float) -> float:
-    p = a * b
-    if math.isnan(p):
-        return 0.0
-    if math.isinf(p):
-        if math.isinf(a) or math.isinf(b):
-            return p
-        return _MAX if p > 0 else -_INF
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if p == 0.0:
-        return -_TINY if (a > 0.0) != (b > 0.0) else 0.0
-    if math.isinf(a) or math.isinf(b):
-        return p
-    if _mul_residual(a, b, p) < 0:
-        return _down(p)
-    return p
+    return 0.0 - _mul_up(-a, b)
 
 
 def _div_residual(a: float, b: float, q: float) -> float | Fraction:
@@ -185,48 +163,28 @@ def _div_up(a: float, b: float) -> float:
 
 
 def _div_down(a: float, b: float) -> float:
-    q = a / b
-    if math.isnan(q):
-        return -_INF
-    if math.isinf(q):
-        if math.isinf(a):
-            return q
-        return _MAX if q > 0 else -_INF
-    if a == 0.0:
-        return 0.0
-    if math.isinf(b):
-        return 0.0 if (a > 0.0) == (b > 0.0) else -_TINY
-    if q == 0.0:
-        return -_TINY if (a > 0.0) != (b > 0.0) else 0.0
-    r = _div_residual(a, b, q)
-    if r != 0 and (r > 0) != (b > 0.0):
-        return _down(q)
-    return q
+    return 0.0 - _div_up(-a, b)
+
+
+def _pow(x: float, n: int, mul) -> float:
+    # x >= 0, n >= 0; x**n by binary exponentiation with the rounded product mul
+    r = 1.0
+    base = x
+    while n:
+        if n & 1:
+            r = mul(r, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return r
 
 
 def _pow_up(x: float, n: int) -> float:
-    # x >= 0, n >= 1; rounded-up x**n by binary exponentiation
-    r = 1.0
-    base = x
-    while n:
-        if n & 1:
-            r = _mul_up(r, base)
-        n >>= 1
-        if n:
-            base = _mul_up(base, base)
-    return r
+    return _pow(x, n, _mul_up)
 
 
 def _pow_down(x: float, n: int) -> float:
-    r = 1.0
-    base = x
-    while n:
-        if n & 1:
-            r = _mul_down(r, base)
-        n >>= 1
-        if n:
-            base = _mul_down(base, base)
-    return r
+    return _pow(x, n, _mul_down)
 
 
 def _exp_up(x: float) -> float:
@@ -409,7 +367,6 @@ def iv_exp(a: Interval) -> Interval:
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
-_EPS = 2.220446049250313e-16
 
 
 def _trig_endpoint(fn, x: float, exact0: float) -> Interval:

@@ -60,7 +60,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin, _add_down, _add_up, _mul_up
+from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin
+from .interval import _EPS, _TINY, _add_down, _add_up, _mul_up, _pow_up
 from . import symexpr
 from .symexpr import Expr
 
@@ -73,8 +74,6 @@ __all__ = [
     "compose_expr",
 ]
 
-_EPS = 2.220446049250313e-16
-_TINY = 5e-324
 _SLACK_INFLATE = 1.000000002
 
 
@@ -697,10 +696,6 @@ class VectorModel:
 # ---------------------------------------------------------------------- composition
 
 
-def _factorial(k: int) -> float:
-    return float(math.factorial(k))
-
-
 def _series_coefficients(kind: str, c: float, rng: Interval, d: int) -> tuple[list[Interval], float]:
     """Taylor coefficients of the elementary function about c as intervals,
     plus an upper bound for the Lagrange remainder factor sup|f^(d+1)|/(d+1)!."""
@@ -708,13 +703,13 @@ def _series_coefficients(kind: str, c: float, rng: Interval, d: int) -> tuple[li
     if kind == "exp":
         base = iv_exp(pt)
         coeffs = [base / float(math.factorial(k)) for k in range(d + 1)]
-        rem = iv_exp(rng).mag / _factorial(d + 1) * _SLACK_INFLATE
+        rem = iv_exp(rng).mag / float(math.factorial(d + 1)) * _SLACK_INFLATE
         return coeffs, rem
     if kind in ("sin", "cos"):
         s, co = iv_sin(pt), iv_cos(pt)
         cycle = [s, co, -s, -co] if kind == "sin" else [co, -s, -co, s]
         coeffs = [cycle[k % 4] / float(math.factorial(k)) for k in range(d + 1)]
-        return coeffs, 1.0 / _factorial(d + 1) * _SLACK_INFLATE
+        return coeffs, 1.0 / float(math.factorial(d + 1)) * _SLACK_INFLATE
     if kind == "recip":
         if rng.lo <= 0.0 <= rng.hi:
             raise IntervalDomainError("reciprocal of a model whose range contains zero")
@@ -774,7 +769,7 @@ def _compose_elementary(kind: str, table: _PowerTable) -> PolynomialModel:
         raise IntervalDomainError(f"{kind} composition requires a finite range")
     d = table.inner.max_degree
     coeffs, rem_factor = _series_coefficients(kind, table.c, rng, d)
-    rem = _mul_up(rem_factor, _pow_up_pos(table.rho, d + 1))
+    rem = _mul_up(rem_factor, _pow_up(table.rho, d + 1))
     return _series_sum(coeffs, table.powers(), table.mag).add_error(rem)
 
 
@@ -817,13 +812,6 @@ def _series_sum(
             err = _add_up(err, _mul_up(a.rad, mag(k)))
     err = _add_up(err, _grown(slack, products))
     return PolynomialModel(powers[0].vars, out, err, powers[0].max_degree)
-
-
-def _pow_up_pos(x: float, n: int) -> float:
-    r = 1.0
-    for _ in range(n):
-        r = _mul_up(r, x)
-    return r
 
 
 def _pow_model(base: PolynomialModel, n: int, recip: Callable) -> PolynomialModel:

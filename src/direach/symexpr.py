@@ -14,7 +14,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Sequence
 
 from .interval import (
@@ -26,7 +25,9 @@ from .interval import (
     iv_sin,
     lognorm_inf,
     mat_inf_norm,
+    _add_down,
     _add_up,
+    _mul_down,
     _mul_up,
 )
 
@@ -319,22 +320,13 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _exact_binop(x: float, y: float, op: str) -> float | None:
-    # fold constants only when the float operation is exact
-    try:
-        fx, fy = Fraction(x), Fraction(y)
-    except (OverflowError, ValueError):
+def _exact(x: float, y: float, up, down) -> float | None:
+    # fold constants only when the float operation is exact: finite operands
+    # whose upward and downward roundings agree (so the result is finite too)
+    if not (math.isfinite(x) and math.isfinite(y)):
         return None
-    if op == "+":
-        v = x + y
-        exact = fx + fy == Fraction(v) if math.isfinite(v) else False
-    elif op == "-":
-        v = x - y
-        exact = fx - fy == Fraction(v) if math.isfinite(v) else False
-    else:
-        v = x * y
-        exact = fx * fy == Fraction(v) if math.isfinite(v) else False
-    return v if exact else None
+    v = up(x, y)
+    return v if v == down(x, y) else None
 
 
 def _add(a: Expr, b: Expr) -> Expr:
@@ -343,7 +335,7 @@ def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        v = _exact_binop(a.value, b.value, "+")
+        v = _exact(a.value, b.value, _add_up, _add_down)
         if v is not None:
             return Const(v)
     return Add(a, b)
@@ -355,7 +347,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and a.value == 0.0:
         return _neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        v = _exact_binop(a.value, b.value, "-")
+        v = _exact(a.value, -b.value, _add_up, _add_down)
         if v is not None:
             return Const(v)
     return Sub(a, b)
@@ -381,7 +373,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         if b.value == 1.0:
             return a
     if isinstance(a, Const) and isinstance(b, Const):
-        v = _exact_binop(a.value, b.value, "*")
+        v = _exact(a.value, b.value, _mul_up, _mul_down)
         if v is not None:
             return Const(v)
     return Mul(a, b)

@@ -1,5 +1,6 @@
 """The declared surface exists: every name in a module's __all__, and every
 console script that pyproject.toml declares."""
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -26,3 +27,20 @@ def test_declared_scripts_import():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), target
+
+
+def test_only_interval_imports_fractions():
+    """Directed rounding lives in interval: no other module does exact
+    rational arithmetic of its own."""
+    importers = set()
+    for path in Path(direach.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "fractions" for n in names):
+                importers.add(path.name)
+    assert importers == {"interval.py"}

@@ -9,6 +9,8 @@ import mpmath
 import pytest
 
 from direach.interval import (
+    _add_down,
+    _add_up,
     _div_down,
     _div_up,
     _mul_down,
@@ -243,6 +245,61 @@ def _rounding_outcomes(op, rounded_up, rounded_down, operands):
 
 def _signed(rng, x):
     return x if rng.random() < 0.5 else -x
+
+
+def _add_fuzz_operands(rng):
+    """Operand pairs for the rounded sum, by kind."""
+    for _ in range(3_000):
+        # 26 significant bits each, at most 26 binades apart: the sum fits in 53 bits
+        e = rng.randint(-1000, 900)
+        a = math.ldexp(rng.randint(1, 2**26 - 1), e)
+        b = math.ldexp(rng.randint(1, 2**26 - 1), e + rng.randint(-26, 26))
+        yield "exact", _signed(rng, a), _signed(rng, b)
+    for _ in range(2_000):
+        # opposite signs within a factor 2 (Sterbenz), often equal: exact, often zero
+        a = math.ldexp(rng.uniform(1, 2), rng.randint(-1074, 1023))
+        b = a if rng.random() < 0.3 else min(_MAX, a * rng.uniform(0.5, 2.0))
+        a = _signed(rng, a)
+        yield "cancel", a, -math.copysign(b, a)
+    for _ in range(2_000):
+        # two subnormals share one exponent: the sum is exact
+        a, b = (rng.randint(1, 2**52 - 1) * 5e-324 for _ in range(2))
+        yield "subnormal-pair", _signed(rng, a), _signed(rng, b)
+    for _ in range(2_000):
+        # a subnormal plus a normal a few binades up: the subnormal's low bits round
+        a = rng.randint(1, 2**52 - 1) * 5e-324
+        b = math.ldexp(rng.uniform(1, 2), rng.randint(-1022, -960))
+        yield "subnormal", _signed(rng, a), _signed(rng, b)
+    for _ in range(2_000):
+        # the same sign, the sum within an ulp or two of the largest float:
+        # rounds to +-max or overflows
+        a = _MAX
+        for _ in range(rng.randint(0, 2)):
+            a = math.nextafter(a, 0.0)
+        b = math.ldexp(rng.uniform(0.0, 4.0), 970)
+        sign = rng.choice((1.0, -1.0))
+        yield "near-max", sign * a, sign * b
+    for _ in range(10_000):
+        # random bit patterns over the whole finite range
+        a, b = (struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(2))
+        if math.isfinite(a) and math.isfinite(b):
+            yield "random", a, b
+
+
+def test_add_rounding_matches_rational_reference():
+    operands = list(_add_fuzz_operands(random.Random(19)))
+    seen = _rounding_outcomes(operator.add, _add_up, _add_down, operands)
+    kinds = {k for k, _ in seen}
+    exact_kinds = {"exact", "cancel", "subnormal-pair"}
+    assert kinds == exact_kinds | {"subnormal", "near-max", "random"}
+    # the exact kinds never round; every other kind did
+    assert all((k, True) not in seen for k in exact_kinds)
+    assert all((k, True) in seen for k in kinds - exact_kinds)
+    # the near-max sums both stay finite and overflow, at both signs
+    near_max = [a + b for k, a, b in operands if k == "near-max"]
+    assert {math.copysign(1.0, s) for s in near_max if math.isinf(s)} == {1.0, -1.0}
+    assert {math.copysign(1.0, s) for s in near_max if math.isfinite(s)} == {1.0, -1.0}
+    assert any(a + b == 0.0 for k, a, b in operands if k == "cancel")
 
 
 def _mul_fuzz_operands(rng):

@@ -1,5 +1,10 @@
+import json
 import math
+import operator
 import random
+import struct
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +161,112 @@ def test_derivative_matches_finite_difference_fuzz():
             continue
         assert dv == pytest.approx(fd, rel=1e-5, abs=1e-4)
         checked += 1
+
+
+_MAX = math.nextafter(math.inf, 0.0)
+# signed zeros, subnormals, the edge of exact integers, the largest float,
+# an overflowed literal and NaN
+FOLD_SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, 2.0**-1023, 2.0**-1022,
+    2.0**53, 2.0**53 + 2, 2.0**53 - 2, -(2.0**53), 1.0, -1.0, 0.5, 3.0, 0.1,
+    _MAX, -_MAX, float("1e999"), float("-1e999"), math.nan,
+]
+
+
+def _fold_operand(rng):
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice(FOLD_SPECIALS)
+    if r < 0.4:
+        return rng.choice((1, -1)) * rng.randint(1, 2**52 - 1) * 5e-324
+    if r < 0.8:
+        # few significant bits: sums and products are often exact
+        return math.ldexp(rng.randint(-(2**26), 2**26), rng.randint(-1100, 996))
+    return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+
+
+def _exact_float(op, x, y):
+    """op(x, y) when its exact value is a finite float, else None."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    exact = op(Fraction(x), Fraction(y))
+    try:
+        v = float(exact)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) and Fraction(v) == exact else None
+
+
+def _expected_fold(name, a, b):
+    """What diff's constant folding should make of two Consts: the identity
+    shortcuts for 0 and 1, then a Const iff the exact result is a finite float."""
+    x, y = a.value, b.value
+    if name == "add":
+        if x == 0.0:
+            return b
+        if y == 0.0:
+            return a
+        node, op = Add, operator.add
+    elif name == "sub":
+        if y == 0.0:
+            return a
+        if x == 0.0:
+            return Const(-y)
+        node, op = Sub, operator.sub
+    else:
+        if x == 0.0:
+            return Const(0.0)
+        if x == 1.0:
+            return b
+        if y == 0.0:
+            return Const(0.0)
+        if y == 1.0:
+            return a
+        node, op = Mul, operator.mul
+    v = _exact_float(op, x, y)
+    return node(a, b) if v is None else Const(v)
+
+
+def test_constant_folding_matches_rational_oracle():
+    rng = random.Random(41)
+    pairs = [(x, y) for x in FOLD_SPECIALS for y in FOLD_SPECIALS]
+    pairs += [(_fold_operand(rng), _fold_operand(rng)) for _ in range(20_000)]
+    fold = {"add": symexpr._add, "sub": symexpr._sub, "mul": symexpr._mul}
+    outcomes = set()
+    for x, y in pairs:
+        a, b = Const(x), Const(y)
+        for name, fn in fold.items():
+            got, want = fn(a, b), _expected_fold(name, a, b)
+            # repr tells -0.0 from 0.0 and shows NaN
+            assert repr(got) == repr(want), (name, x, y)
+            outcomes.add((name, type(got).__name__))
+    # every operation both folded and kept its node
+    assert outcomes >= {(n, t) for n, t in (("add", "Add"), ("sub", "Sub"), ("mul", "Mul"))}
+    assert {n for n, t in outcomes if t == "Const"} == set(fold)
+
+
+# the fields of the benchmark workloads
+BENCH_SYSTEMS = {
+    "vdp-affine": (2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05]),
+    "dosc-additive": (2, ["-x1 + 0.5*x2", "-0.5*x1 - x2"], [["0", "1"]], [0.05]),
+    "trig3-step": (
+        3,
+        ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "-x3 + 0.5*x1"],
+        [["0", "0", "1"], ["cos(x3)", "sin(x3)", "0"]],
+        [0.05, 0.05],
+    ),
+}
+DERIVATIVE_GOLDEN = Path(__file__).with_name("derivative_repr_golden.json")
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SYSTEMS))
+def test_benchmark_derivative_trees_pinned(name):
+    """The derivative trees of the benchmark fields, as recorded in
+    derivative_repr_golden.json: constant folding changes none of them."""
+    golden = json.loads(DERIVATIVE_GOLDEN.read_text())
+    system = InputAffineSystem(*BENCH_SYSTEMS[name])
+    for attr in ("df", "dg", "d2f", "d2g"):
+        assert repr(getattr(system, attr)) == golden[f"{name}|{attr}"], attr
 
 
 def test_eval_interval_even_power():

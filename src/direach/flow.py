@@ -60,14 +60,6 @@ class StepGeometry:
             raise ValueError("step size must be positive")
 
     @property
-    def mid(self) -> float:
-        return self.t0 + self.h / 2.0
-
-    @property
-    def half(self) -> float:
-        return self.h / 2.0
-
-    @property
     def end(self) -> float:
         return self.t0 + self.h
 
@@ -223,13 +215,15 @@ def _picard_core(
     t0: float,
     h: float,
     bound: AprioriBound,
+    work_box: Box,
     iterations: int,
     w_sups: Sequence[float],
     rates: tuple[float, float],
 ) -> VectorModel:
-    """One Picard step over [t0, t0 + h]; rates are local_rates on the
-    padded a-priori box.  Input i's surrogate has its parameters at
-    positions[i]; half selects the step scheme's sub-step parameter."""
+    """One Picard step over [t0, t0 + h]; work_box is _padded(bound.box)
+    and rates are local_rates on it.  Input i's surrogate has its
+    parameters at positions[i]; half selects the step scheme's sub-step
+    parameter."""
     X0, e_x = _strip_errors(X)
     tvar = VarInfo(Role.TIME, center=t0 + h / 2.0, radius=h / 2.0)
     vars_t = X0.vars + (tvar,)
@@ -241,7 +235,6 @@ def _picard_core(
         for i in range(sys.m)
     ]
 
-    work_box = _padded(bound.box)
     lam_rate, kappa = _contraction(rates, h, t0)
 
     def apply_once(y: VectorModel) -> VectorModel:
@@ -333,7 +326,8 @@ def picard_flow(
     bound needs only one function y and a certified enclosure of P(y) (see
     the module docstring).  Raises CertificationError when the step cannot
     be certified."""
-    if not _padded(bound.box).contains_box(X.box()):
+    padded = _padded(bound.box)
+    if not padded.contains_box(X.box()):
         raise ValueError("a-priori bound does not cover the initial set")
     p = scheme.params_per_input
     new_infos = tuple(VarInfo(Role.INPUT, born=born) for _ in range(sys.m * p))
@@ -342,7 +336,7 @@ def picard_flow(
     positions = [tuple(base + i * p + q for q in range(p)) for i in range(sys.m)]
     w_sups = [v * scheme.w_sup_factor for v in sys.V]
     # both half steps of the step scheme work on this box: one set of rates
-    rates = _rates(sys, _padded(bound.box), w_sups, geom.t0)
+    rates = _rates(sys, padded, w_sups, geom.t0)
 
     # the step scheme takes two half steps, one per input parameter; the
     # other schemes one full step
@@ -351,5 +345,5 @@ def picard_flow(
     Y = X_ext
     for k, half in enumerate(halves):
         t0 = geom.t0 + k * sub
-        Y = _picard_core(sys, Y, scheme, positions, half, t0, sub, bound, iterations, w_sups, rates)
+        Y = _picard_core(sys, Y, scheme, positions, half, t0, sub, bound, padded, iterations, w_sups, rates)
     return Y

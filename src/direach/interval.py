@@ -99,8 +99,8 @@ def _mul_residual(a: float, b: float, p: float) -> float | Fraction:
 def _mul_up(a: float, b: float) -> float:
     p = a * b
     if math.isnan(p):
-        # only reachable from 0 * inf endpoint candidates
-        return 0.0
+        # a NaN operand stays NaN; 0 * inf endpoint candidates give 0
+        return p if math.isnan(a) or math.isnan(b) else 0.0
     if math.isinf(p):
         if math.isinf(a) or math.isinf(b):
             return p

@@ -2,9 +2,12 @@
 
 Each function bounds ||x(t_{k+1}) - y(t_{k+1})|| for the surrogate system
 whose inputs match the stated moments, in terms of the constants of
-StepErrorBounds.  Everything is evaluated in point-interval arithmetic and
-returned as an upper endpoint, so replacing exact arithmetic by this
-implementation can only increase the bound.
+StepErrorBounds.  Every operand of the formulas is nonnegative, so each
+formula is evaluated on plain floats with every operation rounded upward
+(the denominator 1 - hL/2 [- hL'] downward), and replacing exact
+arithmetic by this implementation can only increase the bound.  The growth
+factor phi(u) = (e^u - 1)/u is increasing, so it is taken at Lam*h rounded
+upward.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .interval import Interval, iv_exp
+from .interval import _add_down, _add_up, _div_up, _exp_down, _exp_up, _mul_up, _pow_up
 from .inputs import InputScheme, SchemeKind
 from .symexpr import InputAffineSystem, StepErrorBounds
 
@@ -30,6 +33,10 @@ __all__ = [
     "growth_factor",
 ]
 
+# the inexact constants of the formulas, rounded upward (7/8 is exact)
+_C11_24 = _div_up(11.0, 24.0)
+_C7_48 = _div_up(7.0, 48.0)
+
 
 class ErrorOrder(str, Enum):
     O1_ZERO = "O1"
@@ -44,17 +51,32 @@ class InapplicableError(ValueError):
     """The formula's hypotheses fail for these bounds / this step size."""
 
 
-def _pt(x: float) -> Interval:
-    return Interval.point(x)
-
-
-def growth_factor(u: float) -> Interval:
-    """Enclosure of (e^u - 1)/u, continued by 1 at u = 0; decreasing below 1
-    for negative u."""
+def growth_factor(u: float) -> float:
+    """Upper bound of (e^u - 1)/u, continued by 1 at u = 0; decreasing below
+    1 for negative u."""
     if abs(u) < 1e-8:
         # |phi(u) - (1 + u/2)| <= u^2/6 < 1.7e-17 here
-        return (_pt(1.0) + _pt(u) * 0.5).inflate(1e-15)
-    return (iv_exp(_pt(u)) - 1.0) / u
+        return _add_up(_add_up(1.0, _mul_up(u, 0.5)), 1e-15)
+    if u > 0.0:
+        return _div_up(_add_up(_exp_up(u), -1.0), u)
+    return _div_up(_add_up(1.0, -_exp_down(u)), -u)
+
+
+def _phi(b: StepErrorBounds, h: float) -> float:
+    return growth_factor(_mul_up(b.Lam, h))
+
+
+def _denominator(b: StepErrorBounds, h: float, with_lp: bool) -> float:
+    """Lower bound of 1 - hL/2, minus hL' when with_lp; raises when it is
+    not positive."""
+    pre = _add_down(1.0, -_mul_up(_mul_up(h, b.L), 0.5))
+    if with_lp:
+        pre = _add_down(pre, -_mul_up(h, b.Lp))
+        if pre <= 0.0:
+            raise InapplicableError(f"needs h*(L/2 + L') < 1 (got {h * (b.L / 2 + b.Lp):g})")
+    elif pre <= 0.0:
+        raise InapplicableError(f"needs h*L < 2 (h*L = {h * b.L:g})")
+    return pre
 
 
 def err_o1(b: StepErrorBounds, h: float) -> float:
@@ -71,9 +93,9 @@ def _first_order(b: StepErrorBounds, h: float, w_factor: float) -> float:
     true and the surrogate solution are compared against the undisturbed
     flow, which inflates the disturbance term by the surrogate's range.
     """
-    kp_eff = _pt(b.Kp) * (1.0 + w_factor)
-    e1 = (_pt(h) * kp_eff * growth_factor(b.Lam * h)).hi
-    e2 = (_pt(h) * (_pt(b.K) * 2.0 + kp_eff)).hi
+    kp_eff = _mul_up(b.Kp, _add_up(1.0, w_factor))
+    e1 = _mul_up(_mul_up(h, kp_eff), _phi(b, h))
+    e2 = _mul_up(h, _add_up(_mul_up(b.K, 2.0), kp_eff))
     return min(e1, e2)
 
 
@@ -81,9 +103,14 @@ def err_o2_constant(b: StepErrorBounds, h: float) -> float:
     """Second-order bound for the step-mean constant surrogate."""
     if h <= 0:
         raise InapplicableError("step size must be positive")
-    phi = growth_factor(b.Lam * h)
-    inner = (_pt(b.K) + b.Kp) * _pt(b.Lp) / 3.0 + _pt(b.Kp) * 2.0 * (_pt(b.L) + b.Lp) * phi
-    return (_pt(h) ** 2 * inner).hi
+    phi = _phi(b, h)
+    k, kp, l, lp = b.K, b.Kp, b.L, b.Lp
+    # (K + K')L'/3 + 2K'(L + L')phi
+    inner = _add_up(
+        _div_up(_mul_up(_add_up(k, kp), lp), 3.0),
+        _mul_up(_mul_up(_mul_up(kp, 2.0), _add_up(l, lp)), phi),
+    )
+    return _mul_up(_pow_up(h, 2), inner)
 
 
 def err_o2_constant_c2(b: StepErrorBounds, h: float) -> float:
@@ -91,34 +118,45 @@ def err_o2_constant_c2(b: StepErrorBounds, h: float) -> float:
     drift and hL < 2."""
     if h <= 0:
         raise InapplicableError("step size must be positive")
-    pre = _pt(1.0) - _pt(h) * b.L * 0.5
-    if pre.lo <= 0.0:
-        raise InapplicableError(f"needs h*L < 2 (h*L = {h * b.L:g})")
-    phi = growth_factor(b.Lam * h)
-    hh = _pt(h)
-    kp, l, lp, hs, k = _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.K)
-    rhs = (hh**2 / 3.0) * (kp * 3.0 * lp * phi + lp * (k + kp))
-    rhs = rhs + (hh**3 / 4.0) * kp * (l * lp + l**2 + hs * (k + kp)) * phi
-    rhs = rhs + (hh**3 * (11.0 / 24.0)) * (hs * kp + l * lp) * (k + kp)
-    return (rhs / pre).hi
+    pre = _denominator(b, h, with_lp=False)
+    phi = _phi(b, h)
+    k, kp, l, lp, hs = b.K, b.Kp, b.L, b.Lp, b.H
+    h3 = _pow_up(h, 3)
+    k_kp = _add_up(k, kp)
+    l_lp = _mul_up(l, lp)
+    # (h^2/3)(3K'L'phi + L'(K + K'))
+    rhs = _mul_up(
+        _div_up(_pow_up(h, 2), 3.0),
+        _add_up(_mul_up(_mul_up(_mul_up(kp, 3.0), lp), phi), _mul_up(lp, k_kp)),
+    )
+    # + (h^3/4)K'(LL' + L^2 + H(K + K'))phi
+    inner = _add_up(_add_up(l_lp, _pow_up(l, 2)), _mul_up(hs, k_kp))
+    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(_div_up(h3, 4.0), kp), inner), phi))
+    # + (11h^3/24)(HK' + LL')(K + K')
+    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(h3, _C11_24), _add_up(_mul_up(hs, kp), l_lp)), k_kp))
+    return _div_up(rhs, pre)
 
 
 def err_o2_affine(b: StepErrorBounds, h: float) -> float:
     """Second-order bound for affine surrogates (general input fields)."""
     if h <= 0:
         raise InapplicableError("step size must be positive")
-    pre = _pt(1.0) - _pt(h) * b.L * 0.5 - _pt(h) * b.Lp
-    if pre.lo <= 0.0:
-        raise InapplicableError(f"needs h*(L/2 + L') < 1 (got {h * (b.L / 2 + b.Lp):g})")
-    phi = growth_factor(b.Lam * h)
-    hh = _pt(h)
-    k, kp, l, lp, hs, hp = _pt(b.K), _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.Hp)
-    rhs = (hh**2 / 4.0) * lp * (k * 11.0 + kp * 34.5)
-    rhs = rhs + (hh**3 * (7.0 / 8.0)) * kp * (
-        (hp * 4.0 + hs) * (k + kp * 2.5) + l**2 + (l * 4.5 + lp * 5.0) * lp
-    ) * phi
-    rhs = rhs + (hh**3 * (7.0 / 48.0)) * (hs * kp + l * lp) * (k + kp)
-    return (rhs / pre).hi
+    pre = _denominator(b, h, with_lp=True)
+    phi = _phi(b, h)
+    k, kp, l, lp, hs, hp = b.K, b.Kp, b.L, b.Lp, b.H, b.Hp
+    h3 = _pow_up(h, 3)
+    k_kp = _add_up(k, kp)
+    # (h^2/4)L'(11K + 34.5K')
+    rhs = _mul_up(_mul_up(_div_up(_pow_up(h, 2), 4.0), lp), _add_up(_mul_up(k, 11.0), _mul_up(kp, 34.5)))
+    # + (7h^3/8)K'((4H' + H)(K + 2.5K') + L^2 + (4.5L + 5L')L')phi
+    inner = _add_up(
+        _add_up(_mul_up(_add_up(_mul_up(hp, 4.0), hs), _add_up(k, _mul_up(kp, 2.5))), _pow_up(l, 2)),
+        _mul_up(_add_up(_mul_up(l, 4.5), _mul_up(lp, 5.0)), lp),
+    )
+    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(_mul_up(h3, 7.0 / 8.0), kp), inner), phi))
+    # + (7h^3/48)(HK' + LL')(K + K')
+    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(h3, _C7_48), _add_up(_mul_up(hs, kp), _mul_up(l, lp))), k_kp))
+    return _div_up(rhs, pre)
 
 
 def err_o3_additive(b: StepErrorBounds, h: float) -> float:
@@ -127,15 +165,16 @@ def err_o3_additive(b: StepErrorBounds, h: float) -> float:
         raise InapplicableError("step size must be positive")
     if any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi):
         raise InapplicableError("third-order additive bound needs constant input fields")
-    pre = _pt(1.0) - _pt(h) * b.L * 0.5
-    if pre.lo <= 0.0:
-        raise InapplicableError(f"needs h*L < 2 (h*L = {h * b.L:g})")
-    phi = growth_factor(b.Lam * h)
-    hh = _pt(h)
-    k, kp, l, hs = _pt(b.K), _pt(b.Kp), _pt(b.L), _pt(b.H)
-    rhs = (hh**3 * (7.0 / 48.0)) * kp * hs * (k + kp)
-    rhs = rhs + (hh**3 * (7.0 / 8.0)) * kp * (l**2 + hs * (k + kp * 2.5)) * phi
-    return (rhs / pre).hi
+    pre = _denominator(b, h, with_lp=False)
+    phi = _phi(b, h)
+    k, kp, l, hs = b.K, b.Kp, b.L, b.H
+    h3 = _pow_up(h, 3)
+    # (7h^3/48)K'H(K + K')
+    rhs = _mul_up(_mul_up(_mul_up(_mul_up(h3, _C7_48), kp), hs), _add_up(k, kp))
+    # + (7h^3/8)K'(L^2 + H(K + 2.5K'))phi
+    inner = _add_up(_pow_up(l, 2), _mul_up(hs, _add_up(k, _mul_up(kp, 2.5))))
+    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(_mul_up(h3, 7.0 / 8.0), kp), inner), phi))
+    return _div_up(rhs, pre)
 
 
 def err_o3_single(b: StepErrorBounds, h: float, m: int = 1) -> float:
@@ -144,18 +183,26 @@ def err_o3_single(b: StepErrorBounds, h: float, m: int = 1) -> float:
         raise InapplicableError("single-input bound needs exactly one input")
     if h <= 0:
         raise InapplicableError("step size must be positive")
-    pre = _pt(1.0) - _pt(h) * b.L * 0.5 - _pt(h) * b.Lp
-    if pre.lo <= 0.0:
-        raise InapplicableError(f"needs h*(L/2 + L') < 1 (got {h * (b.L / 2 + b.Lp):g})")
-    phi = growth_factor(b.Lam * h)
-    hh = _pt(h)
-    k, kp, l, lp, hs, hp = _pt(b.K), _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.Hp)
-    rhs = (hh**3 * (7.0 / 8.0)) * kp * (
-        (hs + hp * 10.0) * (k + kp * 2.5) + l**2 + l * lp * 12.5 + lp**2 * 25.0
-    ) * phi
-    tail = (hs * kp + l * lp) * 7.0 + (hp * k + l * lp) * 28.0 + (hp * kp + lp**2) * 29.0
-    rhs = rhs + (hh**3 / 48.0) * (k + kp) * tail
-    return (rhs / pre).hi
+    pre = _denominator(b, h, with_lp=True)
+    phi = _phi(b, h)
+    k, kp, l, lp, hs, hp = b.K, b.Kp, b.L, b.Lp, b.H, b.Hp
+    h3 = _pow_up(h, 3)
+    l_lp = _mul_up(l, lp)
+    lp2 = _pow_up(lp, 2)
+    # (7h^3/8)K'((H + 10H')(K + 2.5K') + L^2 + 12.5LL' + 25L'^2)phi
+    inner = _mul_up(_add_up(hs, _mul_up(hp, 10.0)), _add_up(k, _mul_up(kp, 2.5)))
+    inner = _add_up(_add_up(_add_up(inner, _pow_up(l, 2)), _mul_up(l_lp, 12.5)), _mul_up(lp2, 25.0))
+    rhs = _mul_up(_mul_up(_mul_up(_mul_up(h3, 7.0 / 8.0), kp), inner), phi)
+    # + (h^3/48)(K + K')(7(HK' + LL') + 28(H'K + LL') + 29(H'K' + L'^2))
+    tail = _add_up(
+        _add_up(
+            _mul_up(_add_up(_mul_up(hs, kp), l_lp), 7.0),
+            _mul_up(_add_up(_mul_up(hp, k), l_lp), 28.0),
+        ),
+        _mul_up(_add_up(_mul_up(hp, kp), lp2), 29.0),
+    )
+    rhs = _add_up(rhs, _mul_up(_mul_up(_div_up(h3, 48.0), _add_up(k, kp)), tail))
+    return _div_up(rhs, pre)
 
 
 def param_requirements(m: int) -> tuple[int, int, int]:

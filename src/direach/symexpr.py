@@ -506,6 +506,14 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
+_POINT_ZERO = Interval.point(0.0)
+
+
+def _entry_interval(e: Expr, box: Box, memo: dict) -> Interval:
+    # most derivative entries are the interned zero: no evaluation for them
+    return _POINT_ZERO if _is_zero(e) else eval_interval(e, box, memo)
+
+
 class InputAffineSystem:
     """System dx/dt = f(x) + sum_i g_i(x) v_i(t) with |v_i| <= V_i.
 
@@ -578,10 +586,10 @@ class InputAffineSystem:
 
     # memo is an eval_interval memo for box, shared with other calls on box
     def drift_jacobian(self, box: Box, memo: dict) -> IntervalMatrix:
-        return IntervalMatrix(tuple(tuple(eval_interval(e, box, memo) for e in row) for row in self.df))
+        return IntervalMatrix(tuple(tuple(_entry_interval(e, box, memo) for e in row) for row in self.df))
 
     def input_jacobian(self, k: int, box: Box, memo: dict) -> IntervalMatrix:
-        return IntervalMatrix(tuple(tuple(eval_interval(e, box, memo) for e in row) for row in self.dg[k]))
+        return IntervalMatrix(tuple(tuple(_entry_interval(e, box, memo) for e in row) for row in self.dg[k]))
 
     def rhs_interval(self, box: Box, input_ranges: Sequence[Interval]) -> tuple[Interval, ...]:
         """Interval hull of f(x) + sum g_i(x)u_i over x in box, u_i in input_ranges."""
@@ -621,7 +629,8 @@ class StepErrorBounds:
 
 
 def _sup_abs(e: Expr, box: Box, memo: dict) -> float:
-    return eval_interval(e, box, memo).mag
+    # 0.0 for a zero entry, which leaves every max and upward sum it enters as it was
+    return _entry_interval(e, box, memo).mag
 
 
 def _hessian_bound(d2, box: Box, memo: dict) -> float:

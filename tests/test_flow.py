@@ -191,7 +191,7 @@ def test_picard_containment_harmonic_affine():
         za.append([rng.uniform(-1, 1) for _ in range(4)])
     alpha = np.array(za)
     a0, a1 = 0.1 * alpha[:, 0::2], 3 * 0.1 * alpha[:, 1::2]
-    w = lambda t: a0 + a1 * (t - geom.mid) / geom.h
+    w = lambda t: a0 + a1 * (t - (geom.t0 + geom.h / 2)) / geom.h
     ref = _integrate_surrogate(sys, _box_points(X0, zs), w, 0.0, 0.25)
     for z, a, r in zip(zs, za, ref):
         got = phi.eval_point(tuple(z + a))
@@ -213,7 +213,7 @@ def test_picard_containment_vdp_affine():
         za.append([rng.uniform(-1, 1) for _ in range(2)])
     alpha = np.array(za)
     a0, a1 = 0.08 * alpha[:, :1], 3 * 0.08 * alpha[:, 1:]
-    w = lambda t: a0 + a1 * (t - geom.mid) / geom.h
+    w = lambda t: a0 + a1 * (t - (geom.t0 + geom.h / 2)) / geom.h
     ref = _integrate_surrogate(sys, _box_points(X0, zs), w, 0.0, 0.005, n=2000)
     for z, a, r in zip(zs, za, ref):
         got = phi.eval_point(tuple(z + a))
@@ -245,9 +245,9 @@ def test_picard_containment_trig_two_inputs_step():
         X = Y.map(lambda c: c.sweep(fresh))
         # the step surrogate: w_i = 2 V_i alpha_i on each half, |alpha_i| <= 1;
         # alpha at the corners reaches the band's edge (within 1 %)
-        for t0 in (geom.t0, geom.mid):
+        for t0 in (geom.t0, geom.t0 + geom.h / 2):
             w = 2 * 0.05 * rng.choice([-1.0, 1.0], size=(len(zs), 2))
-            ref = _integrate_surrogate(sys, ref, lambda t: w, t0, geom.half, n=200)
+            ref = _integrate_surrogate(sys, ref, lambda t: w, t0, geom.h / 2, n=200)
     assert max(c.error for c in X) < 0.05
     for z, r in zip(zs, ref):
         got = X.eval_point(tuple(z))

@@ -351,6 +351,16 @@ def test_mul_rounding_matches_rational_reference():
     assert all((k, True) in seen for k in kinds - {"exact", "power-of-two"})
 
 
+def test_mul_rounding_nan_and_zero_times_inf():
+    # a NaN operand gives NaN in either direction, as the rounded sum does
+    for a, b in ((math.nan, 2.0), (2.0, math.nan), (math.nan, 0.0), (math.inf, math.nan), (math.nan, math.nan)):
+        assert math.isnan(_mul_up(a, b)) and math.isnan(_mul_down(a, b))
+    assert math.isnan(_add_up(math.nan, 1.0))
+    # 0 * inf endpoint candidates bound the product by 0
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-0.0, math.inf)):
+        assert _mul_up(a, b) == 0.0 and _mul_down(a, b) == 0.0
+
+
 def _div_fuzz_operands(rng):
     """Dividend/divisor pairs for the rounded quotient, by kind."""
     edges = []

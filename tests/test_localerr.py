@@ -5,10 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from direach.interval import Interval, _mul_up, iv_exp
 from direach.inputs import InputScheme, SchemeKind
 from direach.localerr import (
     ErrorOrder,
     InapplicableError,
+    _first_order,
     err_o1,
     err_o2_affine,
     err_o2_constant,
@@ -37,15 +39,73 @@ VDP = mk(K=20.0, Kp=0.08, L=31.0, Lp=0.0, H=12.0, Hp=0.0, Lam=27.0)
 
 
 def mp_phi(u):
-    u = mpmath.mpf(u)
-    return (mpmath.e**u - 1) / u if u != 0 else mpmath.mpf(1)
+    with mpmath.workprec(200):
+        u = mpmath.mpf(u)
+        return mpmath.expm1(u) / u if u != 0 else mpmath.mpf(1)
+
+
+def mp_formula(fn, b, h):
+    """The exact value of fn's formula at b and h, to 200 bits."""
+    with mpmath.workprec(200):
+        h, k, kp, l, lp, hs, hp, lam = (mpmath.mpf(x) for x in (h, b.K, b.Kp, b.L, b.Lp, b.H, b.Hp, b.Lam))
+        phi = mp_phi(lam * h)
+        if fn is err_o1:
+            return min(h * kp * phi, h * (2 * k + kp))
+        if fn is err_o2_constant:
+            return h**2 * ((k + kp) * lp / 3 + 2 * kp * (l + lp) * phi)
+        if fn is err_o2_constant_c2:
+            rhs = h**2 / 3 * (3 * kp * lp * phi + lp * (k + kp))
+            rhs += h**3 / 4 * kp * (l * lp + l**2 + hs * (k + kp)) * phi
+            rhs += 11 * h**3 / 24 * (hs * kp + l * lp) * (k + kp)
+            return rhs / (1 - h * l / 2)
+        if fn is err_o2_affine:
+            rhs = h**2 / 4 * lp * (11 * k + mpmath.mpf("34.5") * kp)
+            rhs += 7 * h**3 / 8 * kp * ((4 * hp + hs) * (k + mpmath.mpf("2.5") * kp) + l**2 + (mpmath.mpf("4.5") * l + 5 * lp) * lp) * phi
+            rhs += 7 * h**3 / 48 * (hs * kp + l * lp) * (k + kp)
+            return rhs / (1 - h * l / 2 - h * lp)
+        if fn is err_o3_additive:
+            rhs = 7 * h**3 / 48 * kp * hs * (k + kp)
+            rhs += 7 * h**3 / 8 * kp * (l**2 + hs * (k + mpmath.mpf("2.5") * kp)) * phi
+            return rhs / (1 - h * l / 2)
+        assert fn is err_o3_single
+        rhs = 7 * h**3 / 8 * kp * ((hs + 10 * hp) * (k + mpmath.mpf("2.5") * kp) + l**2 + mpmath.mpf("12.5") * l * lp + 25 * lp**2) * phi
+        tail = 7 * (hs * kp + l * lp) + 28 * (hp * k + l * lp) + 29 * (hp * kp + lp**2)
+        rhs += h**3 / 48 * (k + kp) * tail
+        return rhs / (1 - h * l / 2 - h * lp)
 
 
 def test_growth_factor():
-    assert growth_factor(0.0).contains(1.0)
-    r = growth_factor(-2.0)
-    assert r.hi < 1.0
-    assert r.contains(float((mpmath.e ** mpmath.mpf(-2) - 1) / -2))
+    assert growth_factor(0.0) >= 1.0
+    assert growth_factor(-2.0) < 1.0
+    rng = random.Random(43)
+    us = [0.0, 5e-324, 1e-300, 1e-9, 9.9e-9, 1e-8, 2e-8, 1e-4, 0.0025, 0.1, 0.5, 1.0, 2.0, 30.0, 700.0]
+    us += [10 ** rng.uniform(-12, 2.8) for _ in range(300)]
+    for u in us + [-u for u in us]:
+        got = growth_factor(u)
+        exact = mp_phi(u)
+        assert mpmath.mpf(got) >= exact, u
+        # e^u - 1 cancels for small |u| outside the series branch: there the
+        # excess of e^u's two-ulp enclosure is relative to u, not to phi
+        tol = 1e-14 if abs(u) < 1e-8 or abs(u) >= 0.1 else 4 * 2.0**-52 / abs(u)
+        assert mpmath.mpf(got) <= exact * (1 + mpmath.mpf(tol)), u
+
+
+def test_growth_factor_argument_rounded_up():
+    # Lam*h rounds to nearest below its exact value; phi of the rounded
+    # product fell below the exact h*K'*phi(Lam*h) = 7921.65223368647176...
+    b = mk(K=1e12, Kp=1.0, Lam=487.85726506860414)
+    h = 0.031089786494202673
+    assert Fraction(b.Lam * h) < Fraction(b.Lam) * Fraction(h)
+    assert mpmath.mpf(err_o1(b, h)) >= mp_formula(err_o1, b, h)
+
+
+def test_err_o2_constant_c2_constant_rounded_up():
+    # 11/24 rounds to nearest below 11/24; with every other operation exact
+    # the (11h^3/24)(HK' + LL')(K + K') term dominated, and the bound fell
+    # below the formula
+    b = mk(K=3.0, Kp=1.0, H=4.0, Lam=-3200.0)
+    h = 0.03125
+    assert mpmath.mpf(err_o2_constant_c2(b, h)) >= mp_formula(err_o2_constant_c2, b, h)
 
 
 def test_err_o1_lambda_zero_branch():
@@ -322,3 +382,162 @@ def test_order_slopes():
     assert abs(_loglog_slope(err_o2_affine, b) - 2.0) <= 0.05
     assert abs(_loglog_slope(err_o3_additive, b_add) - 3.0) <= 0.05
     assert abs(_loglog_slope(lambda bb, h: err_o3_single(bb, h), b) - 3.0) <= 0.05
+
+
+# An Interval reference of the formulas as they were written before they
+# moved to upward-rounded floats, in the same association order.  The
+# constants 11/24 and 7/48 and the sum 1 + c are intervals, so that the
+# reference is sound; phi's argument is the caller's.
+def _pt(x):
+    return Interval.point(x)
+
+
+def _ref_phi(u):
+    if abs(u) < 1e-8:
+        return (_pt(1.0) + _pt(u) * 0.5).inflate(1e-15)
+    return (iv_exp(_pt(u)) - 1.0) / u
+
+
+def _ref_pre(b, h, with_lp):
+    pre = _pt(1.0) - _pt(h) * b.L * 0.5
+    if with_lp:
+        pre = pre - _pt(h) * b.Lp
+    if pre.lo <= 0.0:
+        raise InapplicableError("denominator not positive")
+    return pre
+
+
+def _ref_first_order(b, h, w_factor):
+    kp_eff = _pt(b.Kp) * (_pt(1.0) + w_factor)
+    e1 = (_pt(h) * kp_eff * _ref_phi(b.Lam * h)).hi
+    e2 = (_pt(h) * (_pt(b.K) * 2.0 + kp_eff)).hi
+    return min(e1, e2)
+
+
+def _ref_o2_constant(b, h):
+    phi = _ref_phi(b.Lam * h)
+    inner = (_pt(b.K) + b.Kp) * _pt(b.Lp) / 3.0 + _pt(b.Kp) * 2.0 * (_pt(b.L) + b.Lp) * phi
+    return (_pt(h) ** 2 * inner).hi
+
+
+def _ref_o2_constant_c2(b, h):
+    pre = _ref_pre(b, h, False)
+    phi = _ref_phi(b.Lam * h)
+    hh = _pt(h)
+    kp, l, lp, hs, k = _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.K)
+    rhs = (hh**2 / 3.0) * (kp * 3.0 * lp * phi + lp * (k + kp))
+    rhs = rhs + (hh**3 / 4.0) * kp * (l * lp + l**2 + hs * (k + kp)) * phi
+    rhs = rhs + (hh**3 * (_pt(11.0) / 24.0)) * (hs * kp + l * lp) * (k + kp)
+    return (rhs / pre).hi
+
+
+def _ref_o2_affine(b, h):
+    pre = _ref_pre(b, h, True)
+    phi = _ref_phi(b.Lam * h)
+    hh = _pt(h)
+    k, kp, l, lp, hs, hp = _pt(b.K), _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.Hp)
+    rhs = (hh**2 / 4.0) * lp * (k * 11.0 + kp * 34.5)
+    rhs = rhs + (hh**3 * (7.0 / 8.0)) * kp * (
+        (hp * 4.0 + hs) * (k + kp * 2.5) + l**2 + (l * 4.5 + lp * 5.0) * lp
+    ) * phi
+    rhs = rhs + (hh**3 * (_pt(7.0) / 48.0)) * (hs * kp + l * lp) * (k + kp)
+    return (rhs / pre).hi
+
+
+def _ref_o3_additive(b, h):
+    if any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi):
+        raise InapplicableError("state-dependent input")
+    pre = _ref_pre(b, h, False)
+    phi = _ref_phi(b.Lam * h)
+    hh = _pt(h)
+    k, kp, l, hs = _pt(b.K), _pt(b.Kp), _pt(b.L), _pt(b.H)
+    rhs = (hh**3 * (_pt(7.0) / 48.0)) * kp * hs * (k + kp)
+    rhs = rhs + (hh**3 * (7.0 / 8.0)) * kp * (l**2 + hs * (k + kp * 2.5)) * phi
+    return (rhs / pre).hi
+
+
+def _ref_o3_single(b, h):
+    pre = _ref_pre(b, h, True)
+    phi = _ref_phi(b.Lam * h)
+    hh = _pt(h)
+    k, kp, l, lp, hs, hp = _pt(b.K), _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.Hp)
+    rhs = (hh**3 * (7.0 / 8.0)) * kp * (
+        (hs + hp * 10.0) * (k + kp * 2.5) + l**2 + l * lp * 12.5 + lp**2 * 25.0
+    ) * phi
+    tail = (hs * kp + l * lp) * 7.0 + (hp * k + l * lp) * 28.0 + (hp * kp + lp**2) * 29.0
+    rhs = rhs + (hh**3 / 48.0) * (k + kp) * tail
+    return (rhs / pre).hi
+
+
+REFERENCE = {
+    err_o1: lambda b, h: _ref_first_order(b, h, 0.0),
+    err_o2_constant: _ref_o2_constant,
+    err_o2_constant_c2: _ref_o2_constant_c2,
+    err_o2_affine: _ref_o2_affine,
+    err_o3_additive: _ref_o3_additive,
+    err_o3_single: _ref_o3_single,
+}
+
+
+def _outcome(fn, b, h):
+    try:
+        return fn(b, h)
+    except InapplicableError:
+        return InapplicableError
+
+
+def test_float_bounds_match_interval_reference_and_exact():
+    """Each err_* against the Interval reference and the exact formula.
+
+    Constants are 0, uniform or of magnitude 1e-8 or 1e8; Lam takes either
+    sign; h goes up to 1.5.  Where Lam*h rounds to nearest at or above its
+    exact value, both evaluate phi at the same argument and must agree
+    bit for bit; everywhere the bound is at least the exact formula."""
+    rng = random.Random(59)
+
+    def const():
+        return rng.choice((0.0, rng.uniform(0, 3), rng.uniform(0, 3) * 1e-8, rng.uniform(0, 3) * 1e8))
+
+    seen = set()
+    for _ in range(1_500):
+        k, kp, l, lp, hs, hp = (const() for _ in range(6))
+        if rng.random() < 0.3:
+            lp = hp = 0.0  # constant input fields, for the additive bound
+        b = mk(K=k, Kp=kp, L=l, Lp=lp, H=hs, Hp=hp, Lam=rng.choice((-1.0, 1.0)) * const())
+        h = rng.choice((rng.uniform(0.0, 1.5), 10 ** rng.uniform(-4, 0)))
+        if h == 0.0:
+            continue
+        same_phi = _mul_up(b.Lam, h) == b.Lam * h
+        for fn, ref in REFERENCE.items():
+            got = _outcome(fn, b, h)
+            want = _outcome(ref, b, h)
+            if got is InapplicableError or want is InapplicableError:
+                assert got is want, (fn.__name__, b, h)
+                continue
+            seen.add((fn.__name__, same_phi))
+            if same_phi:
+                assert got.hex() == want.hex(), (fn.__name__, b, h)
+            assert mpmath.mpf(got) >= mp_formula(fn, b, h), (fn.__name__, b, h)
+    # every formula was evaluated with both kinds of rounding of Lam*h
+    assert seen == {(fn.__name__, same) for fn in REFERENCE for same in (True, False)}
+
+
+def test_first_order_matches_interval_reference():
+    """The first-order bound widened by each scheme's sup|w|/V factor c:
+    bit for bit the reference where both take phi at the same argument,
+    and at least min(h(1+c)K'phi(Lam h), h(2K + (1+c)K')) everywhere."""
+    rng = random.Random(61)
+    factors = sorted({InputScheme(kind).w_sup_factor for kind in SchemeKind})
+    assert len(factors) >= 3
+    for _ in range(500):
+        b = _rand_bounds(rng)
+        h = 10 ** rng.uniform(-4, 0)
+        for c in factors:
+            got = _first_order(b, h, c)
+            if _mul_up(b.Lam, h) == b.Lam * h:
+                assert got.hex() == _ref_first_order(b, h, c).hex()
+            with mpmath.workprec(200):
+                hh, k, kp = (mpmath.mpf(x) for x in (h, b.K, b.Kp))
+                kp_eff = (1 + mpmath.mpf(c)) * kp
+                exact = min(hh * kp_eff * mp_phi(mpmath.mpf(b.Lam) * hh), hh * (2 * k + kp_eff))
+                assert mpmath.mpf(got) >= exact

@@ -7,7 +7,11 @@ stay bit-identical and every rejection must keep its exception type.  The
 94 cells that force an ErrorOrder whose formula does not cover the scheme
 (such as O3-additive for the zero scheme) were re-recorded as
 InapplicableError: the recorded implementation returned that formula's
-value, which does not bound the scheme's surrogate error.
+value, which does not bound the scheme's surrogate error.  The 13 cells of
+the two-state-dependent system at h = 0.01 whose answer is an O1 or
+O2-constant value were re-recorded when the growth factor's argument Lam*h
+came to be rounded upward: each moved down by one ulp, and each still lies
+above its exact formula value.
 """
 import json
 from pathlib import Path

@@ -13,12 +13,13 @@ does not need y to enclose anything.  So each iterate's error band is
 dropped before the next application of P (the polynomial part is computed
 without validation, as in Taylor-model integrators), starting from the
 error-free initial model, and rho is |y_next - y| plus the error of y_next
-alone.  The iteration stops once the polynomial change is no bigger than
-the iterate's own error (rho <= 2 * err(y_next)), when rho stalls
-(rho > 0.7 * previous rho) or vanishes, and after at most
-max(iterations, 4 * (cap + 2)) iterates.  Every failure to certify (no contraction, a tube outside the
-bound, a diverging iterate, a field undefined or unbounded where it is
-evaluated) raises CertificationError.
+alone.  The remainder added to y_next is the Banach term
+e_flow = kappa*rho/(1-kappa), so the iteration stops at the first iterate
+whose e_flow is no bigger than its own error (e_flow <= err(y_next)), when
+rho stalls (rho > 0.7 * previous rho) or vanishes, and after at most
+max(iterations, 4 * (cap + 2)) iterates.  Every failure to certify (no
+contraction, a tube outside the bound, a diverging iterate, a field
+undefined or unbounded where it is evaluated) raises CertificationError.
 """
 from __future__ import annotations
 
@@ -26,7 +27,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .interval import Box, Interval, IntervalDomainError, iv_exp, lognorm_inf, mat_inf_norm, _add_up, _mul_up
+from .interval import (
+    Box,
+    Interval,
+    IntervalDomainError,
+    iv_exp,
+    lognorm_inf,
+    mat_inf_norm,
+    _add_down,
+    _add_up,
+    _div_up,
+    _mul_up,
+)
 from .inputs import InputScheme, SchemeKind, realize_w
 from .polymodel import PolynomialModel, Role, VarInfo, VectorModel, compose_expr
 from .symexpr import InputAffineSystem, _is_zero
@@ -186,13 +198,18 @@ def _contraction(rates: tuple[float, float], h: float, t0: float) -> tuple[float
     return lam_rate, kappa
 
 
+def _banach_remainder(kappa: float, rho: float) -> float:
+    """Upper bound of kappa*rho/(1-kappa), the Banach distance from the
+    certified iterate y_next to the fixed point y*."""
+    return _div_up(_mul_up(kappa, rho), _add_down(1.0, -kappa))
+
+
 def _banach_bounds(y: VectorModel, kappa: float, rho: float) -> tuple[float, Box]:
     """Banach a-posteriori bounds for the last Picard step y -> y_next with
     residual rho: ||y* - y_next|| <= kappa*rho/(1-kappa), and the tube
     range(y) + rho/(1-kappa) that must contain the fixed point y*."""
-    denom = Interval.point(1.0) - Interval.point(kappa)
-    e_flow = (_mul_up(kappa, rho) / denom).hi if rho else 0.0
-    ball = (Interval.point(rho) / denom).hi if rho else 0.0
+    e_flow = _banach_remainder(kappa, rho)
+    ball = _div_up(rho, _add_down(1.0, -kappa))
     return e_flow, Box(tuple(c.range().inflate(ball) for c in y))
 
 
@@ -271,7 +288,7 @@ def _picard_core(
             )
         j += 1
         if j >= max_iters or j >= iterations and (
-            rho <= 2.0 * max(c.error for c in y_next)
+            _banach_remainder(kappa, rho) <= max(c.error for c in y_next)
             or rho < 1e-300
             or rho_prev is not None and rho > 0.7 * rho_prev
         ):
@@ -319,8 +336,9 @@ def picard_flow(
     returned band.
 
     iterations is the minimum number of Picard iterates.  Past it, the
-    iteration stops at the first iterate whose polynomial change is no
-    bigger than its own error, or when the residual stalls; at most
+    iteration stops at the first iterate whose Banach term
+    e_flow = kappa*rho/(1-kappa), the remainder added to it, is no bigger
+    than its own error, or when the residual stalls; at most
     max(iterations, 4 * (cap + 2)) iterates run.  Iterates carry no error
     band: only the last one is certified, which is sound because the Banach
     bound needs only one function y and a certified enclosure of P(y) (see

@@ -528,9 +528,18 @@ class PolynomialModel:
 
     def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
         """Keep only the listed variable positions (they must be inert in
-        dropped positions); re-pack keys accordingly."""
+        dropped positions); re-pack keys accordingly.  Positions below the
+        first one that moves keep their nibbles and none of them is
+        dropped, so only the nibbles above it are remapped; when no key
+        reaches it (keep a prefix, as in sweep and substitute_unit), the
+        terms are shared unchanged."""
         keep = list(keep)
         new_vars = tuple(self.vars[i] for i in keep)
+        first = next((new for new, old in enumerate(keep) if new != old), len(keep))
+        low_bits = 4 * first
+        if not any(k >> low_bits for k in self.terms):
+            return PolynomialModel(new_vars, self.terms, self.error, self.max_degree)
+        low_mask = (1 << low_bits) - 1
         shift_of = {old: 4 * new for new, old in enumerate(keep)}
         dropped_mask = 0
         keep_set = set(keep)
@@ -539,18 +548,20 @@ class PolynomialModel:
                 dropped_mask |= 0xF << (4 * i)
         out = {}
         for k, c in self.terms.items():
-            if k & dropped_mask:
-                raise ValueError("cannot drop a variable the model still depends on")
-            nk = 0
-            kk = k
-            pos = 0
-            while kk:
-                e = kk & 0xF
-                if e:
-                    nk |= e << shift_of[pos]
-                kk >>= 4
-                pos += 1
-            out[nk] = c
+            kk = k >> low_bits
+            if kk:
+                if k & dropped_mask:
+                    raise ValueError("cannot drop a variable the model still depends on")
+                nk = k & low_mask
+                pos = first
+                while kk:
+                    e = kk & 0xF
+                    if e:
+                        nk |= e << shift_of[pos]
+                    kk >>= 4
+                    pos += 1
+                k = nk
+            out[k] = c
         return PolynomialModel(new_vars, out, self.error, self.max_degree)
 
     def extend(self, new_vars: Sequence[VarInfo]) -> "PolynomialModel":

@@ -8,12 +8,13 @@ from direach.flow import (
     AprioriBound,
     CertificationError,
     StepGeometry,
+    _banach_remainder,
     apriori_bound,
     input_hull_ranges,
     picard_flow,
 )
 from direach.inputs import InputScheme, SchemeKind
-from direach.interval import Box, Interval
+from direach.interval import Box, Interval, _mul_up
 from direach.mc import compile_field, rk4_segment
 from direach.polymodel import PolynomialModel, Role, VarInfo, VectorModel
 from direach.symexpr import InputAffineSystem
@@ -276,6 +277,51 @@ def test_picard_more_iterations_never_worse():
     e6 = max(c.error for c in picard_flow(sys, X, AFFINE, geom, b, iterations=6))
     e12 = max(c.error for c in picard_flow(sys, X, AFFINE, geom, b, iterations=12))
     assert e12 <= e6 * (1 + 1e-9) + 1e-15
+
+
+def test_picard_stops_on_certified_remainder(monkeypatch):
+    # Van der Pol with one state-dependent input at cap 5, h = 0.01, from
+    # the box (2, 0) +- 0.01 shifted by about 1e-3.  The first iterate whose
+    # Banach term kappa*rho/(1-kappa) is no bigger than its own error is the
+    # fourth, so the step composes and integrates the field four times.
+    sys = InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05])
+    X0 = Box.from_bounds(
+        [(1.9894848493188106, 2.0094848493188104), (-0.01088208948945209, 0.009117910510547911)]
+    )
+    X = box_model(X0, cap=5)
+    geom = StepGeometry(0.0, 0.01)
+    b = apriori_bound(sys, X0, AFFINE, geom)
+    calls = []
+    antiderivative = PolynomialModel.antiderivative
+
+    def counted(self, time_position):
+        calls.append(time_position)
+        return antiderivative(self, time_position)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(PolynomialModel, "antiderivative", counted)
+        e_default = max(c.error for c in picard_flow(sys, X, AFFINE, geom, b))
+    assert len(calls) == 4 * sys.n
+    e_forced = max(c.error for c in picard_flow(sys, X, AFFINE, geom, b, iterations=12))
+    assert e_default <= 2.0 * e_forced
+
+
+def _banach_remainder_reference(kappa, rho):
+    # kappa*rho/(1-kappa) as a point-Interval division
+    return (Interval.point(_mul_up(kappa, rho)) / (Interval.point(1.0) - Interval.point(kappa))).hi
+
+
+def test_banach_remainder_matches_interval_division():
+    rng = random.Random(83)
+    cases = [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.999999, 1e-300), (1e-300, 1e300)]
+    for _ in range(5_000):
+        kappa = rng.choice((rng.random(), 10 ** rng.uniform(-12, 0) * 0.999, 1.0 - 10 ** rng.uniform(-15, -1)))
+        rho = rng.choice((0.0, rng.random(), 10 ** rng.uniform(-300, 10)))
+        cases.append((kappa, rho))
+    for kappa, rho in cases:
+        assert 0.0 <= kappa < 1.0
+        got = _banach_remainder(kappa, rho)
+        assert got.hex() == _banach_remainder_reference(kappa, rho).hex(), (kappa, rho)
 
 
 def test_step_scheme_halves_enclose_constant_flow():

@@ -393,6 +393,50 @@ def test_substitute_unit_endpoint():
     assert unpack(r2) == {(1,): -0.75, (0,): 2.0}
 
 
+def _reindex_reference(m, keep):
+    # every nibble of every key moved to its new position
+    out = {}
+    for k, c in m.terms.items():
+        nk = 0
+        for new, old in enumerate(keep):
+            nk |= ((k >> (4 * old)) & 0xF) << (4 * new)
+        out[nk] = c
+    return out
+
+
+def test_reindex_matches_per_nibble_remap():
+    rng = random.Random(107)
+    for _ in range(400):
+        arity = rng.randint(1, 8)
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        shape = rng.choice(("prefix", "subset", "permuted"))
+        if shape == "prefix":
+            keep = list(range(rng.randint(0, arity)))
+        else:
+            keep = sorted(rng.sample(range(arity), rng.randint(0, arity)))
+            if shape == "permuted":
+                rng.shuffle(keep)
+        used = keep or [0]
+        terms = {}
+        for _ in range(rng.randint(0, 30)):
+            exps = [0] * arity
+            for _ in range(rng.randint(0, 5)):
+                exps[rng.choice(used)] += 1
+            terms[sum(e << (4 * i) for i, e in enumerate(exps))] = rng.uniform(-2, 2)
+        if not keep:
+            terms = {k: c for k, c in terms.items() if k == 0}
+        m = PolynomialModel(vars_, terms, 0.125, 5)
+        r = m.reindex(keep)
+        assert r.vars == tuple(vars_[i] for i in keep)
+        assert list(r.terms.items()) == list(_reindex_reference(m, keep).items())
+        assert r.error == m.error
+        dropped = [i for i in range(arity) if i not in keep]
+        if dropped:
+            bad = PolynomialModel(vars_, {**terms, 1 << (4 * rng.choice(dropped)): 1.0}, 0.0, 5)
+            with pytest.raises(ValueError):
+                bad.reindex(keep)
+
+
 def _random_key(rng, arity, degree):
     exps = [0] * arity
     for _ in range(degree):

@@ -348,6 +348,17 @@ def test_monotone_in_constants_and_step():
                 pass
 
 
+def test_upper_rounded_vs_high_precision():
+    # the formula, Lam*h included, at 200 bits; the bound may not fall below it
+    rng = random.Random(41)
+    for _ in range(200):
+        b = _rand_bounds(rng, additive=True)
+        h = 10 ** rng.uniform(-4, -1.2)
+        if h * b.L >= 2:
+            continue
+        assert mpmath.mpf(err_o3_additive(b, h)) >= mp_formula(err_o3_additive, b, h), (b, h)
+
+
 def _loglog_slope(fn, b):
     hs = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
     xs = [math.log(h) for h in hs]
@@ -470,35 +481,27 @@ def _outcome(fn, b, h):
         return InapplicableError
 
 
-def _fuzz_cases():
-    """(bounds, h) draws: constants 0, uniform or of magnitude 1e-8 or 1e8,
-    Lam of either sign and h up to 1.5; then additive-noise bounds at
-    reach step sizes, 1e-4 to 10**-1.2."""
+def test_float_bounds_match_interval_reference_and_exact():
+    """Each err_* against the Interval reference and the exact formula.
+
+    Constants are 0, uniform or of magnitude 1e-8 or 1e8; Lam takes either
+    sign; h goes up to 1.5.  Where Lam*h rounds to nearest at or above its
+    exact value, both evaluate phi at the same argument and must agree
+    bit for bit; everywhere the bound is at least the exact formula."""
     rng = random.Random(59)
 
     def const():
         return rng.choice((0.0, rng.uniform(0, 3), rng.uniform(0, 3) * 1e-8, rng.uniform(0, 3) * 1e8))
 
+    seen = set()
     for _ in range(1_500):
         k, kp, l, lp, hs, hp = (const() for _ in range(6))
         if rng.random() < 0.3:
             lp = hp = 0.0  # constant input fields, for the additive bound
         b = mk(K=k, Kp=kp, L=l, Lp=lp, H=hs, Hp=hp, Lam=rng.choice((-1.0, 1.0)) * const())
         h = rng.choice((rng.uniform(0.0, 1.5), 10 ** rng.uniform(-4, 0)))
-        if h != 0.0:
-            yield b, h
-    rng = random.Random(41)
-    for _ in range(200):
-        yield _rand_bounds(rng, additive=True), 10 ** rng.uniform(-4, -1.2)
-
-
-def test_float_bounds_match_interval_reference_and_exact():
-    """Each err_* against the Interval reference and the exact formula, on
-    the _fuzz_cases draws.  Where Lam*h rounds to nearest at or above its
-    exact value, both evaluate phi at the same argument and must agree
-    bit for bit; everywhere the bound is at least the exact formula."""
-    seen = set()
-    for b, h in _fuzz_cases():
+        if h == 0.0:
+            continue
         same_phi = _mul_up(b.Lam, h) == b.Lam * h
         for fn, ref in REFERENCE.items():
             got = _outcome(fn, b, h)

@@ -31,12 +31,12 @@ from .interval import (
     Box,
     Interval,
     IntervalDomainError,
-    iv_exp,
     lognorm_inf,
     mat_inf_norm,
     _add_down,
     _add_up,
     _div_up,
+    _exp_up,
     _mul_up,
 )
 from .inputs import InputScheme, SchemeKind, realize_w
@@ -70,10 +70,6 @@ class StepGeometry:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("step size must be positive")
-
-    @property
-    def end(self) -> float:
-        return self.t0 + self.h
 
 
 @dataclass(frozen=True)
@@ -310,8 +306,7 @@ def _picard_core(
 
     e_ic = 0.0
     if e_x > 0.0:
-        factor = iv_exp(Interval.point(lam_rate) * h).hi
-        e_ic = _mul_up(e_x, factor)
+        e_ic = _mul_up(e_x, _exp_up(_mul_up(lam_rate, h)))
 
     out = []
     for c in range(sys.n):

@@ -34,6 +34,7 @@ __all__ = [
     "iv_sin",
     "iv_cos",
     "mat_inf_norm",
+    "row_abs_sums",
     "lognorm_inf",
 ]
 
@@ -417,10 +418,6 @@ class Box:
     def from_bounds(bounds: Sequence[Sequence[float]]) -> "Box":
         return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
 
-    @staticmethod
-    def point(values: Sequence[float]) -> "Box":
-        return Box(tuple(Interval.point(float(v)) for v in values))
-
     @property
     def n(self) -> int:
         return len(self.components)
@@ -488,17 +485,22 @@ class IntervalMatrix:
         return len(self.rows)
 
 
-def mat_inf_norm(m: IntervalMatrix) -> float:
-    """Upper bound of the max-row-abs-sum norm over all point matrices in m."""
-    best = 0.0
+def row_abs_sums(m: IntervalMatrix) -> list[float]:
+    """Upper bound of each row's abs sum over all point matrices in m."""
+    sums = []
     for row in m.rows:
         s = 0.0
         for entry in row:
             if not entry.is_finite:
                 raise IntervalDomainError("matrix norm requires finite entries")
             s = _add_up(s, entry.mag)
-        best = max(best, s)
-    return best
+        sums.append(s)
+    return sums
+
+
+def mat_inf_norm(m: IntervalMatrix) -> float:
+    """Upper bound of the max-row-abs-sum norm over all point matrices in m."""
+    return max(row_abs_sums(m))
 
 
 def lognorm_inf(m: IntervalMatrix) -> float:

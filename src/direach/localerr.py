@@ -63,6 +63,9 @@ def growth_factor(u: float) -> float:
 
 
 def _phi(b: StepErrorBounds, h: float) -> float:
+    """phi(Lam h); every formula takes it, so the step-size check is here."""
+    if h <= 0:
+        raise InapplicableError("step size must be positive")
     return growth_factor(_mul_up(b.Lam, h))
 
 
@@ -81,8 +84,6 @@ def _denominator(b: StepErrorBounds, h: float, with_lp: bool) -> float:
 
 def err_o1(b: StepErrorBounds, h: float) -> float:
     """First-order bound for the zero surrogate (w = 0)."""
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
     return _first_order(b, h, 0.0)
 
 
@@ -101,8 +102,6 @@ def _first_order(b: StepErrorBounds, h: float, w_factor: float) -> float:
 
 def err_o2_constant(b: StepErrorBounds, h: float) -> float:
     """Second-order bound for the step-mean constant surrogate."""
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
     phi = _phi(b, h)
     k, kp, l, lp = b.K, b.Kp, b.L, b.Lp
     # (K + K')L'/3 + 2K'(L + L')phi
@@ -116,10 +115,8 @@ def err_o2_constant(b: StepErrorBounds, h: float) -> float:
 def err_o2_constant_c2(b: StepErrorBounds, h: float) -> float:
     """Refined constant-surrogate bound requiring a twice-differentiable
     drift and hL < 2."""
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
-    pre = _denominator(b, h, with_lp=False)
     phi = _phi(b, h)
+    pre = _denominator(b, h, with_lp=False)
     k, kp, l, lp, hs = b.K, b.Kp, b.L, b.Lp, b.H
     h3 = _pow_up(h, 3)
     k_kp = _add_up(k, kp)
@@ -139,10 +136,8 @@ def err_o2_constant_c2(b: StepErrorBounds, h: float) -> float:
 
 def err_o2_affine(b: StepErrorBounds, h: float) -> float:
     """Second-order bound for affine surrogates (general input fields)."""
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
-    pre = _denominator(b, h, with_lp=True)
     phi = _phi(b, h)
+    pre = _denominator(b, h, with_lp=True)
     k, kp, l, lp, hs, hp = b.K, b.Kp, b.L, b.Lp, b.H, b.Hp
     h3 = _pow_up(h, 3)
     k_kp = _add_up(k, kp)
@@ -161,12 +156,10 @@ def err_o2_affine(b: StepErrorBounds, h: float) -> float:
 
 def err_o3_additive(b: StepErrorBounds, h: float) -> float:
     """Third-order bound for additive noise (constant input fields)."""
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
-    if any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi):
+    if not _additive(b):
         raise InapplicableError("third-order additive bound needs constant input fields")
-    pre = _denominator(b, h, with_lp=False)
     phi = _phi(b, h)
+    pre = _denominator(b, h, with_lp=False)
     k, kp, l, hs = b.K, b.Kp, b.L, b.H
     h3 = _pow_up(h, 3)
     # (7h^3/48)K'H(K + K')
@@ -181,10 +174,8 @@ def err_o3_single(b: StepErrorBounds, h: float, m: int = 1) -> float:
     """Third-order bound for a single (possibly state-dependent) input."""
     if m != 1:
         raise InapplicableError("single-input bound needs exactly one input")
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
-    pre = _denominator(b, h, with_lp=True)
     phi = _phi(b, h)
+    pre = _denominator(b, h, with_lp=True)
     k, kp, l, lp, hs, hp = b.K, b.Kp, b.L, b.Lp, b.H, b.Hp
     h3 = _pow_up(h, 3)
     l_lp = _mul_up(l, lp)
@@ -216,11 +207,12 @@ def param_requirements(m: int) -> tuple[int, int, int]:
     return equations, degree, parameters
 
 
-def _additive(sys: InputAffineSystem, b: StepErrorBounds) -> bool:
-    return not (any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi))
+def _additive(b: StepErrorBounds) -> bool:
+    """Constant input fields: every first and second input derivative is 0."""
+    return b.Lp == 0.0 and b.Hp == 0.0
 
 
-def _always(sys: InputAffineSystem, b: StepErrorBounds) -> bool:
+def _always(b: StepErrorBounds) -> bool:
     return True
 
 
@@ -229,7 +221,7 @@ class _Formula(NamedTuple):
     forced_by: int | None  # the integer that forces it; None for a refinement
     bound: Callable[[InputAffineSystem, InputScheme, StepErrorBounds, float], float]
     kinds: frozenset[SchemeKind]  # the schemes whose surrogates it covers
-    applies: Callable[[InputAffineSystem, StepErrorBounds], bool] = _always
+    applies: Callable[[StepErrorBounds], bool] = _always
 
 
 _TWO_MOMENT = frozenset((SchemeKind.AFFINE, SchemeKind.AFFINE_REDUCED, SchemeKind.STEP))
@@ -239,13 +231,14 @@ _CONSTANT = frozenset((SchemeKind.CONSTANT,))
 # integer forces the base theorem of the scheme's family: the C2 refinement
 # of the constant-surrogate bound is chosen only by value or by name.
 _FORMULAS = (
-    _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h: err_o3_additive(b, h), _TWO_MOMENT, _additive),
+    _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h: err_o3_additive(b, h), _TWO_MOMENT),
+    # the additive corollary is preferred where both apply
     _Formula(
         ErrorOrder.O3_SINGLE,
         3,
         lambda sys, s, b, h: err_o3_single(b, h, m=sys.m),
         _TWO_MOMENT,
-        lambda sys, b: sys.m == 1 and not _additive(sys, b),
+        lambda b: not _additive(b),
     ),
     _Formula(ErrorOrder.O2_CONSTANT_C2, None, lambda sys, s, b, h: err_o2_constant_c2(b, h), _CONSTANT),
     _Formula(ErrorOrder.O2_CONSTANT, 2, lambda sys, s, b, h: err_o2_constant(b, h), _CONSTANT),
@@ -263,40 +256,38 @@ def select_error(
 ) -> tuple[ErrorOrder, float]:
     """Pick the analytical per-step bound for a step of length h > 0.
 
-    forced = None picks the smallest bound among the formulas that cover the
-    scheme and apply to the inputs, skipping those whose hypotheses fail at
-    this h; an ErrorOrder forces that formula; 1/2/3 force the order (2 = the
-    base theorem of the scheme's family, 3 = additive or single-input
-    corollary) and raise InapplicableError when no formula of that order
-    covers the scheme and applies to the inputs.  A forced ErrorOrder must
-    cover the scheme too, or InapplicableError is raised; its applies
-    predicate is not consulted, since the formula still checks its own
-    hypotheses (for O3-single-input the predicate only prefers the additive
-    corollary, which is no hypothesis).  Without inputs, or with inputs
-    that vanish on the box, the bound is 0.
+    forced = None takes the smallest bound among the formulas that cover
+    the scheme and apply to the inputs; 1/2/3 take the formula of that
+    order (2 = the base theorem of the scheme's family, 3 = additive or
+    single-input corollary); an ErrorOrder takes that formula.  Each formula
+    checks its own hypotheses (step size, hL < 2 or h(L/2 + L') < 1,
+    additive noise, one input) and a formula whose hypotheses fail is
+    skipped.  The table's applies predicate only prefers the additive
+    corollary to the single-input one and is not consulted for a forced
+    ErrorOrder.  InapplicableError is raised when no formula is left, as for
+    a forced order that does not cover the scheme.  Without inputs, or with
+    inputs that vanish on the box, the bound is 0.
     """
     if sys.m == 0 or b.Kp == 0.0:
         return (ErrorOrder.O1_ZERO, 0.0)
     if h <= 0:
         raise InapplicableError("step size must be positive")
-    if forced is None:
-        cands = []
-        for f in _FORMULAS:
-            if scheme.kind in f.kinds and f.applies(sys, b):
-                try:
-                    cands.append((f.order, f.bound(sys, scheme, b, h)))
-                except InapplicableError:
-                    pass
-        return min(cands, key=lambda t: t[1])
     if isinstance(forced, ErrorOrder):
-        rows = [f for f in _FORMULAS if f.order is forced and scheme.kind in f.kinds]
-        if not rows:
-            raise InapplicableError(f"the {forced.value} bound does not cover the {scheme.kind.value} scheme")
+        rows = [f for f in _FORMULAS if f.order is forced]
     else:
-        k = int(forced)
-        if k not in (1, 2, 3):
+        k = None if forced is None else int(forced)
+        if k not in (None, 1, 2, 3):
             raise ValueError(f"unknown forced order {forced!r}")
-        rows = [f for f in _FORMULAS if f.forced_by == k and scheme.kind in f.kinds and f.applies(sys, b)]
-        if not rows:
-            raise InapplicableError(f"no order-{k} bound for the {scheme.kind.value} scheme with these inputs")
-    return (rows[0].order, rows[0].bound(sys, scheme, b, h))
+        rows = [f for f in _FORMULAS if k in (None, f.forced_by) and f.applies(b)]
+    cands = []
+    reason = InapplicableError(f"no bound for forced={forced!r} covers the {scheme.kind.value} scheme")
+    for f in rows:
+        if scheme.kind in f.kinds:
+            try:
+                cands.append((f.order, f.bound(sys, scheme, b, h)))
+            except InapplicableError as exc:
+                reason = exc
+    if not cands:
+        raise reason
+    # at most one formula of a forced order applies
+    return min(cands, key=lambda t: t[1])

@@ -25,6 +25,7 @@ from .interval import (
     iv_sin,
     lognorm_inf,
     mat_inf_norm,
+    row_abs_sums,
     _add_down,
     _add_up,
     _mul_down,
@@ -579,11 +580,6 @@ class InputAffineSystem:
     def m(self) -> int:
         return len(self.g)
 
-    @property
-    def has_constant_inputs(self) -> bool:
-        """True when every input field has identically zero Jacobian (additive noise)."""
-        return all(_is_zero(entry) for dgi in self.dg for row in dgi for entry in row)
-
     # memo is an eval_interval memo for box, shared with other calls on box
     def drift_jacobian(self, box: Box, memo: dict) -> IntervalMatrix:
         return IntervalMatrix(tuple(tuple(_entry_interval(e, box, memo) for e in row) for row in self.df))
@@ -608,8 +604,9 @@ class StepErrorBounds:
     """Constants bounding the field and its derivatives over a box.
 
     Primed values are assembled componentwise (sup-norm of sum_i V_i|g_i|
-    and its derivatives), which is what the error formulas consume; Ki, Li
-    and Hi are the per-input sup-norms.
+    and its derivatives), which is what the error formulas consume.  Since
+    every V_i is positive, Lp and Hp are 0 exactly when every input field
+    has zero first and second derivatives on the box (additive noise).
     """
 
     K: float
@@ -619,9 +616,6 @@ class StepErrorBounds:
     H: float
     Hp: float
     Lam: float
-    Ki: tuple[float, ...]
-    Li: tuple[float, ...]
-    Hi: tuple[float, ...]
 
     def __post_init__(self):
         if min(self.K, self.Kp, self.L, self.Lp, self.H, self.Hp) < 0:
@@ -633,8 +627,16 @@ def _sup_abs(e: Expr, box: Box, memo: dict) -> float:
     return _entry_interval(e, box, memo).mag
 
 
-def _hessian_bound(d2, box: Box, memo: dict) -> float:
-    return max((_sup_abs(e, box, memo) for plane in d2 for row in plane for e in row), default=0.0)
+def _weighted_max(V: Sequence[float], per_input: Sequence[Sequence[float]]) -> float:
+    """Max over slots of the upward sum of V_i * x_i, where per_input[i]
+    lists input i's nonnegative value x_i for every slot."""
+    best = 0.0
+    for xs in zip(*per_input):
+        s = 0.0
+        for v, x in zip(V, xs):
+            s = _add_up(s, _mul_up(v, x))
+        best = max(best, s)
+    return best
 
 
 def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
@@ -642,46 +644,19 @@ def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
     analogues over box; everything rounded upward.  ||D^2 f|| is the
     largest second-derivative magnitude.  One memo serves every evaluation
     on box, so each distinct node of the fields and their derivatives is
-    evaluated once.
+    evaluated once.  A non-finite entry of Df or of an input Jacobian
+    raises IntervalDomainError.
     """
-    n = sys.n
     memo: dict = {}
 
     K = max(_sup_abs(e, box, memo) for e in sys.f)
-    Ki = tuple(max(_sup_abs(e, box, memo) for e in gi) for gi in sys.g)
+    Kp = _weighted_max(sys.V, [[_sup_abs(e, box, memo) for e in gi] for gi in sys.g])
     dfm = sys.drift_jacobian(box, memo)
     L = mat_inf_norm(dfm)
-    Li = tuple(mat_inf_norm(sys.input_jacobian(k, box, memo)) for k in range(sys.m))
+    Lp = _weighted_max(sys.V, [row_abs_sums(sys.input_jacobian(k, box, memo)) for k in range(sys.m)])
     Lam = lognorm_inf(dfm)
-
-    H = _hessian_bound(sys.d2f, box, memo)
-    Hi = tuple(_hessian_bound(d2gi, box, memo) for d2gi in sys.d2g)
-
-    # componentwise primes: sup-norm of sum_i V_i |g_i| and derivatives
-    Kp = 0.0
-    for c in range(n):
-        s = 0.0
-        for k in range(sys.m):
-            s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.g[k][c], box, memo)))
-        Kp = max(Kp, s)
-
-    Lp = 0.0
-    for r in range(n):
-        s = 0.0
-        for k in range(sys.m):
-            row = 0.0
-            for j in range(n):
-                row = _add_up(row, _sup_abs(sys.dg[k][r][j], box, memo))
-            s = _add_up(s, _mul_up(sys.V[k], row))
-        Lp = max(Lp, s)
-
-    Hp = 0.0
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                s = 0.0
-                for k in range(sys.m):
-                    s = _add_up(s, _mul_up(sys.V[k], _sup_abs(sys.d2g[k][i][j][l], box, memo)))
-                Hp = max(Hp, s)
-
-    return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam, Ki=Ki, Li=Li, Hi=Hi)
+    H = max(_sup_abs(e, box, memo) for plane in sys.d2f for row in plane for e in row)
+    Hp = _weighted_max(
+        sys.V, [[_sup_abs(e, box, memo) for plane in d2gi for row in plane for e in row] for d2gi in sys.d2g]
+    )
+    return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam)

@@ -29,10 +29,7 @@ ZERO = InputScheme(SchemeKind.ZERO)
 
 
 def mk(K=0.0, Kp=0.0, L=0.0, Lp=0.0, H=0.0, Hp=0.0, Lam=0.0):
-    return StepErrorBounds(
-        K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam,
-        Ki=(Kp,), Li=(Lp,), Hi=(Hp,),
-    )
+    return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam)
 
 
 VDP = mk(K=20.0, Kp=0.08, L=31.0, Lp=0.0, H=12.0, Hp=0.0, Lam=27.0)
@@ -186,10 +183,7 @@ def test_err_o3_additive_vdp_direct_substitution():
 
 
 def test_err_o3_additive_rejects_state_dependent_inputs():
-    b = StepErrorBounds(
-        K=1, Kp=1, L=1, Lp=1, H=0, Hp=0, Lam=0,
-        Ki=(1.0,), Li=(1.0,), Hi=(0.0,),
-    )
+    b = StepErrorBounds(K=1, Kp=1, L=1, Lp=1, H=0, Hp=0, Lam=0)
     with pytest.raises(InapplicableError):
         err_o3_additive(b, 0.01)
 
@@ -252,10 +246,6 @@ def harmonic():
 def test_select_harmonic_affine_picks_additive():
     sys = harmonic()
     b = mk(K=1.2, Kp=0.1, L=1.0, H=0.0, Lam=1.0)
-    b = StepErrorBounds(
-        K=1.2, Kp=0.1, L=1.0, Lp=0.0, H=0.0, Hp=0.0, Lam=1.0,
-        Ki=(1.0, 1.0), Li=(0.0, 0.0), Hi=(0.0, 0.0),
-    )
     order, eps = select_error(sys, AFFINE, b, 0.0628)
     assert order is ErrorOrder.O3_ADDITIVE
     assert eps > 0
@@ -265,10 +255,7 @@ def test_select_two_state_dependent_inputs_picks_affine_o2():
     sys = InputAffineSystem(
         2, ["x2", "x1"], [["1", "x1"], ["x1", "1"]], [1.0, 1.0]
     )
-    b = StepErrorBounds(
-        K=2, Kp=2, L=1, Lp=2, H=0, Hp=0, Lam=1,
-        Ki=(1.0, 1.0), Li=(1.0, 1.0), Hi=(0.0, 0.0),
-    )
+    b = StepErrorBounds(K=2, Kp=2, L=1, Lp=2, H=0, Hp=0, Lam=1)
     order, _ = select_error(sys, AFFINE, b, 0.01)
     assert order is ErrorOrder.O2_AFFINE
 
@@ -283,10 +270,7 @@ def test_select_zero_scheme():
 
 def test_select_forced_orders():
     sys = harmonic()
-    b = StepErrorBounds(
-        K=1.2, Kp=0.1, L=1.0, Lp=0.0, H=0.0, Hp=0.0, Lam=1.0,
-        Ki=(1.0, 1.0), Li=(0.0, 0.0), Hi=(0.0, 0.0),
-    )
+    b = StepErrorBounds(K=1.2, Kp=0.1, L=1.0, Lp=0.0, H=0.0, Hp=0.0, Lam=1.0)
     order, eps = select_error(sys, CONSTANT, b, 0.01, forced=2)
     assert order is ErrorOrder.O2_CONSTANT
     assert eps == pytest.approx(err_o2_constant(b, 0.01), rel=1e-12)
@@ -440,7 +424,7 @@ def _ref_o2_affine(b, h):
 
 
 def _ref_o3_additive(b, h):
-    if any(v != 0.0 for v in b.Li) or any(v != 0.0 for v in b.Hi):
+    if b.Lp != 0.0 or b.Hp != 0.0:
         raise InapplicableError("state-dependent input")
     pre = _ref_pre(b, h, False)
     phi = _ref_phi(b.Lam * h)

@@ -12,6 +12,7 @@ import pytest
 from direach import symexpr
 from direach.flow import local_rates
 from direach.interval import Box, Interval, IntervalDomainError
+from direach.localerr import _additive
 from direach.mc import compile_field
 from direach.symexpr import (
     Add,
@@ -341,6 +342,48 @@ def test_compute_bounds_zero_field():
     assert b.Lam == 0.0
 
 
+def test_compute_bounds_rejects_overflowing_input_jacobian():
+    # g is finite on the box, but 307*x1^306 overflows in Dg
+    sys = InputAffineSystem(1, ["-x1"], [["1e-300*x1^307"]], [0.1])
+    box = Box.from_bounds([(9.99, 10.0)])
+    assert math.isfinite(eval_interval(sys.g[0][0], box).mag)
+    with pytest.raises(IntervalDomainError):
+        compute_bounds(sys, box)
+
+
+def test_additive_iff_input_derivatives_vanish_fuzz():
+    """The additive-noise predicate L' == H' == 0 of the error formulas
+    holds exactly when every first and second derivative of every input
+    field has magnitude 0 on the box, also for magnitudes V as small as
+    1e-300.  A cube of a variable pinned at 0 vanishes there without being
+    the zero expression."""
+    rng = random.Random(47)
+
+    def field():
+        return Pow(Var(rng.randint(1, 2)), 3) if rng.random() < 0.3 else _random_expr(rng)
+
+    def component():
+        return (0.0, 0.0) if rng.random() < 0.5 else sorted((rng.uniform(-1, 1), rng.uniform(-1, 1)))
+
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        m = rng.randint(1, 2)
+        fields = [[field() for _ in range(2)] for _ in range(m)]
+        V = [rng.choice((1e-300, rng.uniform(0.01, 2.0))) for _ in range(m)]
+        sys = InputAffineSystem(2, ["x2", "-x1"], fields, V)
+        box = Box.from_bounds([component() for _ in range(2)])
+        try:
+            b = compute_bounds(sys, box)
+        except UNDEFINED:
+            continue
+        entries = [e for dgi in sys.dg for row in dgi for e in row]
+        entries += [e for d2gi in sys.d2g for plane in d2gi for row in plane for e in row]
+        vanish = all(eval_interval(e, box).mag == 0.0 for e in entries)
+        assert _additive(b) == vanish, (fields, box)
+        seen[vanish] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         InputAffineSystem(2, ["x3", "x1"])
@@ -348,13 +391,6 @@ def test_system_validation():
         InputAffineSystem(2, ["x1", "x2"], [["1", "0"]], [0.0])
     with pytest.raises(ValueError):
         InputAffineSystem(2, ["x1"])
-
-
-def test_additive_detection():
-    assert vdp_system().has_constant_inputs
-    assert harmonic_system().has_constant_inputs
-    bilinear = InputAffineSystem(2, ["x2", "x1"], [["x1", "0"]], [1.0])
-    assert not bilinear.has_constant_inputs
 
 
 def test_system_interns_equal_subtrees():

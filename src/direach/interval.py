@@ -431,9 +431,6 @@ class Box:
     def __len__(self) -> int:
         return len(self.components)
 
-    def contains_point(self, x: Sequence[float]) -> bool:
-        return all(c.contains(float(v)) for c, v in zip(self.components, x, strict=True))
-
     def contains_box(self, other: "Box") -> bool:
         return all(c.contains_interval(o) for c, o in zip(self.components, other.components, strict=True))
 
@@ -455,9 +452,6 @@ class Box:
     def radius(self) -> float:
         return self.diameter / 2.0
 
-    def sample(self, rng) -> tuple[float, ...]:
-        return tuple(c.lo + rng.random() * (c.hi - c.lo) for c in self.components)
-
     def __repr__(self) -> str:
         return "x".join(repr(c) for c in self.components)
 
@@ -472,13 +466,6 @@ class IntervalMatrix:
         n = len(self.rows)
         if n == 0 or any(len(r) != n for r in self.rows):
             raise ValueError("interval matrix must be square and nonempty")
-
-    @staticmethod
-    def from_values(values: Sequence[Sequence]) -> "IntervalMatrix":
-        rows = []
-        for row in values:
-            rows.append(tuple(v if isinstance(v, Interval) else Interval.point(float(v)) for v in row))
-        return IntervalMatrix(tuple(rows))
 
     @property
     def n(self) -> int:

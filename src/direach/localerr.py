@@ -7,7 +7,8 @@ formula is evaluated on plain floats with every operation rounded upward
 (the denominator 1 - hL/2 [- hL'] downward), and replacing exact
 arithmetic by this implementation can only increase the bound.  The growth
 factor phi(u) = (e^u - 1)/u is increasing, so it is taken at Lam*h rounded
-upward.
+upward.  select_error computes it once per call and passes it to every
+formula as phi; a formula called without it computes it.
 """
 from __future__ import annotations
 
@@ -62,8 +63,11 @@ def growth_factor(u: float) -> float:
     return _div_up(_add_up(1.0, -_exp_down(u)), -u)
 
 
-def _phi(b: StepErrorBounds, h: float) -> float:
-    """phi(Lam h); every formula takes it, so the step-size check is here."""
+def _phi(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
+    """phi(Lam h), unless the caller passes it as phi; every formula takes
+    it, so the step-size check is here."""
+    if phi is not None:
+        return phi
     if h <= 0:
         raise InapplicableError("step size must be positive")
     return growth_factor(_mul_up(b.Lam, h))
@@ -82,12 +86,12 @@ def _denominator(b: StepErrorBounds, h: float, with_lp: bool) -> float:
     return pre
 
 
-def err_o1(b: StepErrorBounds, h: float) -> float:
+def err_o1(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     """First-order bound for the zero surrogate (w = 0)."""
-    return _first_order(b, h, 0.0)
+    return _first_order(b, h, 0.0, phi)
 
 
-def _first_order(b: StepErrorBounds, h: float, w_factor: float) -> float:
+def _first_order(b: StepErrorBounds, h: float, w_factor: float, phi: float | None = None) -> float:
     """min(h*(1+c)K'Phi(Lam h), h*(2K + (1+c)K')) where c bounds sup|w|/V.
 
     c = 0 is the zero-surrogate theorem; for nonzero surrogates both the
@@ -95,14 +99,14 @@ def _first_order(b: StepErrorBounds, h: float, w_factor: float) -> float:
     flow, which inflates the disturbance term by the surrogate's range.
     """
     kp_eff = _mul_up(b.Kp, _add_up(1.0, w_factor))
-    e1 = _mul_up(_mul_up(h, kp_eff), _phi(b, h))
+    e1 = _mul_up(_mul_up(h, kp_eff), _phi(b, h, phi))
     e2 = _mul_up(h, _add_up(_mul_up(b.K, 2.0), kp_eff))
     return min(e1, e2)
 
 
-def err_o2_constant(b: StepErrorBounds, h: float) -> float:
+def err_o2_constant(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     """Second-order bound for the step-mean constant surrogate."""
-    phi = _phi(b, h)
+    phi = _phi(b, h, phi)
     k, kp, l, lp = b.K, b.Kp, b.L, b.Lp
     # (K + K')L'/3 + 2K'(L + L')phi
     inner = _add_up(
@@ -112,10 +116,10 @@ def err_o2_constant(b: StepErrorBounds, h: float) -> float:
     return _mul_up(_pow_up(h, 2), inner)
 
 
-def err_o2_constant_c2(b: StepErrorBounds, h: float) -> float:
+def err_o2_constant_c2(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     """Refined constant-surrogate bound requiring a twice-differentiable
     drift and hL < 2."""
-    phi = _phi(b, h)
+    phi = _phi(b, h, phi)
     pre = _denominator(b, h, with_lp=False)
     k, kp, l, lp, hs = b.K, b.Kp, b.L, b.Lp, b.H
     h3 = _pow_up(h, 3)
@@ -134,9 +138,9 @@ def err_o2_constant_c2(b: StepErrorBounds, h: float) -> float:
     return _div_up(rhs, pre)
 
 
-def err_o2_affine(b: StepErrorBounds, h: float) -> float:
+def err_o2_affine(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     """Second-order bound for affine surrogates (general input fields)."""
-    phi = _phi(b, h)
+    phi = _phi(b, h, phi)
     pre = _denominator(b, h, with_lp=True)
     k, kp, l, lp, hs, hp = b.K, b.Kp, b.L, b.Lp, b.H, b.Hp
     h3 = _pow_up(h, 3)
@@ -154,11 +158,11 @@ def err_o2_affine(b: StepErrorBounds, h: float) -> float:
     return _div_up(rhs, pre)
 
 
-def err_o3_additive(b: StepErrorBounds, h: float) -> float:
+def err_o3_additive(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     """Third-order bound for additive noise (constant input fields)."""
     if not _additive(b):
         raise InapplicableError("third-order additive bound needs constant input fields")
-    phi = _phi(b, h)
+    phi = _phi(b, h, phi)
     pre = _denominator(b, h, with_lp=False)
     k, kp, l, hs = b.K, b.Kp, b.L, b.H
     h3 = _pow_up(h, 3)
@@ -170,11 +174,11 @@ def err_o3_additive(b: StepErrorBounds, h: float) -> float:
     return _div_up(rhs, pre)
 
 
-def err_o3_single(b: StepErrorBounds, h: float, m: int = 1) -> float:
+def err_o3_single(b: StepErrorBounds, h: float, m: int = 1, phi: float | None = None) -> float:
     """Third-order bound for a single (possibly state-dependent) input."""
     if m != 1:
         raise InapplicableError("single-input bound needs exactly one input")
-    phi = _phi(b, h)
+    phi = _phi(b, h, phi)
     pre = _denominator(b, h, with_lp=True)
     k, kp, l, lp, hs, hp = b.K, b.Kp, b.L, b.Lp, b.H, b.Hp
     h3 = _pow_up(h, 3)
@@ -219,7 +223,7 @@ def _always(b: StepErrorBounds) -> bool:
 class _Formula(NamedTuple):
     order: ErrorOrder
     forced_by: int | None  # the integer that forces it; None for a refinement
-    bound: Callable[[InputAffineSystem, InputScheme, StepErrorBounds, float], float]
+    bound: Callable[[InputAffineSystem, InputScheme, StepErrorBounds, float, float], float]
     kinds: frozenset[SchemeKind]  # the schemes whose surrogates it covers
     applies: Callable[[StepErrorBounds], bool] = _always
 
@@ -231,19 +235,21 @@ _CONSTANT = frozenset((SchemeKind.CONSTANT,))
 # integer forces the base theorem of the scheme's family: the C2 refinement
 # of the constant-surrogate bound is chosen only by value or by name.
 _FORMULAS = (
-    _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h: err_o3_additive(b, h), _TWO_MOMENT),
+    _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h, phi: err_o3_additive(b, h, phi), _TWO_MOMENT),
     # the additive corollary is preferred where both apply
     _Formula(
         ErrorOrder.O3_SINGLE,
         3,
-        lambda sys, s, b, h: err_o3_single(b, h, m=sys.m),
+        lambda sys, s, b, h, phi: err_o3_single(b, h, sys.m, phi),
         _TWO_MOMENT,
         lambda b: not _additive(b),
     ),
-    _Formula(ErrorOrder.O2_CONSTANT_C2, None, lambda sys, s, b, h: err_o2_constant_c2(b, h), _CONSTANT),
-    _Formula(ErrorOrder.O2_CONSTANT, 2, lambda sys, s, b, h: err_o2_constant(b, h), _CONSTANT),
-    _Formula(ErrorOrder.O2_AFFINE, 2, lambda sys, s, b, h: err_o2_affine(b, h), _TWO_MOMENT),
-    _Formula(ErrorOrder.O1_ZERO, 1, lambda sys, s, b, h: _first_order(b, h, s.w_sup_factor), frozenset(SchemeKind)),
+    _Formula(ErrorOrder.O2_CONSTANT_C2, None, lambda sys, s, b, h, phi: err_o2_constant_c2(b, h, phi), _CONSTANT),
+    _Formula(ErrorOrder.O2_CONSTANT, 2, lambda sys, s, b, h, phi: err_o2_constant(b, h, phi), _CONSTANT),
+    _Formula(ErrorOrder.O2_AFFINE, 2, lambda sys, s, b, h, phi: err_o2_affine(b, h, phi), _TWO_MOMENT),
+    _Formula(
+        ErrorOrder.O1_ZERO, 1, lambda sys, s, b, h, phi: _first_order(b, h, s.w_sup_factor, phi), frozenset(SchemeKind)
+    ),
 )
 
 
@@ -266,12 +272,12 @@ def select_error(
     corollary to the single-input one and is not consulted for a forced
     ErrorOrder.  InapplicableError is raised when no formula is left, as for
     a forced order that does not cover the scheme.  Without inputs, or with
-    inputs that vanish on the box, the bound is 0.
+    inputs that vanish on the box, the bound is 0.  phi(Lam h) is computed
+    once and shared by every formula.
     """
     if sys.m == 0 or b.Kp == 0.0:
         return (ErrorOrder.O1_ZERO, 0.0)
-    if h <= 0:
-        raise InapplicableError("step size must be positive")
+    phi = _phi(b, h)
     if isinstance(forced, ErrorOrder):
         rows = [f for f in _FORMULAS if f.order is forced]
     else:
@@ -284,7 +290,7 @@ def select_error(
     for f in rows:
         if scheme.kind in f.kinds:
             try:
-                cands.append((f.order, f.bound(sys, scheme, b, h)))
+                cands.append((f.order, f.bound(sys, scheme, b, h, phi)))
             except InapplicableError as exc:
                 reason = exc
     if not cands:

@@ -25,25 +25,28 @@ degree cap must stay <= 7 (monomial products then never overflow a nibble).
 
 The product is truncated Taylor-model multiplication (Makino & Berz, 2003):
 it multiplies only the term pairs whose total degree fits under the cap
-(3,003 of 63,504 for two full arity-5, cap-5 models).  It has two kernels,
-chosen from the operands' sizes alone:
-
-- When len(a.terms) * len(b.terms) reaches the kept pairs of two full
-  models, C(2*arity + cap, cap), the dense kernel multiplies the whole
-  kept-pair table of the (arity, cap) layout (one slot per monomial of
-  degree <= cap, built on first use and cached) with numpy and sums each
-  slot k's n_k products with bincount.  Whatever the order of summation,
-  slot k's rounding error is at most gamma_{n_k} times the sum of its
-  product magnitudes (Higham 2002, sec. 3.1), so the slack charged is
-  n_k * |p| * _EPS per product p, through _grown.
-- Otherwise, and for operands with a term above the cap, more than 15
-  variables, or a product that overflows, a loop visits only the kept
-  pairs of the operands' terms and charges each rounded product and merge.
-
-Both bound the mass of the dropped pairs from suffix sums of the right
+(3,003 of 63,504 for two full arity-5, cap-5 models).  Both of its
+kernels bound the mass of the dropped pairs from suffix sums of the right
 operand's coefficient magnitudes by degree, which are built by addition
 only, so cancellation cannot under-count it.  A product with an exact
 constant (no error, no term but the constant one) is a scaling.
+
+The product, antiderivative and substitute_unit each have two kernels,
+chosen from sizes alone:
+
+- the dense kernels of the dense module work on the slot vector of the
+  (arity, cap) layout, one slot per monomial of degree <= cap, built on
+  first use and cached.  A result slot that sums n_k contributions charges
+  n_k * |c| * _EPS of slack per contribution c (Higham's gamma_{n_k}),
+  and each rounded product or quotient its own |c| * _EPS, through
+  _grown.  The product takes it when len(a.terms) * len(b.terms) reaches
+  the kept pairs of two full models, C(2*arity + cap, cap); the
+  antiderivative when the model fills a quarter of the layout's slots, and
+  substitute_unit when it fills half of them, with at least 32 terms (the
+  measured crossovers);
+- the dict loops serve the rest, and also what a dense kernel declines:
+  operands with a term above the cap, more than 15 variables, or a result
+  that is not finite.  They charge each rounded product and merge.
 
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
 the argument's range as sum a_k (inner - c)^k plus a Lagrange remainder.
@@ -58,8 +61,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
+from . import dense
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin
 from .interval import _EPS, _TINY, _add_down, _add_up, _mul_up, _pow_up
 from . import symexpr
@@ -219,94 +221,73 @@ def _pair_count(arity: int, cap: int) -> float:
     return math.comb(2 * arity + cap, cap) if arity <= 15 else math.inf
 
 
-class _DenseLayout:
-    """The dense product's tables for one (arity, cap): a slot per monomial
-    of degree <= cap, ordered by degree, with its packed key and degree;
-    the kept-pair table I, J -> K (slot I times slot J lands on slot K);
-    and weight, n_K * _EPS per pair, where n_k counts the pairs that land
-    on slot k."""
-
-    __slots__ = ("cap", "size", "keys", "slot_of", "degree", "I", "J", "K", "weight")
-
-    def __init__(self, arity: int, cap: int):
-        keys = [0]
-        for v in range(arity):
-            one = 1 << (4 * v)
-            keys = [k + e * one for k in keys for e in range(cap + 1 - _degree_of(k))]
-        keys.sort(key=lambda k: (_degree_of(k), k))
-        self.cap = cap
-        self.size = len(keys)
-        self.keys = keys
-        self.slot_of = {k: i for i, k in enumerate(keys)}
-        self.degree = np.array([_degree_of(k) for k in keys], dtype=np.intp)
-        # slot i pairs with the slots of degree <= cap - degree[i]: a prefix
-        row = np.searchsorted(self.degree, cap - self.degree, side="right")
-        self.I = np.repeat(np.arange(self.size), row)
-        self.J = np.arange(len(self.I)) - np.repeat(np.cumsum(row) - row, row)
-        packed = np.array(keys, dtype=np.int64)
-        order = np.argsort(packed)
-        self.K = order[np.searchsorted(packed[order], packed[self.I] + packed[self.J])]
-        self.weight = np.bincount(self.K, minlength=self.size)[self.K] * _EPS
-
-    def vector(self, terms: dict[int, float]) -> np.ndarray | None:
-        """The coefficients of terms by slot, or None when a term lies above
-        the cap."""
-        n = len(terms)
-        try:
-            slots = np.fromiter(map(self.slot_of.__getitem__, terms), np.intp, n)
-        except KeyError:
-            return None
-        v = np.zeros(self.size)
-        v[slots] = np.fromiter(terms.values(), float, n)
-        return v
+def _slot_count(arity: int, cap: int) -> float:
+    """The slots of the dense layout of (arity, cap), the monomials of
+    degree <= cap in arity variables; infinite above 15 variables."""
+    return math.comb(arity + cap, cap) if arity <= 15 else math.inf
 
 
-_LAYOUTS: dict[tuple[int, int], _DenseLayout] = {}
+def _substitute_unit_loop(terms: dict[int, float], position: int, value: float) -> tuple:
+    """The term dict at z_position = value by a loop over the terms, with
+    the nibble of position cleared in every key: (terms, slack)."""
+    shift = 4 * position
+    out: dict[int, float] = {}
+    slack = 0.0
+    for k, c in terms.items():
+        e = (k >> shift) & 0xF
+        if e and value == -1.0 and (e & 1):
+            c = -c
+        nk = k & ~(0xF << shift)
+        prev = out.get(nk)
+        if prev is None:
+            out[nk] = c
+        else:
+            v = prev + c
+            if v == 0.0:
+                del out[nk]
+            else:
+                out[nk] = v
+            slack += abs(v) * _EPS
+    return out, slack
 
 
-def _layout(arity: int, cap: int) -> _DenseLayout:
-    layout = _LAYOUTS.get((arity, cap))
-    if layout is None:
-        layout = _LAYOUTS[arity, cap] = _DenseLayout(arity, cap)
-    return layout
-
-
-def _dense_product(a: dict[int, float], b: dict[int, float], layout: _DenseLayout) -> tuple | None:
-    """The truncated product of the term dicts a and b over a dense layout,
-    as _pair_product returns it, or None when an operand has a term above
-    the cap or the arithmetic overflows (the pair loop then does what it
-    does on overflow).
-
-    Slot k sums n_k products in bincount's fixed order; for any order its
-    rounding error is at most gamma_{n_k} times the sum of their
-    magnitudes (Higham 2002, sec. 3.1), which the slack n_k * |p| * _EPS
-    per product p covers.  The dropped mass pairs the left operand's
-    magnitudes by degree with suffix sums of the right operand's."""
-    va = layout.vector(a)
-    vb = layout.vector(b)
-    if va is None or vb is None:
-        return None
-    cap = layout.cap
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = va[layout.I] * vb[layout.J]
-        out = np.bincount(layout.K, p, layout.size)
-        if not np.isfinite(out).all():
-            return None
-        np.abs(p, out=p)
-        p *= layout.weight
-        slack = float(p.sum())
-        mass_a = np.bincount(layout.degree, np.abs(va), cap + 1).tolist()
-        mass_b = np.bincount(layout.degree, np.abs(vb), cap + 1).tolist()
-    # left terms of degree cap + 1 - d drop the right terms of degree >= d
-    above = dropped = 0.0
-    for d in range(cap, 0, -1):
-        above += mass_b[d]
-        dropped += mass_a[cap + 1 - d] * above
-    if not math.isfinite(dropped):
-        return None
-    terms = {k: c for k, c in zip(layout.keys, out.tolist()) if c}
-    # cap products make up the dropped mass, len(p) the slack
-    return terms, dropped, cap, slack, len(p)
+def _antiderivative_loop(terms: dict[int, float], position: int, r: float, cap: int) -> tuple:
+    """The antiderivative of the term dict in the variable at position, of
+    radius r, by a loop over the terms: (terms, dropped mass, slack)."""
+    shift = 4 * position
+    out: dict[int, float] = {}
+    slack = 0.0
+    dropped = 0.0
+    one = 1 << shift
+    clear = ~(0xF << shift)
+    for k, c in terms.items():
+        e = (k >> shift) & 0xF
+        coeff = c * r / (e + 1)
+        if coeff == 0.0:
+            continue
+        slack += abs(coeff) * _EPS * 2
+        # the antiderivative term: its key has time exponent e + 1 >= 1,
+        # which no other term's antiderivative and no value at tau = -1
+        # takes
+        if _degree_of(k) + 1 > cap:
+            dropped += abs(coeff)
+        else:
+            out[k + one] = coeff
+        # minus its value at tau = -1 (the integral starts at t_k)
+        key = k & clear
+        if e & 1:
+            coeff = -coeff
+        prev = out.get(key)
+        if prev is None:
+            out[key] = coeff
+        else:
+            v = prev + coeff
+            if v == 0.0:
+                del out[key]
+            else:
+                out[key] = v
+            slack += abs(v) * _EPS
+    return out, dropped, slack
 
 
 @dataclass(frozen=True)
@@ -389,9 +370,10 @@ class PolynomialModel:
     def __mul__(self, other: "PolynomialModel") -> "PolynomialModel":
         """Truncated product: only term pairs whose degree fits under the cap
         are multiplied.  When len(self.terms) * len(other.terms) reaches the
-        kept pairs of two full models, _dense_product multiplies the whole
-        pair table of the (arity, cap) layout with numpy; otherwise, or when
-        it declines, _pair_product loops over the kept pairs of the terms.
+        kept pairs of two full models, dense._dense_product multiplies the
+        whole pair table of the (arity, cap) layout with numpy; otherwise,
+        or when it declines, _pair_product loops over the kept pairs of the
+        terms.
 
         An exact constant operand (no error, no term but the constant one),
         such as the 0.3 of 0.3*sin(x3), is a scalar: the product is the
@@ -409,7 +391,7 @@ class PolynomialModel:
         cap = self.max_degree
         part = None
         if len(self.terms) * len(other.terms) >= _pair_count(self.arity, cap):
-            part = _dense_product(self.terms, other.terms, _layout(self.arity, cap))
+            part = dense._dense_product(self.terms, other.terms, dense._layout(self.arity, cap))
         if part is None:
             part = _pair_product(self.terms, other.terms, cap)
         out, dropped, n_dropped, slack, n_products = part
@@ -569,28 +551,20 @@ class PolynomialModel:
         return replace(self, vars=self.vars + tuple(new_vars))
 
     def substitute_unit(self, position: int, value: float) -> "PolynomialModel":
-        """Substitute z_position := value with value in {-1.0, 1.0} (exact)."""
+        """Substitute z_position := value with value in {-1.0, 1.0} (exact).
+        A model that fills half the slots of its layout, and has at least 32
+        terms, takes the dense kernel; the dict loop serves the rest and
+        what the kernel declines."""
         if value not in (-1.0, 1.0):
             raise ValueError("substitute_unit only supports the endpoints -1 and 1")
-        shift = 4 * position
-        out: dict[int, float] = {}
-        slack = 0.0
-        for k, c in self.terms.items():
-            e = (k >> shift) & 0xF
-            if e and value == -1.0 and (e & 1):
-                c = -c
-            nk = k & ~(0xF << shift)
-            prev = out.get(nk)
-            if prev is None:
-                out[nk] = c
-            else:
-                v = prev + c
-                if v == 0.0:
-                    del out[nk]
-                else:
-                    out[nk] = v
-                slack += abs(v) * _EPS
-        m = PolynomialModel(self.vars, out, _add_up(self.error, _grown(slack)), self.max_degree)
+        cap = self.max_degree
+        part = None
+        if len(self.terms) >= max(32, _slot_count(self.arity, cap) / 2):
+            part = dense._dense_substitute_unit(self.terms, dense._layout(self.arity, cap), position, value)
+        if part is None:
+            part = _substitute_unit_loop(self.terms, position, value)
+        out, slack = part
+        m = PolynomialModel(self.vars, out, _add_up(self.error, _grown(slack)), cap)
         keep = [i for i in range(self.arity) if i != position]
         return m.reindex(keep)
 
@@ -599,53 +573,27 @@ class PolynomialModel:
 
         The time variable has radius h/2; the result models
         t -> integral_{t_k}^{t} p(s) ds, and the error is multiplied by the
-        full step length h.
+        full step length h.  A model that fills a quarter of the slots of
+        its layout, and has at least 32 terms, takes the dense kernel; the
+        dict loop serves the rest and what the kernel declines.
         """
         info = self.vars[time_position]
         if info.role is not Role.TIME:
             raise ValueError("antiderivative requires the time variable")
         r = info.radius
-        shift = 4 * time_position
         cap = self.max_degree
-        out: dict[int, float] = {}
-        slack = 0.0
-        dropped = 0.0
-        one = 1 << shift
-        clear = ~(0xF << shift)
-        for k, c in self.terms.items():
-            e = (k >> shift) & 0xF
-            coeff = c * r / (e + 1)
-            if coeff == 0.0:
-                continue
-            slack += abs(coeff) * _EPS * 2
-            # the antiderivative term: its key has time exponent e + 1 >= 1,
-            # which no other term's antiderivative and no value at tau = -1
-            # takes
-            if _degree_of(k) + 1 > cap:
-                dropped += abs(coeff)
-            else:
-                out[k + one] = coeff
-            # minus its value at tau = -1 (the integral starts at t_k)
-            key = k & clear
-            if e & 1:
-                coeff = -coeff
-            prev = out.get(key)
-            if prev is None:
-                out[key] = coeff
-            else:
-                v = prev + coeff
-                if v == 0.0:
-                    del out[key]
-                else:
-                    out[key] = v
-                slack += abs(v) * _EPS
-
+        part = None
+        if len(self.terms) >= max(32, _slot_count(self.arity, cap) / 4):
+            part = dense._dense_antiderivative(self.terms, dense._layout(self.arity, cap), time_position, r)
+        if part is None:
+            part = _antiderivative_loop(self.terms, time_position, r, cap)
+        out, dropped, slack = part
         h = 2.0 * r
         e_out = _mul_up(self.error, h)
         e_out = _add_up(e_out, _grown(dropped))
         # a product and a quotient per coefficient
         e_out = _add_up(e_out, _grown(slack, 2 * len(self.terms)))
-        return PolynomialModel(self.vars, out, e_out, self.max_degree)
+        return PolynomialModel(self.vars, out, e_out, cap)
 
     # ------------------------------------------------------------------ queries
     def eval_point(self, z: Sequence[float]) -> float:
@@ -707,9 +655,11 @@ class VectorModel:
 # ---------------------------------------------------------------------- composition
 
 
-def _series_coefficients(kind: str, c: float, rng: Interval, d: int) -> tuple[list[Interval], float]:
-    """Taylor coefficients of the elementary function about c as intervals,
-    plus an upper bound for the Lagrange remainder factor sup|f^(d+1)|/(d+1)!."""
+def _series_coefficients(kind: str, table: "_PowerTable", d: int) -> tuple[list[Interval], float]:
+    """Taylor coefficients of the elementary function about the table's
+    centre c as intervals, plus an upper bound for the Lagrange remainder
+    factor sup|f^(d+1)|/(d+1)! over its range."""
+    c, rng = table.c, table.rng
     pt = Interval.point(c)
     if kind == "exp":
         base = iv_exp(pt)
@@ -717,7 +667,7 @@ def _series_coefficients(kind: str, c: float, rng: Interval, d: int) -> tuple[li
         rem = iv_exp(rng).mag / float(math.factorial(d + 1)) * _SLACK_INFLATE
         return coeffs, rem
     if kind in ("sin", "cos"):
-        s, co = iv_sin(pt), iv_cos(pt)
+        s, co = table.sin_cos()
         cycle = [s, co, -s, -co] if kind == "sin" else [co, -s, -co, s]
         coeffs = [cycle[k % 4] / float(math.factorial(k)) for k in range(d + 1)]
         return coeffs, 1.0 / float(math.factorial(d + 1)) * _SLACK_INFLATE
@@ -737,21 +687,29 @@ def _series_coefficients(kind: str, c: float, rng: Interval, d: int) -> tuple[li
 
 class _PowerTable:
     """What the Taylor compositions about one inner model share: its range
-    rng, the centre c = rng.mid, rho >= sup|inner - c|, the powers
-    delta^0 .. delta^d of delta = inner - c (built on first use) and each
-    power's range magnitude (computed on first use, that is, only when some
-    series coefficient has a nonzero radius)."""
+    rng, the centre c = rng.mid, rho >= sup|inner - c|, sin(c) and cos(c)
+    (computed on first use), the powers delta^0 .. delta^d of
+    delta = inner - c (built on first use) and each power's range
+    magnitude (computed on first use, that is, only when some series
+    coefficient has a nonzero radius)."""
 
-    __slots__ = ("inner", "rng", "c", "rho", "_powers", "_mags")
+    __slots__ = ("inner", "rng", "c", "rho", "_sin_cos", "_powers", "_mags")
 
     def __init__(self, inner: PolynomialModel):
         self.inner = inner  # kept alive, so no other model takes its id
         self.rng = inner.range()
+        self._sin_cos = None
         self._powers = None
         if self.rng.is_finite:
             self.c = self.rng.mid
             rho = (self.rng - Interval.point(self.c)).mag
             self.rho = _add_up(rho, rho * 4 * _EPS)
+
+    def sin_cos(self) -> tuple[Interval, Interval]:
+        if self._sin_cos is None:
+            pt = Interval.point(self.c)
+            self._sin_cos = iv_sin(pt), iv_cos(pt)
+        return self._sin_cos
 
     def powers(self) -> list[PolynomialModel]:
         if self._powers is None:
@@ -779,7 +737,7 @@ def _compose_elementary(kind: str, table: _PowerTable) -> PolynomialModel:
     if not rng.is_finite:
         raise IntervalDomainError(f"{kind} composition requires a finite range")
     d = table.inner.max_degree
-    coeffs, rem_factor = _series_coefficients(kind, table.c, rng, d)
+    coeffs, rem_factor = _series_coefficients(kind, table, d)
     rem = _mul_up(rem_factor, _pow_up(table.rho, d + 1))
     return _series_sum(coeffs, table.powers(), table.mag).add_error(rem)
 

@@ -289,6 +289,40 @@ def test_select_rejects_nonpositive_step():
                 select_error(sys, InputScheme(kind), b, 0.0, forced=forced)
 
 
+def test_select_error_computes_phi_once(monkeypatch):
+    """select_error takes phi(Lam h) once per call, however many formulas
+    it evaluates, and each answer equals its formula called alone, bit for
+    bit."""
+    from direach import localerr
+
+    alone = {
+        ErrorOrder.O3_ADDITIVE: err_o3_additive,
+        ErrorOrder.O2_CONSTANT_C2: err_o2_constant_c2,
+        ErrorOrder.O2_CONSTANT: err_o2_constant,
+        ErrorOrder.O2_AFFINE: err_o2_affine,
+    }
+    calls = []
+    counted = localerr.growth_factor
+    monkeypatch.setattr(localerr, "growth_factor", lambda u: calls.append(u) or counted(u))
+    rng = random.Random(61)
+    one_input = InputAffineSystem(2, ["x2", "-x1"], [["0", "x1"]], [0.1])
+    for _ in range(100):
+        b = _rand_bounds(rng, additive=rng.random() < 0.5)
+        h = 10.0 ** rng.uniform(-4, -1.5)
+        for sys in (harmonic(), one_input):
+            for scheme in (AFFINE, CONSTANT, ZERO):
+                calls.clear()
+                order, eps = select_error(sys, scheme, b, h)
+                assert len(calls) == 1
+                if order is ErrorOrder.O3_SINGLE:
+                    expect = err_o3_single(b, h, m=1)
+                elif order is ErrorOrder.O1_ZERO:
+                    expect = _first_order(b, h, scheme.w_sup_factor)
+                else:
+                    expect = alone[order](b, h)
+                assert eps.hex() == expect.hex()
+
+
 def _rand_bounds(rng, additive=False):
     return mk(
         K=rng.uniform(0, 3),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from direach import polymodel
+from direach import dense, polymodel
 from direach.interval import Interval, IntervalDomainError
 from direach.polymodel import (
     ArityMismatchError,
@@ -332,6 +332,23 @@ def test_compose_power_table_shared_bit_identical(monkeypatch):
         assert s.error > 0.0
 
 
+def test_power_table_takes_sin_cos_once(monkeypatch):
+    """sin and cos of one argument share sin(c) and cos(c) through the
+    power table: one iv_sin and one iv_cos per table, and each result
+    equals its composition alone."""
+    calls = []
+    for name in ("iv_sin", "iv_cos"):
+        fn = getattr(polymodel, name)
+        monkeypatch.setattr(polymodel, name, lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+    sys = InputAffineSystem(2, ["0.3*sin(x1 + 0.1*x2^2)", "0.3*cos(x1 + 0.1*x2^2)"])
+    args = VectorModel(tuple(pm({(1, 0): 0.5, (0, 0): 0.2 * i}, error=1e-9, cap=4) for i in range(2)))
+    memo = {}
+    shared = [compose_expr(e, args, memo) for e in sys.f]
+    assert sorted(calls) == ["iv_cos", "iv_sin"]
+    for s, e in zip(shared, sys.f):
+        assert _bits(s) == _bits(compose_expr(e, args))
+
+
 def test_compose_domain_errors_keep_messages():
     wild = pm({(1, 0): 1.0}, error=math.inf)
     args = VectorModel((wild, pm({(0, 1): 1.0})))
@@ -502,20 +519,25 @@ def _check_mul(a, b):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Counts of the products each kernel computed (a declined dense
-    product does not count)."""
-    used = {"dense": 0, "pairs": 0}
+    """Counts of the results each kernel computed, by kernel name (a
+    declined dense kernel does not count)."""
+    used = {}
 
-    def counted(name, kernel):
+    def counted(module, kernel):
+        name = kernel.__name__
+        used[name] = 0
+
         def run(*args):
             part = kernel(*args)
             used[name] += part is not None
             return part
 
-        monkeypatch.setattr(polymodel, kernel.__name__, run)
+        monkeypatch.setattr(module, name, run)
 
-    counted("dense", polymodel._dense_product)
-    counted("pairs", polymodel._pair_product)
+    counted(polymodel, polymodel._pair_product)
+    counted(dense, dense._dense_product)
+    counted(dense, dense._dense_antiderivative)
+    counted(dense, dense._dense_substitute_unit)
     return used
 
 
@@ -548,7 +570,7 @@ def test_mul_exact_fuzz(kernels):
             scalars += 1
         _check_mul(a, b)
     assert scalars >= 100
-    assert kernels["dense"] >= 5 and kernels["pairs"] >= 100
+    assert kernels["_dense_product"] >= 5 and kernels["_pair_product"] >= 100
 
 
 def _dense_operands(rng, keys, fill, case):
@@ -589,7 +611,7 @@ def _dense_fuzz(seed, count, fill):
         arity, cap = rng.choice([(5, 5), (8, 3)])
         vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
         case = ("ties", "underflow", "regimes", "regimes", "regimes")[n % 5]
-        a, b = _dense_operands(rng, polymodel._layout(arity, cap).keys, fill, case)
+        a, b = _dense_operands(rng, dense._layout(arity, cap).keys, fill, case)
         errors = [0.0, 0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL] if case == "regimes" else [0.0]
         _check_mul(
             PolynomialModel(vars_, a, rng.choice(errors), cap),
@@ -602,18 +624,18 @@ def test_dense_mul_exact_fuzz(kernels):
     product: with ties and underflows that round one way, cancellations,
     coefficients near 2**+-1000 and subnormals."""
     _dense_fuzz(seed=89, count=80, fill=0.5)
-    assert kernels["dense"] >= 60
+    assert kernels["_dense_product"] >= 60
 
 
 @pytest.mark.slow
 def test_dense_mul_exact_fuzz_full(kernels):
     _dense_fuzz(seed=97, count=100, fill=1.0)
-    assert kernels["dense"] == 100
+    assert kernels["_dense_product"] == 100
 
 
 def _full_model(rng, arity, cap, coefficient):
     vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
-    keys = polymodel._layout(arity, cap).keys
+    keys = dense._layout(arity, cap).keys
     return PolynomialModel(vars_, {k: coefficient(rng) for k in keys}, 0.0, cap)
 
 
@@ -622,10 +644,10 @@ def test_dense_overflow_raises_like_pair_loop(monkeypatch):
     it without a numpy warning, and the pair loop raises, as it does when
     the dense kernel is never chosen."""
     a = _full_model(random.Random(5), 5, 5, lambda rng: rng.choice([1e200, -1e200]))
-    layout = polymodel._layout(5, 5)
+    layout = dense._layout(5, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert polymodel._dense_product(a.terms, a.terms, layout) is None
+        assert dense._dense_product(a.terms, a.terms, layout) is None
         with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
             a * a
         monkeypatch.setattr(polymodel, "_pair_count", lambda arity, cap: math.inf)
@@ -651,11 +673,27 @@ def test_dense_product_deterministic():
         assert _bits(shuffled[0] * shuffled[1]) == _bits(first)
 
 
+def test_dense_square_scatters_once(monkeypatch):
+    """A square (b is a) scatters its operand into one slot vector, and its
+    result is bit-identical to the product of two equal operands."""
+    a = _full_model(random.Random(17), 5, 5, lambda rng: rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 3))
+    layout = dense._layout(5, 5)
+    scattered = []
+    vector = dense._DenseLayout.vector
+    monkeypatch.setattr(dense._DenseLayout, "vector", lambda layout, terms: scattered.append(terms) or vector(layout, terms))
+    square = dense._dense_product(a.terms, a.terms, layout)
+    assert len(scattered) == 1
+    pair = dense._dense_product(a.terms, dict(a.terms), layout)
+    assert len(scattered) == 3
+    assert repr(square) == repr(pair)  # repr tells every double apart
+    assert _bits(a * a) == _bits(a * PolynomialModel(a.vars, dict(a.terms), 0.0, 5))
+
+
 def test_layout_built_only_for_large_products(monkeypatch):
     """A product below the pair count of its (arity, cap), such as 30 x 30
     terms at (8, 7), whose layout would hold 245,157 pairs, builds no
     layout; a 252 x 252 product at (5, 5) builds one."""
-    monkeypatch.setattr(polymodel, "_LAYOUTS", {})
+    monkeypatch.setattr(dense, "_LAYOUTS", {})
     rng = random.Random(11)
     vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(8))
     for _ in range(20):
@@ -664,11 +702,11 @@ def test_layout_built_only_for_large_products(monkeypatch):
             for _ in range(2)
         )
         a * b
-    assert polymodel._LAYOUTS == {}
+    assert dense._LAYOUTS == {}
     vars5 = tuple(VarInfo(Role.STATE, axis=i) for i in range(5))
-    full = PolynomialModel(vars5, {k: 0.5 for k in polymodel._DenseLayout(5, 5).keys}, 0.0, 5)
+    full = PolynomialModel(vars5, {k: 0.5 for k in dense._DenseLayout(5, 5).keys}, 0.0, 5)
     full * full
-    assert list(polymodel._LAYOUTS) == [(5, 5)]
+    assert list(dense._LAYOUTS) == [(5, 5)]
 
 
 # ---------------------------------------------------------------- exact soundness fuzz
@@ -742,8 +780,10 @@ def _check_sweep(rng, m):
 def _check_antiderivative(rng, m):
     # the time variable at a random position, with a radius that rounds
     # (0.05, 0.3), a power of two, or one that makes products underflow
-    tpos = rng.randrange(m.arity)
-    radius = rng.choice([0.05, 0.5, 0.3, 2.0**-40])
+    _check_antiderivative_at(m, rng.randrange(m.arity), rng.choice([0.05, 0.5, 0.3, 2.0**-40]))
+
+
+def _check_antiderivative_at(m, tpos, radius):
     vars_ = m.vars[:tpos] + (VarInfo(Role.TIME, center=radius, radius=radius),) + m.vars[tpos + 1 :]
     m = PolynomialModel(vars_, m.terms, m.error, m.max_degree)
     r = m.antiderivative(tpos)
@@ -766,8 +806,10 @@ def _check_antiderivative(rng, m):
 
 
 def _check_substitute_unit(rng, m):
-    position = rng.randrange(m.arity)
-    value = rng.choice([-1.0, 1.0])
+    _check_substitute_unit_at(m, rng.randrange(m.arity), rng.choice([-1.0, 1.0]))
+
+
+def _check_substitute_unit_at(m, position, value):
     r = m.substitute_unit(position, value)
     exact: dict[tuple, Fraction] = {}
     for exps, c in unpack(m).items():
@@ -806,6 +848,227 @@ def test_structure_ops_exact_fuzz(op):
 @pytest.mark.parametrize("op", sorted(_STRUCTURE_CHECKS))
 def test_structure_ops_exact_fuzz_large(op):
     _structure_fuzz(op, seed=103, count=200, max_arity=8, max_terms=800)
+
+
+def _dense_structure_terms(rng, keys, position, factor, case):
+    """Terms on every monomial of keys for an operation on the variable at
+    position, under which the term c * factor(e), e its exponent of that
+    variable, adds c (times the radius, for the antiderivative) to the sum
+    of the key with that nibble cleared, after the terms of lower degree:
+
+    - ties: c = 2**53 * s for e = 0 below degree cap and s elsewhere, so
+      every later contribution to a sum is half its ulp, and each rounds
+      to even and loses it (a term of degree cap with e = 0 sums nothing,
+      and its antiderivative term drops: 2**53 * s there would make the
+      dropped mass hide the rounding);
+    - underflow: 3 * 2**-1074 everywhere, so that with radius 0.5 each
+      product rounds up by 2**-1075;
+    - cancel: each e >= 1 contributes +-c of its e = 0 term, so sums cancel
+      exactly or nearly;
+    - otherwise one coefficient regime per model, near 2**+-1000 included."""
+    shift = 4 * position
+    if case == "ties":
+        s = 2.0 ** rng.randint(-400, 400)
+        top = _degree(keys[-1])
+        exponents = {k: (k >> shift) & 0xF for k in keys}
+        return {k: s * (factor(e) if e else 2.0**53 if _degree(k) < top else 1.0) for k, e in exponents.items()}
+    if case == "underflow":
+        return {k: 3 * _SUBNORMAL for k in keys}
+    regime = rng.choice(_REGIMES)
+    terms = {k: _fuzz_coefficient(rng, regime) for k in keys}
+    if case == "cancel":
+        for k in keys:
+            e = (k >> shift) & 0xF
+            if e:
+                terms[k] = rng.choice([1.0, -1.0]) * terms[k & ~(0xF << shift)] * factor(e)
+    return terms
+
+
+def _dense_structure_fuzz(op, seed, count):
+    """antiderivative or substitute_unit of full models at (arity, cap) =
+    (5, 5) and (8, 3), on a random variable, checked exactly; the cases
+    cycle through ties, underflow, cancel and two of regimes, which alone
+    have an operand error (it would hide the rounding)."""
+    rng = random.Random(seed)
+    for n in range(count):
+        arity, cap = rng.choice([(5, 5), (8, 3)])
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        position = rng.randrange(arity)
+        case = ("ties", "underflow", "cancel", "regimes", "regimes")[n % 5]
+        value = rng.choice([-1.0, 1.0])
+        if op == "antiderivative":
+            radius = 0.5 if case in ("ties", "underflow") else rng.choice([0.05, 0.5, 0.3, 2.0**-40])
+            factor = lambda e: (e + 1) * (-1) ** e  # noqa: E731
+        else:
+            factor = lambda e: value**e  # noqa: E731
+        terms = _dense_structure_terms(rng, dense._layout(arity, cap).keys, position, factor, case)
+        error = rng.choice([0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL]) if case == "regimes" else 0.0
+        m = PolynomialModel(vars_, terms, error, cap)
+        if op == "antiderivative":
+            _check_antiderivative_at(m, position, radius)
+        else:
+            _check_substitute_unit_at(m, position, value)
+
+
+@pytest.mark.parametrize("op", ["antiderivative", "substitute_unit"])
+def test_dense_structure_ops_exact_fuzz(op, kernels):
+    """The dense antiderivative and substitute_unit of full models enclose
+    their exact answers: with ties and underflows that round one way,
+    cancellations, coefficients near 2**+-1000 and subnormals."""
+    _dense_structure_fuzz(op, seed=113, count=60)
+    assert kernels[f"_dense_{op}"] == 60
+
+
+@pytest.mark.parametrize("op", ["antiderivative", "substitute_unit"])
+def test_dense_structure_ops_charge_every_rounded_sum(op, kernels):
+    """One chain of ties: 2**53 * s and then x5^e (e = 1..5), each of which
+    adds s (s * radius) to the constant term, half its ulp, so the five
+    additions each round to even and lose it.  Their slack must cover 5
+    half-ulps, more than the 2 * |c| * _EPS of the antiderivative's own
+    roundings.  Terms of 2**-60 * s on the other monomials without x5 make
+    the model large enough for the dense kernel and sum nothing."""
+    vars5 = tuple(VarInfo(Role.STATE, axis=i) for i in range(5))
+    s = 2.0**-30
+    pad = {k: s * 2.0**-60 for k in dense._layout(5, 5).keys if k and not k >> 16}
+    for value in (-1.0, 1.0):
+        factor = (lambda e: (e + 1) * (-1) ** e) if op == "antiderivative" else (lambda e: value**e)
+        terms = {0: 2.0**53 * s, **{e << 16: s * factor(e) for e in range(1, 6)}, **pad}
+        m = PolynomialModel(vars5, terms, 0.0, 5)
+        if op == "antiderivative":
+            _check_antiderivative_at(m, 4, 0.5)
+        else:
+            _check_substitute_unit_at(m, 4, value)
+    assert kernels[f"_dense_{op}"] == 2
+
+
+def _structure_op(m, op, position, value):
+    if op == "antiderivative":
+        return m.antiderivative(position)
+    return m.substitute_unit(position, value)
+
+
+def _with_time(m, position, radius=0.005):
+    vars_ = m.vars[:position] + (VarInfo(Role.TIME, center=radius, radius=radius),) + m.vars[position + 1 :]
+    return PolynomialModel(vars_, m.terms, m.error, m.max_degree)
+
+
+def _by_dict_loop(monkeypatch, fn):
+    """fn() with the size rule of antiderivative and substitute_unit set to
+    never take the dense kernel: the dict loop's answer."""
+    with monkeypatch.context() as patched:
+        patched.setattr(polymodel, "_slot_count", lambda arity, cap: math.inf)
+        return fn()
+
+
+@pytest.mark.parametrize("op", ["antiderivative", "substitute_unit"])
+def test_dense_structure_ops_agree_with_dict_loop(op, kernels, monkeypatch):
+    """The dense kernel and the dict loop differ by no more than the sum of
+    their errors (both enclose the exact answer), on models that fill
+    1/2 to all of their layout."""
+    rng = random.Random(127)
+    for _ in range(40):
+        arity, cap = rng.choice([(5, 5), (8, 3)])
+        keys = dense._layout(arity, cap).keys
+        held = rng.sample(keys, rng.randint((len(keys) + 1) // 2, len(keys)))
+        regime = rng.choice(_REGIMES)
+        position = rng.randrange(arity)
+        m = PolynomialModel(
+            tuple(VarInfo(Role.STATE, axis=i) for i in range(arity)),
+            {k: _fuzz_coefficient(rng, regime) for k in held},
+            0.0,
+            cap,
+        )
+        m = _with_time(m, position)
+        value = rng.choice([-1.0, 1.0])
+        r = _structure_op(m, op, position, value)
+        ref = _by_dict_loop(monkeypatch, lambda: _structure_op(m, op, position, value))
+        assert r.vars == ref.vars
+        keys = r.terms | ref.terms
+        gap = sum((abs(Fraction(r.terms.get(k, 0.0)) - Fraction(ref.terms.get(k, 0.0))) for k in keys), Fraction(0))
+        assert gap <= Fraction(r.error) + Fraction(ref.error)
+    assert kernels[f"_dense_{op}"] == 40
+
+
+def test_dense_structure_ops_ignore_insertion_order():
+    """The dense antiderivative and substitute_unit are bit-identical across
+    repeats and across models that hold the same terms in another insertion
+    order."""
+    rng = random.Random(131)
+    for arity, cap in ((5, 5), (8, 3)):
+        m = _full_model(rng, arity, cap, lambda rng: rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 3))
+        for position in (0, arity // 2, arity - 1):
+            timed = _with_time(m, position)
+            first = [_bits(timed.antiderivative(position))]
+            first += [_bits(m.substitute_unit(position, v)) for v in (-1.0, 1.0)]
+            for _ in range(3):
+                items = list(m.terms.items())
+                rng.shuffle(items)
+                shuffled = PolynomialModel(m.vars, dict(items), 0.0, cap)
+                again = [_bits(_with_time(shuffled, position).antiderivative(position))]
+                again += [_bits(shuffled.substitute_unit(position, v)) for v in (-1.0, 1.0)]
+                assert again == first
+
+
+def _outcome(fn):
+    try:
+        return _bits(fn())
+    except IntervalDomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("op", ["antiderivative", "substitute_unit"])
+def test_dense_structure_ops_fall_back_to_dict_loop(op, kernels, monkeypatch):
+    """A model with a term above the cap, or whose result overflows, takes
+    the dict loop, without a numpy warning, and gets its answer bit for
+    bit; so does a model of more than 15 variables, for which no layout is
+    built."""
+    rng = random.Random(137)
+    full = _full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1))
+    above = PolynomialModel(full.vars, {**full.terms, 6: 0.25}, 0.0, 5)  # x1^6
+    vars16 = tuple(VarInfo(Role.STATE, axis=i) for i in range(16))
+    wide_keys = {_random_key(rng, 16, rng.randint(0, 2)) for _ in range(80)}
+    wide = PolynomialModel(vars16, {k: rng.uniform(-1, 1) for k in wide_keys}, 0.0, 2)
+    monkeypatch.setattr(dense, "_LAYOUTS", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (-1.0, 1.0):
+            # 1e300 * 2**40 overflows in the antiderivative's product; terms
+            # of 1.5e308 that keep their sign at z5 = value overflow in the
+            # sums of substitute_unit
+            if op == "antiderivative":
+                coefficient = lambda k: rng.choice([1e300, -1e300])  # noqa: E731
+            else:
+                coefficient = lambda k: 1.5e308 * value ** (k >> 16)  # noqa: E731
+            huge = PolynomialModel(full.vars, {k: coefficient(k) for k in full.terms}, 0.0, 5)
+            for m, radius in ((above, 0.005), (huge, 2.0**40), (wide, 0.005)):
+                position = m.arity - 1
+                m = _with_time(m, position, radius)
+                got = _outcome(lambda: _structure_op(m, op, position, value))
+                if radius > 1.0:
+                    assert got == "model arithmetic overflowed" if op == "antiderivative" else got[1] == "inf"
+                looped = _by_dict_loop(monkeypatch, lambda: _outcome(lambda: _structure_op(m, op, position, value)))
+                assert got == looped
+    assert kernels[f"_dense_{op}"] == 0
+    assert list(dense._LAYOUTS) == [(5, 5)]
+
+
+def test_structure_ops_build_no_layout_for_sparse_models(monkeypatch, kernels):
+    """40 terms at (8, 7), whose layout would hold 6,435 slots, take the
+    dict loop and build no layout; 252 terms at (5, 5) take the dense
+    kernels."""
+    monkeypatch.setattr(dense, "_LAYOUTS", {})
+    rng = random.Random(139)
+    vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(7)) + (VarInfo(Role.TIME, center=0.01, radius=0.01),)
+    for _ in range(20):
+        terms = {_random_key(rng, 8, rng.randint(0, 7)): rng.uniform(-1, 1) for _ in range(40)}
+        m = PolynomialModel(vars8, terms, 0.0, 7)
+        m.antiderivative(7)
+        m.substitute_unit(7, 1.0)
+    assert dense._LAYOUTS == {}
+    full = _with_time(_full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1)), 4)
+    full.antiderivative(4).substitute_unit(4, 1.0)
+    assert list(dense._LAYOUTS) == [(5, 5)]
+    assert kernels["_dense_antiderivative"] == kernels["_dense_substitute_unit"] == 1
 
 
 def _check_series_sum(rng, powers):

@@ -296,7 +296,7 @@ def test_eval_interval_soundness_fuzz():
         except UNDEFINED:
             continue
         for _ in range(20):
-            p = box.sample(rng)
+            p = tuple(c.lo + rng.random() * (c.hi - c.lo) for c in box)
             v = eval_point(e, p)
             assert r.lo <= v <= r.hi, (e, box, p)
         checked += 1

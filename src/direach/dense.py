@@ -48,7 +48,7 @@ class _DenseLayout:
     on slot K) with weight, n_K * _EPS per pair, where n_k counts the pairs
     that land on slot k; and the per-position tables, built on first use."""
 
-    __slots__ = ("cap", "size", "keys", "slot_of", "packed", "_order", "degree", "I", "J", "K", "weight", "_tables")
+    __slots__ = ("cap", "size", "keys", "slot_of", "packed", "degree", "I", "J", "K", "weight", "_tables")
 
     def __init__(self, arity: int, cap: int):
         monomials = [(0, 0)]  # (key, degree)
@@ -60,21 +60,16 @@ class _DenseLayout:
         self.cap = cap
         self.size = len(keys)
         self.keys = keys
-        self.slot_of = {k: i for i, k in enumerate(keys)}
+        self.slot_of = slot_of = {k: i for i, k in enumerate(keys)}
         self.degree = np.array([d for _, d in monomials], dtype=np.intp)
         self.packed = np.array(keys, dtype=np.int64)
-        self._order = np.argsort(self.packed)
         # slot i pairs with the slots of degree <= cap - degree[i]: a prefix
         row = np.searchsorted(self.degree, cap - self.degree, side="right")
         self.I = np.repeat(np.arange(self.size), row)
         self.J = np.arange(len(self.I)) - np.repeat(np.cumsum(row) - row, row)
-        self.K = self.slots(self.packed[self.I] + self.packed[self.J])
+        self.K = np.array([slot_of[k] for k in (self.packed[self.I] + self.packed[self.J]).tolist()], dtype=np.intp)
         self.weight = np.bincount(self.K, minlength=self.size)[self.K] * _EPS
         self._tables: dict[int, _PositionTable] = {}
-
-    def slots(self, packed: np.ndarray) -> np.ndarray:
-        """The slots of packed keys, each of which must be in the layout."""
-        return self._order[np.searchsorted(self.packed[self._order], packed)]
 
     def vector(self, terms: dict[int, float]) -> np.ndarray | None:
         """The coefficients of terms by slot, or None when a term lies above
@@ -117,12 +112,13 @@ class _PositionTable:
         e = (layout.packed >> shift) & 0xF
         self.div = (e + 1).astype(float)
         self.sign = np.where(e & 1, -1.0, 1.0)
-        self.base = layout.slots(layout.packed & ~(0xF << shift))
+        slot_of = layout.slot_of
+        self.base = np.array([slot_of[k] for k in (layout.packed & ~(0xF << shift)).tolist()], dtype=np.intp)
         n = np.bincount(self.base, minlength=layout.size)[self.base]
         self.sum_weight = n * _EPS
         self.quotient_weight = (n + 2) * _EPS
         top = int(np.searchsorted(layout.degree, layout.cap))
-        self.up = layout.slots(layout.packed[:top] + (1 << shift))
+        self.up = np.array([slot_of[k] for k in (layout.packed[:top] + (1 << shift)).tolist()], dtype=np.intp)
 
 
 _LAYOUTS: dict[tuple[int, int], _DenseLayout] = {}

@@ -9,6 +9,13 @@ arithmetic by this implementation can only increase the bound.  The growth
 factor phi(u) = (e^u - 1)/u is increasing, so it is taken at Lam*h rounded
 upward.  select_error computes it once per call and passes it to every
 formula as phi; a formula called without it computes it.
+
+Each row of select_error's table serves one family of surrogates:
+O1 any surrogate with sup|w| <= cV (c = 0 for the zero scheme, the
+scheme's w_sup_factor otherwise); O2-constant the step-mean constant
+surrogate; O2-affine, O3-additive (constant input fields) and
+O3-single-input (one input) the surrogates that match the mean and the
+first centred moment: affine, affine-reduced and step.
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ __all__ = [
     "InapplicableError",
     "err_o1",
     "err_o2_constant",
-    "err_o2_constant_c2",
     "err_o2_affine",
     "err_o3_additive",
     "err_o3_single",
@@ -34,14 +40,14 @@ __all__ = [
     "growth_factor",
 ]
 
-# the inexact constants of the formulas, rounded upward (7/8 is exact)
-_C11_24 = _div_up(11.0, 24.0)
+# the inexact constant of the formulas, rounded upward (7/8 is exact)
 _C7_48 = _div_up(7.0, 48.0)
 
 
 class ErrorOrder(str, Enum):
     O1_ZERO = "O1"
     O2_CONSTANT = "O2-constant"
+    # no formula: kept while the benchmark still reports its order counter
     O2_CONSTANT_C2 = "O2-constant-C2"
     O2_AFFINE = "O2-affine"
     O3_ADDITIVE = "O3-additive"
@@ -114,28 +120,6 @@ def err_o2_constant(b: StepErrorBounds, h: float, phi: float | None = None) -> f
         _mul_up(_mul_up(_mul_up(kp, 2.0), _add_up(l, lp)), phi),
     )
     return _mul_up(_pow_up(h, 2), inner)
-
-
-def err_o2_constant_c2(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
-    """Refined constant-surrogate bound requiring a twice-differentiable
-    drift and hL < 2."""
-    phi = _phi(b, h, phi)
-    pre = _denominator(b, h, with_lp=False)
-    k, kp, l, lp, hs = b.K, b.Kp, b.L, b.Lp, b.H
-    h3 = _pow_up(h, 3)
-    k_kp = _add_up(k, kp)
-    l_lp = _mul_up(l, lp)
-    # (h^2/3)(3K'L'phi + L'(K + K'))
-    rhs = _mul_up(
-        _div_up(_pow_up(h, 2), 3.0),
-        _add_up(_mul_up(_mul_up(_mul_up(kp, 3.0), lp), phi), _mul_up(lp, k_kp)),
-    )
-    # + (h^3/4)K'(LL' + L^2 + H(K + K'))phi
-    inner = _add_up(_add_up(l_lp, _pow_up(l, 2)), _mul_up(hs, k_kp))
-    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(_div_up(h3, 4.0), kp), inner), phi))
-    # + (11h^3/24)(HK' + LL')(K + K')
-    rhs = _add_up(rhs, _mul_up(_mul_up(_mul_up(h3, _C11_24), _add_up(_mul_up(hs, kp), l_lp)), k_kp))
-    return _div_up(rhs, pre)
 
 
 def err_o2_affine(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
@@ -222,7 +206,7 @@ def _always(b: StepErrorBounds) -> bool:
 
 class _Formula(NamedTuple):
     order: ErrorOrder
-    forced_by: int | None  # the integer that forces it; None for a refinement
+    forced_by: int  # the integer that forces it
     bound: Callable[[InputAffineSystem, InputScheme, StepErrorBounds, float, float], float]
     kinds: frozenset[SchemeKind]  # the schemes whose surrogates it covers
     applies: Callable[[StepErrorBounds], bool] = _always
@@ -231,9 +215,7 @@ class _Formula(NamedTuple):
 _TWO_MOMENT = frozenset((SchemeKind.AFFINE, SchemeKind.AFFINE_REDUCED, SchemeKind.STEP))
 _CONSTANT = frozenset((SchemeKind.CONSTANT,))
 
-# Higher orders first, so that min() resolves ties to the best order.  An
-# integer forces the base theorem of the scheme's family: the C2 refinement
-# of the constant-surrogate bound is chosen only by value or by name.
+# Higher orders first, so that min() resolves ties to the best order.
 _FORMULAS = (
     _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h, phi: err_o3_additive(b, h, phi), _TWO_MOMENT),
     # the additive corollary is preferred where both apply
@@ -244,7 +226,6 @@ _FORMULAS = (
         _TWO_MOMENT,
         lambda b: not _additive(b),
     ),
-    _Formula(ErrorOrder.O2_CONSTANT_C2, None, lambda sys, s, b, h, phi: err_o2_constant_c2(b, h, phi), _CONSTANT),
     _Formula(ErrorOrder.O2_CONSTANT, 2, lambda sys, s, b, h, phi: err_o2_constant(b, h, phi), _CONSTANT),
     _Formula(ErrorOrder.O2_AFFINE, 2, lambda sys, s, b, h, phi: err_o2_affine(b, h, phi), _TWO_MOMENT),
     _Formula(
@@ -264,27 +245,26 @@ def select_error(
 
     forced = None takes the smallest bound among the formulas that cover
     the scheme and apply to the inputs; 1/2/3 take the formula of that
-    order (2 = the base theorem of the scheme's family, 3 = additive or
-    single-input corollary); an ErrorOrder takes that formula.  Each formula
-    checks its own hypotheses (step size, hL < 2 or h(L/2 + L') < 1,
-    additive noise, one input) and a formula whose hypotheses fail is
-    skipped.  The table's applies predicate only prefers the additive
-    corollary to the single-input one and is not consulted for a forced
-    ErrorOrder.  InapplicableError is raised when no formula is left, as for
-    a forced order that does not cover the scheme.  Without inputs, or with
-    inputs that vanish on the box, the bound is 0.  phi(Lam h) is computed
-    once and shared by every formula.
+    order that covers the scheme (3 = additive or single-input corollary);
+    an ErrorOrder takes that formula.  Each formula checks its own
+    hypotheses (step size, hL < 2 or h(L/2 + L') < 1, additive noise, one
+    input) and a formula whose hypotheses fail is skipped.  The table's
+    applies predicate only prefers the additive corollary to the
+    single-input one and is not consulted for a forced ErrorOrder.
+    InapplicableError is raised when no formula is left, as for a forced
+    order that does not cover the scheme.  Without inputs, or with inputs
+    that vanish on the box, the bound is 0, once h and forced have passed
+    their checks.  phi(Lam h) is computed once and shared by every formula.
     """
-    if sys.m == 0 or b.Kp == 0.0:
-        return (ErrorOrder.O1_ZERO, 0.0)
     phi = _phi(b, h)
     if isinstance(forced, ErrorOrder):
         rows = [f for f in _FORMULAS if f.order is forced]
+    elif forced in (None, 1, 2, 3):
+        rows = [f for f in _FORMULAS if forced in (None, f.forced_by) and f.applies(b)]
     else:
-        k = None if forced is None else int(forced)
-        if k not in (None, 1, 2, 3):
-            raise ValueError(f"unknown forced order {forced!r}")
-        rows = [f for f in _FORMULAS if k in (None, f.forced_by) and f.applies(b)]
+        raise ValueError(f"unknown forced order {forced!r}")
+    if sys.m == 0 or b.Kp == 0.0:
+        return (ErrorOrder.O1_ZERO, 0.0)
     cands = []
     reason = InapplicableError(f"no bound for forced={forced!r} covers the {scheme.kind.value} scheme")
     for f in rows:

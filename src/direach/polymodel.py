@@ -456,7 +456,7 @@ class PolynomialModel:
         s = 0.0
         for c in self.terms.values():
             s += abs(c)
-        return s * _SLACK_INFLATE + _TINY if s else 0.0
+        return _grown(s)
 
     # ------------------------------------------------------------------ range
     def range(self) -> Interval:

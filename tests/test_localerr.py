@@ -14,7 +14,6 @@ from direach.localerr import (
     err_o1,
     err_o2_affine,
     err_o2_constant,
-    err_o2_constant_c2,
     err_o3_additive,
     err_o3_single,
     growth_factor,
@@ -50,11 +49,6 @@ def mp_formula(fn, b, h):
             return min(h * kp * phi, h * (2 * k + kp))
         if fn is err_o2_constant:
             return h**2 * ((k + kp) * lp / 3 + 2 * kp * (l + lp) * phi)
-        if fn is err_o2_constant_c2:
-            rhs = h**2 / 3 * (3 * kp * lp * phi + lp * (k + kp))
-            rhs += h**3 / 4 * kp * (l * lp + l**2 + hs * (k + kp)) * phi
-            rhs += 11 * h**3 / 24 * (hs * kp + l * lp) * (k + kp)
-            return rhs / (1 - h * l / 2)
         if fn is err_o2_affine:
             rhs = h**2 / 4 * lp * (11 * k + mpmath.mpf("34.5") * kp)
             rhs += 7 * h**3 / 8 * kp * ((4 * hp + hs) * (k + mpmath.mpf("2.5") * kp) + l**2 + (mpmath.mpf("4.5") * l + 5 * lp) * lp) * phi
@@ -96,15 +90,6 @@ def test_growth_factor_argument_rounded_up():
     assert mpmath.mpf(err_o1(b, h)) >= mp_formula(err_o1, b, h)
 
 
-def test_err_o2_constant_c2_constant_rounded_up():
-    # 11/24 rounds to nearest below 11/24; with every other operation exact
-    # the (11h^3/24)(HK' + LL')(K + K') term dominated, and the bound fell
-    # below the formula
-    b = mk(K=3.0, Kp=1.0, H=4.0, Lam=-3200.0)
-    h = 0.03125
-    assert mpmath.mpf(err_o2_constant_c2(b, h)) >= mp_formula(err_o2_constant_c2, b, h)
-
-
 def test_err_o1_lambda_zero_branch():
     b = mk(K=1e6, Kp=1.0, L=0.0, Lam=0.0)
     assert err_o1(b, 0.1) == pytest.approx(0.1, rel=1e-12)
@@ -135,16 +120,6 @@ def test_err_o2_constant_all_ones():
 
 def test_err_o2_constant_zero_noise():
     assert err_o2_constant(mk(K=1.0, L=1.0), 0.1) == 0.0
-
-
-def test_err_o2_constant_c2_example():
-    b = mk(K=0.0, Kp=1.0, L=1.0, Lp=0.0, H=0.0, Lam=0.0)
-    assert err_o2_constant_c2(b, 0.1) == pytest.approx(0.00025 / 0.95, rel=1e-12)
-
-
-def test_err_o2_constant_c2_inapplicable():
-    with pytest.raises(InapplicableError):
-        err_o2_constant_c2(mk(Kp=1.0, L=25.0), 0.1)
 
 
 def test_err_o2_affine_all_ones():
@@ -289,6 +264,21 @@ def test_select_rejects_nonpositive_step():
                 select_error(sys, InputScheme(kind), b, 0.0, forced=forced)
 
 
+def test_select_checks_step_and_forced_without_inputs():
+    """The zero bound of a step without inputs, or with inputs that vanish
+    on the box, comes only after the checks of h and forced."""
+    no_inputs = InputAffineSystem(2, ["x2", "-x1"])
+    vanishing = mk(K=1.2, Kp=0.0, L=1.0, Lam=1.0)
+    for sys, b in ((no_inputs, vanishing), (harmonic(), vanishing)):
+        assert select_error(sys, AFFINE, b, 0.01) == (ErrorOrder.O1_ZERO, 0.0)
+        for h in (-1.0, 0.0):
+            with pytest.raises(InapplicableError):
+                select_error(sys, AFFINE, b, h)
+        for forced in (4, "x", 1.5):
+            with pytest.raises(ValueError, match="unknown forced order"):
+                select_error(sys, AFFINE, b, 0.01, forced=forced)
+
+
 def test_select_error_computes_phi_once(monkeypatch):
     """select_error takes phi(Lam h) once per call, however many formulas
     it evaluates, and each answer equals its formula called alone, bit for
@@ -297,7 +287,6 @@ def test_select_error_computes_phi_once(monkeypatch):
 
     alone = {
         ErrorOrder.O3_ADDITIVE: err_o3_additive,
-        ErrorOrder.O2_CONSTANT_C2: err_o2_constant_c2,
         ErrorOrder.O2_CONSTANT: err_o2_constant,
         ErrorOrder.O2_AFFINE: err_o2_affine,
     }
@@ -340,7 +329,6 @@ def test_monotone_in_constants_and_step():
     fns = [
         err_o1,
         err_o2_constant,
-        err_o2_constant_c2,
         err_o2_affine,
         lambda b, h: err_o3_single(b, h),
     ]
@@ -391,7 +379,6 @@ def test_order_slopes():
     b_add = mk(K=0.1, Kp=0.1, L=0.1, Lp=0.0, H=0.1, Hp=0.0, Lam=0.0)
     assert abs(_loglog_slope(err_o1, b) - 1.0) <= 0.05
     assert abs(_loglog_slope(err_o2_constant, b) - 2.0) <= 0.05
-    assert abs(_loglog_slope(err_o2_constant_c2, b) - 2.0) <= 0.05
     assert abs(_loglog_slope(err_o2_affine, b) - 2.0) <= 0.05
     assert abs(_loglog_slope(err_o3_additive, b_add) - 3.0) <= 0.05
     assert abs(_loglog_slope(lambda bb, h: err_o3_single(bb, h), b) - 3.0) <= 0.05
@@ -399,8 +386,8 @@ def test_order_slopes():
 
 # An Interval reference of the formulas as they were written before they
 # moved to upward-rounded floats, in the same association order.  The
-# constants 11/24 and 7/48 and the sum 1 + c are intervals, so that the
-# reference is sound; phi's argument is the caller's.
+# constant 7/48 and the sum 1 + c are intervals, so that the reference is
+# sound; phi's argument is the caller's.
 def _pt(x):
     return Interval.point(x)
 
@@ -431,17 +418,6 @@ def _ref_o2_constant(b, h):
     phi = _ref_phi(b.Lam * h)
     inner = (_pt(b.K) + b.Kp) * _pt(b.Lp) / 3.0 + _pt(b.Kp) * 2.0 * (_pt(b.L) + b.Lp) * phi
     return (_pt(h) ** 2 * inner).hi
-
-
-def _ref_o2_constant_c2(b, h):
-    pre = _ref_pre(b, h, False)
-    phi = _ref_phi(b.Lam * h)
-    hh = _pt(h)
-    kp, l, lp, hs, k = _pt(b.Kp), _pt(b.L), _pt(b.Lp), _pt(b.H), _pt(b.K)
-    rhs = (hh**2 / 3.0) * (kp * 3.0 * lp * phi + lp * (k + kp))
-    rhs = rhs + (hh**3 / 4.0) * kp * (l * lp + l**2 + hs * (k + kp)) * phi
-    rhs = rhs + (hh**3 * (_pt(11.0) / 24.0)) * (hs * kp + l * lp) * (k + kp)
-    return (rhs / pre).hi
 
 
 def _ref_o2_affine(b, h):
@@ -485,7 +461,6 @@ def _ref_o3_single(b, h):
 REFERENCE = {
     err_o1: lambda b, h: _ref_first_order(b, h, 0.0),
     err_o2_constant: _ref_o2_constant,
-    err_o2_constant_c2: _ref_o2_constant_c2,
     err_o2_affine: _ref_o2_affine,
     err_o3_additive: _ref_o3_additive,
     err_o3_single: _ref_o3_single,

@@ -41,7 +41,7 @@ from .interval import (
 )
 from .inputs import InputScheme, SchemeKind, realize_w
 from .polymodel import PolynomialModel, Role, VarInfo, VectorModel, compose_expr
-from .symexpr import InputAffineSystem, _is_zero
+from .symexpr import InputAffineSystem
 
 __all__ = [
     "StepGeometry",
@@ -81,11 +81,15 @@ class AprioriBound:
     input_ranges: tuple[Interval, ...]
 
 
+def _w_sups(sys: InputAffineSystem, scheme: InputScheme) -> list[float]:
+    """Upper bound of each input's sup|w| = V * w_sup_factor, rounded upward."""
+    return [_mul_up(v, scheme.w_sup_factor) for v in sys.V]
+
+
 def input_hull_ranges(sys: InputAffineSystem, scheme: InputScheme) -> tuple[Interval, ...]:
     """Input ranges covering both the true disturbances (+-V) and every
     surrogate member (+-w_sup)."""
-    f = max(1.0, scheme.w_sup_factor)
-    return tuple(Interval(-v * f, v * f) for v in sys.V)
+    return tuple(Interval(-r, r) for r in map(max, sys.V, _w_sups(sys, scheme)))
 
 
 def _rhs(sys: InputAffineSystem, box: Box, u, t0: float) -> tuple[Interval, ...]:
@@ -238,7 +242,7 @@ def _picard_core(
     parameters at positions[i]; half selects the step scheme's sub-step
     parameter."""
     X0, e_x = _strip_errors(X)
-    tvar = VarInfo(Role.TIME, center=t0 + h / 2.0, radius=h / 2.0)
+    tvar = VarInfo(Role.TIME, radius=h / 2.0)
     vars_t = X0.vars + (tvar,)
     tpos = len(vars_t) - 1
     Xt = X0.map(lambda c: c.extend((tvar,)))
@@ -252,16 +256,9 @@ def _picard_core(
 
     def apply_once(y: VectorModel) -> VectorModel:
         memo: dict = {}  # one composition per distinct subterm of the fields
-        comps = []
         try:
-            for c in range(sys.n):
-                rhs = compose_expr(sys.f[c], y, memo)
-                for k in range(sys.m):
-                    if _is_zero(sys.g[k][c]):  # its product and sum change nothing
-                        continue
-                    gk = compose_expr(sys.g[k][c], y, memo)
-                    rhs = rhs + gk * w_models[k]
-                comps.append(Xt[c] + rhs.antiderivative(tpos))
+            rhs = sys.field(lambda e: compose_expr(e, y, memo), w_models)
+            comps = [Xt[c] + r.antiderivative(tpos) for c, r in enumerate(rhs)]
         except IntervalDomainError as exc:
             raise CertificationError(
                 f"field not composable on the Picard iterate at t={t0:g} ({exc}); "
@@ -347,7 +344,7 @@ def picard_flow(
     base = len(X.vars)
     X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X
     positions = [tuple(base + i * p + q for q in range(p)) for i in range(sys.m)]
-    w_sups = [v * scheme.w_sup_factor for v in sys.V]
+    w_sups = _w_sups(sys, scheme)
     # both half steps of the step scheme work on this box: one set of rates
     rates = _rates(sys, padded, w_sups, geom.t0)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .polymodel import PolynomialModel, VarInfo
 
@@ -156,30 +156,16 @@ class PiecewiseConstant:
         return total
 
 
-def _simpson(fn: Callable[[float], float], a: float, b: float, n: int = 2048) -> float:
-    h = (b - a) / n
-    total = fn(a) + fn(b)
-    for i in range(1, n):
-        total += (4.0 if i % 2 else 2.0) * fn(a + i * h)
-    return total * h / 3.0
-
-
-def match_parameters(v, scheme: InputScheme, t0: float, h: float) -> tuple[float, ...]:
+def match_parameters(v: PiecewiseConstant, scheme: InputScheme, t0: float, h: float) -> tuple[float, ...]:
     """Physical parameters of the scheme member matching v's moments on
-    [t0, t0+h]; v is a PiecewiseConstant (exact moments) or a callable
-    (composite Simpson quadrature).
+    [t0, t0+h].
 
     Returns () for zero, (a0,) for constant, (a0, a1) for affine and step.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    mid = t0 + h / 2.0
-    if isinstance(v, PiecewiseConstant):
-        mean = v.mean()
-        moment = v.centered_moment(mid)
-    else:
-        mean = _simpson(v, t0, t0 + h) / h
-        moment = _simpson(lambda t: v(t) * (t - mid), t0, t0 + h)
+    mean = v.mean()
+    moment = v.centered_moment(t0 + h / 2.0)
     kind = scheme.kind
     if kind is SchemeKind.ZERO:
         return ()

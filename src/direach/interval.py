@@ -444,14 +444,6 @@ class Box:
     def widths(self) -> tuple[float, ...]:
         return tuple(c.width for c in self.components)
 
-    @property
-    def diameter(self) -> float:
-        return max(self.widths)
-
-    @property
-    def radius(self) -> float:
-        return self.diameter / 2.0
-
     def __repr__(self) -> str:
         return "x".join(repr(c) for c in self.components)
 

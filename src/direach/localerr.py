@@ -10,12 +10,14 @@ factor phi(u) = (e^u - 1)/u is increasing, so it is taken at Lam*h rounded
 upward.  select_error computes it once per call and passes it to every
 formula as phi; a formula called without it computes it.
 
-Each row of select_error's table serves one family of surrogates:
+Each row of the formula table _FORMULAS serves one family of surrogates:
 O1 any surrogate with sup|w| <= cV (c = 0 for the zero scheme, the
 scheme's w_sup_factor otherwise); O2-constant the step-mean constant
 surrogate; O2-affine, O3-additive (constant input fields) and
 O3-single-input (one input) the surrogates that match the mean and the
-first centred moment: affine, affine-reduced and step.
+first centred moment: affine, affine-reduced and step.  select_error takes
+the smallest bound among the rows that cover the scheme; a caller that
+needs one formula calls its err_* function or its row.
 """
 from __future__ import annotations
 
@@ -206,7 +208,6 @@ def _always(b: StepErrorBounds) -> bool:
 
 class _Formula(NamedTuple):
     order: ErrorOrder
-    forced_by: int  # the integer that forces it
     bound: Callable[[InputAffineSystem, InputScheme, StepErrorBounds, float, float], float]
     kinds: frozenset[SchemeKind]  # the schemes whose surrogates it covers
     applies: Callable[[StepErrorBounds], bool] = _always
@@ -217,19 +218,18 @@ _CONSTANT = frozenset((SchemeKind.CONSTANT,))
 
 # Higher orders first, so that min() resolves ties to the best order.
 _FORMULAS = (
-    _Formula(ErrorOrder.O3_ADDITIVE, 3, lambda sys, s, b, h, phi: err_o3_additive(b, h, phi), _TWO_MOMENT),
+    _Formula(ErrorOrder.O3_ADDITIVE, lambda sys, s, b, h, phi: err_o3_additive(b, h, phi), _TWO_MOMENT),
     # the additive corollary is preferred where both apply
     _Formula(
         ErrorOrder.O3_SINGLE,
-        3,
         lambda sys, s, b, h, phi: err_o3_single(b, h, sys.m, phi),
         _TWO_MOMENT,
         lambda b: not _additive(b),
     ),
-    _Formula(ErrorOrder.O2_CONSTANT, 2, lambda sys, s, b, h, phi: err_o2_constant(b, h, phi), _CONSTANT),
-    _Formula(ErrorOrder.O2_AFFINE, 2, lambda sys, s, b, h, phi: err_o2_affine(b, h, phi), _TWO_MOMENT),
+    _Formula(ErrorOrder.O2_CONSTANT, lambda sys, s, b, h, phi: err_o2_constant(b, h, phi), _CONSTANT),
+    _Formula(ErrorOrder.O2_AFFINE, lambda sys, s, b, h, phi: err_o2_affine(b, h, phi), _TWO_MOMENT),
     _Formula(
-        ErrorOrder.O1_ZERO, 1, lambda sys, s, b, h, phi: _first_order(b, h, s.w_sup_factor, phi), frozenset(SchemeKind)
+        ErrorOrder.O1_ZERO, lambda sys, s, b, h, phi: _first_order(b, h, s.w_sup_factor, phi), frozenset(SchemeKind)
     ),
 )
 
@@ -239,41 +239,28 @@ def select_error(
     scheme: InputScheme,
     b: StepErrorBounds,
     h: float,
-    forced=None,
 ) -> tuple[ErrorOrder, float]:
-    """Pick the analytical per-step bound for a step of length h > 0.
+    """Pick the analytical per-step bound for a step of length h > 0: the
+    smallest bound among the formulas that cover the scheme and whose
+    hypotheses hold.
 
-    forced = None takes the smallest bound among the formulas that cover
-    the scheme and apply to the inputs; 1/2/3 take the formula of that
-    order that covers the scheme (3 = additive or single-input corollary);
-    an ErrorOrder takes that formula.  Each formula checks its own
-    hypotheses (step size, hL < 2 or h(L/2 + L') < 1, additive noise, one
-    input) and a formula whose hypotheses fail is skipped.  The table's
-    applies predicate only prefers the additive corollary to the
-    single-input one and is not consulted for a forced ErrorOrder.
-    InapplicableError is raised when no formula is left, as for a forced
-    order that does not cover the scheme.  Without inputs, or with inputs
-    that vanish on the box, the bound is 0, once h and forced have passed
-    their checks.  phi(Lam h) is computed once and shared by every formula.
+    Each formula checks its own hypotheses (hL < 2 or h(L/2 + L') < 1,
+    additive noise, one input) and a formula whose hypotheses fail is
+    skipped; the table's applies predicate prefers the additive corollary
+    to the single-input one.  The first-order row covers every scheme and
+    cannot fail once phi(Lam h) is known, so an answer always exists.
+    InapplicableError is raised only for h <= 0.  Without inputs, or with
+    inputs that vanish on the box, the bound is 0, once h has passed its
+    check.  phi(Lam h) is computed once and shared by every formula.
     """
     phi = _phi(b, h)
-    if isinstance(forced, ErrorOrder):
-        rows = [f for f in _FORMULAS if f.order is forced]
-    elif forced in (None, 1, 2, 3):
-        rows = [f for f in _FORMULAS if forced in (None, f.forced_by) and f.applies(b)]
-    else:
-        raise ValueError(f"unknown forced order {forced!r}")
     if sys.m == 0 or b.Kp == 0.0:
         return (ErrorOrder.O1_ZERO, 0.0)
     cands = []
-    reason = InapplicableError(f"no bound for forced={forced!r} covers the {scheme.kind.value} scheme")
-    for f in rows:
-        if scheme.kind in f.kinds:
+    for f in _FORMULAS:
+        if scheme.kind in f.kinds and f.applies(b):
             try:
                 cands.append((f.order, f.bound(sys, scheme, b, h, phi)))
-            except InapplicableError as exc:
-                reason = exc
-    if not cands:
-        raise reason
-    # at most one formula of a forced order applies
+            except InapplicableError:
+                pass
     return min(cands, key=lambda t: t[1])

@@ -3,8 +3,9 @@
 This is the oracle side: trajectories of the true inclusion under random
 piecewise-constant disturbances, integrated by fixed-step RK4 on a grid much
 finer than the reachability grid.  It shares with the validated pipeline
-only the symbolic system definition and symexpr.fold, evaluated here in
-plain numpy floating point with no rounding control.
+only the symbolic system definition, InputAffineSystem.field and
+symexpr.fold, evaluated here in plain numpy floating point with no rounding
+control.
 """
 from __future__ import annotations
 
@@ -33,13 +34,7 @@ def compile_field(sys: InputAffineSystem):
 
     def rhs(X: np.ndarray, V: np.ndarray) -> np.ndarray:
         cols = X.T
-        out = []
-        for c in range(sys.n):
-            acc = symexpr.fold(sys.f[c], cols, _NUMPY_OPS)
-            for k in range(sys.m):
-                acc = acc + symexpr.fold(sys.g[k][c], cols, _NUMPY_OPS) * V[:, k]
-            out.append(acc)
-        return np.stack(out, axis=1)
+        return np.stack(sys.field(lambda e: symexpr.fold(e, cols, _NUMPY_OPS), V.T), axis=1)
 
     return rhs
 

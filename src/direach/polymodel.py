@@ -91,12 +91,11 @@ class Role(str, Enum):
 
 @dataclass(frozen=True)
 class VarInfo:
-    """One unit-domain variable: its meaning and the affine map into the
-    semantic domain (center + radius * z)."""
+    """One unit-domain variable z: its meaning and, for the step's time
+    variable, its radius (t - t_mid = radius * z)."""
 
     role: Role
     born: int = 0
-    center: float = 0.0
     radius: float = 1.0
     axis: int | None = None
 
@@ -307,9 +306,9 @@ class PolynomialModel:
 
     # ------------------------------------------------------------------ build
     @staticmethod
-    def constant(value: float, vars: tuple[VarInfo, ...], max_degree: int, error: float = 0.0) -> "PolynomialModel":
+    def constant(value: float, vars: tuple[VarInfo, ...], max_degree: int) -> "PolynomialModel":
         terms = {0: float(value)} if value != 0.0 else {}
-        return PolynomialModel(vars, terms, error, max_degree)
+        return PolynomialModel(vars, terms, 0.0, max_degree)
 
     @staticmethod
     def from_var(position: int, vars: tuple[VarInfo, ...], max_degree: int) -> "PolynomialModel":
@@ -484,8 +483,9 @@ class PolynomialModel:
         return r.inflate(self.error) if self.error else r
 
     # ------------------------------------------------------------------ structure ops
-    def sweep(self, positions: Iterable[int], drop: bool = True) -> "PolynomialModel":
-        """Replace dependence on the given variables by a uniform error."""
+    def sweep(self, positions: Iterable[int]) -> "PolynomialModel":
+        """Replace dependence on the given variables by a uniform error and
+        drop them from the layout."""
         pos = sorted(set(positions))
         if not pos:
             return self
@@ -502,11 +502,8 @@ class PolynomialModel:
             else:
                 out[k] = c
         e = _add_up(self.error, _sum_bound(swept, len(self.terms) - len(out)))
-        m = PolynomialModel(self.vars, out, e, self.max_degree)
-        if drop:
-            keep = [i for i in range(self.arity) if i not in set(pos)]
-            m = m.reindex(keep)
-        return m
+        keep = [i for i in range(self.arity) if i not in set(pos)]
+        return PolynomialModel(self.vars, out, e, self.max_degree).reindex(keep)
 
     def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
         """Keep only the listed variable positions (they must be inert in

@@ -6,7 +6,7 @@ need: variables x1..xn, decimal literals, + - * /, integer powers with ^,
 and sin/cos/exp.  Differentiation is exact.  Evaluation over points, over boxes
 (natural interval extension), over numpy columns (mc) and over polynomial
 models (polymodel.compose_expr) is one fold with a table of operations per
-domain.
+domain; InputAffineSystem.field assembles f + sum_k g_k u_k in any of them.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .interval import (
     Box,
@@ -587,16 +587,24 @@ class InputAffineSystem:
     def input_jacobian(self, k: int, box: Box, memo: dict) -> IntervalMatrix:
         return IntervalMatrix(tuple(tuple(_entry_interval(e, box, memo) for e in row) for row in self.dg[k]))
 
+    def field(self, value: Callable[[Expr], Any], inputs: Sequence) -> list:
+        """f(x) + sum_k g_k(x) u_k per component, in the domain of value:
+        value(e) is the value of the expression e there, inputs[k] is u_k.
+        Input fields that are the constant 0 are skipped: their product and
+        sum change nothing."""
+        out = []
+        for c in range(self.n):
+            acc = value(self.f[c])
+            for k, u in enumerate(inputs):
+                if not _is_zero(self.g[k][c]):
+                    acc = acc + value(self.g[k][c]) * u
+            out.append(acc)
+        return out
+
     def rhs_interval(self, box: Box, input_ranges: Sequence[Interval]) -> tuple[Interval, ...]:
         """Interval hull of f(x) + sum g_i(x)u_i over x in box, u_i in input_ranges."""
         memo: dict = {}
-        out = []
-        for c in range(self.n):
-            acc = eval_interval(self.f[c], box, memo)
-            for k, u in enumerate(input_ranges):
-                acc = acc + eval_interval(self.g[k][c], box, memo) * u
-            out.append(acc)
-        return tuple(out)
+        return tuple(self.field(lambda e: eval_interval(e, box, memo), input_ranges))
 
 
 @dataclass(frozen=True)

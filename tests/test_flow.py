@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from direach.flow import (
     CertificationError,
     StepGeometry,
     _banach_remainder,
+    _w_sups,
     apriori_bound,
     input_hull_ranges,
     picard_flow,
@@ -102,10 +104,20 @@ def test_picard_diverging_iterate_raises_certification_error(field, x0, h, itera
 
 
 def test_input_hull_ranges_cover_surrogates():
-    sys = InputAffineSystem(1, ["0"], [["1"]], [0.4])
-    (r,) = input_hull_ranges(sys, AFFINE)
-    assert r == Interval(-1.0, 1.0)  # 2.5 * 0.4
-    (rz,) = input_hull_ranges(sys, ZERO)
+    """The a-priori hull and the rates' sup|w| hold the true disturbances
+    (+-V) and every surrogate (+-V * w_sup_factor), compared exactly:
+    rounded to nearest, 0.05 * 2.5 and 0.4 * 2.5 fall below their exact
+    products."""
+    for kind in SchemeKind:
+        scheme = InputScheme(kind)
+        for V in (0.05, 0.08, 0.1, 0.4):
+            sys = InputAffineSystem(1, ["0"], [["1"]], [V])
+            exact = Fraction(V) * Fraction(scheme.w_sup_factor)
+            (r,) = input_hull_ranges(sys, scheme)
+            assert r.lo == -r.hi and Fraction(r.hi) >= max(exact, Fraction(V)), (kind, V)
+            (ws,) = _w_sups(sys, scheme)
+            assert Fraction(ws) >= exact, (kind, V)
+    (rz,) = input_hull_ranges(InputAffineSystem(1, ["0"], [["1"]], [0.4]), ZERO)
     assert rz == Interval(-0.4, 0.4)
 
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -17,7 +16,7 @@ from direach.polymodel import PolynomialModel, Role, VarInfo
 def layout(n_params, with_time=True, h=0.1):
     infos = [VarInfo(Role.INPUT) for _ in range(n_params)]
     if with_time:
-        infos.append(VarInfo(Role.TIME, center=h / 2, radius=h / 2))
+        infos.append(VarInfo(Role.TIME, radius=h / 2))
     return tuple(infos)
 
 
@@ -103,16 +102,6 @@ def test_match_half_step_flip_maximizes_slope():
     a0, a1 = match_parameters(v, sch, 0.0, h)
     assert a0 == pytest.approx(0.0, abs=1e-14)
     assert a1 == pytest.approx(3 * V, rel=1e-12)
-
-
-def test_match_sine_slope():
-    sch = InputScheme(SchemeKind.AFFINE)
-    h = 0.4
-    a0, a1 = match_parameters(lambda t: math.sin(2 * math.pi * t / h), sch, 0.0, h)
-    assert a0 == pytest.approx(0.0, abs=1e-10)
-    assert a1 == pytest.approx(-6.0 / math.pi, rel=1e-8)
-    # corresponding w(t) = a1*(t - mid)/h has slope a1/h = -6/(pi h)
-    assert a1 / h == pytest.approx(-6.0 / (math.pi * h), rel=1e-8)
 
 
 def test_match_step_scheme_moments():

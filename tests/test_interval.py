@@ -203,7 +203,7 @@ def test_pow_soundness_fuzz():
 
 def test_box_basics():
     b = Box.from_bounds([(0, 1), (0, 3)])
-    assert b.diameter == 3.0 and b.radius == 1.5
+    assert b.widths == (1.0, 3.0)
     assert all(c.contains(v) for c, v in zip(b, (0.5, 2.9)))
     assert not all(c.contains(v) for c, v in zip(b, (1.1, 0.0)))
     assert b.hull(Box.from_bounds([(2, 2.5), (-1, 0)])) == Box.from_bounds([(0, 2.5), (-1, 3)])

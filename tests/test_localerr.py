@@ -243,30 +243,17 @@ def test_select_zero_scheme():
     assert eps == pytest.approx(err_o1(b, 0.01), rel=1e-12)
 
 
-def test_select_forced_orders():
-    sys = harmonic()
-    b = StepErrorBounds(K=1.2, Kp=0.1, L=1.0, Lp=0.0, H=0.0, Hp=0.0, Lam=1.0)
-    order, eps = select_error(sys, CONSTANT, b, 0.01, forced=2)
-    assert order is ErrorOrder.O2_CONSTANT
-    assert eps == pytest.approx(err_o2_constant(b, 0.01), rel=1e-12)
-    order, eps = select_error(sys, AFFINE, b, 0.01, forced=3)
-    assert order is ErrorOrder.O3_ADDITIVE
-    order, eps = select_error(sys, AFFINE, b, 0.01, forced=ErrorOrder.O2_AFFINE)
-    assert eps == pytest.approx(err_o2_affine(b, 0.01), rel=1e-12)
-
-
 def test_select_rejects_nonpositive_step():
     sys = harmonic()
     b = mk(K=1.2, Kp=0.1, L=1.0, Lam=1.0)
     for kind in SchemeKind:
-        for forced in (None, 1, 2, 3, *ErrorOrder):
-            with pytest.raises(InapplicableError):
-                select_error(sys, InputScheme(kind), b, 0.0, forced=forced)
+        with pytest.raises(InapplicableError):
+            select_error(sys, InputScheme(kind), b, 0.0)
 
 
-def test_select_checks_step_and_forced_without_inputs():
+def test_select_checks_step_without_inputs():
     """The zero bound of a step without inputs, or with inputs that vanish
-    on the box, comes only after the checks of h and forced."""
+    on the box, comes only after the check of h."""
     no_inputs = InputAffineSystem(2, ["x2", "-x1"])
     vanishing = mk(K=1.2, Kp=0.0, L=1.0, Lam=1.0)
     for sys, b in ((no_inputs, vanishing), (harmonic(), vanishing)):
@@ -274,9 +261,6 @@ def test_select_checks_step_and_forced_without_inputs():
         for h in (-1.0, 0.0):
             with pytest.raises(InapplicableError):
                 select_error(sys, AFFINE, b, h)
-        for forced in (4, "x", 1.5):
-            with pytest.raises(ValueError, match="unknown forced order"):
-                select_error(sys, AFFINE, b, 0.01, forced=forced)
 
 
 def test_select_error_computes_phi_once(monkeypatch):

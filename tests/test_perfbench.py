@@ -1,0 +1,143 @@
+"""The benchmark's reach driver and trace hooks, run on the library as the
+tests import it.
+
+perfbench/run.py --trace 1 wraps library names where their callers look
+them up; a call moved away from a patched name leaves its metric
+unmeasured, and the run fails.  The trace test guards that here.  The
+reference test holds the driver's enclosure of the dosc-additive system
+against the exact reachable set of that linear inclusion.
+"""
+import cmath
+import importlib
+import json
+import random
+import sys
+import types
+from pathlib import Path
+
+import mpmath
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("interval", "symexpr", "polymodel", "inputs", "localerr", "flow", "mc")
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """The perfbench modules (they import one another by bare name) and the
+    library namespace they take."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        mods = {m: importlib.import_module(m) for m in ("reach", "tracer", "workloads")}
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    lib = types.SimpleNamespace(**{m: importlib.import_module(f"direach.{m}") for m in MODULES})
+    return types.SimpleNamespace(lib=lib, **mods)
+
+
+def test_trace_hooks_see_every_layer(perfbench):
+    """A traced 3-step trig3-step reach calls every name that the tracer
+    wraps and that BENCHMARK.json counts, gives the untraced boxes, and
+    leaves the library as it was."""
+    lib, reach = perfbench.lib, perfbench.reach
+    w = perfbench.workloads.WORKLOADS["trig3-step"]
+    system = lib.symexpr.InputAffineSystem(w.dim, w.drift, w.inputs, w.magnitudes)
+    X0 = reach.initial_model(lib, w.initial_bounds(1), w.cap)
+    scheme = lib.inputs.InputScheme.from_name(w.scheme)
+    owners = [getattr(lib, m) for m in MODULES]
+    owners += [lib.polymodel.PolynomialModel, lib.interval.Interval, lib.symexpr.InputAffineSystem]
+    before = [dict(vars(o)) for o in owners]
+
+    plain = reach.run_reach(lib, system, scheme, X0, w.h, 3)
+    with perfbench.tracer.Tracer(lib) as tr:
+        traced = reach.run_reach(lib, system, scheme, X0, w.h, 3)
+
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    wrapped = {m["name"][: -len(".calls")] for m in per_layer if m["name"].endswith(".calls")}
+    assert len(wrapped) == 14
+    assert {name for name in wrapped if tr.calls[name] == 0} == set()
+    assert traced.complete and traced.boxes == plain.boxes
+    for o, was in zip(owners, before):
+        now = vars(o)
+        assert [k for k in was if now.get(k) is not was[k]] == [], o
+
+
+# dosc-additive: dx/dt = A x + B v, A = [[-1, 1/2], [-1/2, -1]], B = (0, 1),
+# |v| <= V; in z = x1 + i*x2 it is dz/dt = a z + i v with a = -1 - i/2
+A = complex(-1.0, -0.5)
+V = 0.05
+H = 0.005
+STEPS = 200
+INITIAL = ((0.99, 1.01), (-0.01, 0.01))
+HOLDS = (H / 20, H / 5, H / 2, H, 2 * H, 5 * H, float("inf"))
+
+
+def exact_widths(T):
+    """Widths of the exact reachable set at time T: |Phi(T)| w0 +
+    2V int_0^T |Phi(s) B| ds per component, where Phi(s) = e^-s R(s/2) and
+    R is the rotation [[cos, sin], [-sin, cos]]."""
+    w0 = [hi - lo for lo, hi in INITIAL]
+    with mpmath.workdps(30):
+        T = mpmath.mpf(T)
+        e, c, s = mpmath.exp(-T), abs(mpmath.cos(T / 2)), abs(mpmath.sin(T / 2))
+        cuts = [0, T] if T <= mpmath.pi else [0, mpmath.pi, T]  # cos(s/2) changes sign at pi
+        sin_int = mpmath.quad(lambda u: mpmath.exp(-u) * abs(mpmath.sin(u / 2)), cuts)
+        cos_int = mpmath.quad(lambda u: mpmath.exp(-u) * abs(mpmath.cos(u / 2)), cuts)
+        return (
+            float(e * (c * w0[0] + s * w0[1]) + 2 * V * sin_int),
+            float(e * (s * w0[0] + c * w0[1]) + 2 * V * cos_int),
+        )
+
+
+def extremal_states(rng, count):
+    """Trajectories under +-V inputs that flip sign at rate 1/hold, one
+    hold drawn per trajectory; half start at corners of the initial box.
+    Each is the exact flow of its piecewise-constant input, taken at every
+    grid time: shape [trajectory][k] -> complex state at t = k*H."""
+    out = []
+    for j in range(count):
+        if j % 2:
+            z = complex(*(rng.choice(c) for c in INITIAL))
+        else:
+            z = complex(*(rng.uniform(*c) for c in INITIAL))
+        hold = rng.choice(HOLDS)
+        v = rng.choice((-V, V))
+        t, flip = 0.0, rng.expovariate(1.0 / hold) if hold < float("inf") else float("inf")
+        states = [z]
+        for k in range(1, STEPS + 1):
+            end = k * H
+            while t < end:
+                tau = min(flip, end) - t
+                decay = cmath.exp(A * tau)
+                z = decay * z + 1j * v * (decay - 1.0) / A
+                t = min(flip, end)
+                if t >= flip:
+                    v = -v
+                    flip += rng.expovariate(1.0 / hold)
+            states.append(z)
+        out.append(states)
+    return out
+
+
+def test_dosc_additive_exact_reference(perfbench):
+    """200 affine-scheme steps of dosc-additive: the final box is no
+    narrower than the exact reachable set, and every step box holds about
+    400 extremal trajectories."""
+    lib, reach = perfbench.lib, perfbench.reach
+    system = lib.symexpr.InputAffineSystem(2, ["-x1 + 0.5*x2", "-0.5*x1 - x2"], [["0", "1"]], [V])
+    X0 = reach.initial_model(lib, INITIAL, 3)
+    r = reach.run_reach(lib, system, lib.inputs.InputScheme.from_name("affine"), X0, H, STEPS)
+    assert r.complete and len(r.boxes) == STEPS + 1
+
+    # the exact widths at T = 1 and T = 5, to 6 digits
+    assert [round(x, 6) for x in exact_widths(1.0)] == [0.022961, 0.071212]
+    assert [round(x, 6) for x in exact_widths(5.0)] == [0.040082, 0.083053]
+    final = r.boxes[-1].widths
+    assert all(got >= want for got, want in zip(final, exact_widths(STEPS * H))), final
+
+    outside = []
+    for j, states in enumerate(extremal_states(random.Random(7), 400)):
+        for k, (z, box) in enumerate(zip(states, r.boxes)):
+            if not (box[0].lo <= z.real <= box[0].hi and box[1].lo <= z.imag <= box[1].hi):
+                outside.append((j, k, z))
+    assert outside == []

@@ -148,7 +148,7 @@ def test_sweep_containment_grid():
         assert abs(v - sv) <= s.error + 1e-15
 
 
-TIME2 = (VarInfo(Role.STATE), VarInfo(Role.TIME, center=0.05, radius=0.05))
+TIME2 = (VarInfo(Role.STATE), VarInfo(Role.TIME, radius=0.05))
 
 
 def test_antiderivative_constant():
@@ -172,7 +172,7 @@ def test_antiderivative_twice_symbolic_oracle():
 
 
 def test_antiderivative_error_scales_with_step():
-    m = PolynomialModel.constant(0.0, TIME2, 5, error=0.1)
+    m = PolynomialModel.constant(0.0, TIME2, 5).add_error(0.1)
     r = m.antiderivative(1)
     assert r.error <= 0.01 * (1 + 1e-9)
     assert r.error >= 0.01 * (1 - 1e-9)
@@ -279,7 +279,7 @@ def test_compose_shared_memo_bit_identical():
     vars3 = tuple(VarInfo(Role.STATE, axis=i) for i in range(3))
     args = VectorModel(
         tuple(
-            PolynomialModel.constant(0.5 + i, vars3, 3, error=1e-9)
+            PolynomialModel.constant(0.5 + i, vars3, 3).add_error(1e-9)
             + PolynomialModel.from_var(i, vars3, 3).scale(0.1)
             for i in range(3)
         )
@@ -307,7 +307,7 @@ def test_compose_power_table_shared_bit_identical(monkeypatch):
     vars3 = tuple(VarInfo(Role.STATE, axis=i) for i in range(3))
     args = VectorModel(
         tuple(
-            PolynomialModel.constant(0.2 * i, vars3, 4, error=1e-9)
+            PolynomialModel.constant(0.2 * i, vars3, 4).add_error(1e-9)
             + PolynomialModel.from_var(i, vars3, 4).scale(0.5)
             for i in range(3)
         )
@@ -771,8 +771,11 @@ def _check_range(rng, m):
 def _check_sweep(rng, m):
     positions = rng.sample(range(m.arity), rng.randint(1, m.arity))
     mask = sum(0xF << (4 * p) for p in positions)
-    r = m.sweep(positions, drop=False)
-    assert r.terms == {k: c for k, c in m.terms.items() if not k & mask}
+    keep = [i for i in range(m.arity) if i not in positions]
+    r = m.sweep(positions)
+    assert r.vars == tuple(m.vars[i] for i in keep)
+    kept = {exps: c for exps, c in unpack(m).items() if not any(exps[p] for p in positions)}
+    assert unpack(r) == {tuple(exps[i] for i in keep): c for exps, c in kept.items()}
     swept = sum((abs(Fraction(c)) for k, c in m.terms.items() if k & mask), Fraction(0))
     assert Fraction(r.error) >= Fraction(m.error) + swept
 
@@ -784,7 +787,7 @@ def _check_antiderivative(rng, m):
 
 
 def _check_antiderivative_at(m, tpos, radius):
-    vars_ = m.vars[:tpos] + (VarInfo(Role.TIME, center=radius, radius=radius),) + m.vars[tpos + 1 :]
+    vars_ = m.vars[:tpos] + (VarInfo(Role.TIME, radius=radius),) + m.vars[tpos + 1 :]
     m = PolynomialModel(vars_, m.terms, m.error, m.max_degree)
     r = m.antiderivative(tpos)
     radius = Fraction(m.vars[tpos].radius)
@@ -948,7 +951,7 @@ def _structure_op(m, op, position, value):
 
 
 def _with_time(m, position, radius=0.005):
-    vars_ = m.vars[:position] + (VarInfo(Role.TIME, center=radius, radius=radius),) + m.vars[position + 1 :]
+    vars_ = m.vars[:position] + (VarInfo(Role.TIME, radius=radius),) + m.vars[position + 1 :]
     return PolynomialModel(vars_, m.terms, m.error, m.max_degree)
 
 
@@ -1058,7 +1061,7 @@ def test_structure_ops_build_no_layout_for_sparse_models(monkeypatch, kernels):
     kernels."""
     monkeypatch.setattr(dense, "_LAYOUTS", {})
     rng = random.Random(139)
-    vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(7)) + (VarInfo(Role.TIME, center=0.01, radius=0.01),)
+    vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(7)) + (VarInfo(Role.TIME, radius=0.01),)
     for _ in range(20):
         terms = {_random_key(rng, 8, rng.randint(0, 7)): rng.uniform(-1, 1) for _ in range(40)}
         m = PolynomialModel(vars8, terms, 0.0, 7)
@@ -1138,6 +1141,6 @@ def test_subnormal_products_keep_their_rounding_error():
     r = PolynomialModel(v1, {1: tiny}, 0.0, 7) * halves
     assert Fraction(r.error) >= sum(off_by(r, j + 1, exact) for j in range(6)) > 2 * Fraction(_SUBNORMAL)
 
-    time = (VarInfo(Role.TIME, center=0.5, radius=0.5),)
+    time = (VarInfo(Role.TIME, radius=0.5),)
     r = PolynomialModel(time, {0: tiny}, 0.0, 3).antiderivative(0)
     assert Fraction(r.error) >= off_by(r, 0, exact) + off_by(r, 1, exact)

@@ -1,29 +1,33 @@
 """Golden answers of select_error on a grid of scheme kinds, input
-structures, step sizes and forced orders.
+structures and step sizes, and of each formula row of the table on every
+scheme that it covers.
 
 The answers in select_error_golden.json were recorded from the per-order
 implementation that the formula table replaced; every (order, value) must
 stay bit-identical and every rejection must keep its exception type.  The
-94 cells that force an ErrorOrder whose formula does not cover the scheme
-(such as O3-additive for the zero scheme) were re-recorded as
-InapplicableError: the recorded implementation returned that formula's
-value, which does not bound the scheme's surrogate error.  The 13 cells of
-the two-state-dependent system at h = 0.01 whose answer is an O1 or
-O2-constant value were re-recorded when the growth factor's argument Lam*h
-came to be rounded upward: each moved down by one ulp, and each still lies
-above its exact formula value.  The 12 cells that the O2-constant-C2 bound
-answered were re-recorded when that bound was deleted, because the per-step
-theorem check (test_theorem.py) measured true step errors up to 19.5 times
-above it: the 7 cells that force it now raise InapplicableError, as an
-order that covers no scheme does, and the 5 automatic constant-scheme cells
-now take the larger O2-constant bound.
+13 cells of the two-state-dependent system at h = 0.01 whose answer is an
+O1 or O2-constant value were re-recorded when the growth factor's argument
+Lam*h came to be rounded upward: each moved down by one ulp, and each still
+lies above its exact formula value.  The 5 automatic constant-scheme cells
+that the deleted O2-constant-C2 bound answered were re-recorded with the
+larger O2-constant bound, because the per-step theorem check
+(test_theorem.py) measured true step errors up to 19.5 times above the
+deleted one.
+
+The grid once also held the answers of select_error's forced argument, one
+cell per forced order 1, 2, 3, 4 and per ErrorOrder.  When that argument
+was deleted, 315 of the 495 cells went: those of forced 1/2/3/4, those of
+O2-constant-C2 (no formula), and those of an ErrorOrder whose row does not
+cover the scheme.  The 180 cells left (45 automatic, 135 per row) kept their
+keys and their answers; a per-row cell is now that row's bound called
+directly, which is what forcing its ErrorOrder computed.
 """
 import json
 from pathlib import Path
 
 from direach.interval import Box
 from direach.inputs import InputScheme, SchemeKind
-from direach.localerr import _FORMULAS, ErrorOrder, select_error
+from direach.localerr import _FORMULAS, select_error
 from direach.symexpr import InputAffineSystem, compute_bounds
 
 GOLDEN = Path(__file__).with_name("select_error_golden.json")
@@ -39,23 +43,27 @@ SYSTEMS = {
 # small enough for every formula; past the h*(L/2 + L') < 1 hypotheses of
 # some; past h*L < 2 as well
 STEPS = (0.01, 0.35, 1.5)
-# 4 is no order: a ValueError
-FORCED = (None, 1, 2, 3, 4) + tuple(ErrorOrder)
 
+# row None is select_error's automatic choice
 CASES = {
-    f"{name}|{kind.value}|{h!r}|{getattr(forced, 'value', forced)}": (name, kind, h, forced)
+    f"{name}|{kind.value}|{h!r}|{row.order.value if row else None}": (name, kind, h, row)
     for name in SYSTEMS
     for kind in SchemeKind
     for h in STEPS
-    for forced in FORCED
+    for row in (None, *_FORMULAS)
+    if row is None or kind in row.kinds
 }
 
 
-def answer(name, kind, h, forced):
+def answer(name, kind, h, row):
     """[order, value] or ["raises", exception type name]."""
     sys = SYSTEMS[name]
+    scheme, b = InputScheme(kind), compute_bounds(sys, BOX)
     try:
-        order, value = select_error(sys, InputScheme(kind), compute_bounds(sys, BOX), h, forced=forced)
+        if row is None:
+            order, value = select_error(sys, scheme, b, h)
+        else:
+            order, value = row.order, row.bound(sys, scheme, b, h, None)
     except Exception as exc:  # the exception type is part of the answer
         return ["raises", type(exc).__name__]
     return [order.value, value]
@@ -65,9 +73,9 @@ def test_golden_covers_grid():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(CASES)
     answers = {tuple(v[:1]) if v[0] != "raises" else tuple(v) for v in golden.values()}
-    # every order that a formula serves and both rejection types occur on the grid
+    # every order that a formula serves, and rejection, occur on the grid
     assert {(f.order.value,) for f in _FORMULAS} <= answers
-    assert {("raises", "InapplicableError"), ("raises", "ValueError")} <= answers
+    assert ("raises", "InapplicableError") in answers
 
 
 def test_select_error_golden():

@@ -13,7 +13,7 @@ integrated to near machine precision.  It matches w, converts its physical
 parameters to the unit parameters of inputs.realize_w, checks that they
 lie in [-1, 1] (the surrogate family covers v), evaluates w through
 PolynomialModel.eval_point, and compares the two solutions at t = h with
-the bound of the automatic choice and of every ErrorOrder that covers the
+the bound of the automatic choice and of every formula row that covers the
 scheme.
 """
 import numpy as np
@@ -29,7 +29,7 @@ from direach.inputs import (
     quadratic_envelope_check,
     realize_w,
 )
-from direach.localerr import ErrorOrder, InapplicableError, select_error
+from direach.localerr import _FORMULAS, InapplicableError, select_error
 from direach.mc import compile_field
 from direach.polymodel import Role, VarInfo
 from direach.symexpr import InputAffineSystem, compute_bounds
@@ -101,7 +101,7 @@ def surrogate_values(scheme, V, alphas, h):
     shape (samples, SUBSTEPS, 3).  alphas has one row of unit parameters
     per sample."""
     p = scheme.params_per_input
-    vars_ = tuple(VarInfo(Role.INPUT) for _ in range(p)) + (VarInfo(Role.TIME, center=h / 2, radius=h / 2),)
+    vars_ = tuple(VarInfo(Role.INPUT) for _ in range(p)) + (VarInfo(Role.TIME, radius=h / 2),)
     t = (np.arange(SUBSTEPS)[:, None] + np.array([0.0, 0.5, 1.0])) * (h / SUBSTEPS)
     shape = (len(alphas), SUBSTEPS, 3)
     z = [np.broadcast_to(a, shape) for a in [alphas[:, j, None, None] for j in range(p)] + [t / (h / 2) - 1.0]]
@@ -130,15 +130,16 @@ def rk4(rhs, X, W, h):
 
 
 def covering_bounds(sys, scheme, b, h):
-    """{label: bound} for the automatic choice and every ErrorOrder whose
-    formula covers the scheme and applies."""
+    """{label: bound} for the automatic choice and every formula row that
+    covers the scheme and whose hypotheses hold."""
     order, value = select_error(sys, scheme, b, h)
     out = {f"auto ({order.value})": value}
-    for order in ErrorOrder:
-        try:
-            out[order.value] = select_error(sys, scheme, b, h, forced=order)[1]
-        except InapplicableError:
-            pass
+    for row in _FORMULAS:
+        if scheme.kind in row.kinds:
+            try:
+                out[row.order.value] = row.bound(sys, scheme, b, h, None)
+            except InapplicableError:
+                pass
     return out
 
 

@@ -2,33 +2,52 @@
 
 A layout holds one slot per monomial of degree <= cap in arity variables
 (arity <= 15, so that packed keys fit an int64), ordered by degree, and is
-built on first use and cached per (arity, cap).  A kernel scatters a term
-dict into a slot vector, works on whole vectors, and gathers the nonzero
-slots back into a dict in slot order, so its result does not depend on the
-order in which the terms were inserted.  Three operations have a kernel:
+built on first use and cached per (arity, cap).  A model that comes out of
+a kernel carries its slot vector, a read-only float64 array over the layout
+of its (arity, cap), and keeps it through the operations that have a
+vector form; its term dict is built from the nonzero slots, in slot order,
+only when someone reads it.  A dict model is scattered into a slot vector
+when it meets a vector model, or when it is large enough that a kernel
+pays for the scatter.  Every carried vector is finite: each kernel that can
+overflow checks its result.
 
-- the truncated product, over the layout's kept-pair table I, J -> K;
+The kernels, each on whole vectors:
+
+- the truncated product, over the layout's kept-pair table I, J -> K
+  (built on first use);
 - the antiderivative in one variable, over a table per position: each
   slot's divisor e + 1 (e its exponent of that variable), the slot of its
   antiderivative term (none for a slot of degree cap, whose term drops),
   and the slot of its value at -1, the key with that nibble cleared, with
   the sign (-1)**e;
 - substitute_unit, the value at +-1 of one variable, over the same
-  cleared-nibble table.
+  cleared-nibble table;
+- sums, differences, negation, scaling, adding a constant and the Taylor
+  series sum, slot by slot: each slot takes the IEEE operation that the
+  dict loop applies to its key, in the same order, so the coefficients
+  are bit-identical to the dict loop's;
+- range, over the slots with an odd exponent and the nonconstant
+  all-even ones;
+- extend, a scatter into the layout of more variables, and reindex and
+  sweep to an increasing list of kept variables, a gather from the layout
+  of fewer; neither changes a coefficient.
 
-Each result slot k sums n_k contributions, where n_k counts the slots of
-the table that land on k, in bincount's fixed order.  Whatever the order,
-the rounding error of such a sum is at most gamma_{n_k} times the sum of
-the magnitudes it adds (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, sec. 3.1), so each contribution c is charged
-n_k * |c| * _EPS of slack.  An antiderivative coefficient, a rounded
-product and quotient, also charges its own 2 * |c| * _EPS, as the dict loop
-does.  polymodel bounds the slack and the dropped mass with _grown, which
-adds one _TINY per rounded product or quotient.
+In the product, antiderivative and substitute_unit each result slot k sums
+n_k contributions, where n_k counts the slots of the table that land on k,
+in bincount's fixed order.  Whatever the order, the rounding error of such
+a sum is at most gamma_{n_k} times the sum of the magnitudes it adds
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1),
+so each contribution c is charged n_k * |c| * _EPS of slack.  An
+antiderivative coefficient, a rounded product and quotient, also charges
+its own 2 * |c| * _EPS, as the dict loop does.  The slot-by-slot kernels
+charge what the dict loops charge: |v| * _EPS for each rounded product v,
+and for each merge, a slot where both operands are nonzero.  polymodel
+bounds the slack and the dropped mass with _grown, which adds one _TINY
+per rounded product or quotient; each slack is a plain-float sum, and that
+bound holds in any summation order.
 
-A kernel returns None when a term lies above the cap or a result is not
-finite; polymodel then runs its dict loop, which also serves the models
-too sparse for their layout (the choice is made from sizes alone).
+A kernel returns None when a result is not finite, and a scatter when a
+term lies above the cap; polymodel then runs its dict loop.
 """
 from __future__ import annotations
 
@@ -44,11 +63,16 @@ __all__: list[str] = []
 
 class _DenseLayout:
     """The slots of one (arity, cap), each with its packed key and degree;
-    the kept-pair table I, J -> K of the product (slot I times slot J lands
-    on slot K) with weight, n_K * _EPS per pair, where n_k counts the pairs
-    that land on slot k; and the per-position tables, built on first use."""
+    each slot's kind for range, 0 for the constant, 1 with an odd
+    exponent, 2 for the other (all-even) slots, which even marks with 1;
+    and, built on first use, the kept-pair table of the
+    product, the per-position tables and the scatter and gather maps to
+    the layouts of other arities."""
 
-    __slots__ = ("cap", "size", "keys", "slot_of", "packed", "degree", "I", "J", "K", "weight", "_tables")
+    __slots__ = (
+        "arity", "cap", "size", "keys", "slot_of", "packed", "degree", "kind", "even",
+        "_pairs", "_tables", "_scatters", "_gathers",
+    )
 
     def __init__(self, arity: int, cap: int):
         monomials = [(0, 0)]  # (key, degree)
@@ -57,19 +81,36 @@ class _DenseLayout:
             monomials = [(k + e * one, d + e) for k, d in monomials for e in range(cap + 1 - d)]
         monomials.sort(key=lambda m: (m[1], m[0]))
         keys = [k for k, _ in monomials]
+        self.arity = arity
         self.cap = cap
         self.size = len(keys)
         self.keys = keys
-        self.slot_of = slot_of = {k: i for i, k in enumerate(keys)}
+        self.slot_of = {k: i for i, k in enumerate(keys)}
         self.degree = np.array([d for _, d in monomials], dtype=np.intp)
         self.packed = np.array(keys, dtype=np.int64)
-        # slot i pairs with the slots of degree <= cap - degree[i]: a prefix
-        row = np.searchsorted(self.degree, cap - self.degree, side="right")
-        self.I = np.repeat(np.arange(self.size), row)
-        self.J = np.arange(len(self.I)) - np.repeat(np.cumsum(row) - row, row)
-        self.K = np.array([slot_of[k] for k in (self.packed[self.I] + self.packed[self.J]).tolist()], dtype=np.intp)
-        self.weight = np.bincount(self.K, minlength=self.size)[self.K] * _EPS
+        # the low bit of every nibble: a key with any odd exponent meets it
+        odd = (self.packed & (int("1" * arity, 16) if arity else 0)) != 0
+        self.even = (~odd).astype(np.intp)
+        self.even[0] = 0  # slot 0 is the constant
+        self.kind = odd + 2 * self.even
+        self._pairs = None
         self._tables: dict[int, _PositionTable] = {}
+        self._scatters: dict[int, np.ndarray] = {}
+        self._gathers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def pairs(self) -> tuple:
+        """The product's kept-pair table I, J -> K (slot I times slot J
+        lands on slot K) with weight, n_K * _EPS per pair, where n_k counts
+        the pairs that land on slot k."""
+        if self._pairs is None:
+            # slot i pairs with the slots of degree <= cap - degree[i]: a prefix
+            row = np.searchsorted(self.degree, self.cap - self.degree, side="right")
+            I = np.repeat(np.arange(self.size), row)
+            J = np.arange(len(I)) - np.repeat(np.cumsum(row) - row, row)
+            slot_of = self.slot_of
+            K = np.array([slot_of[k] for k in (self.packed[I] + self.packed[J]).tolist()], dtype=np.intp)
+            self._pairs = I, J, K, np.bincount(K, minlength=self.size)[K] * _EPS
+        return self._pairs
 
     def vector(self, terms: dict[int, float]) -> np.ndarray | None:
         """The coefficients of terms by slot, or None when a term lies above
@@ -93,6 +134,32 @@ class _DenseLayout:
         if t is None:
             t = self._tables[position] = _PositionTable(self, position)
         return t
+
+    def scatter(self, arity: int) -> np.ndarray:
+        """The slot of each of this layout's keys in the layout of (arity,
+        cap), arity >= this layout's."""
+        m = self._scatters.get(arity)
+        if m is None:
+            slot_of = _layout(arity, self.cap).slot_of
+            m = self._scatters[arity] = np.array([slot_of[k] for k in self.keys], dtype=np.intp)
+        return m
+
+    def gather(self, keep: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(take, dropped) for keeping the variables at the increasing
+        positions keep: take[j] is the slot of this layout that holds the
+        monomial of slot j of the layout of (len(keep), cap), and dropped
+        lists the slots with an exponent of a variable not kept."""
+        m = self._gathers.get(keep)
+        if m is None:
+            target = _layout(len(keep), self.cap)
+            old = np.zeros(target.size, dtype=np.int64)
+            for new, position in enumerate(keep):
+                old |= ((target.packed >> (4 * new)) & 0xF) << (4 * position)
+            slot_of = self.slot_of
+            take = np.array([slot_of[k] for k in old.tolist()], dtype=np.intp)
+            mask = sum(0xF << (4 * i) for i in range(self.arity) if i not in keep)
+            m = self._gathers[keep] = take, np.flatnonzero(self.packed & mask)
+        return m
 
 
 class _PositionTable:
@@ -131,36 +198,109 @@ def _layout(arity: int, cap: int) -> _DenseLayout:
     return layout
 
 
-def _dense_product(a: dict[int, float], b: dict[int, float], layout: _DenseLayout) -> tuple | None:
-    """The truncated product of the term dicts a and b over a dense layout,
-    as polymodel._pair_product returns it: (terms, dropped mass, products
-    behind it, slack, products behind it); or None when an operand has a
-    term above the cap or the arithmetic overflows (the pair loop then does
-    what it does on overflow).
+def _frozen(v: np.ndarray) -> np.ndarray:
+    """v made read-only, as the vector of an immutable model."""
+    v.flags.writeable = False
+    return v
+
+
+def _finite(v: np.ndarray) -> bool:
+    return bool(np.isfinite(v).all())
+
+
+def _count(v: np.ndarray) -> int:
+    """The terms of v, its nonzero slots."""
+    return int(np.count_nonzero(v))
+
+
+def _magnitude(v: np.ndarray) -> float:
+    """The plain-float sum of the slot magnitudes."""
+    return float(np.abs(v).sum())
+
+
+def _constant(v: np.ndarray) -> float | None:
+    """The constant slot of v when no other slot is nonzero, else None."""
+    return None if v[1:].any() else float(v[0])
+
+
+def _merge_slack(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of |out| over the slots where a and b are both nonzero, the
+    merges of the dict loop that rounds out = a +- b key by key.  Only a
+    merge of finite slots can overflow, so the sum is finite exactly when
+    out is (or when it overflows itself)."""
+    return float(np.abs(out[np.logical_and(a, b)]).sum())
+
+
+def _dense_add(a: np.ndarray, b: np.ndarray, sign: float) -> tuple | None:
+    """a + b for sign 1.0, a - b for sign -1.0, as polymodel's __add__ and
+    __sub__ loops round them: (vector, slack); or None when the slack is
+    not finite, as it is when a sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a + b if sign > 0.0 else a - b
+    slack = _merge_slack(out, a, b) * _EPS
+    if not math.isfinite(slack):
+        return None
+    return out, slack
+
+
+def _dense_add_scalar(v: np.ndarray, value: float) -> tuple | None:
+    """v with value added to its constant slot: (vector, that sum); or None
+    when the sum is not finite."""
+    s = float(v[0]) + value
+    if not math.isfinite(s):
+        return None
+    out = v.copy()
+    out[0] = s
+    return out, s
+
+
+def _dense_scale(v: np.ndarray, s: float) -> tuple | None:
+    """v times the float s: (vector, slack, products behind it); or None
+    when the slack is not finite, as it is when a product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v * s
+    slack = _magnitude(out) * _EPS
+    if not math.isfinite(slack):  # a product overflowed, or the slack did
+        return None
+    return out, slack, _count(v)
+
+
+def _dense_range(v: np.ndarray, layout: _DenseLayout) -> tuple:
+    """What polymodel's range adds up, from the slots: (the constant, the
+    plain-float sums of the magnitudes of the terms with an odd exponent,
+    of the positive and of the negative all-even nonconstant terms, the
+    number of nonconstant terms).  The slots' kinds, plus one for a
+    negative all-even slot, sort the magnitudes into the four sums."""
+    c0 = float(v[0])
+    _, odd, pos, neg = np.bincount(layout.kind + (v < 0.0) * layout.even, np.abs(v), 4).tolist()
+    return c0, odd, pos, neg, _count(v) - (c0 != 0.0)
+
+
+def _dense_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> tuple | None:
+    """The truncated product of the slot vectors a and b, as
+    polymodel._pair_product returns it but with a vector: (vector, dropped
+    mass, products behind it, slack, products behind it); or None when the
+    arithmetic overflows (the pair loop then does what it does on
+    overflow).
 
     Slot k sums n_k products in bincount's fixed order; for any order its
     rounding error is at most gamma_{n_k} times the sum of their
     magnitudes, which the slack n_k * |p| * _EPS per product p covers.  The
     dropped mass pairs the left operand's magnitudes by degree with suffix
-    sums of the right operand's.  A square (b is a) scatters its operand
+    sums of the right operand's.  A square (b is a) takes its magnitudes
     once."""
-    va = layout.vector(a)
-    if va is None:
-        return None
-    vb = va if b is a else layout.vector(b)
-    if vb is None:
-        return None
+    I, J, K, weight = layout.pairs()
     cap = layout.cap
     with np.errstate(over="ignore", invalid="ignore"):
-        p = va[layout.I] * vb[layout.J]
-        out = np.bincount(layout.K, p, layout.size)
-        if not np.isfinite(out).all():
+        p = a[I] * b[J]
+        out = np.bincount(K, p, layout.size)
+        if not _finite(out):
             return None
         np.abs(p, out=p)
-        p *= layout.weight
+        p *= weight
         slack = float(p.sum())
-        mass_a = np.bincount(layout.degree, np.abs(va), cap + 1).tolist()
-        mass_b = mass_a if vb is va else np.bincount(layout.degree, np.abs(vb), cap + 1).tolist()
+        mass_a = np.bincount(layout.degree, np.abs(a), cap + 1).tolist()
+        mass_b = mass_a if b is a else np.bincount(layout.degree, np.abs(b), cap + 1).tolist()
     # left terms of degree cap + 1 - d drop the right terms of degree >= d
     above = dropped = 0.0
     for d in range(cap, 0, -1):
@@ -169,14 +309,14 @@ def _dense_product(a: dict[int, float], b: dict[int, float], layout: _DenseLayou
     if not math.isfinite(dropped):
         return None
     # cap products make up the dropped mass, len(p) the slack
-    return layout.terms(out), dropped, cap, slack, len(p)
+    return out, dropped, cap, slack, len(p)
 
 
-def _dense_antiderivative(terms: dict[int, float], layout: _DenseLayout, position: int, radius: float) -> tuple | None:
-    """The antiderivative of the term dict in the variable at position, of
-    radius radius, as polymodel._antiderivative_loop returns it: (terms,
-    dropped mass, slack); or None when a term lies above the cap or a
-    result is not finite.
+def _dense_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, radius: float) -> tuple | None:
+    """The antiderivative of the slot vector v in the variable at position,
+    of radius radius, as polymodel._antiderivative_loop returns it but with
+    a vector: (vector, dropped mass, slack); or None when a result is not
+    finite.
 
     Each coefficient c * radius / (e + 1) is rounded as in the dict loop
     and charged 2 * |c| * _EPS for its product and quotient, plus
@@ -184,44 +324,81 @@ def _dense_antiderivative(terms: dict[int, float], layout: _DenseLayout, positio
     with.  The antiderivative terms land on distinct slots, with that
     variable's exponent >= 1, where no value at -1 lands; those of the
     slots of degree cap drop."""
-    v = layout.vector(terms)
-    if v is None:
-        return None
     t = layout.table(position)
     top = len(t.up)
     with np.errstate(over="ignore", invalid="ignore"):
-        v *= radius
-        v /= t.div
-        out = np.bincount(t.base, v * t.sign, layout.size)
-        out[t.up] = v[:top]
-        if not np.isfinite(out).all():
+        w = v * radius
+        w /= t.div
+        out = np.bincount(t.base, w * t.sign, layout.size)
+        out[t.up] = w[:top]
+        if not _finite(out):
             return None
-        np.abs(v, out=v)
-        dropped = float(v[top:].sum())
-        v *= t.quotient_weight
-        slack = float(v.sum())
+        np.abs(w, out=w)
+        dropped = float(w[top:].sum())
+        w *= t.quotient_weight
+        slack = float(w.sum())
     if not math.isfinite(dropped):
         return None
-    return layout.terms(out), dropped, slack
+    return out, dropped, slack
 
 
-def _dense_substitute_unit(terms: dict[int, float], layout: _DenseLayout, position: int, value: float) -> tuple | None:
-    """The term dict at z_position = value, value in {-1.0, 1.0}, with keys
-    that keep the cleared nibble, as polymodel._substitute_unit_loop
-    returns it: (terms, slack); or None when a term lies above the cap or
-    a sum is not finite.  The sign flips are exact, so each contribution c
-    is charged only n * |c| * _EPS for the n contributions of its sum."""
-    v = layout.vector(terms)
-    if v is None:
-        return None
+def _dense_substitute_unit(v: np.ndarray, layout: _DenseLayout, position: int, value: float) -> tuple | None:
+    """The slot vector v at z_position = value, value in {-1.0, 1.0}, with
+    keys that keep the cleared nibble, as polymodel._substitute_unit_loop
+    returns it but with a vector: (vector, slack); or None when a sum is
+    not finite.  The sign flips are exact, so each contribution c is
+    charged only n * |c| * _EPS for the n contributions of its sum."""
     t = layout.table(position)
+    w = v * t.sign if value < 0.0 else v
     with np.errstate(over="ignore", invalid="ignore"):
-        if value < 0.0:
-            v *= t.sign
-        out = np.bincount(t.base, v, layout.size)
-        if not np.isfinite(out).all():
-            return None
-        np.abs(v, out=v)
-        v *= t.sum_weight
-        slack = float(v.sum())
-    return layout.terms(out), slack
+        out = np.bincount(t.base, w, layout.size)
+    if not _finite(out):
+        return None
+    return out, float((np.abs(w) * t.sum_weight).sum())
+
+
+def _dense_series_sum(mids: list[float], vectors: list[np.ndarray], layout: _DenseLayout) -> tuple | None:
+    """sum_k mids[k] * vectors[k], accumulated in that order as
+    polymodel._series_sum's dict loop does: (vector, slack, products
+    behind it); or None when the slack is not finite, as it is when a
+    product or a sum overflows."""
+    out = np.zeros(layout.size)
+    slack = 0.0
+    products = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, v in zip(mids, vectors):
+            p = v * m
+            merged = out + p
+            slack += _magnitude(p) + _merge_slack(merged, out, p)
+            products += _count(v)
+            out = merged
+    # an overflowed product or merge makes the slack infinite or NaN
+    if not math.isfinite(slack):
+        return None
+    return out, slack * _EPS, products
+
+
+def _dense_extend(v: np.ndarray, layout: _DenseLayout, arity: int) -> np.ndarray:
+    """v in the layout of (arity, cap), arity >= the layout's: the new
+    variables' slots are zero."""
+    out = np.zeros(_layout(arity, layout.cap).size)
+    out[layout.scatter(arity)] = v
+    return out
+
+
+def _dense_reindex(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> np.ndarray | None:
+    """v in the layout of the variables at the increasing positions keep;
+    None when v depends on a variable that is not kept."""
+    take, dropped = layout.gather(keep)
+    if v[dropped].any():
+        return None
+    return v[take]
+
+
+def _dense_sweep(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> tuple:
+    """v without the terms of the variables not in keep, gathered into the
+    layout of the kept ones: (vector, plain-float sum of the magnitudes of
+    the swept terms, their number)."""
+    take, dropped = layout.gather(keep)
+    swept = np.abs(v[dropped])
+    return v[take], float(swept.sum()), _count(swept)

@@ -40,7 +40,7 @@ from .interval import (
     _mul_up,
 )
 from .inputs import InputScheme, SchemeKind, realize_w
-from .polymodel import PolynomialModel, Role, VarInfo, VectorModel, compose_expr
+from .polymodel import Role, VarInfo, VectorModel, compose_expr
 from .symexpr import InputAffineSystem
 
 __all__ = [
@@ -217,10 +217,7 @@ def _strip_errors(X: VectorModel) -> tuple[VectorModel, float]:
     e_x = max(c.error for c in X)
     if e_x == 0.0:
         return X, 0.0
-    stripped = VectorModel(
-        tuple(PolynomialModel(c.vars, c.terms, 0.0, c.max_degree) for c in X)
-    )
-    return stripped, e_x
+    return X.map(lambda c: c.with_error(0.0)), e_x
 
 
 def _picard_core(

@@ -31,20 +31,34 @@ operand's coefficient magnitudes by degree, which are built by addition
 only, so cancellation cannot under-count it.  A product with an exact
 constant (no error, no term but the constant one) is a scaling.
 
-The product, antiderivative and substitute_unit each have two kernels,
-chosen from sizes alone:
+A model holds its polynomial as a term dict or as a slot vector of the
+dense module's layout for its (arity, cap), one slot per monomial of
+degree <= cap.  A model that comes out of a dense kernel keeps its vector,
+and its term dict is built from the vector the first time someone reads
+PolynomialModel.terms.  Each operation has a dict loop, and every one on
+the Picard path also a vector form: +, -, negation, scale, add_scalar,
+add_error, range, poly_magnitude, the product, antiderivative,
+substitute_unit, extend, reindex and sweep to increasing positions, and
+the Taylor series sum.
 
-- the dense kernels of the dense module work on the slot vector of the
-  (arity, cap) layout, one slot per monomial of degree <= cap, built on
-  first use and cached.  A result slot that sums n_k contributions charges
-  n_k * |c| * _EPS of slack per contribution c (Higham's gamma_{n_k}),
-  and each rounded product or quotient its own |c| * _EPS, through
-  _grown.  The product takes it when len(a.terms) * len(b.terms) reaches
-  the kept pairs of two full models, C(2*arity + cap, cap); the
-  antiderivative when the model fills a quarter of the layout's slots, and
-  substitute_unit when it fills half of them, with at least 32 terms (the
-  measured crossovers);
-- the dict loops serve the rest, and also what a dense kernel declines:
+- The vector form runs when an operand carries a vector; a dict operand
+  is then scattered into the layout.  The product, antiderivative and
+  substitute_unit also take it for dict models large enough to pay for the
+  scatter: the product when len(a.terms) * len(b.terms) reaches the kept
+  pairs of two full models, C(2*arity + cap, cap); the antiderivative when
+  the model fills a quarter of the layout's slots, and substitute_unit
+  when it fills half of them, with at least 32 terms (the measured
+  crossovers).  In the product, antiderivative and substitute_unit, a
+  result slot that sums n_k contributions charges n_k * |c| * _EPS of
+  slack per contribution c (Higham's gamma_{n_k}), and each rounded
+  product or quotient its own |c| * _EPS, through _grown.  Sums,
+  differences, negation, scale, add_scalar and the series sum apply the
+  dict loop's IEEE operation to each slot, in the same order, and charge
+  what it charges; extend, reindex and sweep move coefficients unchanged.
+  Their coefficients are bit-identical to the loop's.  Range,
+  poly_magnitude and the swept mass add up in numpy's order, which
+  _sum_bound and _grown cover in any order.
+- The dict loops serve the rest, and also what a vector form declines:
   operands with a term above the cap, more than 15 variables, or a result
   that is not finite.  They charge each rounded product and merge.
 
@@ -57,7 +71,7 @@ and each series is summed in one pass over those powers (_series_sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -289,20 +303,52 @@ def _antiderivative_loop(terms: dict[int, float], position: int, r: float, cap: 
     return out, dropped, slack
 
 
-@dataclass(frozen=True)
 class PolynomialModel:
-    vars: tuple[VarInfo, ...]
-    terms: dict[int, float]
-    error: float
-    max_degree: int
+    """The model (p, error) over the unit box of len(vars) variables, p of
+    degree <= max_degree.  Immutable, with value equality.
 
-    def __post_init__(self):
-        if not self.error >= 0:
-            if math.isnan(self.error):  # inf - inf or inf * 0 in the arithmetic
-                raise IntervalDomainError("model arithmetic overflowed")
-            raise ValueError("model error must be nonnegative")
-        if not 0 <= self.max_degree <= 7:
-            raise ValueError("degree cap must be between 0 and 7")
+    p is held as a term dict, packed key -> coefficient, or as the slot
+    vector of the dense layout of (arity, max_degree) that a dense kernel
+    returned.  A vector model builds its term dict the first time someone
+    reads terms, from its nonzero slots in slot order, and keeps it; its
+    operations keep working on the vector."""
+
+    __slots__ = ("vars", "error", "max_degree", "_terms", "_vec")
+
+    def __init__(self, vars: tuple[VarInfo, ...], terms: dict[int, float], error: float, max_degree: int):
+        _init(self, vars, terms, None, error, max_degree)
+
+    @classmethod
+    def _of(cls, vars, terms, vec, error: float, max_degree: int) -> "PolynomialModel":
+        """A model from a term dict, a slot vector, or both (the same terms)."""
+        m = object.__new__(cls)
+        _init(m, vars, terms, vec, error, max_degree)
+        return m
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PolynomialModel._of, (self.vars, self._terms, self._vec, self.error, self.max_degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vars, self.terms, self.error, self.max_degree) == (other.vars, other.terms, other.error, other.max_degree)
+
+    __hash__ = None  # the terms are a dict
+
+    @property
+    def terms(self) -> dict[int, float]:
+        """The term dict; a vector model builds it on first read."""
+        t = self._terms
+        if t is None:
+            t = self._layout().terms(self._vec)
+            _set(self, "_terms", t)
+        return t
 
     # ------------------------------------------------------------------ build
     @staticmethod
@@ -324,12 +370,59 @@ class PolynomialModel:
         if self.vars is not other.vars and self.vars != other.vars:
             raise ArityMismatchError("models have different variable layouts")
 
+    # ------------------------------------------------------------------ dispatch
+    def _layout(self) -> "dense._DenseLayout":
+        return dense._layout(len(self.vars), self.max_degree)
+
+    def _size(self) -> int:
+        """The number of terms, counted without building the dict."""
+        return len(self._terms) if self._vec is None else dense._count(self._vec)
+
+    def _vector_in(self, layout: "dense._DenseLayout"):
+        """The coefficients as a slot vector of layout, a layout of this
+        model's arity: the carried one, or the terms scattered into it;
+        None when a term lies above its cap."""
+        if self._vec is not None and self.max_degree == layout.cap:
+            return self._vec
+        return layout.vector(self.terms)
+
+    def _slot_vector(self, threshold: float):
+        """The slot vector that a unary operation's vector path works on: the
+        carried one, or the terms scattered when there are at least
+        threshold of them; None sends the operation to its dict loop."""
+        if self._vec is not None:
+            return self._vec
+        if len(self._terms) >= threshold:
+            return self._layout().vector(self._terms)
+        return None
+
+    def _vector_pair(self, other: "PolynomialModel", threshold: float):
+        """(layout, a, b) for a binary operation's vector path: the slot
+        vectors of self and other in the layout of self's (arity, cap),
+        when either model carries a vector or the product of their term
+        counts reaches threshold; None sends the operation to its dict
+        loop, as does a term above the cap."""
+        if self._vec is None and other._vec is None and len(self._terms) * len(other._terms) < threshold:
+            return None
+        layout = self._layout()
+        a = self._vector_in(layout)
+        b = a if other is self else other._vector_in(layout)
+        if a is None or b is None:
+            return None
+        return layout, a, b
+
     # ------------------------------------------------------------------ arithmetic
     def __neg__(self) -> "PolynomialModel":
-        return PolynomialModel(self.vars, {k: -c for k, c in self.terms.items()}, self.error, self.max_degree)
+        if self._vec is not None:
+            return PolynomialModel._of(self.vars, None, -self._vec, self.error, self.max_degree)
+        return PolynomialModel(self.vars, {k: -c for k, c in self._terms.items()}, self.error, self.max_degree)
 
     def __add__(self, other: "PolynomialModel") -> "PolynomialModel":
         self._check_compat(other)
+        if self._vec is not None or other._vec is not None:
+            m = self._vector_sum(other, 1.0)
+            if m is not None:
+                return m
         out = dict(self.terms)
         slack = 0.0
         for k, c in other.terms.items():
@@ -350,6 +443,10 @@ class PolynomialModel:
         # the loop of __add__ with other's coefficients negated: a - b and
         # a + (-b) round alike, so this is bit-identical to self + (-other)
         self._check_compat(other)
+        if self._vec is not None or other._vec is not None:
+            m = self._vector_sum(other, -1.0)
+            if m is not None:
+                return m
         out = dict(self.terms)
         slack = 0.0
         for k, c in other.terms.items():
@@ -366,13 +463,24 @@ class PolynomialModel:
         e = _add_up(_add_up(self.error, other.error), _grown(slack))
         return PolynomialModel(self.vars, out, e, self.max_degree)
 
+    def _vector_sum(self, other: "PolynomialModel", sign: float) -> "PolynomialModel | None":
+        """self + sign * other, sign = +-1.0, on the vector path, which runs
+        when either model carries a vector; None for the dict loop."""
+        pair = self._vector_pair(other, math.inf)
+        part = None if pair is None else dense._dense_add(pair[1], pair[2], sign)
+        if part is None:
+            return None
+        vec, slack = part
+        e = _add_up(_add_up(self.error, other.error), _grown(slack))
+        return PolynomialModel._of(self.vars, None, vec, e, self.max_degree)
+
     def __mul__(self, other: "PolynomialModel") -> "PolynomialModel":
         """Truncated product: only term pairs whose degree fits under the cap
-        are multiplied.  When len(self.terms) * len(other.terms) reaches the
-        kept pairs of two full models, dense._dense_product multiplies the
-        whole pair table of the (arity, cap) layout with numpy; otherwise,
-        or when it declines, _pair_product loops over the kept pairs of the
-        terms.
+        are multiplied.  When an operand carries a slot vector, or
+        len(self.terms) * len(other.terms) reaches the kept pairs of two
+        full models, dense._dense_product multiplies the whole pair table
+        of the (arity, cap) layout with numpy; otherwise, or when it
+        declines, _pair_product loops over the kept pairs of the terms.
 
         An exact constant operand (no error, no term but the constant one),
         such as the 0.3 of 0.3*sin(x3), is a scalar: the product is the
@@ -388,12 +496,14 @@ class PolynomialModel:
         if s is not None:
             return self.scale(s)
         cap = self.max_degree
-        part = None
-        if len(self.terms) * len(other.terms) >= _pair_count(self.arity, cap):
-            part = dense._dense_product(self.terms, other.terms, dense._layout(self.arity, cap))
+        pair = self._vector_pair(other, _pair_count(self.arity, cap))
+        part = None if pair is None else dense._dense_product(pair[1], pair[2], pair[0])
         if part is None:
-            part = _pair_product(self.terms, other.terms, cap)
-        out, dropped, n_dropped, slack, n_products = part
+            out, dropped, n_dropped, slack, n_products = _pair_product(self.terms, other.terms, cap)
+            vec = None
+        else:
+            vec, dropped, n_dropped, slack, n_products = part
+            out = None
         pa = self.poly_magnitude()
         pb = other.poly_magnitude()
         e = _mul_up(pa, other.error)
@@ -401,40 +511,56 @@ class PolynomialModel:
         e = _add_up(e, _mul_up(self.error, other.error))
         e = _add_up(e, _grown(dropped, n_dropped))
         e = _add_up(e, _grown(slack, n_products))
-        return PolynomialModel(self.vars, out, e, self.max_degree)
+        return PolynomialModel._of(self.vars, out, vec, e, cap)
 
     def _scalar(self) -> float | None:
         """The value of an exact constant model (no error, no term but the
         constant one), else None."""
-        if not self.error and self.terms.keys() <= {0}:
-            return self.terms.get(0, 0.0)
+        if self.error:
+            return None
+        if self._vec is not None:
+            return dense._constant(self._vec)
+        if self._terms.keys() <= {0}:
+            return self._terms.get(0, 0.0)
         return None
 
     def scale(self, s: float) -> "PolynomialModel":
         """The model times the float s.  Terms above the degree cap (only a
         model built from explicit terms holds one) drop into the error
         before scaling: their magnitudes, bounded by _grown, join the error
-        that is scaled."""
+        that is scaled.  A product that underflows to zero leaves no term."""
         if s == 0.0:
             return PolynomialModel.constant(0.0, self.vars, self.max_degree)
         cap = self.max_degree
+        part = None if self._vec is None else dense._dense_scale(self._vec, s)
+        if part is not None:
+            vec, slack, products = part
+            e = _add_up(_mul_up(abs(s), self.error), _grown(slack, products))
+            return PolynomialModel._of(self.vars, None, vec, e, cap)
         out = {}
         slack = 0.0
         dropped = 0.0
+        products = 0
         for k, c in self.terms.items():
             if _degree_of(k) > cap:
                 dropped += abs(c)
                 continue
             v = c * s
-            out[k] = v
-            slack += abs(v) * _EPS
+            products += 1
+            if v:
+                out[k] = v
+                slack += abs(v) * _EPS
         e = _add_up(self.error, _grown(dropped)) if dropped else self.error
-        e = _add_up(_mul_up(abs(s), e), _grown(slack, len(out)))
+        e = _add_up(_mul_up(abs(s), e), _grown(slack, products))
         return PolynomialModel(self.vars, out, e, cap)
 
     def add_scalar(self, v: float) -> "PolynomialModel":
         if v == 0.0:
             return self
+        part = None if self._vec is None else dense._dense_add_scalar(self._vec, v)
+        if part is not None:
+            vec, s = part
+            return PolynomialModel._of(self.vars, None, vec, _add_up(self.error, _grown(abs(s) * _EPS)), self.max_degree)
         out = dict(self.terms)
         prev = out.get(0, 0.0)
         s = prev + v
@@ -448,12 +574,18 @@ class PolynomialModel:
     def add_error(self, extra: float) -> "PolynomialModel":
         if extra < 0:
             raise ValueError("error increment must be nonnegative")
-        return replace(self, error=_add_up(self.error, extra))
+        return self.with_error(_add_up(self.error, extra))
+
+    def with_error(self, error: float) -> "PolynomialModel":
+        """The same polynomial with the error bound error."""
+        return PolynomialModel._of(self.vars, self._terms, self._vec, error, self.max_degree)
 
     def poly_magnitude(self) -> float:
         """Upper bound of sup|p| over the unit box (term-magnitude sum)."""
+        if self._vec is not None:
+            return _grown(dense._magnitude(self._vec))
         s = 0.0
-        for c in self.terms.values():
+        for c in self._terms.values():
             s += abs(c)
         return _grown(s)
 
@@ -463,22 +595,25 @@ class PolynomialModel:
         any odd exponent span [-1,1], all-even ones [0,1]."""
         if self.error == math.inf:  # overflowed; its coefficients may be too
             return Interval(-math.inf, math.inf)
-        terms = self.terms
-        odd_mask = _odd_mask(self.arity)
         # plain-float sums of the non-constant terms' magnitudes: the odd
         # monomials count on both sides, the all-even ones on one
-        odd = pos = neg = 0.0
-        for k, c in terms.items():
-            if k & odd_mask:
-                odd += abs(c)
-            elif not k:
-                continue
-            elif c > 0.0:
-                pos += c
-            else:
-                neg -= c
-        c0 = terms.get(0, 0.0)
-        n = len(terms) - (0 in terms)
+        if self._vec is not None:
+            c0, odd, pos, neg, n = dense._dense_range(self._vec, self._layout())
+        else:
+            terms = self._terms
+            odd_mask = _odd_mask(self.arity)
+            odd = pos = neg = 0.0
+            for k, c in terms.items():
+                if k & odd_mask:
+                    odd += abs(c)
+                elif not k:
+                    continue
+                elif c > 0.0:
+                    pos += c
+                else:
+                    neg -= c
+            c0 = terms.get(0, 0.0)
+            n = len(terms) - (0 in terms)
         r = Interval(_add_down(c0, -_sum_bound(odd + neg, n)), _add_up(c0, _sum_bound(odd + pos, n)))
         return r.inflate(self.error) if self.error else r
 
@@ -494,30 +629,40 @@ class PolynomialModel:
             if not 0 <= p < self.arity:
                 raise IndexError("sweep position out of range")
             mask |= 0xF << (4 * p)
+        keep = tuple(i for i in range(self.arity) if i not in set(pos))
+        if self._vec is not None:
+            vec, swept, n = dense._dense_sweep(self._vec, self._layout(), keep)
+            e = _add_up(self.error, _sum_bound(swept, n))
+            return PolynomialModel._of(tuple(self.vars[i] for i in keep), None, vec, e, self.max_degree)
         out = {}
         swept = 0.0
-        for k, c in self.terms.items():
+        for k, c in self._terms.items():
             if k & mask:
                 swept += abs(c)
             else:
                 out[k] = c
-        e = _add_up(self.error, _sum_bound(swept, len(self.terms) - len(out)))
-        keep = [i for i in range(self.arity) if i not in set(pos)]
+        e = _add_up(self.error, _sum_bound(swept, len(self._terms) - len(out)))
         return PolynomialModel(self.vars, out, e, self.max_degree).reindex(keep)
 
     def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
         """Keep only the listed variable positions (they must be inert in
-        dropped positions); re-pack keys accordingly.  Positions below the
-        first one that moves keep their nibbles and none of them is
-        dropped, so only the nibbles above it are remapped; when no key
-        reaches it (keep a prefix, as in sweep and substitute_unit), the
-        terms are shared unchanged."""
-        keep = list(keep)
+        dropped positions); re-pack keys accordingly.  A vector model
+        gathers its slots into the layout of the kept variables when keep
+        is increasing.  Otherwise positions below the first one that moves
+        keep their nibbles and none of them is dropped, so only the nibbles
+        above it are remapped; when no key reaches it (keep a prefix, as in
+        sweep and substitute_unit), the terms are shared unchanged."""
+        keep = tuple(keep)
         new_vars = tuple(self.vars[i] for i in keep)
+        if self._vec is not None and all(a < b for a, b in zip((-1,) + keep, keep)):
+            vec = dense._dense_reindex(self._vec, self._layout(), keep)
+            if vec is not None:
+                return PolynomialModel._of(new_vars, None, vec, self.error, self.max_degree)
         first = next((new for new, old in enumerate(keep) if new != old), len(keep))
         low_bits = 4 * first
-        if not any(k >> low_bits for k in self.terms):
-            return PolynomialModel(new_vars, self.terms, self.error, self.max_degree)
+        terms = self.terms
+        if not any(k >> low_bits for k in terms):
+            return PolynomialModel(new_vars, terms, self.error, self.max_degree)
         low_mask = (1 << low_bits) - 1
         shift_of = {old: 4 * new for new, old in enumerate(keep)}
         dropped_mask = 0
@@ -526,7 +671,7 @@ class PolynomialModel:
             if i not in keep_set:
                 dropped_mask |= 0xF << (4 * i)
         out = {}
-        for k, c in self.terms.items():
+        for k, c in terms.items():
             kk = k >> low_bits
             if kk:
                 if k & dropped_mask:
@@ -544,53 +689,64 @@ class PolynomialModel:
         return PolynomialModel(new_vars, out, self.error, self.max_degree)
 
     def extend(self, new_vars: Sequence[VarInfo]) -> "PolynomialModel":
-        """Append fresh (independent) variables; keys are unchanged."""
-        return replace(self, vars=self.vars + tuple(new_vars))
+        """Append fresh (independent) variables; keys are unchanged, and a
+        vector model scatters its slots into the larger layout."""
+        new_vars = self.vars + tuple(new_vars)
+        vec = self._vec
+        if vec is not None:
+            if len(new_vars) > 15:
+                return PolynomialModel(new_vars, self.terms, self.error, self.max_degree)
+            vec = dense._dense_extend(vec, self._layout(), len(new_vars))
+        return PolynomialModel._of(new_vars, self._terms, vec, self.error, self.max_degree)
 
     def substitute_unit(self, position: int, value: float) -> "PolynomialModel":
         """Substitute z_position := value with value in {-1.0, 1.0} (exact).
-        A model that fills half the slots of its layout, and has at least 32
-        terms, takes the dense kernel; the dict loop serves the rest and
-        what the kernel declines."""
+        A vector model, or a model that fills half the slots of its layout
+        and has at least 32 terms, takes the dense kernel; the dict loop
+        serves the rest and what the kernel declines."""
         if value not in (-1.0, 1.0):
             raise ValueError("substitute_unit only supports the endpoints -1 and 1")
         cap = self.max_degree
-        part = None
-        if len(self.terms) >= max(32, _slot_count(self.arity, cap) / 2):
-            part = dense._dense_substitute_unit(self.terms, dense._layout(self.arity, cap), position, value)
+        v = self._slot_vector(max(32, _slot_count(self.arity, cap) / 2))
+        part = None if v is None else dense._dense_substitute_unit(v, self._layout(), position, value)
         if part is None:
-            part = _substitute_unit_loop(self.terms, position, value)
-        out, slack = part
-        m = PolynomialModel(self.vars, out, _add_up(self.error, _grown(slack)), cap)
-        keep = [i for i in range(self.arity) if i != position]
-        return m.reindex(keep)
+            out, slack = _substitute_unit_loop(self.terms, position, value)
+            vec = None
+        else:
+            vec, slack = part
+            out = None
+        m = PolynomialModel._of(self.vars, out, vec, _add_up(self.error, _grown(slack)), cap)
+        return m.reindex([i for i in range(self.arity) if i != position])
 
     def antiderivative(self, time_position: int) -> "PolynomialModel":
         """Integral from the interval start in the semantic time variable.
 
         The time variable has radius h/2; the result models
         t -> integral_{t_k}^{t} p(s) ds, and the error is multiplied by the
-        full step length h.  A model that fills a quarter of the slots of
-        its layout, and has at least 32 terms, takes the dense kernel; the
-        dict loop serves the rest and what the kernel declines.
+        full step length h.  A vector model, or a model that fills a
+        quarter of the slots of its layout and has at least 32 terms, takes
+        the dense kernel; the dict loop serves the rest and what the kernel
+        declines.
         """
         info = self.vars[time_position]
         if info.role is not Role.TIME:
             raise ValueError("antiderivative requires the time variable")
         r = info.radius
         cap = self.max_degree
-        part = None
-        if len(self.terms) >= max(32, _slot_count(self.arity, cap) / 4):
-            part = dense._dense_antiderivative(self.terms, dense._layout(self.arity, cap), time_position, r)
+        v = self._slot_vector(max(32, _slot_count(self.arity, cap) / 4))
+        part = None if v is None else dense._dense_antiderivative(v, self._layout(), time_position, r)
         if part is None:
-            part = _antiderivative_loop(self.terms, time_position, r, cap)
-        out, dropped, slack = part
+            out, dropped, slack = _antiderivative_loop(self.terms, time_position, r, cap)
+            vec = None
+        else:
+            vec, dropped, slack = part
+            out = None
         h = 2.0 * r
         e_out = _mul_up(self.error, h)
         e_out = _add_up(e_out, _grown(dropped))
         # a product and a quotient per coefficient
-        e_out = _add_up(e_out, _grown(slack, 2 * len(self.terms)))
-        return PolynomialModel(self.vars, out, e_out, cap)
+        e_out = _add_up(e_out, _grown(slack, 2 * self._size()))
+        return PolynomialModel._of(self.vars, out, vec, e_out, cap)
 
     # ------------------------------------------------------------------ queries
     def eval_point(self, z: Sequence[float]) -> float:
@@ -610,7 +766,24 @@ class PolynomialModel:
         return total
 
     def __repr__(self) -> str:
-        return f"PolynomialModel(arity={self.arity}, terms={len(self.terms)}, error={self.error:.3g})"
+        return f"PolynomialModel(arity={self.arity}, terms={self._size()}, error={self.error:.3g})"
+
+
+_set = object.__setattr__
+
+
+def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -> None:
+    if not error >= 0:
+        if math.isnan(error):  # inf - inf or inf * 0 in the arithmetic
+            raise IntervalDomainError("model arithmetic overflowed")
+        raise ValueError("model error must be nonnegative")
+    if not 0 <= max_degree <= 7:
+        raise ValueError("degree cap must be between 0 and 7")
+    _set(m, "vars", vars)
+    _set(m, "error", error)
+    _set(m, "max_degree", max_degree)
+    _set(m, "_terms", terms)
+    _set(m, "_vec", None if vec is None else dense._frozen(vec))
 
 
 @dataclass(frozen=True)
@@ -745,39 +918,50 @@ def _series_sum(
     """An enclosure of sum a_k powers[k] for a_k in coeffs, given
     mag(k) >= the range magnitude of powers[k].
 
-    The sum is built in one pass into one dict, in the order that adding
-    up the scaled powers would take, so its coefficients are those of
-    sum_k powers[k].scale(mid a_k).  The error is one slack sum over every
-    product and merge, sum_k |mid a_k| * err(powers[k]) rounded up, and the
-    radius of each a_k times mag(k)."""
-    out: dict[int, float] = {}
-    slack = 0.0
-    products = 0
+    The sum is built in one pass, in the order that adding up the scaled
+    powers would take, so its coefficients are those of
+    sum_k powers[k].scale(mid a_k): over slot vectors when a power carries
+    one, else into one dict.  The error is one slack sum over every product
+    and merge, sum_k |mid a_k| * err(powers[k]) rounded up, and the radius
+    of each a_k times mag(k)."""
     err = 0.0
     for k, a in enumerate(coeffs):
         m = a.mid
-        if m:
-            power = powers[k]
-            for key, c in power.terms.items():
-                v = c * m
-                slack += abs(v) * _EPS
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = v
-                else:
-                    v = prev + v
-                    if v == 0.0:
-                        del out[key]
-                    else:
-                        out[key] = v
-                    slack += abs(v) * _EPS
-            products += len(power.terms)
-            if power.error:
-                err = _add_up(err, _mul_up(abs(m), power.error))
+        if m and powers[k].error:
+            err = _add_up(err, _mul_up(abs(m), powers[k].error))
         if a.rad:
             err = _add_up(err, _mul_up(a.rad, mag(k)))
-    err = _add_up(err, _grown(slack, products))
-    return PolynomialModel(powers[0].vars, out, err, powers[0].max_degree)
+    scaled = [(a.mid, power) for a, power in zip(coeffs, powers) if a.mid]
+    vars, cap = powers[0].vars, powers[0].max_degree
+    part = None
+    if any(power._vec is not None for _, power in scaled):
+        layout = powers[0]._layout()
+        vectors = [power._vector_in(layout) for _, power in scaled]
+        if all(v is not None for v in vectors):
+            part = dense._dense_series_sum([m for m, _ in scaled], vectors, layout)
+    if part is not None:
+        vec, slack, products = part
+        return PolynomialModel._of(vars, None, vec, _add_up(err, _grown(slack, products)), cap)
+    out: dict[int, float] = {}
+    slack = 0.0
+    products = 0
+    for m, power in scaled:
+        for key, c in power.terms.items():
+            v = c * m
+            slack += abs(v) * _EPS
+            prev = out.get(key)
+            if prev is None:
+                if v:
+                    out[key] = v
+            else:
+                v = prev + v
+                if v == 0.0:
+                    del out[key]
+                else:
+                    out[key] = v
+                slack += abs(v) * _EPS
+        products += len(power.terms)
+    return PolynomialModel(vars, out, _add_up(err, _grown(slack, products)), cap)
 
 
 def _pow_model(base: PolynomialModel, n: int, recip: Callable) -> PolynomialModel:

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from direach import dense
 from direach.flow import (
     AprioriBound,
     CertificationError,
     StepGeometry,
     _banach_remainder,
+    _strip_errors,
     _w_sups,
     apriori_bound,
     input_hull_ranges,
@@ -366,3 +368,30 @@ def test_incoming_error_propagates():
         assert abs(v - phi[0].eval_point(())) <= phi[0].error * (1 + 1e-9)
     # and the propagated error is close to 0.01 * e^(Lam h)
     assert phi[0].error <= 0.01 * math.exp(0.1) * 1.2
+
+
+def test_picard_steps_keep_slot_vectors(monkeypatch):
+    """Once a step's models carry slot vectors (Van der Pol with one
+    state-dependent input, affine scheme, cap 5: 252-term models), the next
+    step builds no term dict: every operation on the path from
+    apriori_bound through picard_flow to the sweep has a vector form, and
+    _strip_errors drops the error without reading terms."""
+    sys = InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05])
+    X = box_model(Box.from_bounds([(1.99, 2.01), (-0.01, 0.01)]), cap=5)
+
+    def step(X, k):
+        geom = StepGeometry(0.01 * k, 0.01)
+        b = apriori_bound(sys, X.box(), AFFINE, geom)
+        Y = picard_flow(sys, X, AFFINE, geom, b, born=k + 1).map(lambda c: c.add_error(1e-12))
+        return Y.map(lambda c: c.sweep([i for i, v in enumerate(Y.vars) if v.role is Role.INPUT]))
+
+    Y = step(X, 0)
+    assert all(c._vec is not None for c in Y)
+    built = []
+    terms = dense._DenseLayout.terms
+    monkeypatch.setattr(dense._DenseLayout, "terms", lambda layout, v: built.append(v) or terms(layout, v))
+    Z = step(Y, 1)
+    assert built == [] and all(c._vec is not None for c in Z)
+    stripped, e_x = _strip_errors(Z)
+    assert e_x == max(c.error for c in Z) > 0.0
+    assert all(s.error == 0.0 and s._vec is c._vec and s._terms is None for s, c in zip(stripped, Z))

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 import warnings
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath
@@ -639,17 +642,29 @@ def _full_model(rng, arity, cap, coefficient):
     return PolynomialModel(vars_, {k: coefficient(rng) for k in keys}, 0.0, cap)
 
 
+def _carrying(m):
+    """m as a model that carries its slot vector, as a dense kernel's result
+    does."""
+    layout = dense._layout(m.arity, m.max_degree)
+    return PolynomialModel._of(m.vars, None, layout.vector(m.terms), m.error, m.max_degree)
+
+
 def test_dense_overflow_raises_like_pair_loop(monkeypatch):
     """Squaring 252 terms of +-1e200 overflows: the dense kernel declines
     it without a numpy warning, and the pair loop raises, as it does when
-    the dense kernel is never chosen."""
+    the dense kernel is never chosen and when the operand carries its slot
+    vector."""
     a = _full_model(random.Random(5), 5, 5, lambda rng: rng.choice([1e200, -1e200]))
     layout = dense._layout(5, 5)
+    v = layout.vector(a.terms)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dense._dense_product(a.terms, a.terms, layout) is None
+        assert dense._dense_product(v, v, layout) is None
         with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
             a * a
+        carried = _carrying(a)
+        with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+            carried * carried
         monkeypatch.setattr(polymodel, "_pair_count", lambda arity, cap: math.inf)
         with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
             a * a
@@ -674,19 +689,21 @@ def test_dense_product_deterministic():
 
 
 def test_dense_square_scatters_once(monkeypatch):
-    """A square (b is a) scatters its operand into one slot vector, and its
-    result is bit-identical to the product of two equal operands."""
+    """A square (b is a) of a dict model scatters its operand into one slot
+    vector, and one of a model that carries its vector scatters nothing;
+    both are bit-identical to the product of two equal dict operands."""
     a = _full_model(random.Random(17), 5, 5, lambda rng: rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 3))
-    layout = dense._layout(5, 5)
+    carried = _carrying(a)
     scattered = []
     vector = dense._DenseLayout.vector
     monkeypatch.setattr(dense._DenseLayout, "vector", lambda layout, terms: scattered.append(terms) or vector(layout, terms))
-    square = dense._dense_product(a.terms, a.terms, layout)
+    square = a * a
     assert len(scattered) == 1
-    pair = dense._dense_product(a.terms, dict(a.terms), layout)
+    pair = a * PolynomialModel(a.vars, dict(a.terms), 0.0, 5)
     assert len(scattered) == 3
-    assert repr(square) == repr(pair)  # repr tells every double apart
-    assert _bits(a * a) == _bits(a * PolynomialModel(a.vars, dict(a.terms), 0.0, 5))
+    assert _bits(square) == _bits(pair)
+    assert _bits(carried * carried) == _bits(square)
+    assert len(scattered) == 3
 
 
 def test_layout_built_only_for_large_products(monkeypatch):
@@ -957,7 +974,7 @@ def _with_time(m, position, radius=0.005):
 
 def _by_dict_loop(monkeypatch, fn):
     """fn() with the size rule of antiderivative and substitute_unit set to
-    never take the dense kernel: the dict loop's answer."""
+    never take the dense kernel: the dict loop's answer for a dict model."""
     with monkeypatch.context() as patched:
         patched.setattr(polymodel, "_slot_count", lambda arity, cap: math.inf)
         return fn()
@@ -967,7 +984,9 @@ def _by_dict_loop(monkeypatch, fn):
 def test_dense_structure_ops_agree_with_dict_loop(op, kernels, monkeypatch):
     """The dense kernel and the dict loop differ by no more than the sum of
     their errors (both enclose the exact answer), on models that fill
-    1/2 to all of their layout."""
+    1/2 to all of their layout.  The kernel's answer is the same, bit for
+    bit, whether the model carries its slot vector or is scattered into
+    one."""
     rng = random.Random(127)
     for _ in range(40):
         arity, cap = rng.choice([(5, 5), (8, 3)])
@@ -984,12 +1003,13 @@ def test_dense_structure_ops_agree_with_dict_loop(op, kernels, monkeypatch):
         m = _with_time(m, position)
         value = rng.choice([-1.0, 1.0])
         r = _structure_op(m, op, position, value)
+        assert _bits(_structure_op(_carrying(m), op, position, value)) == _bits(r)
         ref = _by_dict_loop(monkeypatch, lambda: _structure_op(m, op, position, value))
         assert r.vars == ref.vars
         keys = r.terms | ref.terms
         gap = sum((abs(Fraction(r.terms.get(k, 0.0)) - Fraction(ref.terms.get(k, 0.0))) for k in keys), Fraction(0))
         assert gap <= Fraction(r.error) + Fraction(ref.error)
-    assert kernels[f"_dense_{op}"] == 40
+    assert kernels[f"_dense_{op}"] == 80
 
 
 def test_dense_structure_ops_ignore_insertion_order():
@@ -1058,7 +1078,8 @@ def test_dense_structure_ops_fall_back_to_dict_loop(op, kernels, monkeypatch):
 def test_structure_ops_build_no_layout_for_sparse_models(monkeypatch, kernels):
     """40 terms at (8, 7), whose layout would hold 6,435 slots, take the
     dict loop and build no layout; 252 terms at (5, 5) take the dense
-    kernels."""
+    kernels, and substitute_unit gathers its result into the layout of
+    (4, 5)."""
     monkeypatch.setattr(dense, "_LAYOUTS", {})
     rng = random.Random(139)
     vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(7)) + (VarInfo(Role.TIME, radius=0.01),)
@@ -1070,16 +1091,24 @@ def test_structure_ops_build_no_layout_for_sparse_models(monkeypatch, kernels):
     assert dense._LAYOUTS == {}
     full = _with_time(_full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1)), 4)
     full.antiderivative(4).substitute_unit(4, 1.0)
-    assert list(dense._LAYOUTS) == [(5, 5)]
+    assert list(dense._LAYOUTS) == [(5, 5), (4, 5)]
     assert kernels["_dense_antiderivative"] == kernels["_dense_substitute_unit"] == 1
 
 
-def _check_series_sum(rng, powers):
+def _series_coeffs(rng, powers):
     coeffs = []
     for _ in powers:
         mid = rng.choice([0.0, 1.0, -0.5, rng.uniform(-2, 2), rng.uniform(-2, 2) * 2.0**-600])
         rad = rng.choice([0.0, 0.0, abs(mid) * 1e-16, 1e-300])
         coeffs.append(Interval(mid - rad, mid + rad))
+    return coeffs
+
+
+def _check_series_sum(rng, powers):
+    return _check_series_sum_at(_series_coeffs(rng, powers), powers)
+
+
+def _check_series_sum_at(coeffs, powers):
     mags = [p.range().mag for p in powers]
     r = polymodel._series_sum(coeffs, powers, mags.__getitem__)
     exact: dict[int, Fraction] = {}
@@ -1092,6 +1121,7 @@ def _check_series_sum(rng, powers):
     assert set(r.terms) <= set(exact)
     needed += sum((abs(Fraction(r.terms.get(k, 0.0)) - v) for k, v in exact.items()), Fraction(0))
     assert Fraction(r.error) >= needed
+    return r
 
 
 def _series_sum_fuzz(seed, count, max_arity, max_terms):
@@ -1144,3 +1174,235 @@ def test_subnormal_products_keep_their_rounding_error():
     time = (VarInfo(Role.TIME, radius=0.5),)
     r = PolynomialModel(time, {0: tiny}, 0.0, 3).antiderivative(0)
     assert Fraction(r.error) >= off_by(r, 0, exact) + off_by(r, 1, exact)
+
+
+# ---------------------------------------------------------------- slot-vector path
+# A model that carries its slot vector keeps it through +, -, negation,
+# scale, add_scalar, range, poly_magnitude, sweep, reindex, extend and the
+# series sum.  Each case checks the vector path against its exact answer
+# over the rationals and, where the path promises it, against the dict loop
+# bit for bit.
+
+
+def _hex_terms(m):
+    """The coefficients of m by key, each as its exact hex string."""
+    return {k: c.hex() for k, c in m.terms.items()}
+
+
+def _deviation(m, exact):
+    """sum |coefficient of m - exact coefficient| over every key."""
+    keys = set(m.terms) | set(exact)
+    return sum((abs(Fraction(m.terms.get(k, 0.0)) - exact.get(k, 0)) for k in keys), Fraction(0))
+
+
+def _slot_operands(rng, keys, fill, case):
+    """Term dicts a and b over the monomials keys, each held with
+    probability fill (the constant always):
+
+    - ties: a holds 2**53 * s and b -s, s or 3 * s, so that every merge
+      that rounds lies halfway between two doubles and rounds to even;
+    - cancel: b holds +-a's coefficients, so that about half the merges
+      cancel to zero under + and the others under -;
+    - otherwise one coefficient regime per operand: +-1, near 2**1000 or
+      2**-1000, subnormal or random."""
+    held = [k for k in keys if k == 0 or rng.random() < fill]
+    if case == "ties":
+        s = 2.0 ** rng.randint(-400, 400)
+        return {k: 2.0**53 * s for k in held}, {k: rng.choice([-1.0, 1.0, 3.0]) * s for k in held}
+    a = {k: _fuzz_coefficient(rng, rng.choice(_REGIMES)) for k in held}
+    if case == "cancel":
+        return a, {k: rng.choice([c, -c]) for k, c in a.items()}
+    regime = rng.choice(_REGIMES)
+    return a, {k: _fuzz_coefficient(rng, regime) for k in keys if rng.random() < fill}
+
+
+def _check_slot_sum(rng, a, b):
+    va, vb = _carrying(a), _carrying(b)
+    for sign in (1, -1):
+        ref = a + b if sign > 0 else a - b
+        assert ref._vec is None
+        exact = {k: Fraction(c) for k, c in a.terms.items()}
+        for k, c in b.terms.items():
+            exact[k] = exact.get(k, Fraction(0)) + sign * Fraction(c)
+        # both carry a vector, or one is scattered into the other's layout
+        for x, y in ((va, vb), (va, b), (a, vb)):
+            r = x + y if sign > 0 else x - y
+            assert r._vec is not None
+            assert _hex_terms(r) == _hex_terms(ref)
+            assert Fraction(r.error) >= Fraction(a.error) + Fraction(b.error) + _deviation(r, exact)
+    r = -va
+    assert r._vec is not None and _hex_terms(r) == _hex_terms(-a) and r.error == a.error
+
+
+def _check_slot_scale(rng, a, b):
+    va = _carrying(a)
+    s = rng.choice([0.3, -0.5, 3.0, 2.0**-600, -(2.0**-1000)])
+    r = va.scale(s)
+    assert r._vec is not None and _hex_terms(r) == _hex_terms(a.scale(s))
+    exact = {k: Fraction(s) * Fraction(c) for k, c in a.terms.items()}
+    assert Fraction(r.error) >= abs(Fraction(s)) * Fraction(a.error) + _deviation(r, exact)
+    # a constant that cancels the constant term, or one that rounds away
+    v = rng.choice([-a.terms.get(0, 1.0), 1.0, _SUBNORMAL, 2.0**1000])
+    r = va.add_scalar(v)
+    assert r._vec is not None and _hex_terms(r) == _hex_terms(a.add_scalar(v))
+    exact = {k: Fraction(c) for k, c in a.terms.items()}
+    exact[0] = exact.get(0, Fraction(0)) + Fraction(v)
+    assert Fraction(r.error) >= Fraction(a.error) + _deviation(r, exact)
+
+
+def _check_slot_range(rng, a, b):
+    for m in (_carrying(a), _carrying(b)):
+        _check_range(rng, m)
+        assert Fraction(m.poly_magnitude()) >= sum((abs(Fraction(c)) for c in m.terms.values()), Fraction(0))
+
+
+def _check_slot_sweep(rng, a, b):
+    va = _carrying(a)
+    positions = rng.sample(range(a.arity), rng.randint(1, a.arity))
+    r = va.sweep(positions)
+    ref = a.sweep(positions)
+    assert r._vec is not None and r.vars == ref.vars and _hex_terms(r) == _hex_terms(ref)
+    _check_sweep(rng, va)
+
+
+def _check_slot_reindex(rng, a, b):
+    keep = sorted(rng.sample(range(a.arity), rng.randint(0, a.arity)))
+    dropped = sum(0xF << (4 * i) for i in range(a.arity) if i not in keep)
+    inert = PolynomialModel(a.vars, {k: c for k, c in a.terms.items() if not k & dropped}, a.error, a.max_degree)
+    r = _carrying(inert).reindex(keep)
+    ref = inert.reindex(keep)
+    assert r._vec is not None and r.vars == ref.vars and r.error == ref.error
+    assert _hex_terms(r) == _hex_terms(ref) == {k: c.hex() for k, c in _reindex_reference(inert, keep).items()}
+    if any(k & dropped for k in a.terms):
+        for m in (a, _carrying(a)):
+            with pytest.raises(ValueError, match="still depends"):
+                m.reindex(keep)
+
+
+def _check_slot_extend(rng, a, b):
+    va = _carrying(a)
+    extra = tuple(VarInfo(Role.INPUT, born=j) for j in range(rng.randint(1, 3)))
+    r = va.extend(extra)
+    ref = a.extend(extra)
+    assert r._vec is not None and r.vars == ref.vars and r.error == ref.error
+    assert _hex_terms(r) == _hex_terms(ref) == _hex_terms(a)
+    back = r.reindex(range(a.arity))
+    assert back._vec is not None and _hex_terms(back) == _hex_terms(a)
+    # no layout above 15 variables: the dict model
+    wide = va.extend(VarInfo(Role.INPUT) for _ in range(16 - a.arity))
+    assert wide._vec is None and _hex_terms(wide) == _hex_terms(a)
+
+
+def _check_slot_series_sum(rng, a, b):
+    powers = [PolynomialModel.constant(1.0, a.vars, a.max_degree), a, b, b.scale(0.5), -a]
+    coeffs = _series_coeffs(rng, powers)
+    carried = [p if rng.random() < 0.3 else _carrying(p) for p in powers]
+    carried[1] = _carrying(a)
+    r = _check_series_sum_at(coeffs, carried)
+    ref = polymodel._series_sum(coeffs, powers, lambda k: powers[k].range().mag)
+    assert ref._vec is None
+    assert (r._vec is not None) == any(c.mid and p._vec is not None for c, p in zip(coeffs, carried))
+    assert _hex_terms(r) == _hex_terms(ref)
+
+
+_SLOT_CHECKS = {
+    "sum": _check_slot_sum,
+    "scale": _check_slot_scale,
+    "range": _check_slot_range,
+    "sweep": _check_slot_sweep,
+    "reindex": _check_slot_reindex,
+    "extend": _check_slot_extend,
+    "series_sum": _check_slot_series_sum,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SLOT_CHECKS))
+def test_slot_vector_ops_exact_fuzz(op):
+    """The vector path of each operation encloses its exact answer and, for
+    all but range and poly_magnitude, gives the dict loop's coefficients
+    bit for bit: on full and sparse models at (5, 5) and (8, 3), with ties,
+    cancellation to zero, subnormals and coefficients near 2**+-1000."""
+    check = _SLOT_CHECKS[op]
+    rng = random.Random(149)
+    for n in range(40):
+        arity, cap = rng.choice([(5, 5), (8, 3)])
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        fill = 1.0 if n // 4 % 2 == 0 else rng.choice([0.1, 0.3])
+        case = ("ties", "cancel", "regimes", "regimes")[n % 4]
+        a, b = _slot_operands(rng, dense._layout(arity, cap).keys, fill, case)
+        errors = [0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL] if case == "regimes" else [0.0]
+        check(rng, PolynomialModel(vars_, a, rng.choice(errors), cap), PolynomialModel(vars_, b, rng.choice(errors), cap))
+
+
+def test_slot_vector_ops_fall_back_on_overflow():
+    """A sum, scale, constant or series sum of a vector model that
+    overflows takes the dict loop, without a numpy warning, and gets its
+    answer bit for bit."""
+    rng = random.Random(151)
+    a = _full_model(rng, 5, 5, lambda rng: rng.choice([1.5e308, 1.0]))
+    a = PolynomialModel(a.vars, {**a.terms, 0: 1.5e308}, 0.0, 5)
+    ops = [
+        lambda m: m + m,
+        lambda m: m - (-m),
+        lambda m: m.scale(4.0),
+        lambda m: m.add_scalar(1.7e308),
+        lambda m: polymodel._series_sum([Interval.point(4.0)], [m], lambda k: 0.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in ops:
+            r, ref = op(_carrying(a)), op(a)
+            assert r._vec is None
+            assert (_hex_terms(r), r.error) == (_hex_terms(ref), ref.error)
+            assert math.inf in (r.error, *map(abs, r.terms.values()))
+
+
+def test_vector_models_keep_value_semantics():
+    """A model that carries its slot vector equals the dict model with the
+    same terms, builds its terms in slot order whatever the insertion
+    order, and cannot be changed: its attributes and its vector are read
+    only, as a frozen dataclass's fields were.  Copies and pickles keep
+    the vector."""
+    rng = random.Random(157)
+    for arity, cap in ((5, 5), (8, 3)):
+        layout = dense._layout(arity, cap)
+        full = _full_model(rng, arity, cap, lambda rng: rng.uniform(-1, 1))
+        for held in (layout.keys, rng.sample(layout.keys, len(layout.keys) // 5)):
+            items = [(k, full.terms[k]) for k in held]
+            rng.shuffle(items)
+            m = PolynomialModel(full.vars, dict(items), 0.25, cap)
+            carried = _carrying(m)
+            assert carried._terms is None
+            assert carried == m and m == carried
+            assert list(carried.terms) == [k for k in layout.keys if k in m.terms]
+            assert carried != m.add_error(1.0) and carried.add_error(1.0) != m
+        r = _with_time(full, arity - 1).antiderivative(arity - 1)
+        assert r._vec is not None and list(r.terms) == [k for k in layout.keys if k in r.terms]
+        for model in (m, carried):
+            for name, value in (("error", 1.0), ("terms", {}), ("vars", ()), ("max_degree", 3), ("_vec", None)):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(model, name, value)
+            with pytest.raises(FrozenInstanceError):
+                del model.error
+            with pytest.raises(TypeError):
+                hash(model)
+        with pytest.raises(ValueError):
+            carried._vec[0] = 1.0
+        for copied in (copy.copy(carried), copy.deepcopy(carried), pickle.loads(pickle.dumps(carried))):
+            assert copied == carried and copied._vec is not None
+
+
+def test_slot_series_sum_charges_every_merge():
+    """Five merges of s into 2**53 * s each lie halfway between two doubles
+    and round to even, losing s each time; 5 * s per slot is more than the
+    2 * s of the products' own slack, so every merge must be charged."""
+    s = 2.0**-30
+    for arity, cap in ((5, 5), (8, 3)):
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        keys = dense._layout(arity, cap).keys
+        big = PolynomialModel(vars_, {k: 2.0**53 * s for k in keys}, 0.0, cap)
+        small = PolynomialModel(vars_, {k: s for k in keys}, 0.0, cap)
+        coeffs = [Interval.point(1.0)] * 6
+        r = _check_series_sum_at(coeffs, [_carrying(big)] + [_carrying(small)] * 5)
+        assert r._vec is not None
+        assert _hex_terms(r) == _hex_terms(big)

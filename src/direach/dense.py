@@ -198,12 +198,6 @@ def _layout(arity: int, cap: int) -> _DenseLayout:
     return layout
 
 
-def _frozen(v: np.ndarray) -> np.ndarray:
-    """v made read-only, as the vector of an immutable model."""
-    v.flags.writeable = False
-    return v
-
-
 def _finite(v: np.ndarray) -> bool:
     return bool(np.isfinite(v).all())
 

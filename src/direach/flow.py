@@ -24,7 +24,6 @@ undefined or unbounded where it is evaluated) raises CertificationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .interval import (
@@ -33,11 +32,13 @@ from .interval import (
     IntervalDomainError,
     lognorm_inf,
     mat_inf_norm,
+    _Immutable,
     _add_down,
     _add_up,
     _div_up,
     _exp_up,
     _mul_up,
+    _set,
 )
 from .inputs import InputScheme, SchemeKind, realize_w
 from .polymodel import Role, VarInfo, VectorModel, compose_expr
@@ -62,23 +63,25 @@ class CertificationError(RuntimeError):
     """A validated enclosure could not be certified; try a smaller step size."""
 
 
-@dataclass(frozen=True)
-class StepGeometry:
-    t0: float
-    h: float
+class StepGeometry(_Immutable):
+    __slots__ = ("t0", "h")
 
-    def __post_init__(self):
-        if self.h <= 0:
+    def __init__(self, t0: float, h: float):
+        if h <= 0:
             raise ValueError("step size must be positive")
+        _set(self, "t0", t0)
+        _set(self, "h", h)
 
 
-@dataclass(frozen=True)
-class AprioriBound:
+class AprioriBound(_Immutable):
     """Box certified to contain all step trajectories: the self-mapping
     inclusion X + [0,h] * RHS(box, inputs) inside box has been verified."""
 
-    box: Box
-    input_ranges: tuple[Interval, ...]
+    __slots__ = ("box", "input_ranges")
+
+    def __init__(self, box: Box, input_ranges: tuple[Interval, ...]):
+        _set(self, "box", box)
+        _set(self, "input_ranges", input_ranges)
 
 
 def _w_sups(sys: InputAffineSystem, scheme: InputScheme) -> list[float]:

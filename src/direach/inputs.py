@@ -8,10 +8,10 @@ physical scaling happens inside the realization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from .interval import _Immutable, _set
 from .polymodel import PolynomialModel, VarInfo
 
 __all__ = [
@@ -50,9 +50,11 @@ _W_SUP_FACTOR = {
 }
 
 
-@dataclass(frozen=True)
-class InputScheme:
-    kind: SchemeKind
+class InputScheme(_Immutable):
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: SchemeKind):
+        _set(self, "kind", kind)
 
     @staticmethod
     def from_name(name: str) -> "InputScheme":
@@ -124,19 +126,19 @@ def realize_w(
     raise ValueError(kind)
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant:
+class PiecewiseConstant(_Immutable):
     """Piecewise-constant disturbance on [t0, t0+h]: values[i] holds on
     [breaks[i], breaks[i+1])."""
 
-    breaks: tuple[float, ...]
-    values: tuple[float, ...]
+    __slots__ = ("breaks", "values")
 
-    def __post_init__(self):
-        if len(self.breaks) != len(self.values) + 1:
+    def __init__(self, breaks: tuple[float, ...], values: tuple[float, ...]):
+        if len(breaks) != len(values) + 1:
             raise ValueError("need one more breakpoint than values")
-        if any(b >= a for a, b in zip(self.breaks[1:], self.breaks[:-1])):
+        if any(b >= a for a, b in zip(breaks[1:], breaks[:-1])):
             raise ValueError("breakpoints must be increasing")
+        _set(self, "breaks", breaks)
+        _set(self, "values", values)
 
     def __call__(self, t: float) -> float:
         for i in range(len(self.values)):

@@ -16,12 +16,17 @@ down(a + b) = -up(-a - b), down(a*b) = -up(-a*b), down(a/b) = -up(-a/b).
 It is computed as 0.0 - up(...), not -up(...), so that a zero bound is
 +0.0, as fl gives for an exact cancellation.  The other modules round
 through these functions (symexpr's exact constant folding too).
+
+Interval, Box and IntervalMatrix, like the library's other values (the
+expression nodes, the variable and vector models, the step data), are
+immutable slotted classes built on _Immutable, the lowest module's base for
+them, so that building one costs little more than setting its slots.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -54,6 +59,58 @@ class IntervalDomainError(ArithmeticError, ValueError):
     """Operation undefined on its operands: division by a 0-straddling
     interval, a non-finite argument where finite endpoints are needed, or
     polynomial-model arithmetic that overflowed."""
+
+
+class _Immutable:
+    """Base of the library's immutable values: slotted classes with value
+    semantics that cost little more to build than setting their slots.
+
+    A subclass names its fields in __slots__, in the order of its
+    __init__'s parameters, and its __init__ sets them with
+    object.__setattr__; a slot whose name starts with _ is a cache, set to
+    None there, and not a field.  The base gives:
+    - FrozenInstanceError on assigning or deleting an attribute;
+    - equality with instances of the same class only, field by field, and a
+      hash over the fields (TypeError when a field is unhashable);
+    - the repr ClassName(field=value, ...);
+    - a __reduce__ that rebuilds through __init__, for copy, deepcopy and
+      pickle.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = tuple(n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("_"))
+        cls._fields = cls._fields + own
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+_set = object.__setattr__
 
 
 def _up(x: float) -> float:
@@ -206,19 +263,22 @@ def _exp_down(x: float) -> float:
     return max(0.0, _down(_down(v)))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]; endpoints may be +-inf but never NaN."""
+class Interval(_Immutable):
+    """Closed interval [lo, hi]; endpoints may be +-inf but never NaN.
+    An immutable slotted value (see _Immutable)."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
-            raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
-        if lo == _INF or hi == -_INF:
+    def __init__(self, lo: float, hi: float):
+        # lo <= hi is false when either is NaN, so one chain accepts every
+        # valid pair
+        if not _INF > lo <= hi > -_INF:
+            if math.isnan(lo) or math.isnan(hi) or lo > hi:
+                raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
             raise ValueError("interval may not be a point at infinity")
+        # the slot descriptors' setters: the fastest way past __setattr__
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     @staticmethod
     def point(v: float) -> "Interval":
@@ -360,6 +420,10 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
 def iv_exp(a: Interval) -> Interval:
     if not a.is_finite:
         raise IntervalDomainError("iv_exp requires finite endpoints")
@@ -404,15 +468,15 @@ def iv_cos(a: Interval) -> Interval:
     return _trig(a, math.cos, 1.0, 0.0, math.pi)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Immutable):
     """Cartesian product of intervals."""
 
-    components: tuple[Interval, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        if len(self.components) < 1:
+    def __init__(self, components: tuple[Interval, ...]):
+        if len(components) < 1:
             raise ValueError("box must have dimension >= 1")
+        _set(self, "components", components)
 
     @staticmethod
     def from_bounds(bounds: Sequence[Sequence[float]]) -> "Box":
@@ -448,16 +512,16 @@ class Box:
         return "x".join(repr(c) for c in self.components)
 
 
-@dataclass(frozen=True)
-class IntervalMatrix:
+class IntervalMatrix(_Immutable):
     """Square grid of intervals (used for Jacobian enclosures)."""
 
-    rows: tuple[tuple[Interval, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
+    def __init__(self, rows: tuple[tuple[Interval, ...], ...]):
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("interval matrix must be square and nonempty")
+        _set(self, "rows", rows)
 
     @property
     def n(self) -> int:

@@ -71,13 +71,12 @@ and each series is summed in one pass over those powers (_series_sum).
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from . import dense
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin
-from .interval import _EPS, _TINY, _add_down, _add_up, _mul_up, _pow_up
+from .interval import _EPS, _TINY, _Immutable, _add_down, _add_up, _mul_up, _pow_up, _set
 from . import symexpr
 from .symexpr import Expr
 
@@ -103,15 +102,17 @@ class Role(str, Enum):
     TIME = "time"
 
 
-@dataclass(frozen=True)
-class VarInfo:
+class VarInfo(_Immutable):
     """One unit-domain variable z: its meaning and, for the step's time
     variable, its radius (t - t_mid = radius * z)."""
 
-    role: Role
-    born: int = 0
-    radius: float = 1.0
-    axis: int | None = None
+    __slots__ = ("role", "born", "radius", "axis")
+
+    def __init__(self, role: Role, born: int = 0, radius: float = 1.0, axis: int | None = None):
+        _set(self, "role", role)
+        _set(self, "born", born)
+        _set(self, "radius", radius)
+        _set(self, "axis", axis)
 
 
 _DEG_CACHE: dict[int, int] = {}
@@ -303,15 +304,17 @@ def _antiderivative_loop(terms: dict[int, float], position: int, r: float, cap: 
     return out, dropped, slack
 
 
-class PolynomialModel:
+class PolynomialModel(_Immutable):
     """The model (p, error) over the unit box of len(vars) variables, p of
-    degree <= max_degree.  Immutable, with value equality.
+    degree <= max_degree.  Immutable, with value equality and no hash.
 
     p is held as a term dict, packed key -> coefficient, or as the slot
     vector of the dense layout of (arity, max_degree) that a dense kernel
     returned.  A vector model builds its term dict the first time someone
     reads terms, from its nonzero slots in slot order, and keeps it; its
-    operations keep working on the vector."""
+    operations keep working on the vector.  Of _Immutable it uses only the
+    read-only attributes: its terms live in _terms or _vec, so equality,
+    repr and __reduce__ are its own."""
 
     __slots__ = ("vars", "error", "max_degree", "_terms", "_vec")
 
@@ -324,12 +327,6 @@ class PolynomialModel:
         m = object.__new__(cls)
         _init(m, vars, terms, vec, error, max_degree)
         return m
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return PolynomialModel._of, (self.vars, self._terms, self._vec, self.error, self.max_degree)
@@ -347,7 +344,7 @@ class PolynomialModel:
         t = self._terms
         if t is None:
             t = self._layout().terms(self._vec)
-            _set(self, "_terms", t)
+            _set_terms(self, t)
         return t
 
     # ------------------------------------------------------------------ build
@@ -769,7 +766,12 @@ class PolynomialModel:
         return f"PolynomialModel(arity={self.arity}, terms={self._size()}, error={self.error:.3g})"
 
 
-_set = object.__setattr__
+# the slot descriptors' setters: the fastest way past __setattr__
+_set_vars = PolynomialModel.vars.__set__
+_set_error = PolynomialModel.error.__set__
+_set_max_degree = PolynomialModel.max_degree.__set__
+_set_terms = PolynomialModel._terms.__set__
+_set_vec = PolynomialModel._vec.__set__
 
 
 def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -> None:
@@ -779,24 +781,30 @@ def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -
         raise ValueError("model error must be nonnegative")
     if not 0 <= max_degree <= 7:
         raise ValueError("degree cap must be between 0 and 7")
-    _set(m, "vars", vars)
-    _set(m, "error", error)
-    _set(m, "max_degree", max_degree)
-    _set(m, "_terms", terms)
-    _set(m, "_vec", None if vec is None else dense._frozen(vec))
+    _set_vars(m, vars)
+    _set_error(m, error)
+    _set_max_degree(m, max_degree)
+    _set_terms(m, terms)
+    if vec is not None:
+        vec.setflags(write=False)  # the vector of an immutable model
+    _set_vec(m, vec)
 
 
-@dataclass(frozen=True)
-class VectorModel:
-    components: tuple[PolynomialModel, ...]
+class VectorModel(_Immutable):
+    """A vector of models over one variable layout.  Its box, the ranges of
+    its components, is computed on first use and kept (not a field)."""
 
-    def __post_init__(self):
-        if not self.components:
+    __slots__ = ("components", "_box")
+
+    def __init__(self, components: tuple[PolynomialModel, ...]):
+        if not components:
             raise ValueError("vector model needs at least one component")
-        v0 = self.components[0].vars
-        for c in self.components[1:]:
+        v0 = components[0].vars
+        for c in components[1:]:
             if c.vars != v0:
                 raise ArityMismatchError("vector model components disagree on variables")
+        _set(self, "components", components)
+        _set(self, "_box", None)
 
     @property
     def vars(self) -> tuple[VarInfo, ...]:
@@ -813,7 +821,11 @@ class VectorModel:
         return self.components[i]
 
     def box(self) -> Box:
-        return Box(tuple(c.range() for c in self.components))
+        b = self._box
+        if b is None:
+            b = Box(tuple(c.range() for c in self.components))
+            _set(self, "_box", b)
+        return b
 
     def map(self, fn: Callable[[PolynomialModel], PolynomialModel]) -> "VectorModel":
         return VectorModel(tuple(fn(c) for c in self.components))
@@ -885,12 +897,13 @@ class _PowerTable:
         if self._powers is None:
             inner = self.inner
             delta = inner.add_scalar(-self.c)
-            power = PolynomialModel.constant(1.0, inner.vars, inner.max_degree)
-            self._powers = [power]
-            for _ in range(inner.max_degree):
-                power = power * delta
-                self._powers.append(power)
-            self._mags = [None] * len(self._powers)
+            # delta^1 is delta itself: 1 * delta would copy it and charge
+            # slack for a product that is exact
+            powers = [PolynomialModel.constant(1.0, inner.vars, inner.max_degree)]
+            for k in range(inner.max_degree):
+                powers.append(powers[-1] * delta if k else delta)
+            self._powers = powers
+            self._mags = [None] * len(powers)
         return self._powers
 
     def mag(self, k: int) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
 from typing import Any, Callable, Sequence
 
 from .interval import (
@@ -26,10 +25,12 @@ from .interval import (
     lognorm_inf,
     mat_inf_norm,
     row_abs_sums,
+    _Immutable,
     _add_down,
     _add_up,
     _mul_down,
     _mul_up,
+    _set,
 )
 
 __all__ = [
@@ -59,23 +60,28 @@ __all__ = [
 ]
 
 
-class Expr:
-    """Base class for expression nodes."""
+class Expr(_Immutable):
+    """Base class for expression nodes: immutable slotted values (see
+    interval._Immutable)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 1-based, printed as x<index>
+    __slots__ = ("index",)  # 1-based, printed as x<index>
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
     def __str__(self) -> str:
         return f"x{self.index}"
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         if self.value < 0:
@@ -83,78 +89,87 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
+class _Binary(Expr):
+    """A node of two operands: Add, Sub, Mul or Div."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Expr, b: Expr):
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+
+class _Unary(Expr):
+    """A node of one operand: Neg, Sin, Cos or Exp."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: Expr):
+        _set(self, "a", a)
+
+
+class Add(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}"
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.a} - {_paren_term(self.b)}"
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{_paren_term(self.a)}*{_paren_term(self.b)}"
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
+class Div(_Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{_paren_term(self.a)}/{_paren_factor(self.b)}"
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    a: Expr
+class Neg(_Unary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"-{_paren_term(self.a)}"
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
     def __str__(self) -> str:
         return f"{_paren_factor(self.base)}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    a: Expr
+class Sin(_Unary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"sin({self.a})"
 
 
-@dataclass(frozen=True)
-class Cos(Expr):
-    a: Expr
+class Cos(_Unary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"cos({self.a})"
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    a: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"exp({self.a})"
@@ -488,9 +503,10 @@ def max_var_index(e: Expr) -> int:
 
 def _intern(e: Expr, table: dict) -> Expr:
     """e rebuilt so that, among all expressions interned into the same
-    table, equal subtrees are one object.  Constants are told apart by their
-    bits, so 0.0 and -0.0 stay two nodes."""
-    parts = [getattr(e, f.name) for f in fields(e)]
+    table, equal subtrees are one object.  It walks each node's field
+    slots, in the order of its constructor's parameters.  Constants are
+    told apart by their bits, so 0.0 and -0.0 stay two nodes."""
+    parts = [getattr(e, name) for name in e._fields]
     parts = [_intern(p, table) if isinstance(p, Expr) else p for p in parts]
     key = (type(e),) + tuple(
         id(p) if isinstance(p, Expr) else p.hex() if isinstance(p, float) else p for p in parts
@@ -607,8 +623,7 @@ class InputAffineSystem:
         return tuple(self.field(lambda e: eval_interval(e, box, memo), input_ranges))
 
 
-@dataclass(frozen=True)
-class StepErrorBounds:
+class StepErrorBounds(_Immutable):
     """Constants bounding the field and its derivatives over a box.
 
     Primed values are assembled componentwise (sup-norm of sum_i V_i|g_i|
@@ -617,17 +632,13 @@ class StepErrorBounds:
     has zero first and second derivatives on the box (additive noise).
     """
 
-    K: float
-    Kp: float
-    L: float
-    Lp: float
-    H: float
-    Hp: float
-    Lam: float
+    __slots__ = ("K", "Kp", "L", "Lp", "H", "Hp", "Lam")
 
-    def __post_init__(self):
-        if min(self.K, self.Kp, self.L, self.Lp, self.H, self.Hp) < 0:
+    def __init__(self, K: float, Kp: float, L: float, Lp: float, H: float, Hp: float, Lam: float):
+        if min(K, Kp, L, Lp, H, Hp) < 0:
             raise ValueError("bounds must be nonnegative")
+        for name, value in zip(self.__slots__, (K, Kp, L, Lp, H, Hp, Lam)):
+            _set(self, name, value)
 
 
 def _sup_abs(e: Expr, box: Box, memo: dict) -> float:

@@ -1,13 +1,23 @@
 """The declared surface exists: every name in a module's __all__, and every
-console script that pyproject.toml declares."""
+console script that pyproject.toml declares; the immutable values keep
+their value semantics."""
 import ast
+import copy
 import importlib
+import math
+import pickle
 import pkgutil
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 import direach
+from direach.flow import AprioriBound, StepGeometry
+from direach.inputs import InputScheme, PiecewiseConstant, SchemeKind
+from direach.interval import Box, Interval, IntervalMatrix
+from direach.polymodel import ArityMismatchError, PolynomialModel, Role, VarInfo, VectorModel
+from direach.symexpr import Add, Const, Cos, Div, Exp, Mul, Neg, Pow, Sin, StepErrorBounds, Sub, Var
 
 MODULES = ["direach"] + [f"direach.{m.name}" for m in pkgutil.iter_modules(direach.__path__)]
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -44,3 +54,180 @@ def test_only_interval_imports_fractions():
             if any(n.split(".")[0] == "fractions" for n in names):
                 importers.add(path.name)
     assert importers == {"interval.py"}
+
+
+def test_no_module_imports_dataclass_machinery():
+    """The library's values are slotted classes on interval._Immutable:
+    no module builds a dataclass, whose class creation costs about a
+    millisecond at import and whose instances cost more to build.  Importing
+    FrozenInstanceError, the error those values raise, stays allowed."""
+    importers = set()
+    for path in Path(direach.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                if any(a.name == "dataclasses" for a in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                if any(a.name in ("dataclass", "fields", "*") for a in node.names):
+                    importers.add(path.name)
+    assert importers == set()
+
+
+_IV = Interval(-0.5, 1.25)
+_X1, _C = Var(1), Const(-2.5)
+_VARS = (VarInfo(Role.STATE, axis=0), VarInfo(Role.TIME, radius=0.1))
+_MODEL = PolynomialModel(_VARS, {0: 1.5, 1: 0.5}, 0.25, 3)
+_MODEL2 = PolynomialModel(_VARS, {0: 1.5}, 0.0, 3)
+_BOUNDS = dict(K=1.0, Kp=2.0, L=3.0, Lp=0.0, H=0.5, Hp=0.0, Lam=-1.0)
+
+# (value, an equal value built with keywords or defaults, a value that
+# differs in one field, the repr): the repr strings are those the frozen
+# dataclasses printed
+VALUES = [
+    pytest.param(_IV, Interval(hi=1.25, lo=-0.5), Interval(-0.5, 1.5), "[-0.5, 1.25]", id="Interval"),
+    pytest.param(
+        Box((_IV, Interval(0.0, 1.0))),
+        Box(components=(Interval(-0.5, 1.25), Interval(0.0, 1.0))),
+        Box((_IV,)),
+        "[-0.5, 1.25]x[0.0, 1.0]",
+        id="Box",
+    ),
+    pytest.param(
+        IntervalMatrix(((_IV, _IV), (_IV, Interval.point(2.0)))),
+        IntervalMatrix(rows=((_IV, _IV), (_IV, Interval(2.0, 2.0)))),
+        IntervalMatrix(((_IV,),)),
+        "IntervalMatrix(rows=(([-0.5, 1.25], [-0.5, 1.25]), ([-0.5, 1.25], [2.0, 2.0])))",
+        id="IntervalMatrix",
+    ),
+    pytest.param(_X1, Var(index=1), Var(2), "Var(index=1)", id="Var"),
+    pytest.param(_C, Const(value=-2.5), Const(2.5), "Const(value=-2.5)", id="Const"),
+    *(
+        pytest.param(
+            node(_X1, _C),
+            node(a=Var(1), b=Const(-2.5)),
+            node(_C, _X1),
+            f"{node.__name__}(a=Var(index=1), b=Const(value=-2.5))",
+            id=node.__name__,
+        )
+        for node in (Add, Sub, Mul, Div)
+    ),
+    *(
+        pytest.param(node(_X1), node(a=Var(1)), node(_C), f"{node.__name__}(a=Var(index=1))", id=node.__name__)
+        for node in (Neg, Sin, Cos, Exp)
+    ),
+    pytest.param(Pow(_X1, -2), Pow(base=Var(1), exponent=-2), Pow(_X1, 2), "Pow(base=Var(index=1), exponent=-2)", id="Pow"),
+    pytest.param(
+        StepErrorBounds(1.0, 2.0, 3.0, 0.0, 0.5, 0.0, -1.0),
+        StepErrorBounds(**_BOUNDS),
+        StepErrorBounds(**{**_BOUNDS, "Lam": 0.0}),
+        "StepErrorBounds(K=1.0, Kp=2.0, L=3.0, Lp=0.0, H=0.5, Hp=0.0, Lam=-1.0)",
+        id="StepErrorBounds",
+    ),
+    pytest.param(
+        _VARS[1],
+        VarInfo(Role.TIME, 0, 0.1, None),
+        VarInfo(Role.TIME, radius=0.2),
+        "VarInfo(role=<Role.TIME: 'time'>, born=0, radius=0.1, axis=None)",
+        id="VarInfo",
+    ),
+    pytest.param(
+        VectorModel((_MODEL, _MODEL2)),
+        VectorModel(components=(PolynomialModel(_VARS, {1: 0.5, 0: 1.5}, 0.25, 3), _MODEL2)),
+        VectorModel((_MODEL2, _MODEL)),
+        "VectorModel(components=(PolynomialModel(arity=2, terms=2, error=0.25), PolynomialModel(arity=2, terms=1, error=0)))",
+        id="VectorModel",
+    ),
+    pytest.param(
+        StepGeometry(0.5, 0.1), StepGeometry(h=0.1, t0=0.5), StepGeometry(0.5, 0.2), "StepGeometry(t0=0.5, h=0.1)", id="StepGeometry"
+    ),
+    pytest.param(
+        AprioriBound(Box((_IV,)), (Interval(-1.0, 1.0),)),
+        AprioriBound(input_ranges=(Interval(-1.0, 1.0),), box=Box((_IV,))),
+        AprioriBound(Box((_IV,)), (Interval(-2.0, 2.0),)),
+        "AprioriBound(box=[-0.5, 1.25], input_ranges=([-1.0, 1.0],))",
+        id="AprioriBound",
+    ),
+    pytest.param(
+        InputScheme(SchemeKind.AFFINE),
+        InputScheme.from_name("affine"),
+        InputScheme(kind=SchemeKind.STEP),
+        "InputScheme(kind=<SchemeKind.AFFINE: 'affine'>)",
+        id="InputScheme",
+    ),
+    pytest.param(
+        PiecewiseConstant((0.0, 0.05, 0.1), (1.0, -1.0)),
+        PiecewiseConstant(values=(1.0, -1.0), breaks=(0.0, 0.05, 0.1)),
+        PiecewiseConstant((0.0, 0.05, 0.1), (1.0, 1.0)),
+        "PiecewiseConstant(breaks=(0.0, 0.05, 0.1), values=(1.0, -1.0))",
+        id="PiecewiseConstant",
+    ),
+]
+# hashing raises where a field is unhashable: a vector model's components
+UNHASHABLE = {VectorModel}
+
+
+@pytest.mark.parametrize("value, same, other, text", VALUES)
+def test_immutable_value_semantics(value, same, other, text):
+    """Every immutable value class keeps the behaviour it had as a frozen
+    dataclass: value equality within its class only (Add(x, y) is not
+    Sub(x, y)), a hash over its fields, read-only fields, its repr, and
+    round trips through copy and pickle."""
+    assert value is not same and value == same and not value != same
+    assert value != other and other != value
+    for foreign in VALUES:
+        if type(foreign.values[0]) is not type(value):
+            assert value != foreign.values[0]
+    if type(value) in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+        assert {value: 1}[same] == 1
+    assert repr(value) == repr(same) == text
+    assert value._fields  # the field slots
+    for name in value._fields + ("unknown",):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value and repr(copied) == text
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Interval(math.nan, 1.0), ValueError, "invalid interval endpoints [nan, 1.0]"),
+        (lambda: Interval(0.0, math.nan), ValueError, "invalid interval endpoints [0.0, nan]"),
+        (lambda: Interval(2.0, 1.0), ValueError, "invalid interval endpoints [2.0, 1.0]"),
+        (lambda: Interval(math.inf, math.inf), ValueError, "interval may not be a point at infinity"),
+        (lambda: Interval(-math.inf, -math.inf), ValueError, "interval may not be a point at infinity"),
+        (lambda: Box(()), ValueError, "box must have dimension >= 1"),
+        (lambda: IntervalMatrix(()), ValueError, "interval matrix must be square and nonempty"),
+        (lambda: IntervalMatrix(((_IV, _IV),)), ValueError, "interval matrix must be square and nonempty"),
+        (lambda: StepErrorBounds(**{**_BOUNDS, "Hp": -1e-300}), ValueError, "bounds must be nonnegative"),
+        (lambda: VectorModel(()), ValueError, "vector model needs at least one component"),
+        (
+            lambda: VectorModel((_MODEL, PolynomialModel(_VARS[:1], {}, 0.0, 3))),
+            ArityMismatchError,
+            "vector model components disagree on variables",
+        ),
+        (lambda: StepGeometry(0.0, 0.0), ValueError, "step size must be positive"),
+        (lambda: StepGeometry(0.0, -0.1), ValueError, "step size must be positive"),
+        (lambda: PiecewiseConstant((0.0, 1.0), (1.0, 2.0)), ValueError, "need one more breakpoint than values"),
+        (lambda: PiecewiseConstant((0.0, 0.0), (1.0,)), ValueError, "breakpoints must be increasing"),
+    ],
+)
+def test_immutable_value_validation(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_interval_accepts_every_valid_pair():
+    """The one chained comparison accepts every valid pair, infinite
+    endpoints and signed zeros included, and keeps the endpoints as given."""
+    for lo, hi in ((-math.inf, math.inf), (-math.inf, -1.0), (1.0, math.inf), (-0.0, 0.0), (2.0, 2.0)):
+        iv = Interval(lo, hi)
+        assert (iv.lo, iv.hi) == (lo, hi)

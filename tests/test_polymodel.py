@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from direach import dense, polymodel
-from direach.interval import Interval, IntervalDomainError
+from direach.interval import Box, Interval, IntervalDomainError
 from direach.polymodel import (
     ArityMismatchError,
     PolynomialModel,
@@ -350,6 +350,28 @@ def test_power_table_takes_sin_cos_once(monkeypatch):
     assert sorted(calls) == ["iv_cos", "iv_sin"]
     for s, e in zip(shared, sys.f):
         assert _bits(s) == _bits(compose_expr(e, args))
+
+
+def test_power_table_starts_from_delta(monkeypatch):
+    """The first power is delta = inner - c itself, not 1 * delta: building
+    the powers scales nothing (a scale by 1.0 copies every term and charges
+    slack for an exact product), and every later power is the previous one
+    times delta, over a dict and over a slot vector."""
+    scales = []
+    scale = PolynomialModel.scale
+    monkeypatch.setattr(PolynomialModel, "scale", lambda self, s: scales.append(s) or scale(self, s))
+    inner = pm({(0, 0): 0.3, (1, 0): 0.5, (0, 1): -0.25, (1, 1): 0.125}, error=1e-9, cap=4)
+    for model in (inner, _carrying(inner), pm({(0, 0): 0.5}, cap=0)):
+        table = polymodel._PowerTable(model)
+        delta = model.add_scalar(-table.c)
+        powers = table.powers()
+        assert scales == []
+        assert len(powers) == model.max_degree + 1
+        assert _bits(powers[0]) == _bits(PolynomialModel.constant(1.0, model.vars, model.max_degree))
+        if model.max_degree:
+            assert _bits(powers[1]) == _bits(delta) and powers[1].error == delta.error
+        for k in range(2, len(powers)):
+            assert _bits(powers[k]) == _bits(powers[k - 1] * delta)
 
 
 def test_compose_domain_errors_keep_messages():
@@ -1390,6 +1412,27 @@ def test_vector_models_keep_value_semantics():
             carried._vec[0] = 1.0
         for copied in (copy.copy(carried), copy.deepcopy(carried), pickle.loads(pickle.dumps(carried))):
             assert copied == carried and copied._vec is not None
+
+
+def test_vector_model_box_is_computed_once(monkeypatch):
+    """VectorModel.box() ranges each component once and keeps the box; the
+    kept box is not a field, so it takes no part in equality, repr, copies
+    or pickles."""
+    ranged = []
+    rng = PolynomialModel.range
+    monkeypatch.setattr(PolynomialModel, "range", lambda self: ranged.append(self) or rng(self))
+    full = _full_model(random.Random(3), 5, 5, lambda r: r.uniform(-1, 1))
+    for components in ((pm({(0, 0): 0.5, (1, 0): 0.25}, error=1e-3), pm({(0, 1): -2.0})), (full, _carrying(full))):
+        X = VectorModel(components)
+        fresh = VectorModel(components)
+        uncached = Box(tuple(rng(c) for c in components))
+        del ranged[:]
+        boxes = [X.box() for _ in range(3)]
+        assert len(ranged) == len(components)
+        assert all(b is boxes[0] and b == uncached for b in boxes)
+        assert X == fresh and repr(X) == repr(fresh) and fresh._box is None
+        for copied in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert copied == X and copied._box is None and copied.box() == uncached
 
 
 def test_slot_series_sum_charges_every_merge():

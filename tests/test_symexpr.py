@@ -131,7 +131,7 @@ def _random_expr(rng, depth=0):
 
 
 def _has(e, types):
-    return isinstance(e, types) or any(_has(c, types) for c in vars(e).values() if isinstance(c, Expr))
+    return isinstance(e, types) or any(_has(c, types) for c in e._values() if isinstance(c, Expr))
 
 
 # a tree's value is undefined (or overflows) at some sample points

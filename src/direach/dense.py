@@ -4,12 +4,12 @@ A layout holds one slot per monomial of degree <= cap in arity variables
 (arity <= 15, so that packed keys fit an int64), ordered by degree, and is
 built on first use and cached per (arity, cap).  A model that comes out of
 a kernel carries its slot vector, a read-only float64 array over the layout
-of its (arity, cap), and keeps it through the operations that have a
-vector form; its term dict is built from the nonzero slots, in slot order,
-only when someone reads it.  A dict model is scattered into a slot vector
-when it meets a vector model, or when it is large enough that a kernel
-pays for the scatter.  Every carried vector is finite: each kernel that can
-overflow checks its result.
+of its (arity, cap), and keeps it through every operation; its term dict is
+built from the nonzero slots, in slot order, only when someone reads it.
+A dict model is scattered into a slot vector when it meets a vector model,
+or when a product is large enough to pay for the scatter.  polymodel's
+constructor admits only finite coefficients on monomials of degree <= cap,
+so every term has a slot and no kernel declines its operands.
 
 The kernels, each on whole vectors:
 
@@ -29,8 +29,8 @@ The kernels, each on whole vectors:
 - range, over the slots with an odd exponent and the nonconstant
   all-even ones;
 - extend, a scatter into the layout of more variables, and reindex and
-  sweep to an increasing list of kept variables, a gather from the layout
-  of fewer; neither changes a coefficient.
+  sweep to a list of kept variables, a gather from the layout of fewer;
+  neither changes a coefficient.
 
 In the product, antiderivative and substitute_unit each result slot k sums
 n_k contributions, where n_k counts the slots of the table that land on k,
@@ -46,17 +46,20 @@ bounds the slack and the dropped mass with _grown, which adds one _TINY
 per rounded product or quotient; each slack is a plain-float sum, and that
 bound holds in any summation order.
 
-A kernel returns None when a result is not finite, and a scatter when a
-term lies above the cap; polymodel then runs its dict loop.
+Overflow: a result slot that overflows is charged an infinite slack, so
+the result's error is infinite and polymodel raises when it builds the
+model.  Only a bincount sum can overflow while each of its contributions,
+and so its slack, stays finite; the product, antiderivative and
+substitute_unit check their sums and raise
+IntervalDomainError("model arithmetic overflowed") themselves.
 """
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 
 import numpy as np
 
-from .interval import _EPS
+from .interval import IntervalDomainError, _EPS
 
 __all__: list[str] = []
 
@@ -112,15 +115,11 @@ class _DenseLayout:
             self._pairs = I, J, K, np.bincount(K, minlength=self.size)[K] * _EPS
         return self._pairs
 
-    def vector(self, terms: dict[int, float]) -> np.ndarray | None:
-        """The coefficients of terms by slot, or None when a term lies above
-        the cap."""
+    def vector(self, terms: dict[int, float]) -> np.ndarray:
+        """The coefficients of terms, monomials of this layout, by slot."""
         n = len(terms)
-        try:
-            # itemgetter of two or more keys returns a tuple
-            slots = itemgetter(*terms)(self.slot_of) if n > 1 else [self.slot_of[k] for k in terms]
-        except KeyError:
-            return None
+        # itemgetter of two or more keys returns a tuple
+        slots = itemgetter(*terms)(self.slot_of) if n > 1 else [self.slot_of[k] for k in terms]
         v = np.zeros(self.size)
         v[np.fromiter(slots, np.intp, n)] = np.fromiter(terms.values(), float, n)
         return v
@@ -145,10 +144,11 @@ class _DenseLayout:
         return m
 
     def gather(self, keep: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(take, dropped) for keeping the variables at the increasing
-        positions keep: take[j] is the slot of this layout that holds the
-        monomial of slot j of the layout of (len(keep), cap), and dropped
-        lists the slots with an exponent of a variable not kept."""
+        """(take, dropped) for keeping the variables at the distinct
+        positions keep, in that order: take[j] is the slot of this layout
+        that holds the monomial of slot j of the layout of (len(keep), cap),
+        and dropped lists the slots with an exponent of a variable not
+        kept."""
         m = self._gathers.get(keep)
         if m is None:
             target = _layout(len(keep), self.cap)
@@ -198,8 +198,10 @@ def _layout(arity: int, cap: int) -> _DenseLayout:
     return layout
 
 
-def _finite(v: np.ndarray) -> bool:
-    return bool(np.isfinite(v).all())
+def _check_finite(v: np.ndarray) -> None:
+    """Raise when a bincount sum of v overflowed."""
+    if not np.isfinite(v).all():
+        raise IntervalDomainError("model arithmetic overflowed")
 
 
 def _count(v: np.ndarray) -> int:
@@ -208,8 +210,10 @@ def _count(v: np.ndarray) -> int:
 
 
 def _magnitude(v: np.ndarray) -> float:
-    """The plain-float sum of the slot magnitudes."""
-    return float(np.abs(v).sum())
+    """The plain-float sum of the slot magnitudes, infinite when it
+    overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(v).sum())
 
 
 def _constant(v: np.ndarray) -> float | None:
@@ -220,43 +224,32 @@ def _constant(v: np.ndarray) -> float | None:
 def _merge_slack(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """The sum of |out| over the slots where a and b are both nonzero, the
     merges of the dict loop that rounds out = a +- b key by key.  Only a
-    merge of finite slots can overflow, so the sum is finite exactly when
-    out is (or when it overflows itself)."""
+    merge of finite slots can overflow, so the sum is infinite when out
+    is (or when it overflows itself)."""
     return float(np.abs(out[np.logical_and(a, b)]).sum())
 
 
-def _dense_add(a: np.ndarray, b: np.ndarray, sign: float) -> tuple | None:
+def _dense_add(a: np.ndarray, b: np.ndarray, sign: float) -> tuple:
     """a + b for sign 1.0, a - b for sign -1.0, as polymodel's __add__ and
-    __sub__ loops round them: (vector, slack); or None when the slack is
-    not finite, as it is when a sum overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    __sub__ loops round them: (vector, slack)."""
+    with np.errstate(over="ignore"):
         out = a + b if sign > 0.0 else a - b
-    slack = _merge_slack(out, a, b) * _EPS
-    if not math.isfinite(slack):
-        return None
-    return out, slack
+        return out, _merge_slack(out, a, b) * _EPS
 
 
-def _dense_add_scalar(v: np.ndarray, value: float) -> tuple | None:
-    """v with value added to its constant slot: (vector, that sum); or None
-    when the sum is not finite."""
+def _dense_add_scalar(v: np.ndarray, value: float) -> tuple:
+    """v with value added to its constant slot: (vector, that sum)."""
     s = float(v[0]) + value
-    if not math.isfinite(s):
-        return None
     out = v.copy()
     out[0] = s
     return out, s
 
 
-def _dense_scale(v: np.ndarray, s: float) -> tuple | None:
-    """v times the float s: (vector, slack, products behind it); or None
-    when the slack is not finite, as it is when a product overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
+def _dense_scale(v: np.ndarray, s: float) -> tuple:
+    """v times the float s: (vector, slack, products behind it)."""
+    with np.errstate(over="ignore"):
         out = v * s
-    slack = _magnitude(out) * _EPS
-    if not math.isfinite(slack):  # a product overflowed, or the slack did
-        return None
-    return out, slack, _count(v)
+    return out, _magnitude(out) * _EPS, _count(v)
 
 
 def _dense_range(v: np.ndarray, layout: _DenseLayout) -> tuple:
@@ -270,12 +263,10 @@ def _dense_range(v: np.ndarray, layout: _DenseLayout) -> tuple:
     return c0, odd, pos, neg, _count(v) - (c0 != 0.0)
 
 
-def _dense_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> tuple | None:
+def _dense_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> tuple:
     """The truncated product of the slot vectors a and b, as
     polymodel._pair_product returns it but with a vector: (vector, dropped
-    mass, products behind it, slack, products behind it); or None when the
-    arithmetic overflows (the pair loop then does what it does on
-    overflow).
+    mass, products behind it, slack, products behind it).
 
     Slot k sums n_k products in bincount's fixed order; for any order its
     rounding error is at most gamma_{n_k} times the sum of their
@@ -285,11 +276,10 @@ def _dense_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> tuple 
     once."""
     I, J, K, weight = layout.pairs()
     cap = layout.cap
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         p = a[I] * b[J]
         out = np.bincount(K, p, layout.size)
-        if not _finite(out):
-            return None
+        _check_finite(out)
         np.abs(p, out=p)
         p *= weight
         slack = float(p.sum())
@@ -300,17 +290,14 @@ def _dense_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> tuple 
     for d in range(cap, 0, -1):
         above += mass_b[d]
         dropped += mass_a[cap + 1 - d] * above
-    if not math.isfinite(dropped):
-        return None
     # cap products make up the dropped mass, len(p) the slack
     return out, dropped, cap, slack, len(p)
 
 
-def _dense_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, radius: float) -> tuple | None:
+def _dense_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, radius: float) -> tuple:
     """The antiderivative of the slot vector v in the variable at position,
     of radius radius, as polymodel._antiderivative_loop returns it but with
-    a vector: (vector, dropped mass, slack); or None when a result is not
-    finite.
+    a vector: (vector, dropped mass, slack).
 
     Each coefficient c * radius / (e + 1) is rounded as in the dict loop
     and charged 2 * |c| * _EPS for its product and quotient, plus
@@ -320,55 +307,47 @@ def _dense_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, ra
     slots of degree cap drop."""
     t = layout.table(position)
     top = len(t.up)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         w = v * radius
         w /= t.div
         out = np.bincount(t.base, w * t.sign, layout.size)
         out[t.up] = w[:top]
-        if not _finite(out):
-            return None
+        _check_finite(out)
         np.abs(w, out=w)
         dropped = float(w[top:].sum())
         w *= t.quotient_weight
         slack = float(w.sum())
-    if not math.isfinite(dropped):
-        return None
     return out, dropped, slack
 
 
-def _dense_substitute_unit(v: np.ndarray, layout: _DenseLayout, position: int, value: float) -> tuple | None:
+def _dense_substitute_unit(v: np.ndarray, layout: _DenseLayout, position: int, value: float) -> tuple:
     """The slot vector v at z_position = value, value in {-1.0, 1.0}, with
     keys that keep the cleared nibble, as polymodel._substitute_unit_loop
-    returns it but with a vector: (vector, slack); or None when a sum is
-    not finite.  The sign flips are exact, so each contribution c is
-    charged only n * |c| * _EPS for the n contributions of its sum."""
+    returns it but with a vector: (vector, slack).  The sign flips are
+    exact, so each contribution c is charged only n * |c| * _EPS for the n
+    contributions of its sum."""
     t = layout.table(position)
     w = v * t.sign if value < 0.0 else v
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.bincount(t.base, w, layout.size)
-    if not _finite(out):
-        return None
+    out = np.bincount(t.base, w, layout.size)
+    _check_finite(out)
     return out, float((np.abs(w) * t.sum_weight).sum())
 
 
-def _dense_series_sum(mids: list[float], vectors: list[np.ndarray], layout: _DenseLayout) -> tuple | None:
+def _dense_series_sum(mids: list[float], vectors: list[np.ndarray], layout: _DenseLayout) -> tuple:
     """sum_k mids[k] * vectors[k], accumulated in that order as
     polymodel._series_sum's dict loop does: (vector, slack, products
-    behind it); or None when the slack is not finite, as it is when a
-    product or a sum overflows."""
+    behind it).  An overflowed product or merge makes the slack
+    infinite."""
     out = np.zeros(layout.size)
     slack = 0.0
     products = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         for m, v in zip(mids, vectors):
             p = v * m
             merged = out + p
-            slack += _magnitude(p) + _merge_slack(merged, out, p)
+            slack += float(np.abs(p).sum()) + _merge_slack(merged, out, p)
             products += _count(v)
             out = merged
-    # an overflowed product or merge makes the slack infinite or NaN
-    if not math.isfinite(slack):
-        return None
     return out, slack * _EPS, products
 
 
@@ -380,12 +359,12 @@ def _dense_extend(v: np.ndarray, layout: _DenseLayout, arity: int) -> np.ndarray
     return out
 
 
-def _dense_reindex(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> np.ndarray | None:
-    """v in the layout of the variables at the increasing positions keep;
-    None when v depends on a variable that is not kept."""
+def _dense_reindex(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> np.ndarray:
+    """v in the layout of the variables at the positions keep; raises
+    ValueError when v depends on a variable that is not kept."""
     take, dropped = layout.gather(keep)
     if v[dropped].any():
-        return None
+        raise ValueError("cannot drop a variable the model still depends on")
     return v[take]
 
 
@@ -395,4 +374,5 @@ def _dense_sweep(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> 
     the swept terms, their number)."""
     take, dropped = layout.gather(keep)
     swept = np.abs(v[dropped])
-    return v[take], float(swept.sum()), _count(swept)
+    with np.errstate(over="ignore"):
+        return v[take], float(swept.sum()), _count(swept)

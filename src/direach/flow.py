@@ -19,7 +19,8 @@ whose e_flow is no bigger than its own error (e_flow <= err(y_next)), when
 rho stalls (rho > 0.7 * previous rho) or vanishes, and after at most
 max(iterations, 4 * (cap + 2)) iterates.  Every failure to certify (no
 contraction, a tube outside the bound, a diverging iterate, a field
-undefined or unbounded where it is evaluated) raises CertificationError.
+undefined or unbounded where it is evaluated, model arithmetic that
+overflows) raises CertificationError.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ class StepGeometry(_Immutable):
     __slots__ = ("t0", "h")
 
     def __init__(self, t0: float, h: float):
-        if h <= 0:
+        if not 0 < h < math.inf:
             raise ValueError("step size must be positive")
         _set(self, "t0", t0)
         _set(self, "h", h)
@@ -274,7 +275,10 @@ def _picard_core(
     j = 0
     while True:
         y_next = apply_once(y)
-        rho = max((y_next[c] - y[c]).range().mag for c in range(sys.n))
+        try:
+            rho = max((y_next[c] - y[c]).range().mag for c in range(sys.n))
+        except IntervalDomainError:  # the residual overflowed
+            rho = math.inf
         if not math.isfinite(rho):
             raise CertificationError(
                 f"Picard iteration diverged at t={t0:g}; try a smaller step size"
@@ -305,11 +309,12 @@ def _picard_core(
     if e_x > 0.0:
         e_ic = _mul_up(e_x, _exp_up(_mul_up(lam_rate, h)))
 
-    out = []
-    for c in range(sys.n):
-        final = y_next[c].substitute_unit(tpos, 1.0)
-        final = final.add_error(_add_up(e_flow, e_ic))
-        out.append(final)
+    try:
+        out = [y_next[c].substitute_unit(tpos, 1.0).add_error(_add_up(e_flow, e_ic)) for c in range(sys.n)]
+    except IntervalDomainError as exc:
+        raise CertificationError(
+            f"step enclosure overflowed at t={t0:g} ({exc}); try a smaller step size"
+        ) from exc
     return VectorModel(tuple(out))
 
 

@@ -8,6 +8,7 @@ physical scaling happens inside the realization.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -164,7 +165,7 @@ def match_parameters(v: PiecewiseConstant, scheme: InputScheme, t0: float, h: fl
 
     Returns () for zero, (a0,) for constant, (a0, a1) for affine and step.
     """
-    if h <= 0:
+    if not 0 < h < math.inf:
         raise ValueError("step size must be positive")
     mean = v.mean()
     moment = v.centered_moment(t0 + h / 2.0)

@@ -248,7 +248,10 @@ def _pow_down(x: float, n: int) -> float:
 def _exp_up(x: float) -> float:
     if x == 0.0:
         return 1.0
-    v = math.exp(x) if x < 710.0 else _INF
+    try:
+        v = math.exp(x)
+    except OverflowError:
+        return _INF
     if math.isinf(v):
         return _INF
     return _up(_up(v))
@@ -257,9 +260,10 @@ def _exp_up(x: float) -> float:
 def _exp_down(x: float) -> float:
     if x == 0.0:
         return 1.0
-    if x >= 710.0:
+    try:
+        v = math.exp(x)
+    except OverflowError:
         return _MAX
-    v = math.exp(x)
     return max(0.0, _down(_down(v)))
 
 

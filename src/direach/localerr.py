@@ -76,7 +76,7 @@ def _phi(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     it, so the step-size check is here."""
     if phi is not None:
         return phi
-    if h <= 0:
+    if not 0 < h < math.inf:
         raise InapplicableError("step size must be positive")
     return growth_factor(_mul_up(b.Lam, h))
 
@@ -94,13 +94,9 @@ def _denominator(b: StepErrorBounds, h: float, with_lp: bool) -> float:
     return pre
 
 
-def err_o1(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
-    """First-order bound for the zero surrogate (w = 0)."""
-    return _first_order(b, h, 0.0, phi)
-
-
-def _first_order(b: StepErrorBounds, h: float, w_factor: float, phi: float | None = None) -> float:
-    """min(h*(1+c)K'Phi(Lam h), h*(2K + (1+c)K')) where c bounds sup|w|/V.
+def err_o1(b: StepErrorBounds, h: float, w_factor: float = 0.0, phi: float | None = None) -> float:
+    """First-order bound min(h*(1+c)K'Phi(Lam h), h*(2K + (1+c)K')) for any
+    surrogate with sup|w| <= cV, c = w_factor.
 
     c = 0 is the zero-surrogate theorem; for nonzero surrogates both the
     true and the surrogate solution are compared against the undisturbed
@@ -229,7 +225,7 @@ _FORMULAS = (
     _Formula(ErrorOrder.O2_CONSTANT, lambda sys, s, b, h, phi: err_o2_constant(b, h, phi), _CONSTANT),
     _Formula(ErrorOrder.O2_AFFINE, lambda sys, s, b, h, phi: err_o2_affine(b, h, phi), _TWO_MOMENT),
     _Formula(
-        ErrorOrder.O1_ZERO, lambda sys, s, b, h, phi: _first_order(b, h, s.w_sup_factor, phi), frozenset(SchemeKind)
+        ErrorOrder.O1_ZERO, lambda sys, s, b, h, phi: err_o1(b, h, s.w_sup_factor, phi), frozenset(SchemeKind)
     ),
 )
 
@@ -249,9 +245,10 @@ def select_error(
     skipped; the table's applies predicate prefers the additive corollary
     to the single-input one.  The first-order row covers every scheme and
     cannot fail once phi(Lam h) is known, so an answer always exists.
-    InapplicableError is raised only for h <= 0.  Without inputs, or with
-    inputs that vanish on the box, the bound is 0, once h has passed its
-    check.  phi(Lam h) is computed once and shared by every formula.
+    InapplicableError is raised only for an h that is not positive and
+    finite.  Without inputs, or with inputs that vanish on the box, the
+    bound is 0, once h has passed its check.  phi(Lam h) is computed once
+    and shared by every formula.
     """
     phi = _phi(b, h)
     if sys.m == 0 or b.Kp == 0.0:

@@ -31,36 +31,41 @@ operand's coefficient magnitudes by degree, which are built by addition
 only, so cancellation cannot under-count it.  A product with an exact
 constant (no error, no term but the constant one) is a scaling.
 
+What a model may hold is decided once, when it is built: its terms are
+finite coefficients on monomials of its variables of degree <= its cap,
+and its error is finite and nonnegative.  The public constructor raises
+ValueError for anything else.  The operations build their results past
+those checks; each rounded result v charges |v| * _EPS of slack to the
+error, so a coefficient that overflows makes the error infinite, and every
+result whose error is not finite raises
+IntervalDomainError("model arithmetic overflowed").  No operation has to
+look for a term above the cap, an infinite coefficient or an infinite
+error in its operands.
+
 A model holds its polynomial as a term dict or as a slot vector of the
 dense module's layout for its (arity, cap), one slot per monomial of
 degree <= cap.  A model that comes out of a dense kernel keeps its vector,
 and its term dict is built from the vector the first time someone reads
-PolynomialModel.terms.  Each operation has a dict loop, and every one on
-the Picard path also a vector form: +, -, negation, scale, add_scalar,
-add_error, range, poly_magnitude, the product, antiderivative,
-substitute_unit, extend, reindex and sweep to increasing positions, and
-the Taylor series sum.
+PolynomialModel.terms.  Each operation has one vector form and one dict
+loop, and the representation of its operands picks one of them: the
+vector form runs when an operand carries a vector (a dict operand is then
+scattered into the layout), the dict loop otherwise.  The one exception is
+the product, which also scatters two dict models when
+len(a.terms) * len(b.terms) reaches the kept pairs of two full models,
+C(2*arity + cap, cap).  Above 15 variables there is no layout, and extend
+drops the vector of a model that grows past it.
 
-- The vector form runs when an operand carries a vector; a dict operand
-  is then scattered into the layout.  The product, antiderivative and
-  substitute_unit also take it for dict models large enough to pay for the
-  scatter: the product when len(a.terms) * len(b.terms) reaches the kept
-  pairs of two full models, C(2*arity + cap, cap); the antiderivative when
-  the model fills a quarter of the layout's slots, and substitute_unit
-  when it fills half of them, with at least 32 terms (the measured
-  crossovers).  In the product, antiderivative and substitute_unit, a
-  result slot that sums n_k contributions charges n_k * |c| * _EPS of
-  slack per contribution c (Higham's gamma_{n_k}), and each rounded
-  product or quotient its own |c| * _EPS, through _grown.  Sums,
-  differences, negation, scale, add_scalar and the series sum apply the
-  dict loop's IEEE operation to each slot, in the same order, and charge
-  what it charges; extend, reindex and sweep move coefficients unchanged.
-  Their coefficients are bit-identical to the loop's.  Range,
-  poly_magnitude and the swept mass add up in numpy's order, which
-  _sum_bound and _grown cover in any order.
-- The dict loops serve the rest, and also what a vector form declines:
-  operands with a term above the cap, more than 15 variables, or a result
-  that is not finite.  They charge each rounded product and merge.
+- In the product, antiderivative and substitute_unit, a result slot that
+  sums n_k contributions charges n_k * |c| * _EPS of slack per
+  contribution c (Higham's gamma_{n_k}), and each rounded product or
+  quotient its own |c| * _EPS, through _grown.  Sums, differences,
+  negation, scale, add_scalar and the series sum apply the dict loop's
+  IEEE operation to each slot, in the same order, and charge what it
+  charges; extend, reindex and sweep move coefficients unchanged.  Their
+  coefficients are bit-identical to the loop's.  Range, poly_magnitude and
+  the swept mass add up in numpy's order, which _sum_bound and _grown
+  cover in any order.
+- The dict loops charge each rounded product and merge.
 
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
 the argument's range as sum a_k (inner - c)^k plus a Lagrange remainder.
@@ -76,7 +81,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import dense
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin
-from .interval import _EPS, _TINY, _Immutable, _add_down, _add_up, _mul_up, _pow_up, _set
+from .interval import _EPS, _TINY, _Immutable, _add_down, _add_up, _div_up, _mul_up, _pow_up, _set
 from . import symexpr
 from .symexpr import Expr
 
@@ -190,19 +195,15 @@ def _pair_product(a: dict[int, float], b: dict[int, float], cap: int) -> tuple:
     n_kept = n_dropped = 0
     if a:
         right = [(k2, c2, _degree_of(k2)) for k2, c2 in b.items()]
-        # above[r + 1]: |c| mass of the right terms of degree > r, r = -1..cap
+        # above[r + 1]: |c| mass of the right terms of degree > r, r = 0..cap
         above = [0.0] * (cap + 2)
         for _, c2, d2 in right:
-            above[d2 if d2 <= cap else cap + 1] += abs(c2)
+            above[d2] += abs(c2)
         for r in range(cap, -1, -1):
             above[r] += above[r + 1]
         rows: dict[int, list[tuple[int, float]]] = {}
         for k1, c1 in a.items():
             r = cap - _degree_of(k1)
-            if r < 0:
-                dropped += abs(c1) * above[0]
-                n_dropped += 1
-                continue
             if above[r + 1]:
                 dropped += abs(c1) * above[r + 1]
                 n_dropped += 1
@@ -233,12 +234,6 @@ def _pair_count(arity: int, cap: int) -> float:
     reach the nibble of int64's sign bit, so the dense layout is not
     used."""
     return math.comb(2 * arity + cap, cap) if arity <= 15 else math.inf
-
-
-def _slot_count(arity: int, cap: int) -> float:
-    """The slots of the dense layout of (arity, cap), the monomials of
-    degree <= cap in arity variables; infinite above 15 variables."""
-    return math.comb(arity + cap, cap) if arity <= 15 else math.inf
 
 
 def _substitute_unit_loop(terms: dict[int, float], position: int, value: float) -> tuple:
@@ -283,7 +278,7 @@ def _antiderivative_loop(terms: dict[int, float], position: int, r: float, cap: 
         # the antiderivative term: its key has time exponent e + 1 >= 1,
         # which no other term's antiderivative and no value at tau = -1
         # takes
-        if _degree_of(k) + 1 > cap:
+        if _degree_of(k) == cap:
             dropped += abs(coeff)
         else:
             out[k + one] = coeff
@@ -308,6 +303,13 @@ class PolynomialModel(_Immutable):
     """The model (p, error) over the unit box of len(vars) variables, p of
     degree <= max_degree.  Immutable, with value equality and no hash.
 
+    PolynomialModel(vars, terms, error, max_degree) raises ValueError
+    unless every key of terms is a monomial of vars of degree <=
+    max_degree, every coefficient is finite and error is finite and
+    nonnegative; the operations rely on that and check nothing of it
+    again.  A result whose error is not finite raises
+    IntervalDomainError("model arithmetic overflowed").
+
     p is held as a term dict, packed key -> coefficient, or as the slot
     vector of the dense layout of (arity, max_degree) that a dense kernel
     returned.  A vector model builds its term dict the first time someone
@@ -319,11 +321,23 @@ class PolynomialModel(_Immutable):
     __slots__ = ("vars", "error", "max_degree", "_terms", "_vec")
 
     def __init__(self, vars: tuple[VarInfo, ...], terms: dict[int, float], error: float, max_degree: int):
+        if not 0 <= max_degree <= 7:
+            raise ValueError("degree cap must be between 0 and 7")
+        terms = dict(terms)  # the caller's dict may change after the checks
+        top = 1 << (4 * len(vars))
+        for k, c in terms.items():
+            if not (0 <= k < top and _degree_of(k) <= max_degree):
+                raise ValueError(f"key {k:#x} is not a monomial of {len(vars)} variables of degree <= {max_degree}")
+            if not math.isfinite(c):
+                raise ValueError("model coefficients must be finite")
+        if not 0 <= error < math.inf:
+            raise ValueError("model error must be finite and nonnegative")
         _init(self, vars, terms, None, error, max_degree)
 
     @classmethod
     def _of(cls, vars, terms, vec, error: float, max_degree: int) -> "PolynomialModel":
-        """A model from a term dict, a slot vector, or both (the same terms)."""
+        """A model from a term dict, a slot vector, or both (the same
+        terms), which hold what the constructor admits."""
         m = object.__new__(cls)
         _init(m, vars, terms, vec, error, max_degree)
         return m
@@ -366,6 +380,8 @@ class PolynomialModel(_Immutable):
     def _check_compat(self, other: "PolynomialModel") -> None:
         if self.vars is not other.vars and self.vars != other.vars:
             raise ArityMismatchError("models have different variable layouts")
+        if self.max_degree != other.max_degree:
+            raise ArityMismatchError("models have different degree caps")
 
     # ------------------------------------------------------------------ dispatch
     def _layout(self) -> "dense._DenseLayout":
@@ -376,53 +392,31 @@ class PolynomialModel(_Immutable):
         return len(self._terms) if self._vec is None else dense._count(self._vec)
 
     def _vector_in(self, layout: "dense._DenseLayout"):
-        """The coefficients as a slot vector of layout, a layout of this
-        model's arity: the carried one, or the terms scattered into it;
-        None when a term lies above its cap."""
-        if self._vec is not None and self.max_degree == layout.cap:
-            return self._vec
-        return layout.vector(self.terms)
+        """The coefficients as a slot vector of layout, the layout of this
+        model's (arity, cap): the carried one, or the terms scattered into
+        it."""
+        return self._vec if self._vec is not None else layout.vector(self._terms)
 
-    def _slot_vector(self, threshold: float):
-        """The slot vector that a unary operation's vector path works on: the
-        carried one, or the terms scattered when there are at least
-        threshold of them; None sends the operation to its dict loop."""
-        if self._vec is not None:
-            return self._vec
-        if len(self._terms) >= threshold:
-            return self._layout().vector(self._terms)
-        return None
-
-    def _vector_pair(self, other: "PolynomialModel", threshold: float):
-        """(layout, a, b) for a binary operation's vector path: the slot
-        vectors of self and other in the layout of self's (arity, cap),
-        when either model carries a vector or the product of their term
-        counts reaches threshold; None sends the operation to its dict
-        loop, as does a term above the cap."""
-        if self._vec is None and other._vec is None and len(self._terms) * len(other._terms) < threshold:
-            return None
+    def _vector_pair(self, other: "PolynomialModel") -> tuple:
+        """(layout, a, b): the slot vectors of self and other in the layout
+        of their (arity, cap), for a binary operation's vector form."""
         layout = self._layout()
         a = self._vector_in(layout)
-        b = a if other is self else other._vector_in(layout)
-        if a is None or b is None:
-            return None
-        return layout, a, b
+        return layout, a, a if other is self else other._vector_in(layout)
 
     # ------------------------------------------------------------------ arithmetic
     def __neg__(self) -> "PolynomialModel":
         if self._vec is not None:
             return PolynomialModel._of(self.vars, None, -self._vec, self.error, self.max_degree)
-        return PolynomialModel(self.vars, {k: -c for k, c in self._terms.items()}, self.error, self.max_degree)
+        return PolynomialModel._of(self.vars, {k: -c for k, c in self._terms.items()}, None, self.error, self.max_degree)
 
     def __add__(self, other: "PolynomialModel") -> "PolynomialModel":
         self._check_compat(other)
         if self._vec is not None or other._vec is not None:
-            m = self._vector_sum(other, 1.0)
-            if m is not None:
-                return m
-        out = dict(self.terms)
+            return self._vector_sum(other, 1.0)
+        out = dict(self._terms)
         slack = 0.0
-        for k, c in other.terms.items():
+        for k, c in other._terms.items():
             prev = out.get(k)
             if prev is None:
                 out[k] = c
@@ -434,19 +428,17 @@ class PolynomialModel(_Immutable):
                     out[k] = v
                 slack += abs(v) * _EPS
         e = _add_up(_add_up(self.error, other.error), _grown(slack))
-        return PolynomialModel(self.vars, out, e, self.max_degree)
+        return PolynomialModel._of(self.vars, out, None, e, self.max_degree)
 
     def __sub__(self, other: "PolynomialModel") -> "PolynomialModel":
         # the loop of __add__ with other's coefficients negated: a - b and
         # a + (-b) round alike, so this is bit-identical to self + (-other)
         self._check_compat(other)
         if self._vec is not None or other._vec is not None:
-            m = self._vector_sum(other, -1.0)
-            if m is not None:
-                return m
-        out = dict(self.terms)
+            return self._vector_sum(other, -1.0)
+        out = dict(self._terms)
         slack = 0.0
-        for k, c in other.terms.items():
+        for k, c in other._terms.items():
             prev = out.get(k)
             if prev is None:
                 out[k] = -c
@@ -458,16 +450,12 @@ class PolynomialModel(_Immutable):
                     out[k] = v
                 slack += abs(v) * _EPS
         e = _add_up(_add_up(self.error, other.error), _grown(slack))
-        return PolynomialModel(self.vars, out, e, self.max_degree)
+        return PolynomialModel._of(self.vars, out, None, e, self.max_degree)
 
-    def _vector_sum(self, other: "PolynomialModel", sign: float) -> "PolynomialModel | None":
-        """self + sign * other, sign = +-1.0, on the vector path, which runs
-        when either model carries a vector; None for the dict loop."""
-        pair = self._vector_pair(other, math.inf)
-        part = None if pair is None else dense._dense_add(pair[1], pair[2], sign)
-        if part is None:
-            return None
-        vec, slack = part
+    def _vector_sum(self, other: "PolynomialModel", sign: float) -> "PolynomialModel":
+        """self + sign * other, sign = +-1.0, in the vector form."""
+        _, a, b = self._vector_pair(other)
+        vec, slack = dense._dense_add(a, b, sign)
         e = _add_up(_add_up(self.error, other.error), _grown(slack))
         return PolynomialModel._of(self.vars, None, vec, e, self.max_degree)
 
@@ -476,14 +464,14 @@ class PolynomialModel(_Immutable):
         are multiplied.  When an operand carries a slot vector, or
         len(self.terms) * len(other.terms) reaches the kept pairs of two
         full models, dense._dense_product multiplies the whole pair table
-        of the (arity, cap) layout with numpy; otherwise, or when it
-        declines, _pair_product loops over the kept pairs of the terms.
+        of the (arity, cap) layout with numpy; otherwise _pair_product
+        loops over the kept pairs of the terms.  This pair-count rule is
+        the only place where two dict models become slot vectors.
 
         An exact constant operand (no error, no term but the constant one),
         such as the 0.3 of 0.3*sin(x3), is a scalar: the product is the
         other operand's scale by it, which skips the pair kernels and does not
         charge the constant's poly_magnitude inflation to the other's error.
-        Terms of the other operand above the cap still drop into the error.
         """
         self._check_compat(other)
         s = self._scalar()
@@ -493,14 +481,17 @@ class PolynomialModel(_Immutable):
         if s is not None:
             return self.scale(s)
         cap = self.max_degree
-        pair = self._vector_pair(other, _pair_count(self.arity, cap))
-        part = None if pair is None else dense._dense_product(pair[1], pair[2], pair[0])
-        if part is None:
-            out, dropped, n_dropped, slack, n_products = _pair_product(self.terms, other.terms, cap)
-            vec = None
-        else:
-            vec, dropped, n_dropped, slack, n_products = part
+        if (
+            self._vec is not None
+            or other._vec is not None
+            or len(self._terms) * len(other._terms) >= _pair_count(self.arity, cap)
+        ):
+            layout, a, b = self._vector_pair(other)
+            vec, dropped, n_dropped, slack, n_products = dense._dense_product(a, b, layout)
             out = None
+        else:
+            out, dropped, n_dropped, slack, n_products = _pair_product(self._terms, other._terms, cap)
+            vec = None
         pa = self.poly_magnitude()
         pb = other.poly_magnitude()
         e = _mul_up(pa, other.error)
@@ -522,54 +513,44 @@ class PolynomialModel(_Immutable):
         return None
 
     def scale(self, s: float) -> "PolynomialModel":
-        """The model times the float s.  Terms above the degree cap (only a
-        model built from explicit terms holds one) drop into the error
-        before scaling: their magnitudes, bounded by _grown, join the error
-        that is scaled.  A product that underflows to zero leaves no term."""
+        """The model times the float s.  A product that underflows to zero
+        leaves no term."""
         if s == 0.0:
             return PolynomialModel.constant(0.0, self.vars, self.max_degree)
-        cap = self.max_degree
-        part = None if self._vec is None else dense._dense_scale(self._vec, s)
-        if part is not None:
-            vec, slack, products = part
-            e = _add_up(_mul_up(abs(s), self.error), _grown(slack, products))
-            return PolynomialModel._of(self.vars, None, vec, e, cap)
-        out = {}
-        slack = 0.0
-        dropped = 0.0
-        products = 0
-        for k, c in self.terms.items():
-            if _degree_of(k) > cap:
-                dropped += abs(c)
-                continue
-            v = c * s
-            products += 1
-            if v:
-                out[k] = v
-                slack += abs(v) * _EPS
-        e = _add_up(self.error, _grown(dropped)) if dropped else self.error
-        e = _add_up(_mul_up(abs(s), e), _grown(slack, products))
-        return PolynomialModel(self.vars, out, e, cap)
+        if self._vec is not None:
+            vec, slack, products = dense._dense_scale(self._vec, s)
+            out = None
+        else:
+            out = {}
+            slack = 0.0
+            for k, c in self._terms.items():
+                v = c * s
+                if v:
+                    out[k] = v
+                    slack += abs(v) * _EPS
+            vec, products = None, len(self._terms)
+        e = _add_up(_mul_up(abs(s), self.error), _grown(slack, products))
+        return PolynomialModel._of(self.vars, out, vec, e, self.max_degree)
 
     def add_scalar(self, v: float) -> "PolynomialModel":
         if v == 0.0:
             return self
-        part = None if self._vec is None else dense._dense_add_scalar(self._vec, v)
-        if part is not None:
-            vec, s = part
-            return PolynomialModel._of(self.vars, None, vec, _add_up(self.error, _grown(abs(s) * _EPS)), self.max_degree)
-        out = dict(self.terms)
-        prev = out.get(0, 0.0)
-        s = prev + v
-        if s == 0.0:
-            out.pop(0, None)
+        if self._vec is not None:
+            vec, s = dense._dense_add_scalar(self._vec, v)
+            out = None
         else:
-            out[0] = s
+            out = dict(self._terms)
+            s = out.get(0, 0.0) + v
+            if s == 0.0:
+                out.pop(0, None)
+            else:
+                out[0] = s
+            vec = None
         e = _add_up(self.error, _grown(abs(s) * _EPS))
-        return PolynomialModel(self.vars, out, e, self.max_degree)
+        return PolynomialModel._of(self.vars, out, vec, e, self.max_degree)
 
     def add_error(self, extra: float) -> "PolynomialModel":
-        if extra < 0:
+        if not extra >= 0:
             raise ValueError("error increment must be nonnegative")
         return self.with_error(_add_up(self.error, extra))
 
@@ -590,8 +571,6 @@ class PolynomialModel(_Immutable):
     def range(self) -> Interval:
         """Enclosure of {p(z)+d : z in unit box, |d| <= error}: monomials with
         any odd exponent span [-1,1], all-even ones [0,1]."""
-        if self.error == math.inf:  # overflowed; its coefficients may be too
-            return Interval(-math.inf, math.inf)
         # plain-float sums of the non-constant terms' magnitudes: the odd
         # monomials count on both sides, the all-even ones on one
         if self._vec is not None:
@@ -639,27 +618,28 @@ class PolynomialModel(_Immutable):
             else:
                 out[k] = c
         e = _add_up(self.error, _sum_bound(swept, len(self._terms) - len(out)))
-        return PolynomialModel(self.vars, out, e, self.max_degree).reindex(keep)
+        return PolynomialModel._of(self.vars, out, None, e, self.max_degree).reindex(keep)
 
     def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
-        """Keep only the listed variable positions (they must be inert in
-        dropped positions); re-pack keys accordingly.  A vector model
-        gathers its slots into the layout of the kept variables when keep
-        is increasing.  Otherwise positions below the first one that moves
-        keep their nibbles and none of them is dropped, so only the nibbles
-        above it are remapped; when no key reaches it (keep a prefix, as in
-        sweep and substitute_unit), the terms are shared unchanged."""
+        """Keep only the listed, distinct variable positions (the model must
+        be inert in the dropped ones); re-pack keys accordingly.  A vector
+        model gathers its slots into the layout of the kept variables.  In
+        a dict model, positions below the first one that moves keep their
+        nibbles and none of them is dropped, so only the nibbles above it
+        are remapped; when no key reaches it (keep a prefix, as in sweep
+        and substitute_unit), the terms are shared unchanged."""
         keep = tuple(keep)
+        if len(set(keep)) < len(keep):
+            raise ValueError("reindex positions must be distinct")
         new_vars = tuple(self.vars[i] for i in keep)
-        if self._vec is not None and all(a < b for a, b in zip((-1,) + keep, keep)):
+        if self._vec is not None:
             vec = dense._dense_reindex(self._vec, self._layout(), keep)
-            if vec is not None:
-                return PolynomialModel._of(new_vars, None, vec, self.error, self.max_degree)
+            return PolynomialModel._of(new_vars, None, vec, self.error, self.max_degree)
         first = next((new for new, old in enumerate(keep) if new != old), len(keep))
         low_bits = 4 * first
-        terms = self.terms
+        terms = self._terms
         if not any(k >> low_bits for k in terms):
-            return PolynomialModel(new_vars, terms, self.error, self.max_degree)
+            return PolynomialModel._of(new_vars, terms, None, self.error, self.max_degree)
         low_mask = (1 << low_bits) - 1
         shift_of = {old: 4 * new for new, old in enumerate(keep)}
         dropped_mask = 0
@@ -683,36 +663,33 @@ class PolynomialModel(_Immutable):
                     pos += 1
                 k = nk
             out[k] = c
-        return PolynomialModel(new_vars, out, self.error, self.max_degree)
+        return PolynomialModel._of(new_vars, out, None, self.error, self.max_degree)
 
     def extend(self, new_vars: Sequence[VarInfo]) -> "PolynomialModel":
         """Append fresh (independent) variables; keys are unchanged, and a
-        vector model scatters its slots into the larger layout."""
+        vector model scatters its slots into the larger layout, or becomes
+        a dict model above 15 variables, where there is no layout."""
         new_vars = self.vars + tuple(new_vars)
         vec = self._vec
         if vec is not None:
             if len(new_vars) > 15:
-                return PolynomialModel(new_vars, self.terms, self.error, self.max_degree)
+                return PolynomialModel._of(new_vars, self.terms, None, self.error, self.max_degree)
             vec = dense._dense_extend(vec, self._layout(), len(new_vars))
         return PolynomialModel._of(new_vars, self._terms, vec, self.error, self.max_degree)
 
     def substitute_unit(self, position: int, value: float) -> "PolynomialModel":
-        """Substitute z_position := value with value in {-1.0, 1.0} (exact).
-        A vector model, or a model that fills half the slots of its layout
-        and has at least 32 terms, takes the dense kernel; the dict loop
-        serves the rest and what the kernel declines."""
+        """Substitute z_position := value with value in {-1.0, 1.0} (exact):
+        the dense kernel for a vector model, the dict loop for a dict
+        model."""
         if value not in (-1.0, 1.0):
             raise ValueError("substitute_unit only supports the endpoints -1 and 1")
-        cap = self.max_degree
-        v = self._slot_vector(max(32, _slot_count(self.arity, cap) / 2))
-        part = None if v is None else dense._dense_substitute_unit(v, self._layout(), position, value)
-        if part is None:
-            out, slack = _substitute_unit_loop(self.terms, position, value)
-            vec = None
-        else:
-            vec, slack = part
+        if self._vec is not None:
+            vec, slack = dense._dense_substitute_unit(self._vec, self._layout(), position, value)
             out = None
-        m = PolynomialModel._of(self.vars, out, vec, _add_up(self.error, _grown(slack)), cap)
+        else:
+            out, slack = _substitute_unit_loop(self._terms, position, value)
+            vec = None
+        m = PolynomialModel._of(self.vars, out, vec, _add_up(self.error, _grown(slack)), self.max_degree)
         return m.reindex([i for i in range(self.arity) if i != position])
 
     def antiderivative(self, time_position: int) -> "PolynomialModel":
@@ -720,24 +697,20 @@ class PolynomialModel(_Immutable):
 
         The time variable has radius h/2; the result models
         t -> integral_{t_k}^{t} p(s) ds, and the error is multiplied by the
-        full step length h.  A vector model, or a model that fills a
-        quarter of the slots of its layout and has at least 32 terms, takes
-        the dense kernel; the dict loop serves the rest and what the kernel
-        declines.
+        full step length h.  A vector model takes the dense kernel, a dict
+        model the dict loop.
         """
         info = self.vars[time_position]
         if info.role is not Role.TIME:
             raise ValueError("antiderivative requires the time variable")
         r = info.radius
         cap = self.max_degree
-        v = self._slot_vector(max(32, _slot_count(self.arity, cap) / 4))
-        part = None if v is None else dense._dense_antiderivative(v, self._layout(), time_position, r)
-        if part is None:
-            out, dropped, slack = _antiderivative_loop(self.terms, time_position, r, cap)
-            vec = None
-        else:
-            vec, dropped, slack = part
+        if self._vec is not None:
+            vec, dropped, slack = dense._dense_antiderivative(self._vec, self._layout(), time_position, r)
             out = None
+        else:
+            out, dropped, slack = _antiderivative_loop(self._terms, time_position, r, cap)
+            vec = None
         h = 2.0 * r
         e_out = _mul_up(self.error, h)
         e_out = _add_up(e_out, _grown(dropped))
@@ -775,12 +748,11 @@ _set_vec = PolynomialModel._vec.__set__
 
 
 def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -> None:
-    if not error >= 0:
-        if math.isnan(error):  # inf - inf or inf * 0 in the arithmetic
-            raise IntervalDomainError("model arithmetic overflowed")
-        raise ValueError("model error must be nonnegative")
-    if not 0 <= max_degree <= 7:
-        raise ValueError("degree cap must be between 0 and 7")
+    if not 0.0 <= error < math.inf:
+        if error < 0.0:
+            raise ValueError("model error must be nonnegative")
+        # an infinite or NaN error: some coefficient or error overflowed
+        raise IntervalDomainError("model arithmetic overflowed")
     _set_vars(m, vars)
     _set_error(m, error)
     _set_max_degree(m, max_degree)
@@ -861,9 +833,7 @@ def _series_coefficients(kind: str, table: "_PowerTable", d: int) -> tuple[list[
             denom = pt ** (k + 1)
             val = Interval.point(1.0) / denom
             coeffs.append(val if k % 2 == 0 else -val)
-        mig = rng.mig
-        rem = (1.0 / mig) ** (d + 2) * _SLACK_INFLATE
-        return coeffs, rem
+        return coeffs, _pow_up(_div_up(1.0, rng.mig), d + 2)
     raise ValueError(kind)
 
 
@@ -946,20 +916,16 @@ def _series_sum(
             err = _add_up(err, _mul_up(a.rad, mag(k)))
     scaled = [(a.mid, power) for a, power in zip(coeffs, powers) if a.mid]
     vars, cap = powers[0].vars, powers[0].max_degree
-    part = None
     if any(power._vec is not None for _, power in scaled):
         layout = powers[0]._layout()
         vectors = [power._vector_in(layout) for _, power in scaled]
-        if all(v is not None for v in vectors):
-            part = dense._dense_series_sum([m for m, _ in scaled], vectors, layout)
-    if part is not None:
-        vec, slack, products = part
+        vec, slack, products = dense._dense_series_sum([m for m, _ in scaled], vectors, layout)
         return PolynomialModel._of(vars, None, vec, _add_up(err, _grown(slack, products)), cap)
     out: dict[int, float] = {}
     slack = 0.0
     products = 0
     for m, power in scaled:
-        for key, c in power.terms.items():
+        for key, c in power._terms.items():
             v = c * m
             slack += abs(v) * _EPS
             prev = out.get(key)
@@ -973,8 +939,8 @@ def _series_sum(
                 else:
                     out[key] = v
                 slack += abs(v) * _EPS
-        products += len(power.terms)
-    return PolynomialModel(vars, out, _add_up(err, _grown(slack, products)), cap)
+        products += len(power._terms)
+    return PolynomialModel._of(vars, out, None, _add_up(err, _grown(slack, products)), cap)
 
 
 def _pow_model(base: PolynomialModel, n: int, recip: Callable) -> PolynomialModel:

@@ -567,7 +567,7 @@ class InputAffineSystem:
                 raise ValueError("every input field must have one component per state dimension")
         if len(self.V) != len(self.g):
             raise ValueError("need one magnitude per input field")
-        if any(v <= 0 for v in self.V):
+        if not all(0 < v < math.inf for v in self.V):
             raise ValueError("input magnitudes must be positive")
         for e in self.f:
             if max_var_index(e) > self.n:

@@ -73,6 +73,25 @@ def test_no_module_imports_dataclass_machinery():
     assert importers == set()
 
 
+def test_no_dense_kernel_returns_none():
+    """polymodel's constructor admits only finite coefficients on monomials
+    of degree <= cap, so every dense kernel takes whatever model it is
+    given and returns its answer or raises: no _dense_* function has a
+    return without a value or a return of None, which polymodel would have
+    to answer with a second path."""
+    tree = ast.parse((Path(direach.__file__).parent / "dense.py").read_text())
+    kernels = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("_dense_")]
+    assert len(kernels) >= 9
+    declines = [
+        kernel.name
+        for kernel in kernels
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Return)
+        and (node.value is None or isinstance(node.value, ast.Constant) and node.value.value is None)
+    ]
+    assert declines == []
+
+
 _IV = Interval(-0.5, 1.25)
 _X1, _C = Var(1), Const(-2.5)
 _VARS = (VarInfo(Role.STATE, axis=0), VarInfo(Role.TIME, radius=0.1))

@@ -78,10 +78,23 @@ def test_apriori_unbounded_field_raises_certification_error():
         apriori_bound(sys, Box.from_bounds([(40, 40)]), ZERO, StepGeometry(0.0, 1e-3))
 
 
+def test_apriori_exp_overflow_raises_certification_error():
+    # e^709.9 overflows a double: the field is unbounded on the box
+    sys = InputAffineSystem(1, ["-exp(x1)"])
+    with pytest.raises(CertificationError, match="not bounded"):
+        apriori_bound(sys, Box.from_bounds([(709.5, 709.9)]), ZERO, StepGeometry(0.0, 1e-3))
+
+
+def test_step_geometry_rejects_nan_and_infinite_steps():
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^step size must be positive$"):
+            StepGeometry(0.0, h)
+
+
 @pytest.mark.parametrize(
     "field, x0, h, iterations, reason",
     [
-        ("x1^2", 1e160, 2e-162, 1, "diverged"),
+        ("x1^2", 1e160, 2e-162, 1, "composable"),
         ("1/(2-x1)", 1.0, 0.9, 1, "unbounded"),
         ("1/(2-x1)", 1.0, 0.6, 10, "composable"),
         ("x1^2*0.5 - x1^2", 1e160, 2e-162, 1, "composable"),
@@ -89,7 +102,8 @@ def test_apriori_unbounded_field_raises_certification_error():
 )
 def test_picard_diverging_iterate_raises_certification_error(field, x0, h, iterations, reason):
     # A bound of +-1 % around x0, too small for the step or the field:
-    #   x1^2 from 1e160: the first iterate overflows, an infinite residual;
+    #   x1^2 from 1e160: the first iterate's square overflows inside the
+    #     composition;
     #   1/(2-x1), h = 0.9: the tube reaches the pole, so the grown work box
     #     has no finite Jacobian;
     #   1/(2-x1), h = 0.6, 10 iterates: an iterate's range reaches the pole

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -138,6 +139,14 @@ def test_moment_matching_coverage_property():
         assert abs(a0) <= V + 1e-12
         assert abs(a1) <= 3 * V + 1e-9
         assert quadratic_envelope_check(a0, a1, V, tol=1e-9)
+
+
+def test_match_parameters_rejects_step_that_is_not_positive_and_finite():
+    v = PiecewiseConstant((0.0, 0.05, 0.1), (0.5, -0.5))
+    for kind in SchemeKind:
+        for h in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="^step size must be positive$"):
+                match_parameters(v, InputScheme(kind), 0.0, h)
 
 
 def test_scheme_from_name():

@@ -69,6 +69,18 @@ def test_exp_rejects_infinite():
         iv_exp(Interval(0, math.inf))
 
 
+def test_exp_overflow_gives_infinite_bounds():
+    """math.exp overflows above about 709.7827; the upper bound is then
+    infinite and the lower bound the largest double, never an
+    OverflowError.  Just below the threshold both bounds are finite."""
+    r = iv_exp(Interval(0, 709.9))
+    assert r.lo == 1.0 and r.hi == math.inf
+    r = iv_exp(Interval(709.9, 710.5))
+    assert r.lo == sys.float_info.max and r.hi == math.inf
+    r = iv_exp(Interval(709.78, 709.78))
+    assert math.isfinite(r.hi) and r.lo <= mpmath.exp(mpmath.mpf(709.78)) <= r.hi
+
+
 def _point_matrix(values):
     return IntervalMatrix(tuple(tuple(Interval.point(float(v)) for v in row) for row in values))
 

@@ -10,7 +10,6 @@ from direach.inputs import InputScheme, SchemeKind
 from direach.localerr import (
     ErrorOrder,
     InapplicableError,
-    _first_order,
     err_o1,
     err_o2_affine,
     err_o2_constant,
@@ -79,6 +78,32 @@ def test_growth_factor():
         # excess of e^u's two-ulp enclosure is relative to u, not to phi
         tol = 1e-14 if abs(u) < 1e-8 or abs(u) >= 0.1 else 4 * 2.0**-52 / abs(u)
         assert mpmath.mpf(got) <= exact * (1 + mpmath.mpf(tol)), u
+
+
+def test_growth_factor_overflows_to_infinity():
+    assert growth_factor(709.9) == math.inf
+    assert growth_factor(1e300) == math.inf
+
+
+def test_select_error_rejects_step_that_is_not_positive_and_finite():
+    """A NaN or infinite h raises, as h <= 0 does, for every scheme, also
+    without inputs: no bound is computed from it."""
+    b = mk(K=1.0, Kp=0.5, L=2.0, Lp=0.1, H=1.0, Hp=0.1, Lam=1.0)
+    for sys in (harmonic(), InputAffineSystem(1, ["-x1"])):
+        for scheme in (ZERO, CONSTANT, AFFINE):
+            for h in (math.nan, math.inf, 0.0, -0.1):
+                with pytest.raises(InapplicableError, match="^step size must be positive$"):
+                    select_error(sys, scheme, b, h)
+
+
+def test_err_o1_widens_by_the_surrogate_factor():
+    """err_o1 is the one first-order function: its default w_factor is the
+    zero surrogate's, and a larger factor never gives a smaller bound."""
+    b = mk(K=2.0, Kp=0.5, L=1.0, Lam=3.0)
+    h = 0.01
+    assert err_o1(b, h).hex() == err_o1(b, h, 0.0).hex()
+    bounds = [err_o1(b, h, c) for c in (0.0, 1.0, 2.5)]
+    assert bounds == sorted(bounds) and bounds[0] < bounds[-1]
 
 
 def test_growth_factor_argument_rounded_up():
@@ -290,7 +315,7 @@ def test_select_error_computes_phi_once(monkeypatch):
                 if order is ErrorOrder.O3_SINGLE:
                     expect = err_o3_single(b, h, m=1)
                 elif order is ErrorOrder.O1_ZERO:
-                    expect = _first_order(b, h, scheme.w_sup_factor)
+                    expect = err_o1(b, h, scheme.w_sup_factor)
                 else:
                     expect = alone[order](b, h)
                 assert eps.hex() == expect.hex()
@@ -505,7 +530,7 @@ def test_first_order_matches_interval_reference():
         b = _rand_bounds(rng)
         h = 10 ** rng.uniform(-4, 0)
         for c in factors:
-            got = _first_order(b, h, c)
+            got = err_o1(b, h, c)
             if _mul_up(b.Lam, h) == b.Lam * h:
                 assert got.hex() == _ref_first_order(b, h, c).hex()
             with mpmath.workprec(200):

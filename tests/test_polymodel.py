@@ -375,7 +375,8 @@ def test_power_table_starts_from_delta(monkeypatch):
 
 
 def test_compose_domain_errors_keep_messages():
-    wild = pm({(1, 0): 1.0}, error=math.inf)
+    # finite coefficients whose magnitudes sum past the largest double
+    wild = pm({(1, 0): 1.5e308, (3, 0): 1.5e308})
     args = VectorModel((wild, pm({(0, 1): 1.0})))
     memo = {}
     for kind in ("sin", "cos", "exp"):
@@ -398,10 +399,6 @@ def test_mul_by_exact_constant_scales():
         c = pm({(0, 0): s})
         for r in (c * m, m * c):
             assert _bits(r) == _bits(m.scale(s))
-    # a term above the cap drops into the error before scaling
-    high = pm({(1, 0): 0.3, (3, 3): 0.7}, cap=4)
-    low = pm({(1, 0): 0.3}, error=polymodel._grown(0.7), cap=4)
-    assert _bits(pm({(0, 0): 0.1}, cap=4) * high) == _bits(low.scale(0.1))
     e = pm({(1, 0): 0.3, (0, 2): -1.7}, error=1e-3)
     r = pm({(0, 0): 0.1}) * e
     assert 0.1 * 1e-3 <= r.error < pm({(0, 0): 0.1}).poly_magnitude() * 1e-3
@@ -409,13 +406,68 @@ def test_mul_by_exact_constant_scales():
     assert (pm({(0, 0): 2.0}, error=1e-9) * m).error >= m.poly_magnitude() * 1e-9
 
 
+def _low_degree_terms(rng, degree):
+    terms = {}
+    for _ in range(4):
+        i = rng.randint(0, degree)
+        terms[i, rng.randint(0, degree - i)] = rng.uniform(-1, 1)
+    return terms
+
+
+def test_constructor_admits_only_finite_terms_within_the_cap():
+    """The constructor decides what a model may hold: a key that is not a
+    monomial of its variables of degree <= cap, a non-finite coefficient,
+    or an error that is not finite and nonnegative raise ValueError, from
+    constant and from_var too (cap 0 has no term of degree 1).  What an
+    operation builds is not checked again; a result whose error overflows
+    raises IntervalDomainError."""
+    for key in (0x33, 0x6, 1 << 8, -1):  # degree 6 and 6 at cap 5, a third variable, no monomial
+        with pytest.raises(ValueError, match="is not a monomial of 2 variables of degree <= 5$"):
+            PolynomialModel(V2, {0: 1.0, key: 0.5}, 0.0, 5)
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^model coefficients must be finite$"):
+            PolynomialModel(V2, {1: c}, 0.0, 5)
+        with pytest.raises(ValueError, match="^model coefficients must be finite$"):
+            PolynomialModel.constant(c, V2, 5)
+    for e in (math.inf, math.nan, -1e-300):
+        with pytest.raises(ValueError, match="^model error must be finite and nonnegative$"):
+            PolynomialModel(V2, {1: 1.0}, e, 5)
+    for cap in (-1, 8):
+        with pytest.raises(ValueError, match="^degree cap must be between 0 and 7$"):
+            PolynomialModel(V2, {}, 0.0, cap)
+    with pytest.raises(ValueError, match="is not a monomial"):
+        PolynomialModel.from_var(0, V2, 0)
+    assert PolynomialModel.constant(2.0, V2, 0).terms == {0: 2.0}
+    m = pm({(1, 1): 1.0, (5, 0): 2.0, (0, 0): -3.0}, error=1e-3)
+    assert unpack(m) == {(1, 1): 1.0, (5, 0): 2.0, (0, 0): -3.0} and m.error == 1e-3
+    # the model keeps its own copy of the checked terms
+    terms = {0: 1.0}
+    m = PolynomialModel(V2, terms, 0.0, 5)
+    terms[0] = math.inf
+    assert m.terms == {0: 1.0}
+    with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+        pm({(1, 0): 1.0}, error=1.7e308) + pm({(0, 1): 1.0}, error=1.7e308)
+
+
+def test_reciprocal_remainder_overflow_raises_domain_error():
+    """The reciprocal's remainder factor (1/mig)**(d + 2) is rounded
+    upward; past the largest double it is infinite, and the composition
+    raises IntervalDomainError, not OverflowError."""
+    v1 = (VarInfo(Role.STATE),)
+    m = PolynomialModel(v1, {0: 1e-45, 1: 1e-47}, 0.0, 5)
+    with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+        compose_expr(parse("1/x1"), [m])
+    r = compose_expr(parse("1/x1"), [PolynomialModel(v1, {0: 2.0, 1: 0.25}, 0.0, 5)])
+    for z in (-1.0, -0.3, 0.0, 0.7, 1.0):
+        assert abs(1.0 / (2.0 + 0.25 * z) - r.eval_point((z,))) <= r.error
+
+
 def test_truncation_preserves_enclosure():
-    # the same operands at cap 6 and at cap 3, where terms of degree 4 to 6
-    # lie above the cap and drop into the error with the product's own
+    # the same operands of degree <= 3 at cap 6 and at cap 3, where the
+    # product's terms of degree 4 to 6 drop into the error
     rng = random.Random(59)
     for _ in range(500):
-        ta = {(rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-1, 1) for _ in range(4)}
-        tb = {(rng.randint(0, 3), rng.randint(0, 3)): rng.uniform(-1, 1) for _ in range(4)}
+        ta, tb = _low_degree_terms(rng, 3), _low_degree_terms(rng, 3)
         a, b = pm(ta, cap=6), pm(tb, cap=6)
         full = a * b
         low = pm(ta, cap=3) * pm(tb, cap=3)
@@ -490,7 +542,7 @@ def _random_model(rng, vars_, cap, keys):
     # dyadic coefficients make sums of products cancel exactly now and then
     terms = {}
     for _ in range(rng.randint(0, 30)):
-        k = rng.choice(keys) if keys and rng.random() < 0.5 else _random_key(rng, len(vars_), rng.randint(0, cap + 2))
+        k = rng.choice(keys) if keys and rng.random() < 0.5 else _random_key(rng, len(vars_), rng.randint(0, cap))
         keys.append(k)
         c = rng.choice([1.0, -1.0, 0.5, -0.25, 3.0]) if rng.random() < 0.4 else rng.uniform(-2, 2) * 10.0 ** rng.randint(-8, 3)
         terms[k] = c
@@ -499,7 +551,11 @@ def _random_model(rng, vars_, cap, keys):
 
 
 def _degree(key):
-    return sum((key >> (4 * i)) & 0xF for i in range(16))
+    d = 0
+    while key:
+        d += key & 0xF
+        key >>= 4
+    return d
 
 
 _SCALE = 1074  # 2**1074 times a finite double is an integer
@@ -544,8 +600,7 @@ def _check_mul(a, b):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Counts of the results each kernel computed, by kernel name (a
-    declined dense kernel does not count)."""
+    """Counts of the calls of each kernel, by kernel name."""
     used = {}
 
     def counted(module, kernel):
@@ -553,9 +608,8 @@ def kernels(monkeypatch):
         used[name] = 0
 
         def run(*args):
-            part = kernel(*args)
-            used[name] += part is not None
-            return part
+            used[name] += 1
+            return kernel(*args)
 
         monkeypatch.setattr(module, name, run)
 
@@ -569,9 +623,8 @@ def kernels(monkeypatch):
 def test_mul_exact_fuzz(kernels):
     """The truncated product encloses its exact rational answer.  Some
     operands are exact constants (0, +-1 or a random value), which the
-    product scales by; the other operand often has terms above the cap.
-    Operands without such terms and of low cap are large enough for the
-    dense kernel."""
+    product scales by.  Operands of low cap are large enough for the dense
+    kernel."""
     rng = random.Random(83)
     scalars = 0
     for _ in range(400):
@@ -580,11 +633,6 @@ def test_mul_exact_fuzz(kernels):
         keys = []
         a = _random_model(rng, vars_, cap, keys)
         b = _random_model(rng, vars_, cap, keys)
-        if rng.random() < 0.3:
-            a, b = (
-                PolynomialModel(vars_, {k: c for k, c in m.terms.items() if _degree(k) <= cap}, m.error, cap)
-                for m in (a, b)
-            )
         if rng.random() < 0.3:
             # a times a with some signs flipped: cross terms cancel exactly
             b = PolynomialModel(vars_, {k: rng.choice([c, -c]) for k, c in a.terms.items()}, b.error, cap)
@@ -672,16 +720,17 @@ def _carrying(m):
 
 
 def test_dense_overflow_raises_like_pair_loop(monkeypatch):
-    """Squaring 252 terms of +-1e200 overflows: the dense kernel declines
-    it without a numpy warning, and the pair loop raises, as it does when
-    the dense kernel is never chosen and when the operand carries its slot
+    """Squaring 252 terms of +-1e200 overflows: the dense kernel raises
+    without a numpy warning, as the pair loop does when the dense kernel is
+    never chosen, and as the product does when the operand carries its slot
     vector."""
     a = _full_model(random.Random(5), 5, 5, lambda rng: rng.choice([1e200, -1e200]))
     layout = dense._layout(5, 5)
     v = layout.vector(a.terms)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert dense._dense_product(v, v, layout) is None
+        with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+            dense._dense_product(v, v, layout)
         with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
             a * a
         carried = _carrying(a)
@@ -772,11 +821,11 @@ _REGIMES = ("unit", "huge", "tiny", "subnormal", "random")
 
 
 def _fuzz_model(rng, vars_, cap, n_terms, regime=None):
-    """A model with up to n_terms terms, some of them above the cap; one
-    coefficient regime, or a mix of all of them."""
+    """A model with up to n_terms terms; one coefficient regime, or a mix
+    of all of them."""
     terms = {}
     for _ in range(n_terms):
-        key = _random_key(rng, len(vars_), rng.randint(0, cap + 1))
+        key = _random_key(rng, len(vars_), rng.randint(0, cap))
         terms[key] = _fuzz_coefficient(rng, regime or rng.choice(_REGIMES))
     error = rng.choice([0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL])
     return PolynomialModel(vars_, terms, error, cap)
@@ -826,9 +875,8 @@ def _check_antiderivative(rng, m):
 
 
 def _check_antiderivative_at(m, tpos, radius):
-    vars_ = m.vars[:tpos] + (VarInfo(Role.TIME, radius=radius),) + m.vars[tpos + 1 :]
-    m = PolynomialModel(vars_, m.terms, m.error, m.max_degree)
-    r = m.antiderivative(tpos)
+    m = _with_time(m, tpos, radius)
+    r = _admitted(m.antiderivative(tpos))
     radius = Fraction(m.vars[tpos].radius)
     shift = 4 * tpos
     exact: dict[int, Fraction] = {}
@@ -845,6 +893,7 @@ def _check_antiderivative_at(m, tpos, radius):
     assert set(r.terms) <= set(exact)
     deviation = sum((abs(Fraction(r.terms.get(k, 0.0)) - v) for k, v in exact.items()), Fraction(0))
     assert Fraction(r.error) >= deviation + dropped + Fraction(m.error) * 2 * radius
+    return r
 
 
 def _check_substitute_unit(rng, m):
@@ -852,7 +901,7 @@ def _check_substitute_unit(rng, m):
 
 
 def _check_substitute_unit_at(m, position, value):
-    r = m.substitute_unit(position, value)
+    r = _admitted(m.substitute_unit(position, value))
     exact: dict[tuple, Fraction] = {}
     for exps, c in unpack(m).items():
         rest = exps[:position] + exps[position + 1 :]
@@ -862,6 +911,7 @@ def _check_substitute_unit_at(m, position, value):
     assert set(got) <= set(exact)
     deviation = sum((abs(Fraction(got.get(k, 0.0)) - v) for k, v in exact.items()), Fraction(0))
     assert Fraction(r.error) >= Fraction(m.error) + deviation
+    return r
 
 
 _STRUCTURE_CHECKS = {
@@ -928,9 +978,10 @@ def _dense_structure_terms(rng, keys, position, factor, case):
 
 def _dense_structure_fuzz(op, seed, count):
     """antiderivative or substitute_unit of full models at (arity, cap) =
-    (5, 5) and (8, 3), on a random variable, checked exactly; the cases
-    cycle through ties, underflow, cancel and two of regimes, which alone
-    have an operand error (it would hide the rounding)."""
+    (5, 5) and (8, 3) that carry their slot vectors, on a random variable,
+    checked exactly; the cases cycle through ties, underflow, cancel and
+    two of regimes, which alone have an operand error (it would hide the
+    rounding)."""
     rng = random.Random(seed)
     for n in range(count):
         arity, cap = rng.choice([(5, 5), (8, 3)])
@@ -945,7 +996,7 @@ def _dense_structure_fuzz(op, seed, count):
             factor = lambda e: value**e  # noqa: E731
         terms = _dense_structure_terms(rng, dense._layout(arity, cap).keys, position, factor, case)
         error = rng.choice([0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL]) if case == "regimes" else 0.0
-        m = PolynomialModel(vars_, terms, error, cap)
+        m = _carrying(PolynomialModel(vars_, terms, error, cap))
         if op == "antiderivative":
             _check_antiderivative_at(m, position, radius)
         else:
@@ -967,15 +1018,14 @@ def test_dense_structure_ops_charge_every_rounded_sum(op, kernels):
     adds s (s * radius) to the constant term, half its ulp, so the five
     additions each round to even and lose it.  Their slack must cover 5
     half-ulps, more than the 2 * |c| * _EPS of the antiderivative's own
-    roundings.  Terms of 2**-60 * s on the other monomials without x5 make
-    the model large enough for the dense kernel and sum nothing."""
+    roundings.  The model carries its slot vector, so the dense kernel
+    runs."""
     vars5 = tuple(VarInfo(Role.STATE, axis=i) for i in range(5))
     s = 2.0**-30
-    pad = {k: s * 2.0**-60 for k in dense._layout(5, 5).keys if k and not k >> 16}
     for value in (-1.0, 1.0):
         factor = (lambda e: (e + 1) * (-1) ** e) if op == "antiderivative" else (lambda e: value**e)
-        terms = {0: 2.0**53 * s, **{e << 16: s * factor(e) for e in range(1, 6)}, **pad}
-        m = PolynomialModel(vars5, terms, 0.0, 5)
+        terms = {0: 2.0**53 * s, **{e << 16: s * factor(e) for e in range(1, 6)}}
+        m = _carrying(PolynomialModel(vars5, terms, 0.0, 5))
         if op == "antiderivative":
             _check_antiderivative_at(m, 4, 0.5)
         else:
@@ -990,25 +1040,19 @@ def _structure_op(m, op, position, value):
 
 
 def _with_time(m, position, radius=0.005):
+    """m with the variable at position made the time variable of radius
+    radius, in m's representation."""
     vars_ = m.vars[:position] + (VarInfo(Role.TIME, radius=radius),) + m.vars[position + 1 :]
-    return PolynomialModel(vars_, m.terms, m.error, m.max_degree)
-
-
-def _by_dict_loop(monkeypatch, fn):
-    """fn() with the size rule of antiderivative and substitute_unit set to
-    never take the dense kernel: the dict loop's answer for a dict model."""
-    with monkeypatch.context() as patched:
-        patched.setattr(polymodel, "_slot_count", lambda arity, cap: math.inf)
-        return fn()
+    timed = PolynomialModel(vars_, m.terms, m.error, m.max_degree)
+    return timed if m._vec is None else _carrying(timed)
 
 
 @pytest.mark.parametrize("op", ["antiderivative", "substitute_unit"])
-def test_dense_structure_ops_agree_with_dict_loop(op, kernels, monkeypatch):
-    """The dense kernel and the dict loop differ by no more than the sum of
-    their errors (both enclose the exact answer), on models that fill
-    1/2 to all of their layout.  The kernel's answer is the same, bit for
-    bit, whether the model carries its slot vector or is scattered into
-    one."""
+def test_dense_structure_ops_agree_with_dict_loop(op, kernels):
+    """The dense kernel, which a model that carries its slot vector takes,
+    and the dict loop, which the same model as a term dict takes, differ
+    by no more than the sum of their errors (both enclose the exact
+    answer), on models that fill 1/2 to all of their layout."""
     rng = random.Random(127)
     for _ in range(40):
         arity, cap = rng.choice([(5, 5), (8, 3)])
@@ -1024,33 +1068,33 @@ def test_dense_structure_ops_agree_with_dict_loop(op, kernels, monkeypatch):
         )
         m = _with_time(m, position)
         value = rng.choice([-1.0, 1.0])
-        r = _structure_op(m, op, position, value)
-        assert _bits(_structure_op(_carrying(m), op, position, value)) == _bits(r)
-        ref = _by_dict_loop(monkeypatch, lambda: _structure_op(m, op, position, value))
+        r = _structure_op(_carrying(m), op, position, value)
+        ref = _structure_op(m, op, position, value)
+        assert r._vec is not None and ref._vec is None
         assert r.vars == ref.vars
         keys = r.terms | ref.terms
         gap = sum((abs(Fraction(r.terms.get(k, 0.0)) - Fraction(ref.terms.get(k, 0.0))) for k in keys), Fraction(0))
         assert gap <= Fraction(r.error) + Fraction(ref.error)
-    assert kernels[f"_dense_{op}"] == 80
+    assert kernels[f"_dense_{op}"] == 40
 
 
 def test_dense_structure_ops_ignore_insertion_order():
     """The dense antiderivative and substitute_unit are bit-identical across
     repeats and across models that hold the same terms in another insertion
-    order."""
+    order before they are scattered into their slot vectors."""
     rng = random.Random(131)
     for arity, cap in ((5, 5), (8, 3)):
         m = _full_model(rng, arity, cap, lambda rng: rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 3))
         for position in (0, arity // 2, arity - 1):
-            timed = _with_time(m, position)
+            timed = _carrying(_with_time(m, position))
             first = [_bits(timed.antiderivative(position))]
-            first += [_bits(m.substitute_unit(position, v)) for v in (-1.0, 1.0)]
+            first += [_bits(_carrying(m).substitute_unit(position, v)) for v in (-1.0, 1.0)]
             for _ in range(3):
                 items = list(m.terms.items())
                 rng.shuffle(items)
                 shuffled = PolynomialModel(m.vars, dict(items), 0.0, cap)
-                again = [_bits(_with_time(shuffled, position).antiderivative(position))]
-                again += [_bits(shuffled.substitute_unit(position, v)) for v in (-1.0, 1.0)]
+                again = [_bits(_carrying(_with_time(shuffled, position)).antiderivative(position))]
+                again += [_bits(_carrying(shuffled).substitute_unit(position, v)) for v in (-1.0, 1.0)]
                 assert again == first
 
 
@@ -1061,58 +1105,25 @@ def _outcome(fn):
         return str(exc)
 
 
-@pytest.mark.parametrize("op", ["antiderivative", "substitute_unit"])
-def test_dense_structure_ops_fall_back_to_dict_loop(op, kernels, monkeypatch):
-    """A model with a term above the cap, or whose result overflows, takes
-    the dict loop, without a numpy warning, and gets its answer bit for
-    bit; so does a model of more than 15 variables, for which no layout is
-    built."""
-    rng = random.Random(137)
-    full = _full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1))
-    above = PolynomialModel(full.vars, {**full.terms, 6: 0.25}, 0.0, 5)  # x1^6
-    vars16 = tuple(VarInfo(Role.STATE, axis=i) for i in range(16))
-    wide_keys = {_random_key(rng, 16, rng.randint(0, 2)) for _ in range(80)}
-    wide = PolynomialModel(vars16, {k: rng.uniform(-1, 1) for k in wide_keys}, 0.0, 2)
-    monkeypatch.setattr(dense, "_LAYOUTS", {})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for value in (-1.0, 1.0):
-            # 1e300 * 2**40 overflows in the antiderivative's product; terms
-            # of 1.5e308 that keep their sign at z5 = value overflow in the
-            # sums of substitute_unit
-            if op == "antiderivative":
-                coefficient = lambda k: rng.choice([1e300, -1e300])  # noqa: E731
-            else:
-                coefficient = lambda k: 1.5e308 * value ** (k >> 16)  # noqa: E731
-            huge = PolynomialModel(full.vars, {k: coefficient(k) for k in full.terms}, 0.0, 5)
-            for m, radius in ((above, 0.005), (huge, 2.0**40), (wide, 0.005)):
-                position = m.arity - 1
-                m = _with_time(m, position, radius)
-                got = _outcome(lambda: _structure_op(m, op, position, value))
-                if radius > 1.0:
-                    assert got == "model arithmetic overflowed" if op == "antiderivative" else got[1] == "inf"
-                looped = _by_dict_loop(monkeypatch, lambda: _outcome(lambda: _structure_op(m, op, position, value)))
-                assert got == looped
-    assert kernels[f"_dense_{op}"] == 0
-    assert list(dense._LAYOUTS) == [(5, 5)]
-
-
 def test_structure_ops_build_no_layout_for_sparse_models(monkeypatch, kernels):
-    """40 terms at (8, 7), whose layout would hold 6,435 slots, take the
-    dict loop and build no layout; 252 terms at (5, 5) take the dense
-    kernels, and substitute_unit gathers its result into the layout of
-    (4, 5)."""
-    monkeypatch.setattr(dense, "_LAYOUTS", {})
+    """A dict model takes the dict loop of antiderivative and
+    substitute_unit and builds no layout: 40 terms at (8, 7), whose layout
+    would hold 6,435 slots, and also 252 terms at (5, 5).  The same full
+    model carrying its slot vector takes the dense kernels, and
+    substitute_unit gathers its result into the layout of (4, 5)."""
     rng = random.Random(139)
+    full = _with_time(_full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1)), 4)
+    monkeypatch.setattr(dense, "_LAYOUTS", {})
     vars8 = tuple(VarInfo(Role.STATE, axis=i) for i in range(7)) + (VarInfo(Role.TIME, radius=0.01),)
     for _ in range(20):
         terms = {_random_key(rng, 8, rng.randint(0, 7)): rng.uniform(-1, 1) for _ in range(40)}
         m = PolynomialModel(vars8, terms, 0.0, 7)
         m.antiderivative(7)
         m.substitute_unit(7, 1.0)
-    assert dense._LAYOUTS == {}
-    full = _with_time(_full_model(rng, 5, 5, lambda rng: rng.uniform(-1, 1)), 4)
     full.antiderivative(4).substitute_unit(4, 1.0)
+    assert dense._LAYOUTS == {}
+    assert kernels["_dense_antiderivative"] == kernels["_dense_substitute_unit"] == 0
+    _carrying(full).antiderivative(4).substitute_unit(4, 1.0)
     assert list(dense._LAYOUTS) == [(5, 5), (4, 5)]
     assert kernels["_dense_antiderivative"] == kernels["_dense_substitute_unit"] == 1
 
@@ -1132,7 +1143,7 @@ def _check_series_sum(rng, powers):
 
 def _check_series_sum_at(coeffs, powers):
     mags = [p.range().mag for p in powers]
-    r = polymodel._series_sum(coeffs, powers, mags.__getitem__)
+    r = _admitted(polymodel._series_sum(coeffs, powers, mags.__getitem__))
     exact: dict[int, Fraction] = {}
     needed = Fraction(0)
     for a, power, mag in zip(coeffs, powers, mags):
@@ -1199,11 +1210,12 @@ def test_subnormal_products_keep_their_rounding_error():
 
 
 # ---------------------------------------------------------------- slot-vector path
-# A model that carries its slot vector keeps it through +, -, negation,
-# scale, add_scalar, range, poly_magnitude, sweep, reindex, extend and the
-# series sum.  Each case checks the vector path against its exact answer
-# over the rationals and, where the path promises it, against the dict loop
-# bit for bit.
+# A model that carries its slot vector keeps it through every operation, and
+# a dict model stays a dict model, except in a product that reaches the
+# pair count.  Each case runs an operation on both representations and
+# checks it against its exact answer over the rationals and, where the
+# vector form promises it, against the dict loop bit for bit; every result
+# holds only what the constructor admits.
 
 
 def _hex_terms(m):
@@ -1215,6 +1227,41 @@ def _deviation(m, exact):
     """sum |coefficient of m - exact coefficient| over every key."""
     keys = set(m.terms) | set(exact)
     return sum((abs(Fraction(m.terms.get(k, 0.0)) - exact.get(k, 0)) for k in keys), Fraction(0))
+
+
+def _admitted(m):
+    """m, once checked to hold what the constructor admits: finite
+    coefficients on monomials of its variables of degree <= its cap, and
+    a finite, nonnegative error."""
+    assert 0.0 <= m.error < math.inf
+    for k, c in m.terms.items():
+        assert math.isfinite(c) and _degree(k) <= m.max_degree and not k >> (4 * m.arity)
+    return m
+
+
+def _forms(m):
+    """The dict model m and, up to 15 variables, m carrying its slot
+    vector."""
+    return (m, _carrying(m)) if m.arity <= 15 else (m,)
+
+
+def _outcome(fn):
+    """fn()'s terms and error as hex strings, or the message of the
+    IntervalDomainError that it raises."""
+    try:
+        m = _admitted(fn())
+    except IntervalDomainError as exc:
+        return str(exc)
+    return tuple(sorted(_hex_terms(m).items())), m.error.hex()
+
+
+def _check_caps(a):
+    """Models of different caps do not combine."""
+    other = PolynomialModel(a.vars, {0: 2.0}, 0.0, a.max_degree - 1)
+    for x in _forms(a):
+        for fn in (lambda: x + other, lambda: other - x, lambda: x * other, lambda: other * x):
+            with pytest.raises(ArityMismatchError, match="different degree caps"):
+                fn()
 
 
 def _slot_operands(rng, keys, fill, case):
@@ -1239,97 +1286,153 @@ def _slot_operands(rng, keys, fill, case):
 
 
 def _check_slot_sum(rng, a, b):
-    va, vb = _carrying(a), _carrying(b)
     for sign in (1, -1):
         ref = a + b if sign > 0 else a - b
-        assert ref._vec is None
         exact = {k: Fraction(c) for k, c in a.terms.items()}
         for k, c in b.terms.items():
             exact[k] = exact.get(k, Fraction(0)) + sign * Fraction(c)
-        # both carry a vector, or one is scattered into the other's layout
-        for x, y in ((va, vb), (va, b), (a, vb)):
-            r = x + y if sign > 0 else x - y
-            assert r._vec is not None
-            assert _hex_terms(r) == _hex_terms(ref)
-            assert Fraction(r.error) >= Fraction(a.error) + Fraction(b.error) + _deviation(r, exact)
-    r = -va
-    assert r._vec is not None and _hex_terms(r) == _hex_terms(-a) and r.error == a.error
+        # both dicts, both vectors, or one scattered into the other's layout
+        for x in _forms(a):
+            for y in _forms(b):
+                r = _admitted(x + y if sign > 0 else x - y)
+                assert (r._vec is None) == (x._vec is None and y._vec is None)
+                assert _hex_terms(r) == _hex_terms(ref)
+                assert Fraction(r.error) >= Fraction(a.error) + Fraction(b.error) + _deviation(r, exact)
+    for x in _forms(a):
+        r = _admitted(-x)
+        assert (r._vec is None) == (x._vec is None) and r.error == a.error
+        assert _hex_terms(r) == {k: (-c).hex() for k, c in a.terms.items()}
+    _check_caps(a)
 
 
 def _check_slot_scale(rng, a, b):
-    va = _carrying(a)
     s = rng.choice([0.3, -0.5, 3.0, 2.0**-600, -(2.0**-1000)])
-    r = va.scale(s)
-    assert r._vec is not None and _hex_terms(r) == _hex_terms(a.scale(s))
-    exact = {k: Fraction(s) * Fraction(c) for k, c in a.terms.items()}
-    assert Fraction(r.error) >= abs(Fraction(s)) * Fraction(a.error) + _deviation(r, exact)
+    scaled = {k: Fraction(s) * Fraction(c) for k, c in a.terms.items()}
     # a constant that cancels the constant term, or one that rounds away
     v = rng.choice([-a.terms.get(0, 1.0), 1.0, _SUBNORMAL, 2.0**1000])
-    r = va.add_scalar(v)
-    assert r._vec is not None and _hex_terms(r) == _hex_terms(a.add_scalar(v))
-    exact = {k: Fraction(c) for k, c in a.terms.items()}
-    exact[0] = exact.get(0, Fraction(0)) + Fraction(v)
-    assert Fraction(r.error) >= Fraction(a.error) + _deviation(r, exact)
+    shifted = {k: Fraction(c) for k, c in a.terms.items()}
+    shifted[0] = shifted.get(0, Fraction(0)) + Fraction(v)
+    extra = rng.choice([0.0, _SUBNORMAL, 1e-3])
+    for m in _forms(a):
+        r = _admitted(m.scale(s))
+        assert (r._vec is None) == (m._vec is None) and _hex_terms(r) == _hex_terms(a.scale(s))
+        assert Fraction(r.error) >= abs(Fraction(s)) * Fraction(a.error) + _deviation(r, scaled)
+        r = _admitted(m.add_scalar(v))
+        assert (r._vec is None) == (m._vec is None) and _hex_terms(r) == _hex_terms(a.add_scalar(v))
+        assert Fraction(r.error) >= Fraction(a.error) + _deviation(r, shifted)
+        r = _admitted(m.add_error(extra))
+        assert (r._vec is None) == (m._vec is None) and _hex_terms(r) == _hex_terms(a)
+        assert Fraction(r.error) >= Fraction(a.error) + Fraction(extra)
+        for bad in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="^error increment must be nonnegative$"):
+                m.add_error(bad)
+
+
+def _check_slot_product(rng, a, b):
+    # one dense answer for every pair in which an operand carries its
+    # vector (their errors differ with the summation order of
+    # poly_magnitude); it overflows exactly when the dict models' product
+    # does
+    def terms(x, y):
+        o = _outcome(lambda: x * y)
+        return o if isinstance(o, str) else o[0]
+
+    dense_answers = {terms(x, y) for x in _forms(a) for y in _forms(b) if x._vec is not None or y._vec is not None}
+    ref = terms(a, b)
+    assert len(dense_answers) == (a.arity <= 15)
+    assert {isinstance(o, str) for o in dense_answers | {ref}} == {isinstance(ref, str)}
+    if len(a.terms) * len(b.terms) >= polymodel._pair_count(a.arity, a.max_degree):
+        assert dense_answers <= {ref}
+    if not isinstance(ref, str):
+        _check_mul(a, b)
+        if a.arity <= 15:
+            _check_mul(_carrying(a), b)
+    _check_caps(a)
+
+
+def _check_slot_antiderivative(rng, a, b):
+    position, radius = rng.randrange(a.arity), rng.choice([0.05, 0.5, 0.3, 2.0**-40])
+    for m in _forms(a):
+        r = _check_antiderivative_at(m, position, radius)
+        assert (r._vec is None) == (m._vec is None)
+
+
+def _check_slot_substitute_unit(rng, a, b):
+    position, value = rng.randrange(a.arity), rng.choice([-1.0, 1.0])
+    for m in _forms(a):
+        r = _check_substitute_unit_at(m, position, value)
+        assert (r._vec is None) == (m._vec is None)
 
 
 def _check_slot_range(rng, a, b):
-    for m in (_carrying(a), _carrying(b)):
+    for m in _forms(a) + _forms(b):
         _check_range(rng, m)
         assert Fraction(m.poly_magnitude()) >= sum((abs(Fraction(c)) for c in m.terms.values()), Fraction(0))
 
 
 def _check_slot_sweep(rng, a, b):
-    va = _carrying(a)
     positions = rng.sample(range(a.arity), rng.randint(1, a.arity))
-    r = va.sweep(positions)
     ref = a.sweep(positions)
-    assert r._vec is not None and r.vars == ref.vars and _hex_terms(r) == _hex_terms(ref)
-    _check_sweep(rng, va)
+    for m in _forms(a):
+        r = _admitted(m.sweep(positions))
+        assert (r._vec is None) == (m._vec is None) and r.vars == ref.vars and _hex_terms(r) == _hex_terms(ref)
+        _check_sweep(rng, m)
 
 
 def _check_slot_reindex(rng, a, b):
     keep = sorted(rng.sample(range(a.arity), rng.randint(0, a.arity)))
+    if rng.random() < 0.5:
+        rng.shuffle(keep)
     dropped = sum(0xF << (4 * i) for i in range(a.arity) if i not in keep)
     inert = PolynomialModel(a.vars, {k: c for k, c in a.terms.items() if not k & dropped}, a.error, a.max_degree)
-    r = _carrying(inert).reindex(keep)
-    ref = inert.reindex(keep)
-    assert r._vec is not None and r.vars == ref.vars and r.error == ref.error
-    assert _hex_terms(r) == _hex_terms(ref) == {k: c.hex() for k, c in _reindex_reference(inert, keep).items()}
+    ref = {k: c.hex() for k, c in _reindex_reference(inert, keep).items()}
+    for m in _forms(inert):
+        r = _admitted(m.reindex(keep))
+        assert (r._vec is None) == (m._vec is None) and r.vars == tuple(a.vars[i] for i in keep)
+        assert r.error == a.error and _hex_terms(r) == ref
     if any(k & dropped for k in a.terms):
-        for m in (a, _carrying(a)):
+        for m in _forms(a):
             with pytest.raises(ValueError, match="still depends"):
                 m.reindex(keep)
+    if keep:
+        for m in _forms(inert):
+            with pytest.raises(ValueError, match="^reindex positions must be distinct$"):
+                m.reindex(keep + keep[:1])
 
 
 def _check_slot_extend(rng, a, b):
-    va = _carrying(a)
     extra = tuple(VarInfo(Role.INPUT, born=j) for j in range(rng.randint(1, 3)))
-    r = va.extend(extra)
-    ref = a.extend(extra)
-    assert r._vec is not None and r.vars == ref.vars and r.error == ref.error
-    assert _hex_terms(r) == _hex_terms(ref) == _hex_terms(a)
-    back = r.reindex(range(a.arity))
-    assert back._vec is not None and _hex_terms(back) == _hex_terms(a)
-    # no layout above 15 variables: the dict model
-    wide = va.extend(VarInfo(Role.INPUT) for _ in range(16 - a.arity))
-    assert wide._vec is None and _hex_terms(wide) == _hex_terms(a)
+    for m in _forms(a):
+        r = _admitted(m.extend(extra))
+        assert r.vars == a.vars + extra and r.error == a.error and _hex_terms(r) == _hex_terms(a)
+        assert (r._vec is None) == (m._vec is None or r.arity > 15)
+        back = r.reindex(range(a.arity))
+        assert (back._vec is None) == (r._vec is None) and _hex_terms(back) == _hex_terms(a)
+    if a.arity <= 15:
+        # no layout above 15 variables: the dict model
+        wide = _carrying(a).extend(VarInfo(Role.INPUT) for _ in range(16 - a.arity))
+        assert wide._vec is None and _hex_terms(wide) == _hex_terms(a)
 
 
 def _check_slot_series_sum(rng, a, b):
     powers = [PolynomialModel.constant(1.0, a.vars, a.max_degree), a, b, b.scale(0.5), -a]
     coeffs = _series_coeffs(rng, powers)
-    carried = [p if rng.random() < 0.3 else _carrying(p) for p in powers]
-    carried[1] = _carrying(a)
-    r = _check_series_sum_at(coeffs, carried)
-    ref = polymodel._series_sum(coeffs, powers, lambda k: powers[k].range().mag)
+    ref = _check_series_sum_at(coeffs, powers)
     assert ref._vec is None
-    assert (r._vec is not None) == any(c.mid and p._vec is not None for c, p in zip(coeffs, carried))
-    assert _hex_terms(r) == _hex_terms(ref)
+    if a.arity <= 15:
+        carried = [p if rng.random() < 0.3 else _carrying(p) for p in powers]
+        carried[1] = _carrying(a)
+        r = _check_series_sum_at(coeffs, carried)
+        assert (r._vec is not None) == any(c.mid and p._vec is not None for c, p in zip(coeffs, carried))
+        assert _hex_terms(r) == _hex_terms(ref)
 
 
 _SLOT_CHECKS = {
     "sum": _check_slot_sum,
     "scale": _check_slot_scale,
+    "product": _check_slot_product,
+    "antiderivative": _check_slot_antiderivative,
+    "substitute_unit": _check_slot_substitute_unit,
     "range": _check_slot_range,
     "sweep": _check_slot_sweep,
     "reindex": _check_slot_reindex,
@@ -1338,45 +1441,73 @@ _SLOT_CHECKS = {
 }
 
 
+def _huge_model(sign):
+    """The full model at (5, 5) with the coefficient 1.5e308 * sign(k) on
+    each key k: two of them sum past the largest double."""
+    vars5 = tuple(VarInfo(Role.STATE, axis=i) for i in range(5))
+    return PolynomialModel(vars5, {k: 1.5e308 * sign(k) for k in dense._layout(5, 5).keys}, 0.0, 5)
+
+
+def _positive(k):
+    return 1.0
+
+
+def _alternating(k):
+    # (-1)**e with e the exponent of x5, the top nibble of a key at (5, 5)
+    return (-1.0) ** (k >> 16)
+
+
+# per check, (sign, operation) pairs whose result overflows on _huge_model(sign)
+_SLOT_OVERFLOWS = {
+    "sum": ((_positive, lambda m: m + m), (_positive, lambda m: m - (-m))),
+    "scale": (
+        (_positive, lambda m: m.scale(4.0)),
+        (_positive, lambda m: m.add_scalar(1.7e308)),
+        (_positive, lambda m: m.add_error(1.7e308).add_error(1.7e308)),
+    ),
+    # the square's products overflow; with a small factor only the sum of
+    # the huge operand's magnitudes does
+    "product": ((_positive, lambda m: m * m), (_positive, lambda m: m * m.scale(2.0**-1070))),
+    # 1.5e308 * 2**40 overflows in the products
+    "antiderivative": ((_positive, lambda m: _with_time(m, 4, 2.0**40).antiderivative(4)),),
+    # every term keeps its sign at z5 = value, so the sums overflow
+    "substitute_unit": ((_positive, lambda m: m.substitute_unit(4, 1.0)), (_alternating, lambda m: m.substitute_unit(4, -1.0))),
+    "sweep": ((_positive, lambda m: m.sweep([4])),),
+    "series_sum": ((_positive, lambda m: polymodel._series_sum([Interval.point(4.0)], [m], lambda k: 0.0)),),
+}
+
+
 @pytest.mark.parametrize("op", sorted(_SLOT_CHECKS))
 def test_slot_vector_ops_exact_fuzz(op):
-    """The vector path of each operation encloses its exact answer and, for
-    all but range and poly_magnitude, gives the dict loop's coefficients
-    bit for bit: on full and sparse models at (5, 5) and (8, 3), with ties,
-    cancellation to zero, subnormals and coefficients near 2**+-1000."""
+    """Each operation on term dicts and on slot vectors encloses its exact
+    answer, keeps the representation of its operands, builds only what the
+    constructor admits and, for all but the product, antiderivative,
+    substitute_unit, range and poly_magnitude, gives the dict loop's
+    coefficients bit for bit: on full and sparse models at (5, 5), (8, 3)
+    and (5, 3) and on one of 16 variables, which has no layout, with ties,
+    cancellation to zero, subnormals and coefficients near 2**+-1000.  An
+    overflow raises IntervalDomainError in both representations, and no
+    case warns."""
     check = _SLOT_CHECKS[op]
     rng = random.Random(149)
-    for n in range(40):
-        arity, cap = rng.choice([(5, 5), (8, 3)])
-        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
-        fill = 1.0 if n // 4 % 2 == 0 else rng.choice([0.1, 0.3])
-        case = ("ties", "cancel", "regimes", "regimes")[n % 4]
-        a, b = _slot_operands(rng, dense._layout(arity, cap).keys, fill, case)
-        errors = [0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL] if case == "regimes" else [0.0]
-        check(rng, PolynomialModel(vars_, a, rng.choice(errors), cap), PolynomialModel(vars_, b, rng.choice(errors), cap))
-
-
-def test_slot_vector_ops_fall_back_on_overflow():
-    """A sum, scale, constant or series sum of a vector model that
-    overflows takes the dict loop, without a numpy warning, and gets its
-    answer bit for bit."""
-    rng = random.Random(151)
-    a = _full_model(rng, 5, 5, lambda rng: rng.choice([1.5e308, 1.0]))
-    a = PolynomialModel(a.vars, {**a.terms, 0: 1.5e308}, 0.0, 5)
-    ops = [
-        lambda m: m + m,
-        lambda m: m - (-m),
-        lambda m: m.scale(4.0),
-        lambda m: m.add_scalar(1.7e308),
-        lambda m: polymodel._series_sum([Interval.point(4.0)], [m], lambda k: 0.0),
-    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for op in ops:
-            r, ref = op(_carrying(a)), op(a)
-            assert r._vec is None
-            assert (_hex_terms(r), r.error) == (_hex_terms(ref), ref.error)
-            assert math.inf in (r.error, *map(abs, r.terms.values()))
+        for n in range(40):
+            arity, cap = rng.choice([(5, 5), (8, 3), (5, 3)])
+            vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+            fill = 1.0 if n // 4 % 2 == 0 else rng.choice([0.1, 0.3])
+            case = ("ties", "cancel", "regimes", "regimes")[n % 4]
+            a, b = _slot_operands(rng, dense._layout(arity, cap).keys, fill, case)
+            errors = [0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL] if case == "regimes" else [0.0]
+            check(rng, PolynomialModel(vars_, a, rng.choice(errors), cap), PolynomialModel(vars_, b, rng.choice(errors), cap))
+        vars16 = tuple(VarInfo(Role.STATE, axis=i) for i in range(16))
+        keys16 = [0] + sorted({_random_key(rng, 16, rng.randint(1, 3)) for _ in range(60)})
+        a, b = _slot_operands(rng, keys16, 1.0, "regimes")
+        check(rng, PolynomialModel(vars16, a, 0.0, 3), PolynomialModel(vars16, b, 1e-9, 3))
+        for sign, operation in _SLOT_OVERFLOWS.get(op, ()):
+            for m in _forms(_huge_model(sign)):
+                with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+                    operation(m)
 
 
 def test_vector_models_keep_value_semantics():
@@ -1398,7 +1529,7 @@ def test_vector_models_keep_value_semantics():
             assert carried == m and m == carried
             assert list(carried.terms) == [k for k in layout.keys if k in m.terms]
             assert carried != m.add_error(1.0) and carried.add_error(1.0) != m
-        r = _with_time(full, arity - 1).antiderivative(arity - 1)
+        r = _carrying(_with_time(full, arity - 1)).antiderivative(arity - 1)
         assert r._vec is not None and list(r.terms) == [k for k in layout.keys if k in r.terms]
         for model in (m, carried):
             for name, value in (("error", 1.0), ("terms", {}), ("vars", ()), ("max_degree", 3), ("_vec", None)):

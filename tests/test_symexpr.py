@@ -384,6 +384,12 @@ def test_additive_iff_input_derivatives_vanish_fuzz():
     assert min(seen.values()) >= 10, seen
 
 
+def test_system_rejects_magnitudes_that_are_not_positive_and_finite():
+    for v in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^input magnitudes must be positive$"):
+            InputAffineSystem(1, ["-x1"], [["1"]], [v])
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         InputAffineSystem(2, ["x3", "x1"])

@@ -4,12 +4,13 @@ A layout holds one slot per monomial of degree <= cap in arity variables
 (arity <= 15, so that packed keys fit an int64), ordered by degree, and is
 built on first use and cached per (arity, cap).  A model that comes out of
 a kernel carries its slot vector, a read-only float64 array over the layout
-of its (arity, cap), and keeps it through every operation; its term dict is
-built from the nonzero slots, in slot order, only when someone reads it.
-A dict model is scattered into a slot vector when it meets a vector model,
-or when a product is large enough to pay for the scatter.  polymodel's
-constructor admits only finite coefficients on monomials of degree <= cap,
-so every term has a slot and no kernel declines its operands.
+of its (arity, cap), as its only store, and keeps it through every
+operation; reading its terms builds a dict from the nonzero slots, in slot
+order, each time.  A dict model is scattered into a slot vector when it
+meets a vector model, or when a product is large enough to pay for the
+scatter.  polymodel's constructor admits only finite coefficients on
+monomials of degree <= cap, so every term has a slot and no kernel
+declines its operands.
 
 The kernels, each on whole vectors:
 

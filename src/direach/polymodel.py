@@ -42,18 +42,19 @@ IntervalDomainError("model arithmetic overflowed").  No operation has to
 look for a term above the cap, an infinite coefficient or an infinite
 error in its operands.
 
-A model holds its polynomial as a term dict or as a slot vector of the
-dense module's layout for its (arity, cap), one slot per monomial of
-degree <= cap.  A model that comes out of a dense kernel keeps its vector,
-and its term dict is built from the vector the first time someone reads
-PolynomialModel.terms.  Each operation has one vector form and one dict
-loop, and the representation of its operands picks one of them: the
-vector form runs when an operand carries a vector (a dict operand is then
-scattered into the layout), the dict loop otherwise.  The one exception is
-the product, which also scatters two dict models when
-len(a.terms) * len(b.terms) reaches the kept pairs of two full models,
-C(2*arity + cap, cap).  Above 15 variables there is no layout, and extend
-drops the vector of a model that grows past it.
+A model holds its polynomial in one store: a term dict, or a slot vector
+of the dense module's layout for its (arity, cap), one slot per monomial
+of degree <= cap.  A model that comes out of a dense kernel keeps its
+vector; PolynomialModel.terms is a read-only view of the dict, which a
+vector model builds from its nonzero slots on each read.  Each operation
+has one vector form and one dict loop, and the stores of its operands
+pick one of them: the vector form runs when an operand carries a vector
+(a dict operand is then scattered into the layout), the dict loop
+otherwise.  The one exception is the product, which also scatters two
+dict models when the product of their term counts reaches the kept pairs
+of two full models, C(2*arity + cap, cap).  Above 15 variables there is
+no layout, and extend turns the vector of a model that grows past it
+into a dict.
 
 - In the product, antiderivative and substitute_unit, a result slot that
   sums n_k contributions charges n_k * |c| * _EPS of slack per
@@ -69,15 +70,18 @@ drops the vector of a model that grows past it.
 
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
 the argument's range as sum a_k (inner - c)^k plus a Lagrange remainder.
-One power table per argument model and memo holds c, the powers of
-inner - c and their ranges, so every function of one argument shares them,
-and each series is summed in one pass over those powers (_series_sum).
+One power table per argument model, kept on that model, holds c, the
+powers of inner - c and their ranges, so every function of one argument
+shares them, and each series is summed in one pass over those powers
+(_series_sum).
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import dense
 from .interval import Interval, Box, IntervalDomainError, iv_cos, iv_exp, iv_sin
@@ -310,15 +314,18 @@ class PolynomialModel(_Immutable):
     again.  A result whose error is not finite raises
     IntervalDomainError("model arithmetic overflowed").
 
-    p is held as a term dict, packed key -> coefficient, or as the slot
-    vector of the dense layout of (arity, max_degree) that a dense kernel
-    returned.  A vector model builds its term dict the first time someone
-    reads terms, from its nonzero slots in slot order, and keeps it; its
-    operations keep working on the vector.  Of _Immutable it uses only the
-    read-only attributes: its terms live in _terms or _vec, so equality,
-    repr and __reduce__ are its own."""
+    p is held in one store: _terms, a term dict (packed key ->
+    coefficient), or _vec, the slot vector of the dense layout of (arity,
+    max_degree) that a dense kernel returned; the other is None.  Both are
+    shared between models and never changed: terms is a read-only view,
+    of the dict or, for a vector model, of a dict built from its nonzero
+    slots in slot order on each read, and the vector is read-only.
+    _table caches the power table of compose_expr's Taylor compositions
+    with this model as their argument.  Of _Immutable it uses only the
+    read-only attributes: equality, repr and __reduce__ are its own, and
+    none of them sees _table."""
 
-    __slots__ = ("vars", "error", "max_degree", "_terms", "_vec")
+    __slots__ = ("vars", "error", "max_degree", "_terms", "_vec", "_table")
 
     def __init__(self, vars: tuple[VarInfo, ...], terms: dict[int, float], error: float, max_degree: int):
         if not 0 <= max_degree <= 7:
@@ -336,8 +343,8 @@ class PolynomialModel(_Immutable):
 
     @classmethod
     def _of(cls, vars, terms, vec, error: float, max_degree: int) -> "PolynomialModel":
-        """A model from a term dict, a slot vector, or both (the same
-        terms), which hold what the constructor admits."""
+        """A model from a term dict or a slot vector, the other None, which
+        holds what the constructor admits."""
         m = object.__new__(cls)
         _init(m, vars, terms, vec, error, max_degree)
         return m
@@ -353,13 +360,11 @@ class PolynomialModel(_Immutable):
     __hash__ = None  # the terms are a dict
 
     @property
-    def terms(self) -> dict[int, float]:
-        """The term dict; a vector model builds it on first read."""
+    def terms(self) -> Mapping[int, float]:
+        """A read-only view of the term dict; a vector model builds the
+        dict from its nonzero slots, in slot order, on each read."""
         t = self._terms
-        if t is None:
-            t = self._layout().terms(self._vec)
-            _set_terms(self, t)
-        return t
+        return MappingProxyType(t if t is not None else self._layout().terms(self._vec))
 
     # ------------------------------------------------------------------ build
     @staticmethod
@@ -411,53 +416,38 @@ class PolynomialModel(_Immutable):
         return PolynomialModel._of(self.vars, {k: -c for k, c in self._terms.items()}, None, self.error, self.max_degree)
 
     def __add__(self, other: "PolynomialModel") -> "PolynomialModel":
-        self._check_compat(other)
-        if self._vec is not None or other._vec is not None:
-            return self._vector_sum(other, 1.0)
-        out = dict(self._terms)
-        slack = 0.0
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                v = prev + c
-                if v == 0.0:
-                    del out[k]
-                else:
-                    out[k] = v
-                slack += abs(v) * _EPS
-        e = _add_up(_add_up(self.error, other.error), _grown(slack))
-        return PolynomialModel._of(self.vars, out, None, e, self.max_degree)
+        return self._sum(other, 1.0)
 
     def __sub__(self, other: "PolynomialModel") -> "PolynomialModel":
-        # the loop of __add__ with other's coefficients negated: a - b and
-        # a + (-b) round alike, so this is bit-identical to self + (-other)
+        return self._sum(other, -1.0)
+
+    def _sum(self, other: "PolynomialModel", sign: float) -> "PolynomialModel":
+        """self + sign * other, sign = +-1.0.  Flipping a sign is exact, and
+        a - b and a + (-b) round alike, so self - other is bit-identical to
+        self + (-other)."""
         self._check_compat(other)
         if self._vec is not None or other._vec is not None:
-            return self._vector_sum(other, -1.0)
-        out = dict(self._terms)
-        slack = 0.0
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = -c
-            else:
-                v = prev - c
-                if v == 0.0:
-                    del out[k]
+            _, a, b = self._vector_pair(other)
+            vec, slack = dense._dense_add(a, b, sign)
+            out = None
+        else:
+            out = dict(self._terms)
+            slack = 0.0
+            for k, c in other._terms.items():
+                c *= sign
+                prev = out.get(k)
+                if prev is None:
+                    out[k] = c
                 else:
-                    out[k] = v
-                slack += abs(v) * _EPS
+                    v = prev + c
+                    if v == 0.0:
+                        del out[k]
+                    else:
+                        out[k] = v
+                    slack += abs(v) * _EPS
+            vec = None
         e = _add_up(_add_up(self.error, other.error), _grown(slack))
-        return PolynomialModel._of(self.vars, out, None, e, self.max_degree)
-
-    def _vector_sum(self, other: "PolynomialModel", sign: float) -> "PolynomialModel":
-        """self + sign * other, sign = +-1.0, in the vector form."""
-        _, a, b = self._vector_pair(other)
-        vec, slack = dense._dense_add(a, b, sign)
-        e = _add_up(_add_up(self.error, other.error), _grown(slack))
-        return PolynomialModel._of(self.vars, None, vec, e, self.max_degree)
+        return PolynomialModel._of(self.vars, out, vec, e, self.max_degree)
 
     def __mul__(self, other: "PolynomialModel") -> "PolynomialModel":
         """Truncated product: only term pairs whose degree fits under the cap
@@ -623,11 +613,10 @@ class PolynomialModel(_Immutable):
     def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
         """Keep only the listed, distinct variable positions (the model must
         be inert in the dropped ones); re-pack keys accordingly.  A vector
-        model gathers its slots into the layout of the kept variables.  In
-        a dict model, positions below the first one that moves keep their
-        nibbles and none of them is dropped, so only the nibbles above it
-        are remapped; when no key reaches it (keep a prefix, as in sweep
-        and substitute_unit), the terms are shared unchanged."""
+        model gathers its slots into the layout of the kept variables.  A
+        dict model that keeps a prefix of its variables (as sweep and
+        substitute_unit do) shares its terms unchanged; any other keep
+        moves each key's nibbles to their new positions."""
         keep = tuple(keep)
         if len(set(keep)) < len(keep):
             raise ValueError("reindex positions must be distinct")
@@ -635,34 +624,26 @@ class PolynomialModel(_Immutable):
         if self._vec is not None:
             vec = dense._dense_reindex(self._vec, self._layout(), keep)
             return PolynomialModel._of(new_vars, None, vec, self.error, self.max_degree)
-        first = next((new for new, old in enumerate(keep) if new != old), len(keep))
-        low_bits = 4 * first
         terms = self._terms
-        if not any(k >> low_bits for k in terms):
+        if keep == tuple(range(len(keep))):
+            # every position at or above len(keep) is dropped
+            bits = 4 * len(keep)
+            if any(k >> bits for k in terms):
+                raise ValueError("cannot drop a variable the model still depends on")
             return PolynomialModel._of(new_vars, terms, None, self.error, self.max_degree)
-        low_mask = (1 << low_bits) - 1
-        shift_of = {old: 4 * new for new, old in enumerate(keep)}
         dropped_mask = 0
-        keep_set = set(keep)
         for i in range(self.arity):
-            if i not in keep_set:
+            if i not in keep:
                 dropped_mask |= 0xF << (4 * i)
+        shifts = [(4 * old, 4 * new) for new, old in enumerate(keep)]
         out = {}
         for k, c in terms.items():
-            kk = k >> low_bits
-            if kk:
-                if k & dropped_mask:
-                    raise ValueError("cannot drop a variable the model still depends on")
-                nk = k & low_mask
-                pos = first
-                while kk:
-                    e = kk & 0xF
-                    if e:
-                        nk |= e << shift_of[pos]
-                    kk >>= 4
-                    pos += 1
-                k = nk
-            out[k] = c
+            if k & dropped_mask:
+                raise ValueError("cannot drop a variable the model still depends on")
+            nk = 0
+            for old, new in shifts:
+                nk |= ((k >> old) & 0xF) << new
+            out[nk] = c
         return PolynomialModel._of(new_vars, out, None, self.error, self.max_degree)
 
     def extend(self, new_vars: Sequence[VarInfo]) -> "PolynomialModel":
@@ -671,11 +652,12 @@ class PolynomialModel(_Immutable):
         a dict model above 15 variables, where there is no layout."""
         new_vars = self.vars + tuple(new_vars)
         vec = self._vec
-        if vec is not None:
-            if len(new_vars) > 15:
-                return PolynomialModel._of(new_vars, self.terms, None, self.error, self.max_degree)
-            vec = dense._dense_extend(vec, self._layout(), len(new_vars))
-        return PolynomialModel._of(new_vars, self._terms, vec, self.error, self.max_degree)
+        if vec is None:
+            return PolynomialModel._of(new_vars, self._terms, None, self.error, self.max_degree)
+        if len(new_vars) > 15:
+            return PolynomialModel._of(new_vars, self._layout().terms(vec), None, self.error, self.max_degree)
+        vec = dense._dense_extend(vec, self._layout(), len(new_vars))
+        return PolynomialModel._of(new_vars, None, vec, self.error, self.max_degree)
 
     def substitute_unit(self, position: int, value: float) -> "PolynomialModel":
         """Substitute z_position := value with value in {-1.0, 1.0} (exact):
@@ -745,6 +727,7 @@ _set_error = PolynomialModel.error.__set__
 _set_max_degree = PolynomialModel.max_degree.__set__
 _set_terms = PolynomialModel._terms.__set__
 _set_vec = PolynomialModel._vec.__set__
+_set_table = PolynomialModel._table.__set__
 
 
 def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -> None:
@@ -760,6 +743,7 @@ def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -
     if vec is not None:
         vec.setflags(write=False)  # the vector of an immutable model
     _set_vec(m, vec)
+    _set_table(m, None)
 
 
 class VectorModel(_Immutable):
@@ -838,17 +822,17 @@ def _series_coefficients(kind: str, table: "_PowerTable", d: int) -> tuple[list[
 
 
 class _PowerTable:
-    """What the Taylor compositions about one inner model share: its range
-    rng, the centre c = rng.mid, rho >= sup|inner - c|, sin(c) and cos(c)
-    (computed on first use), the powers delta^0 .. delta^d of
-    delta = inner - c (built on first use) and each power's range
+    """What the Taylor compositions about one inner model share, kept on
+    that model: its range rng, the centre c = rng.mid, rho >= sup|inner - c|,
+    sin(c) and cos(c) (computed on first use), the powers delta^0 .. delta^d
+    of delta = inner - c (built on first use) and each power's range
     magnitude (computed on first use, that is, only when some series
-    coefficient has a nonzero radius)."""
+    coefficient has a nonzero radius).  The table does not hold its inner
+    model, so the two form no reference cycle."""
 
-    __slots__ = ("inner", "rng", "c", "rho", "_sin_cos", "_powers", "_mags")
+    __slots__ = ("rng", "c", "rho", "_sin_cos", "_powers", "_mags")
 
     def __init__(self, inner: PolynomialModel):
-        self.inner = inner  # kept alive, so no other model takes its id
         self.rng = inner.range()
         self._sin_cos = None
         self._powers = None
@@ -863,10 +847,12 @@ class _PowerTable:
             self._sin_cos = iv_sin(pt), iv_cos(pt)
         return self._sin_cos
 
-    def powers(self) -> list[PolynomialModel]:
+    def powers(self, inner: PolynomialModel) -> list[PolynomialModel]:
+        """The powers of delta; inner is the model the table was built for."""
         if self._powers is None:
-            inner = self.inner
             delta = inner.add_scalar(-self.c)
+            if delta is inner:  # c == 0: a copy, which holds no table
+                delta = inner.with_error(inner.error)
             # delta^1 is delta itself: 1 * delta would copy it and charge
             # slack for a product that is exact
             powers = [PolynomialModel.constant(1.0, inner.vars, inner.max_degree)]
@@ -883,16 +869,21 @@ class _PowerTable:
         return m
 
 
-def _compose_elementary(kind: str, table: _PowerTable) -> PolynomialModel:
-    """kind (sin, cos, exp or recip) of table.inner: sum a_k delta^k over
-    the table's powers plus a Lagrange remainder over the full range."""
+def _compose_elementary(kind: str, inner: PolynomialModel) -> PolynomialModel:
+    """kind (sin, cos, exp or recip) of inner: sum a_k delta^k over the
+    powers of inner's power table plus a Lagrange remainder over its full
+    range."""
+    table = inner._table
+    if table is None:
+        table = _PowerTable(inner)
+        _set_table(inner, table)
     rng = table.rng
     if not rng.is_finite:
         raise IntervalDomainError(f"{kind} composition requires a finite range")
-    d = table.inner.max_degree
+    d = inner.max_degree
     coeffs, rem_factor = _series_coefficients(kind, table, d)
     rem = _mul_up(rem_factor, _pow_up(table.rho, d + 1))
-    return _series_sum(coeffs, table.powers(), table.mag).add_error(rem)
+    return _series_sum(coeffs, table.powers(inner), table.mag).add_error(rem)
 
 
 def _series_sum(
@@ -943,11 +934,11 @@ def _series_sum(
     return PolynomialModel._of(vars, out, None, _add_up(err, _grown(slack, products)), cap)
 
 
-def _pow_model(base: PolynomialModel, n: int, recip: Callable) -> PolynomialModel:
+def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
     if n == 0:
         return PolynomialModel.constant(1.0, base.vars, base.max_degree)
     if n < 0:
-        return _pow_model(recip(base), -n, recip)
+        return _pow_model(_compose_elementary("recip", base), -n)
     result = None
     power = base
     while n:
@@ -959,50 +950,24 @@ def _pow_model(base: PolynomialModel, n: int, recip: Callable) -> PolynomialMode
     return result
 
 
-def _model_div(a: PolynomialModel, b: PolynomialModel, recip: Callable) -> PolynomialModel:
+def _model_div(a: PolynomialModel, b: PolynomialModel) -> PolynomialModel:
     v = b._scalar()
     if v is not None:  # an exact constant: scale
         if v == 0.0:
             raise IntervalDomainError("division by a zero model")
         return a.scale(1.0 / v).add_error(_grown(abs(1.0 / v) * _EPS))
-    return a * recip(b)
+    return a * _compose_elementary("recip", b)
 
 
 _MODEL_OPS = {
     **symexpr.ARITH_OPS,
     symexpr.Const: lambda v, args: PolynomialModel.constant(v, args[0].vars, args[0].max_degree),
+    symexpr.Div: _model_div,
+    symexpr.Pow: _pow_model,
+    symexpr.Sin: partial(_compose_elementary, "sin"),
+    symexpr.Cos: partial(_compose_elementary, "cos"),
+    symexpr.Exp: partial(_compose_elementary, "exp"),
 }
-# the memo key of a memo's op table: no node id (an int) takes it
-_OPS_KEY = "ops"
-
-
-def _memo_ops(memo: dict) -> dict:
-    """The fold's op table for one memo, built once and kept in it: its
-    sin, cos, exp and reciprocal (of Div and negative Pow) of one inner
-    model share one _PowerTable."""
-    ops = memo.get(_OPS_KEY)
-    if ops is None:
-        tables: dict[int, _PowerTable] = {}
-
-        def series(kind):
-            def compose(inner):
-                table = tables.get(id(inner))
-                if table is None:
-                    table = tables[id(inner)] = _PowerTable(inner)
-                return _compose_elementary(kind, table)
-
-            return compose
-
-        recip = series("recip")
-        ops = memo[_OPS_KEY] = {
-            **_MODEL_OPS,
-            symexpr.Div: lambda a, b: _model_div(a, b, recip),
-            symexpr.Pow: lambda base, n: _pow_model(base, n, recip),
-            symexpr.Sin: series("sin"),
-            symexpr.Cos: series("cos"),
-            symexpr.Exp: series("exp"),
-        }
-    return ops
 
 
 def compose_expr(
@@ -1021,16 +986,14 @@ def compose_expr(
     kept in memo (see symexpr.fold).  Calls over the same args that pass one
     memo share the subterms they hold as one object (as InputAffineSystem
     interns its fields): the fields of one Picard iterate compose sin(x3)
-    once, however many of them contain it.  The memo also holds one power
-    table per inner model that some composition expands (Makino & Berz,
-    2003: f(inner) = sum a_k delta^k with delta = inner - c), so sin(x3)
-    and cos(x3) share the range of x3, c, the powers of delta and their
-    ranges.  Shared subterms and tables are reused as they are, so every
-    result is bit-identical to composing its expression alone.
+    once, however many of them contain it.  Each inner model that some
+    composition expands (Makino & Berz, 2003: f(inner) = sum a_k delta^k
+    with delta = inner - c) keeps one power table, with or without a memo,
+    so sin(x3) and cos(x3) share the range of x3, c, the powers of delta
+    and their ranges.  Shared subterms and tables are reused as they are,
+    so every result is bit-identical to composing its expression alone.
     """
     models = tuple(args) if not isinstance(args, VectorModel) else args.components
     if not models:
         raise ValueError("composition needs at least one argument model")
-    if memo is None:
-        memo = {}
-    return symexpr.fold(e, models, _memo_ops(memo), memo)
+    return symexpr.fold(e, models, _MODEL_OPS, {} if memo is None else memo)

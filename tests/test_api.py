@@ -92,6 +92,19 @@ def test_no_dense_kernel_returns_none():
     assert declines == []
 
 
+def test_only_polymodel_reads_a_models_store():
+    """How a polynomial model holds its terms (a dict in _terms or a slot
+    vector in _vec) and its cached power table (_table) is polymodel's
+    decision alone: no other module names those attributes, and dense sees
+    only arrays."""
+    readers = set()
+    for path in Path(direach.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_vec", "_table"):
+                readers.add(path.name)
+    assert readers == {"polymodel.py"}
+
+
 _IV = Interval(-0.5, 1.25)
 _X1, _C = Var(1), Const(-2.5)
 _VARS = (VarInfo(Role.STATE, axis=0), VarInfo(Role.TIME, radius=0.1))

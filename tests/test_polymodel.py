@@ -303,7 +303,7 @@ def _bits(model):
 
 def test_compose_power_table_shared_bit_identical(monkeypatch):
     # sin, cos, exp and the reciprocals of one interned argument expand it
-    # once per memo, and each result equals its composition alone
+    # once per argument model, and each result equals its composition alone
     arg = "(2 + 0.3*x1 - 0.2*x1*x2 + 0.05*x3^2)"
     texts = [f"sin{arg}", f"cos{arg}", f"exp{arg}", f"1/{arg}", f"{arg}^-2"]
     sys = InputAffineSystem(len(texts), texts)  # interns the argument: one node
@@ -333,6 +333,16 @@ def test_compose_power_table_shared_bit_identical(monkeypatch):
     for s, a in zip(shared, alone):
         assert _bits(s) == _bits(a)
         assert s.error > 0.0
+    # the table lives on its argument model, not in a memo: sin and cos of
+    # one model, composed without a memo, share it
+    del built[:]
+    inner = args[0] * args[1] + args[2]
+    first = [compose_expr(parse(f"{f}(x1)"), [inner]) for f in ("sin", "cos")]
+    assert built == [inner]
+    fresh = inner.with_error(inner.error)  # the same model, no table yet
+    # the table is a cache, not a field
+    assert inner == fresh and repr(inner) == repr(fresh) and pickle.loads(pickle.dumps(inner))._table is None
+    assert [_bits(compose_expr(parse(f"{f}(x1)"), [fresh])) for f in ("sin", "cos")] == [_bits(m) for m in first]
 
 
 def test_power_table_takes_sin_cos_once(monkeypatch):
@@ -364,7 +374,7 @@ def test_power_table_starts_from_delta(monkeypatch):
     for model in (inner, _carrying(inner), pm({(0, 0): 0.5}, cap=0)):
         table = polymodel._PowerTable(model)
         delta = model.add_scalar(-table.c)
-        powers = table.powers()
+        powers = table.powers(model)
         assert scales == []
         assert len(powers) == model.max_degree + 1
         assert _bits(powers[0]) == _bits(PolynomialModel.constant(1.0, model.vars, model.max_degree))
@@ -524,6 +534,8 @@ def test_reindex_matches_per_nibble_remap():
         assert r.vars == tuple(vars_[i] for i in keep)
         assert list(r.terms.items()) == list(_reindex_reference(m, keep).items())
         assert r.error == m.error
+        if shape == "prefix":  # the keep of sweep and substitute_unit
+            assert r._terms is m._terms
         dropped = [i for i in range(arity) if i not in keep]
         if dropped:
             bad = PolynomialModel(vars_, {**terms, 1 << (4 * rng.choice(dropped)): 1.0}, 0.0, 5)
@@ -1539,6 +1551,17 @@ def test_vector_models_keep_value_semantics():
                 del model.error
             with pytest.raises(TypeError):
                 hash(model)
+            # terms is a read-only view: the constructor's checks hold for
+            # the model and for every model that shares its store
+            held = dict(model.terms)
+            sibling = model.with_error(0.5)
+            prefix = model.reindex(range(model.arity))
+            with pytest.raises(TypeError):
+                model.terms[0] = math.inf
+            with pytest.raises(TypeError):
+                del model.terms[next(iter(held))]
+            assert model.terms == held and sibling.terms == held and prefix.terms == held
+            assert model.range().is_finite
         with pytest.raises(ValueError):
             carried._vec[0] = 1.0
         for copied in (copy.copy(carried), copy.deepcopy(carried), pickle.loads(pickle.dumps(carried))):

@@ -153,16 +153,15 @@ def local_rates(
     sys: InputAffineSystem, box: Box, w_sups: Sequence[float]
 ) -> tuple[float, float]:
     """(log-norm rate, Lipschitz rate) of the surrogate field on box, i.e.
-    lognorm(Df) + sum w_sup_i ||Dg_i|| and ||Df|| + sum w_sup_i ||Dg_i||.
-    One memo serves every Jacobian entry on box."""
-    memo: dict = {}
-    dfm = sys.drift_jacobian(box, memo)
+    lognorm(Df) + sum w_sup_i ||Dg_i|| and ||Df|| + sum w_sup_i ||Dg_i||,
+    from one run of the system's program over box (jacobians)."""
+    dfm, dgm = sys.jacobians(box)
     lam = lognorm_inf(dfm)
     lip = mat_inf_norm(dfm)
     for k, ws in enumerate(w_sups):
         if ws == 0.0:
             continue
-        nk = mat_inf_norm(sys.input_jacobian(k, box, memo))
+        nk = mat_inf_norm(dgm[k])
         lam = _add_up(lam, _mul_up(ws, nk))
         lip = _add_up(lip, _mul_up(ws, nk))
     return lam, lip
@@ -256,9 +255,8 @@ def _picard_core(
     lam_rate, kappa = _contraction(rates, h, t0)
 
     def apply_once(y: VectorModel) -> VectorModel:
-        memo: dict = {}  # one composition per distinct subterm of the fields
         try:
-            rhs = sys.field(lambda e: compose_expr(e, y, memo), w_models)
+            rhs = sys.field(compose_expr(sys.program, y, 0), w_models)
             comps = [Xt[c] + r.antiderivative(tpos) for c, r in enumerate(rhs)]
         except IntervalDomainError as exc:
             raise CertificationError(

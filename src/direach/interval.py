@@ -121,41 +121,36 @@ def _down(x: float) -> float:
     return math.nextafter(x, -_INF)
 
 
+_nextafter = math.nextafter
+_isfinite = math.isfinite
+
+
 def _add_up(a: float, b: float) -> float:
     s = a + b
-    if math.isinf(s):
-        if math.isinf(a) or math.isinf(b):
-            return s
+    if _isfinite(s):
+        # two-sum residual; a non-finite t leaves it NaN, which rounds up
+        t = s - a
+        return s if (a - (s - t)) + (b - t) <= 0.0 else _nextafter(s, _INF)
+    if math.isinf(s) and not (math.isinf(a) or math.isinf(b)):
         return _INF if s > 0 else -_MAX
-    t = s - a
-    if math.isfinite(t) and (a - (s - t)) + (b - t) <= 0.0:
-        return s
-    return _up(s)
+    return s
 
 
 def _add_down(a: float, b: float) -> float:
     return 0.0 - _add_up(-a, -b)
 
 
-def _mul_residual(a: float, b: float, p: float) -> float | Fraction:
-    """Exact a*b - p for finite nonzero a, b and p = fl(a*b).
-
-    Dekker's two-product gives it as a float when both magnitudes lie in
-    (2**-450, 2**450); outside that range it is computed as a Fraction.
-    """
+def _mul_up(a: float, b: float) -> float:
+    p = a * b
     if _TWO_PROD_LO < abs(a) < _TWO_PROD_HI and _TWO_PROD_LO < abs(b) < _TWO_PROD_HI:
+        # Dekker's two-product: the exact residual a*b - p
         t = _SPLIT * a
         ah = t - (t - a)
         al = a - ah
         t = _SPLIT * b
         bh = t - (t - b)
         bl = b - bh
-        return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-    return Fraction(a) * Fraction(b) - Fraction(p)
-
-
-def _mul_up(a: float, b: float) -> float:
-    p = a * b
+        return _nextafter(p, _INF) if al * bl - (((p - ah * bh) - al * bh) - ah * bl) > 0 else p
     if math.isnan(p):
         # a NaN operand stays NaN; 0 * inf endpoint candidates give 0
         return p if math.isnan(a) or math.isnan(b) else 0.0
@@ -170,7 +165,8 @@ def _mul_up(a: float, b: float) -> float:
         return _TINY if (a > 0.0) == (b > 0.0) else 0.0
     if math.isinf(a) or math.isinf(b):
         return p
-    if _mul_residual(a, b, p) > 0:
+    # outside the two-product's range: an exact rational residual
+    if Fraction(a) * Fraction(b) > Fraction(p):
         return _up(p)
     return p
 
@@ -179,29 +175,26 @@ def _mul_down(a: float, b: float) -> float:
     return 0.0 - _mul_up(-a, b)
 
 
-def _div_residual(a: float, b: float, q: float) -> float | Fraction:
-    """A number with the sign of the exact a - q*b, for finite nonzero a, b
-    and q = fl(a/b); the exact quotient lies above q when it is positive and
-    b is, or when both are negative.
-
-    When a, b and q all lie in (2**-450, 2**450) it is (a - p) - e with
-    p = fl(q*b) and e = q*b - p from the two-product: p is within a factor 2
-    of a, so a - p is exact (Sterbenz), and the one rounded subtraction
-    keeps the sign.  Outside that range it is computed as a Fraction.
-    """
+def _div_up(a: float, b: float) -> float:
+    # caller guarantees b != 0
+    q = a / b
     if (
         _TWO_PROD_LO < abs(a) < _TWO_PROD_HI
         and _TWO_PROD_LO < abs(b) < _TWO_PROD_HI
         and _TWO_PROD_LO < abs(q) < _TWO_PROD_HI
     ):
+        # r has the sign of a - q*b (the quotient is above q when r and b
+        # share it): p = fl(q*b) is within a factor 2 of a, so a - p is
+        # exact (Sterbenz), less the exact two-product residual
         p = q * b
-        return (a - p) - _mul_residual(q, b, p)
-    return Fraction(a) - Fraction(q) * Fraction(b)
-
-
-def _div_up(a: float, b: float) -> float:
-    # caller guarantees b != 0
-    q = a / b
+        t = _SPLIT * q
+        qh = t - (t - q)
+        ql = q - qh
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        r = (a - p) - (ql * bl - (((p - qh * bh) - ql * bh) - qh * bl))
+        return _nextafter(q, _INF) if r != 0 and (r > 0) == (b > 0.0) else q
     if math.isnan(q):
         return _INF
     if math.isinf(q):
@@ -214,7 +207,7 @@ def _div_up(a: float, b: float) -> float:
         return 0.0 if (a > 0.0) != (b > 0.0) else _TINY
     if q == 0.0:
         return _TINY if (a > 0.0) == (b > 0.0) else 0.0
-    r = _div_residual(a, b, q)
+    r = Fraction(a) - Fraction(q) * Fraction(b)
     if r != 0 and (r > 0) == (b > 0.0):
         return _up(q)
     return q
@@ -346,20 +339,20 @@ class Interval(_Immutable):
         return Interval.point(float(other))
 
     def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
         return Interval(_add_down(self.lo, o.lo), _add_up(self.hi, o.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
         return Interval(_add_down(self.lo, -o.hi), _add_up(self.hi, -o.lo))
 
     def __rsub__(self, other) -> "Interval":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
+        o = other if other.__class__ is Interval else self._coerce(other)
         al, ah, bl, bh = self.lo, self.hi, o.lo, o.hi
         if al >= 0.0:
             if bl >= 0.0:

@@ -3,9 +3,9 @@
 This is the oracle side: trajectories of the true inclusion under random
 piecewise-constant disturbances, integrated by fixed-step RK4 on a grid much
 finer than the reachability grid.  It shares with the validated pipeline
-only the symbolic system definition, InputAffineSystem.field and
-symexpr.fold, evaluated here in plain numpy floating point with no rounding
-control.
+only the symbolic system definition: the system's program
+(symexpr.Program) and InputAffineSystem.field, run here over numpy columns
+in plain floating point with no rounding control.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from .symexpr import InputAffineSystem
 __all__ = ["compile_field", "rk4_segment", "sample_trajectories"]
 
 
-# fold over numpy columns: x<i> is column i-1 of the states; a constant is a
-# full column, so that every field component gives one value per trajectory
+# numpy columns: x<i> is column i-1 of the states; a constant is a full
+# column, so that every field component gives one value per trajectory
 _NUMPY_OPS = {
     **symexpr.ARITH_OPS,
     symexpr.Const: lambda v, cols: np.full(cols.shape[1], v),
@@ -33,8 +33,7 @@ def compile_field(sys: InputAffineSystem):
     """Vectorized right-hand side: (states (N,n), inputs (N,m)) -> (N,n)."""
 
     def rhs(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        cols = X.T
-        return np.stack(sys.field(lambda e: symexpr.fold(e, cols, _NUMPY_OPS), V.T), axis=1)
+        return np.stack(sys.field(sys.program.run(X.T, _NUMPY_OPS, 0), V.T), axis=1)
 
     return rhs
 

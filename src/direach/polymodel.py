@@ -321,11 +321,11 @@ class PolynomialModel(_Immutable):
     of the dict or, for a vector model, of a dict built from its nonzero
     slots in slot order on each read, and the vector is read-only.
     _table caches the power table of compose_expr's Taylor compositions
-    with this model as their argument.  Of _Immutable it uses only the
-    read-only attributes: equality, repr and __reduce__ are its own, and
-    none of them sees _table."""
+    with this model as their argument, and _mag its poly_magnitude.  Of
+    _Immutable it uses only the read-only attributes: equality, repr and
+    __reduce__ are its own, and none of them sees _table or _mag."""
 
-    __slots__ = ("vars", "error", "max_degree", "_terms", "_vec", "_table")
+    __slots__ = ("vars", "error", "max_degree", "_terms", "_vec", "_table", "_mag")
 
     def __init__(self, vars: tuple[VarInfo, ...], terms: dict[int, float], error: float, max_degree: int):
         if not 0 <= max_degree <= 7:
@@ -502,6 +502,9 @@ class PolynomialModel(_Immutable):
             return self._terms.get(0, 0.0)
         return None
 
+    def __rmul__(self, s: float) -> "PolynomialModel":
+        return self.scale(s)  # s * self for a float s, as s's exact constant model gives
+
     def scale(self, s: float) -> "PolynomialModel":
         """The model times the float s.  A product that underflows to zero
         leaves no term."""
@@ -549,13 +552,17 @@ class PolynomialModel(_Immutable):
         return PolynomialModel._of(self.vars, self._terms, self._vec, error, self.max_degree)
 
     def poly_magnitude(self) -> float:
-        """Upper bound of sup|p| over the unit box (term-magnitude sum)."""
-        if self._vec is not None:
-            return _grown(dense._magnitude(self._vec))
-        s = 0.0
-        for c in self._terms.values():
-            s += abs(c)
-        return _grown(s)
+        """Upper bound of sup|p| over the unit box (term-magnitude sum),
+        computed on first use and kept."""
+        if self._mag is None:
+            if self._vec is not None:
+                s = dense._magnitude(self._vec)
+            else:
+                s = 0.0
+                for c in self._terms.values():
+                    s += abs(c)
+            _set_mag(self, _grown(s))
+        return self._mag
 
     # ------------------------------------------------------------------ range
     def range(self) -> Interval:
@@ -728,6 +735,7 @@ _set_max_degree = PolynomialModel.max_degree.__set__
 _set_terms = PolynomialModel._terms.__set__
 _set_vec = PolynomialModel._vec.__set__
 _set_table = PolynomialModel._table.__set__
+_set_mag = PolynomialModel._mag.__set__
 
 
 def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -> None:
@@ -744,6 +752,7 @@ def _init(m: PolynomialModel, vars, terms, vec, error: float, max_degree: int) -
         vec.setflags(write=False)  # the vector of an immutable model
     _set_vec(m, vec)
     _set_table(m, None)
+    _set_mag(m, None)
 
 
 class VectorModel(_Immutable):
@@ -950,8 +959,8 @@ def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
     return result
 
 
-def _model_div(a: PolynomialModel, b: PolynomialModel) -> PolynomialModel:
-    v = b._scalar()
+def _model_div(a: PolynomialModel, b) -> PolynomialModel:
+    v = b if type(b) is float else b._scalar()  # a divisor Const comes as its float
     if v is not None:  # an exact constant: scale
         if v == 0.0:
             raise IntervalDomainError("division by a zero model")
@@ -970,30 +979,24 @@ _MODEL_OPS = {
 }
 
 
-def compose_expr(
-    e: Expr,
-    args: VectorModel | Sequence[PolynomialModel],
-    memo: dict | None = None,
-) -> PolynomialModel:
+def compose_expr(e: Expr | symexpr.Program, args: VectorModel | Sequence[PolynomialModel], block: int | None = None):
     """Evaluate an expression over polynomial-model arguments, producing an
-    enclosure of the composition: symexpr.fold over models, where sums,
-    products and integer powers are model arithmetic, sin/cos/exp and
+    enclosure of the composition, or run a program over them (its slot
+    values for block, or for every slot): Program.run over models, where
+    sums, products and integer powers are model arithmetic, sin/cos/exp and
     reciprocals are Taylor compositions with a Lagrange remainder, and a
-    division by an exact constant model (such as a Const node's) is a
-    scaling, as is a product with one (PolynomialModel.__mul__).
+    product with an exact constant or a division by one is a scaling
+    (PolynomialModel.__mul__); a Const that only scales is never built.
 
-    Each distinct subexpression node is composed once, and its model is
-    kept in memo (see symexpr.fold).  Calls over the same args that pass one
-    memo share the subterms they hold as one object (as InputAffineSystem
-    interns its fields): the fields of one Picard iterate compose sin(x3)
-    once, however many of them contain it.  Each inner model that some
-    composition expands (Makino & Berz, 2003: f(inner) = sum a_k delta^k
-    with delta = inner - c) keeps one power table, with or without a memo,
-    so sin(x3) and cos(x3) share the range of x3, c, the powers of delta
-    and their ranges.  Shared subterms and tables are reused as they are,
-    so every result is bit-identical to composing its expression alone.
+    A run of a system's program composes sin(x3) once, however many fields
+    hold it.  Each inner model that a composition expands (Makino & Berz,
+    2003: f(inner) = sum a_k delta^k, delta = inner - c) keeps one power
+    table, so sin(x3) and cos(x3) share c, the powers of delta and their
+    ranges.  Every result is bit-identical to composing it alone.
     """
     models = tuple(args) if not isinstance(args, VectorModel) else args.components
     if not models:
         raise ValueError("composition needs at least one argument model")
-    return symexpr.fold(e, models, _MODEL_OPS, {} if memo is None else memo)
+    if isinstance(e, symexpr.Program):
+        return e.run(models, _MODEL_OPS, block, scalars=True)
+    return symexpr.Program(((e,),)).run(models, _MODEL_OPS, scalars=True)[-1]

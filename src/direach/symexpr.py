@@ -5,15 +5,17 @@ The grammar covers what the drift and input fields of an input-affine system
 need: variables x1..xn, decimal literals, + - * /, integer powers with ^,
 and sin/cos/exp.  Differentiation is exact.  Evaluation over points, over boxes
 (natural interval extension), over numpy columns (mc) and over polynomial
-models (polymodel.compose_expr) is one fold with a table of operations per
-domain; InputAffineSystem.field assembles f + sum_k g_k u_k in any of them.
+models (polymodel.compose_expr) is a run of one Program, a flat list of the
+distinct nodes, with a table of operations per domain; a lone expression is
+a one-root program.  InputAffineSystem.field assembles f + sum_k g_k u_k
+from a run in any of them.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .interval import (
     Box,
@@ -49,7 +51,7 @@ __all__ = [
     "ExprSyntaxError",
     "parse",
     "diff",
-    "fold",
+    "Program",
     "ARITH_OPS",
     "eval_point",
     "eval_interval",
@@ -433,37 +435,89 @@ def diff(e: Expr, j: int) -> Expr:
 _BINARY = frozenset((Add, Sub, Mul, Div))
 
 
-def fold(e: Expr, args: Sequence, ops: dict, memo: dict | None = None):
-    """Value of e over one domain: x<i> is args[i-1], and every other node is
-    ops[type(node)] applied to its children's values.  Const gets its value
-    and args (from which a domain takes its shape), Pow its base's value and
-    its exponent.
+class Program:
+    """The distinct nodes under blocks of root expressions as one list of
+    instructions in topological order, the "tape" of algorithmic
+    differentiation (Griewank & Walther, 2008); roots holds every root's
+    slot.  Instruction i is (i, type, a, b): a Var's index, a Const's value,
+    a Pow's base slot and exponent, or the operands' slots (b None for one).
+    A Const whose every use scales another operand (the left factor of a
+    product or the divisor of a quotient whose other operand is no Const,
+    or a root at a position in factors, which the caller only multiplies
+    on the left) has True in b."""
 
-    With a memo, each node's value is kept under id(node), next to the node
-    itself (which the memo keeps alive, so no other node takes its id), and
-    a node met again is not folded again.  Variables are not memoized.
-    """
-    t = type(e)
-    if t is Var:
-        return args[e.index - 1]
-    if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1]
-    op = ops.get(t)
-    if op is None:
-        raise TypeError(f"cannot evaluate {t.__name__}")
-    if t is Const:
-        out = op(e.value, args)
-    elif t is Pow:
-        out = op(fold(e.base, args, ops, memo), e.exponent)
-    elif t in _BINARY:
-        out = op(fold(e.a, args, ops, memo), fold(e.b, args, ops, memo))
-    else:
-        out = op(fold(e.a, args, ops, memo))
-    if memo is not None:
-        memo[id(e)] = (e, out)
-    return out
+    __slots__ = ("code", "roots", "_steps", "_kept")
+
+    def __init__(self, blocks: Sequence[Sequence[Expr]], factors: Sequence[int] = ()):
+        slots: dict[int, int] = {}  # id(node) -> slot, while blocks keeps the nodes alive
+        code, varies = [], []  # per slot: [slot, type, a, b], and whether a Var is below
+
+        def place(e: Expr) -> int:
+            s = slots.get(id(e))
+            if s is None:
+                parts = [getattr(e, name) for name in e._fields]
+                kids = [place(p) for p in parts if isinstance(p, Expr)]
+                s = slots[id(e)] = len(code)
+                code.append([s, type(e), *kids, *(p for p in parts if not isinstance(p, Expr)), None][:4])
+                varies.append(type(e) is Var or any(varies[k] for k in kids))
+            return s
+
+        roots = [[place(e) for e in block] for block in blocks]
+        self.roots = tuple(s for block in roots for s in block)
+        scalar = {s for s, t, _, _ in code if t is Const}
+        scalar.difference_update(s for k, s in enumerate(self.roots) if k not in factors)
+        for _, t, a, b in code:
+            if t is Mul and code[b][1] is not Const or t is Div and code[a][1] is not Const:
+                continue  # a left factor or a divisor beside a non-Const may scale
+            if t is not Var and t is not Const:
+                scalar.difference_update((a, b) if t in _BINARY else (a,))
+        for s in scalar:
+            code[s][3] = True
+        self.code = tuple(map(tuple, code))
+
+        def steps(need: set) -> tuple:
+            # (constant, varying) instructions of the slots in need and of
+            # their operands, which come before them
+            for i, t, a, b in reversed(self.code):
+                if i in need and t is not Var and t is not Const:
+                    need.update((a, b) if t in _BINARY else (a,))
+            run = [ins for ins in self.code if ins[0] in need]
+            return tuple(ins for ins in run if not varies[ins[0]]), tuple(ins for ins in run if varies[ins[0]])
+
+        self._steps = {k: steps(set(block)) for k, block in enumerate(roots)}
+        self._steps[None] = steps(set(range(len(code))))
+        self._kept: dict = {}
+
+    def run(self, args: Sequence, ops: dict, block: int | None = None, keep: bool = False, scalars: bool = False) -> list:
+        """The values of the slots that block's roots need, or of all: x<i>
+        is args[i-1], a Const ops[Const](value, args), a Pow ops[Pow](base,
+        n), any other node ops[type] of its operands; with scalars, a Const
+        with True is its float.  With keep (for a domain whose Const ignores
+        args) the slots with no Var below are evaluated once, then kept."""
+        constant, varying = self._steps[block]
+        fresh = ([None] * len(self.code), set())
+        known, done = self._kept.setdefault(ops[Const], fresh) if keep else fresh
+        if block not in done:
+            _execute(known, [ins for ins in constant if known[ins[0]] is None], args, ops, scalars)
+            done.add(block)
+        vals = known[:] if keep else known
+        _execute(vals, varying, args, ops, scalars)
+        return vals
+
+
+def _execute(vals: list, steps: Sequence, args: Sequence, ops: dict, scalars: bool) -> None:
+    const = ops[Const]
+    for i, t, a, b in steps:
+        if t is Var:
+            vals[i] = args[a - 1]
+        elif t is Const:
+            vals[i] = a if b and scalars else const(a, args)
+        elif t is Pow:
+            vals[i] = ops[Pow](vals[a], b)
+        elif b is None:
+            vals[i] = ops[t](vals[a])
+        else:
+            vals[i] = ops[t](vals[a], vals[b])
 
 
 # the arithmetic nodes in every domain: the operators dispatch on the value type
@@ -477,28 +531,22 @@ ARITH_OPS = {
 }
 _POINT_OPS = {**ARITH_OPS, Const: lambda v, args: v, Sin: math.sin, Cos: math.cos, Exp: math.exp}
 _INTERVAL_OPS = {**ARITH_OPS, Const: lambda v, args: Interval.point(v), Sin: iv_sin, Cos: iv_cos, Exp: iv_exp}
-# folding over the variable indices themselves gives the largest one
-_VAR_INDICES = range(1, 2**63)
-_MAX_INDEX_OPS = {
-    **{t: max for t in _BINARY},
-    **{t: (lambda a: a) for t in (Neg, Sin, Cos, Exp)},
-    Const: lambda v, args: 0,
-    Pow: lambda a, n: a,
-}
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> float:
-    return fold(e, [float(v) for v in x], _POINT_OPS)
+    return Program(((e,),)).run([float(v) for v in x], _POINT_OPS, keep=True)[-1]
 
 
-def eval_interval(e: Expr, x: Box, memo: dict | None = None) -> Interval:
-    """Natural interval extension; encloses {e(p) : p in x}.  Calls over
-    one box that pass one memo evaluate each shared node once (see fold)."""
-    return fold(e, x.components, _INTERVAL_OPS, memo)
+def eval_interval(e: Expr | Program, x: Box, block: int | None = None):
+    """Natural interval extension over x: an Interval enclosing {e(p) : p
+    in x}, or of a program the slot values of one run (Program.run)."""
+    if isinstance(e, Program):
+        return e.run(x.components, _INTERVAL_OPS, block, keep=True)
+    return Program(((e,),)).run(x.components, _INTERVAL_OPS, keep=True)[-1]
 
 
 def max_var_index(e: Expr) -> int:
-    return fold(e, _VAR_INDICES, _MAX_INDEX_OPS)
+    return max((a for _, t, a, _ in Program(((e,),)).code if t is Var), default=0)
 
 
 def _intern(e: Expr, table: dict) -> Expr:
@@ -523,12 +571,8 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
-_POINT_ZERO = Interval.point(0.0)
-
-
-def _entry_interval(e: Expr, box: Box, memo: dict) -> Interval:
-    # most derivative entries are the interned zero: no evaluation for them
-    return _POINT_ZERO if _is_zero(e) else eval_interval(e, box, memo)
+def _matrix(vals: list, rows) -> IntervalMatrix:
+    return IntervalMatrix(tuple(tuple(vals[s] for s in row) for row in rows))
 
 
 class InputAffineSystem:
@@ -537,9 +581,12 @@ class InputAffineSystem:
     Drift and input fields are expression vectors over x1..xn; their first
     and second derivatives are prepared once at construction.  Fields and
     derivatives are interned together, so that a subterm they share is one
-    object: compose_expr composes it once per memo, and eval_interval
-    evaluates it once per memo (one per box in compute_bounds and
-    flow.local_rates).
+    object, and compiled into one Program of three blocks: the fields (f,
+    then every g_k), the Jacobians and the second derivatives (a zero entry
+    is the interned +0.0).  Each box (rhs_interval, jacobians,
+    compute_bounds) and each Picard iterate (flow) is one run; after the
+    first box no constant subtree, such as a linear field's Jacobian, is
+    evaluated again.
     """
 
     def __init__(
@@ -569,14 +616,6 @@ class InputAffineSystem:
             raise ValueError("need one magnitude per input field")
         if not all(0 < v < math.inf for v in self.V):
             raise ValueError("input magnitudes must be positive")
-        for e in self.f:
-            if max_var_index(e) > self.n:
-                raise ValueError(f"expression {e} references a variable beyond x{self.n}")
-        for gi in self.g:
-            for e in gi:
-                if max_var_index(e) > self.n:
-                    raise ValueError(f"expression {e} references a variable beyond x{self.n}")
-
         n = self.n
 
         def _d(e, j):
@@ -592,35 +631,51 @@ class InputAffineSystem:
             for dgi in self.dg
         )
 
+        zero = _intern(Const(0.0), table)
+        fields = [e for gi in (self.f, *self.g) for e in gi]
+        jac = [zero if _is_zero(e) else e for d in (self.df, *self.dg) for row in d for e in row]
+        hess = [zero if _is_zero(e) else e for d in (self.d2f, *self.d2g) for p in d for row in p for e in row]
+        self.program = Program((fields, jac, hess), factors=range(n, len(fields)))
+        if any(t is Var and a > n for _, t, a, _ in self.program.code):
+            e = next(e for e in fields if max_var_index(e) > n)
+            raise ValueError(f"expression {e} references a variable beyond x{n}")
+        slots = iter(self.program.roots)
+
+        def rows(k):  # the next k rows of n root slots
+            return tuple(tuple(next(slots) for _ in range(n)) for _ in range(k))
+
+        # the root slots of f, g_k, Df, Dg_k, D^2 f and D^2 g_k
+        self._slots = (
+            rows(1)[0], rows(self.m), rows(n), [rows(n) for _ in self.g], rows(n * n), [rows(n * n) for _ in self.g]
+        )
+
     @property
     def m(self) -> int:
         return len(self.g)
 
-    # memo is an eval_interval memo for box, shared with other calls on box
-    def drift_jacobian(self, box: Box, memo: dict) -> IntervalMatrix:
-        return IntervalMatrix(tuple(tuple(_entry_interval(e, box, memo) for e in row) for row in self.df))
+    def jacobians(self, box: Box) -> tuple[IntervalMatrix, list[IntervalMatrix]]:
+        """Df and every Dg_k over box, from one run for the Jacobians."""
+        vals = eval_interval(self.program, box, 1)
+        return _matrix(vals, self._slots[2]), [_matrix(vals, rows) for rows in self._slots[3]]
 
-    def input_jacobian(self, k: int, box: Box, memo: dict) -> IntervalMatrix:
-        return IntervalMatrix(tuple(tuple(_entry_interval(e, box, memo) for e in row) for row in self.dg[k]))
-
-    def field(self, value: Callable[[Expr], Any], inputs: Sequence) -> list:
-        """f(x) + sum_k g_k(x) u_k per component, in the domain of value:
-        value(e) is the value of the expression e there, inputs[k] is u_k.
-        Input fields that are the constant 0 are skipped: their product and
-        sum change nothing."""
+    def field(self, vals: Sequence, inputs: Sequence) -> list:
+        """f(x) + sum_k g_k(x) u_k per component in one domain: vals are the
+        slot values of a run of the program through the fields, inputs[k] is
+        u_k.  Input fields that are the constant 0 are skipped: their product
+        and sum change nothing."""
+        f, g = self._slots[:2]
         out = []
         for c in range(self.n):
-            acc = value(self.f[c])
+            acc = vals[f[c]]
             for k, u in enumerate(inputs):
                 if not _is_zero(self.g[k][c]):
-                    acc = acc + value(self.g[k][c]) * u
+                    acc = acc + vals[g[k][c]] * u
             out.append(acc)
         return out
 
     def rhs_interval(self, box: Box, input_ranges: Sequence[Interval]) -> tuple[Interval, ...]:
         """Interval hull of f(x) + sum g_i(x)u_i over x in box, u_i in input_ranges."""
-        memo: dict = {}
-        return tuple(self.field(lambda e: eval_interval(e, box, memo), input_ranges))
+        return tuple(self.field(eval_interval(self.program, box, 0), input_ranges))
 
 
 class StepErrorBounds(_Immutable):
@@ -641,11 +696,6 @@ class StepErrorBounds(_Immutable):
             _set(self, name, value)
 
 
-def _sup_abs(e: Expr, box: Box, memo: dict) -> float:
-    # 0.0 for a zero entry, which leaves every max and upward sum it enters as it was
-    return _entry_interval(e, box, memo).mag
-
-
 def _weighted_max(V: Sequence[float], per_input: Sequence[Sequence[float]]) -> float:
     """Max over slots of the upward sum of V_i * x_i, where per_input[i]
     lists input i's nonnegative value x_i for every slot."""
@@ -661,21 +711,18 @@ def _weighted_max(V: Sequence[float], per_input: Sequence[Sequence[float]]) -> f
 def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
     """Upper bounds for ||f||, ||Df||, lognorm(Df), ||D^2 f|| and the input
     analogues over box; everything rounded upward.  ||D^2 f|| is the
-    largest second-derivative magnitude.  One memo serves every evaluation
-    on box, so each distinct node of the fields and their derivatives is
-    evaluated once.  A non-finite entry of Df or of an input Jacobian
-    raises IntervalDomainError.
+    largest second-derivative magnitude.  Every value comes from one run
+    of the system's program over box.  A non-finite entry of Df or of an
+    input Jacobian raises IntervalDomainError.
     """
-    memo: dict = {}
-
-    K = max(_sup_abs(e, box, memo) for e in sys.f)
-    Kp = _weighted_max(sys.V, [[_sup_abs(e, box, memo) for e in gi] for gi in sys.g])
-    dfm = sys.drift_jacobian(box, memo)
+    vals = eval_interval(sys.program, box)
+    f, g, df, dg, d2f, d2g = sys._slots
+    K = max(vals[s].mag for s in f)
+    Kp = _weighted_max(sys.V, [[vals[s].mag for s in gi] for gi in g])
+    dfm = _matrix(vals, df)
     L = mat_inf_norm(dfm)
-    Lp = _weighted_max(sys.V, [row_abs_sums(sys.input_jacobian(k, box, memo)) for k in range(sys.m)])
+    Lp = _weighted_max(sys.V, [row_abs_sums(_matrix(vals, rows)) for rows in dg])
     Lam = lognorm_inf(dfm)
-    H = max(_sup_abs(e, box, memo) for plane in sys.d2f for row in plane for e in row)
-    Hp = _weighted_max(
-        sys.V, [[_sup_abs(e, box, memo) for plane in d2gi for row in plane for e in row] for d2gi in sys.d2g]
-    )
+    H = max(vals[s].mag for row in d2f for s in row)
+    Hp = _weighted_max(sys.V, [[vals[s].mag for row in rows for s in row] for rows in d2g])
     return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam)

@@ -94,13 +94,13 @@ def test_no_dense_kernel_returns_none():
 
 def test_only_polymodel_reads_a_models_store():
     """How a polynomial model holds its terms (a dict in _terms or a slot
-    vector in _vec) and its cached power table (_table) is polymodel's
-    decision alone: no other module names those attributes, and dense sees
-    only arrays."""
+    vector in _vec) and its caches (the power table _table and the
+    poly_magnitude _mag) is polymodel's decision alone: no other module
+    names those attributes, and dense sees only arrays."""
     readers = set()
     for path in Path(direach.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_vec", "_table"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_vec", "_table", "_mag"):
                 readers.add(path.name)
     assert readers == {"polymodel.py"}
 

@@ -235,9 +235,12 @@ _MAX = sys.float_info.max
 def _reference(op, a, b, up):
     """Nearest float at or above (up) or at or below the exact op(a, b), from
     an exact rational comparison with the float op(a, b); a result beyond
-    the largest float goes to +-inf outward and to +-max inward."""
-    exact = op(Fraction(a), Fraction(b))
+    the largest float goes to +-inf outward and to +-max inward.  With an
+    infinite operand the float op(a, b), when not NaN, is the exact result."""
     p = op(a, b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return p  # an infinite operand: the float result is exact
+    exact = op(Fraction(a), Fraction(b))
     if math.isinf(p):
         if up:
             return math.inf if exact > 0 else -_MAX
@@ -257,6 +260,30 @@ def _rounding_outcomes(op, rounded_up, rounded_down, operands):
         assert down == _reference(op, a, b, False), (kind, a, b, down)
         seen.add((kind, up != down))
     return seen
+
+
+# the operands at and next to the edges of the rounding kernels' fast paths
+# (2**+-450) and of the float range: zeros, subnormals, the smallest normal,
+# the largest float and infinities, at both signs
+_EDGES = [
+    s * x
+    for m in (
+        [math.nextafter(math.ldexp(1.0, e), d) for e in (-450, 450) for d in (0.0, math.inf)]
+        + [math.ldexp(1.0, -450), math.ldexp(1.0, 450), 0.0, 5e-324, 2.5e-323, 2.0**-1022, _MAX, math.inf, 1.0, 3.0]
+    )
+    for s, x in ((1.0, m), (-1.0, m))
+]
+
+
+def _special_operands(op):
+    """Every pair of edge operands whose op is defined: no NaN result, and
+    for the quotient a finite nonzero divisor."""
+    for a in _EDGES:
+        for b in _EDGES:
+            if op is operator.truediv and not (b and math.isfinite(b)):
+                continue
+            if not math.isnan(op(a, b)):
+                yield "special", a, b
 
 
 def _signed(rng, x):
@@ -304,10 +331,10 @@ def _add_fuzz_operands(rng):
 
 def test_add_rounding_matches_rational_reference():
     operands = list(_add_fuzz_operands(random.Random(19)))
-    seen = _rounding_outcomes(operator.add, _add_up, _add_down, operands)
+    seen = _rounding_outcomes(operator.add, _add_up, _add_down, operands + list(_special_operands(operator.add)))
     kinds = {k for k, _ in seen}
     exact_kinds = {"exact", "cancel", "subnormal-pair"}
-    assert kinds == exact_kinds | {"subnormal", "near-max", "random"}
+    assert kinds == exact_kinds | {"subnormal", "near-max", "random", "special"}
     # the exact kinds never round; every other kind did
     assert all((k, True) not in seen for k in exact_kinds)
     assert all((k, True) in seen for k in kinds - exact_kinds)
@@ -359,10 +386,11 @@ def _mul_fuzz_operands(rng):
 
 
 def test_mul_rounding_matches_rational_reference():
-    seen = _rounding_outcomes(operator.mul, _mul_up, _mul_down, _mul_fuzz_operands(random.Random(23)))
+    operands = [*_mul_fuzz_operands(random.Random(23)), *_special_operands(operator.mul)]
+    seen = _rounding_outcomes(operator.mul, _mul_up, _mul_down, operands)
     # the exact kind never rounds; the kinds that can round did
     kinds = {k for k, _ in seen}
-    assert kinds == {"edge-450", "subnormal", "power-of-two", "exact", "near-max", "random"}
+    assert kinds == {"edge-450", "subnormal", "power-of-two", "exact", "near-max", "random", "special"}
     assert ("exact", True) not in seen
     assert all((k, True) in seen for k in kinds - {"exact", "power-of-two"})
 
@@ -425,9 +453,10 @@ def _div_fuzz_operands(rng):
 
 
 def test_div_rounding_matches_rational_reference():
-    seen = _rounding_outcomes(operator.truediv, _div_up, _div_down, _div_fuzz_operands(random.Random(29)))
+    operands = [*_div_fuzz_operands(random.Random(29)), *_special_operands(operator.truediv)]
+    seen = _rounding_outcomes(operator.truediv, _div_up, _div_down, operands)
     # the exact kind never rounds; every other kind did
     kinds = {k for k, _ in seen}
-    assert kinds == {"edge-450", "subnormal", "tiny-a", "exact", "random"}
+    assert kinds == {"edge-450", "subnormal", "tiny-a", "exact", "random", "special"}
     assert ("exact", True) not in seen
     assert all((k, True) in seen for k in kinds - {"exact"})

@@ -141,3 +141,33 @@ def test_dosc_additive_exact_reference(perfbench):
             if not (box[0].lo <= z.real <= box[0].hi and box[1].lo <= z.imag <= box[1].hi):
                 outside.append((j, k, z))
     assert outside == []
+
+
+GOLDEN = ROOT / "tests" / "reach_golden.json"
+GOLDEN_STEPS = 5
+
+
+def golden_boxes(perfbench):
+    """float.hex bounds of the first GOLDEN_STEPS boxes of every benchmark
+    workload at seed 1, keyed by workload name."""
+    lib, reach = perfbench.lib, perfbench.reach
+    out = {}
+    for name, w in perfbench.workloads.WORKLOADS.items():
+        system = lib.symexpr.InputAffineSystem(w.dim, w.drift, w.inputs, w.magnitudes)
+        X0 = reach.initial_model(lib, w.initial_bounds(1), w.cap)
+        r = reach.run_reach(lib, system, lib.inputs.InputScheme.from_name(w.scheme), X0, w.h, GOLDEN_STEPS)
+        assert r.complete
+        out[name] = [[[c.lo.hex(), c.hi.hex()] for c in box] for box in r.boxes]
+    return out
+
+
+def test_reach_golden_boxes(perfbench):
+    """The first steps of every workload give, bit for bit, the boxes
+    recorded in reach_golden.json.  A change that claims identical
+    enclosures is held to it here; one that moves them on purpose
+    re-records the file with write_golden and says so."""
+    assert golden_boxes(perfbench) == json.loads(GOLDEN.read_text())
+
+
+def write_golden(perfbench):
+    GOLDEN.write_text(json.dumps(golden_boxes(perfbench), indent=1) + "\n")

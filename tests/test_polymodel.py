@@ -19,7 +19,7 @@ from direach.polymodel import (
     VectorModel,
     compose_expr,
 )
-from direach.symexpr import InputAffineSystem, parse
+from direach.symexpr import InputAffineSystem, Program, parse
 
 V2 = (VarInfo(Role.STATE, axis=0), VarInfo(Role.STATE, axis=1))
 
@@ -269,9 +269,10 @@ def test_compose_elementary_soundness_fuzz():
                 assert abs(v - out.eval_point(z)) <= out.error * (1 + 1e-9) + 1e-14
 
 
-def test_compose_shared_memo_bit_identical():
+def test_compose_program_bit_identical():
     # sin(x3) and cos(x3) recur across the fields; InputAffineSystem interns
-    # them into one object each, so one memo composes each of them once
+    # them into one object each, so one run of its program composes each
+    # of them once
     sys = InputAffineSystem(
         3,
         ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "sin(x3)*cos(x3) - sin(x3)^2"],
@@ -287,14 +288,16 @@ def test_compose_shared_memo_bit_identical():
             for i in range(3)
         )
     )
-    memo = {}
-    shared = [compose_expr(e, args, memo) for e in exprs]
-    alone_memos = [{} for _ in exprs]
-    alone = [compose_expr(e, args, m) for e, m in zip(exprs, alone_memos)]
-    for s, a in zip(shared, alone):
-        assert [(k, c.hex()) for k, c in s.terms.items()] == [(k, c.hex()) for k, c in a.terms.items()]
-        assert s.error.hex() == a.error.hex()
-    assert len(memo) < sum(len(m) for m in alone_memos)
+    vals = compose_expr(sys.program, args, 0)
+    for e, slot in zip(exprs, sys.program.roots):
+        alone = compose_expr(e, args)
+        if isinstance(vals[slot], float):
+            # an input field that is a Const comes as the float it scales by
+            assert alone == PolynomialModel.constant(vals[slot], vars3, 3) and e.value == vals[slot]
+        else:
+            assert _bits(vals[slot]) == _bits(alone)
+    # the fields' nodes, which come first, against the nodes of each alone
+    assert max(sys.program.roots[: len(exprs)]) + 1 < sum(len(Program(((e,),)).code) for e in exprs)
 
 
 def _bits(model):
@@ -325,16 +328,16 @@ def test_compose_power_table_shared_bit_identical(monkeypatch):
             super().__init__(inner)
 
     monkeypatch.setattr(polymodel, "_PowerTable", CountedTable)
-    memo = {}
-    shared = [compose_expr(e, args, memo) for e in sys.f]
+    vals = compose_expr(sys.program, args, 0)
+    shared = [vals[slot] for slot in sys.program.roots[: len(texts)]]
     assert len(built) == 1
     alone = [compose_expr(e, args) for e in sys.f]
     assert len(built) == 1 + len(texts)
     for s, a in zip(shared, alone):
         assert _bits(s) == _bits(a)
         assert s.error > 0.0
-    # the table lives on its argument model, not in a memo: sin and cos of
-    # one model, composed without a memo, share it
+    # the table lives on its argument model, not in a run: sin and cos of
+    # one model, composed in two runs, share it
     del built[:]
     inner = args[0] * args[1] + args[2]
     first = [compose_expr(parse(f"{f}(x1)"), [inner]) for f in ("sin", "cos")]
@@ -343,6 +346,23 @@ def test_compose_power_table_shared_bit_identical(monkeypatch):
     # the table is a cache, not a field
     assert inner == fresh and repr(inner) == repr(fresh) and pickle.loads(pickle.dumps(inner))._table is None
     assert [_bits(compose_expr(parse(f"{f}(x1)"), [fresh])) for f in ("sin", "cos")] == [_bits(m) for m in first]
+
+
+def test_poly_magnitude_is_kept_as_a_cache(monkeypatch):
+    """A model computes its poly_magnitude once, also when a square reads
+    it for both operands, and keeps it in a cache that equality, repr and
+    pickles do not see."""
+    calls = []
+    magnitude = dense._magnitude
+    monkeypatch.setattr(dense, "_magnitude", lambda v: calls.append(v) or magnitude(v))
+    m = _carrying(pm({(0, 0): 0.5, (1, 0): -0.25, (1, 1): 0.125}, error=1e-9, cap=4))
+    square = m * m
+    assert len(calls) == 1
+    assert m.poly_magnitude() == m.poly_magnitude() and len(calls) == 1
+    fresh = m.with_error(m.error)  # the same model, nothing cached yet
+    assert fresh == m and repr(fresh) == repr(m) and pickle.loads(pickle.dumps(m))._mag is None
+    assert fresh.poly_magnitude().hex() == m.poly_magnitude().hex() and len(calls) == 2
+    assert _bits(fresh * fresh) == _bits(square)
 
 
 def test_power_table_takes_sin_cos_once(monkeypatch):
@@ -355,8 +375,8 @@ def test_power_table_takes_sin_cos_once(monkeypatch):
         monkeypatch.setattr(polymodel, name, lambda x, fn=fn, name=name: calls.append(name) or fn(x))
     sys = InputAffineSystem(2, ["0.3*sin(x1 + 0.1*x2^2)", "0.3*cos(x1 + 0.1*x2^2)"])
     args = VectorModel(tuple(pm({(1, 0): 0.5, (0, 0): 0.2 * i}, error=1e-9, cap=4) for i in range(2)))
-    memo = {}
-    shared = [compose_expr(e, args, memo) for e in sys.f]
+    vals = compose_expr(sys.program, args, 0)
+    shared = [vals[slot] for slot in sys.program.roots[:2]]
     assert sorted(calls) == ["iv_cos", "iv_sin"]
     for s, e in zip(shared, sys.f):
         assert _bits(s) == _bits(compose_expr(e, args))
@@ -388,16 +408,14 @@ def test_compose_domain_errors_keep_messages():
     # finite coefficients whose magnitudes sum past the largest double
     wild = pm({(1, 0): 1.5e308, (3, 0): 1.5e308})
     args = VectorModel((wild, pm({(0, 1): 1.0})))
-    memo = {}
     for kind in ("sin", "cos", "exp"):
         # each kind reports itself, also when a table for the argument exists
         with pytest.raises(IntervalDomainError, match=f"^{kind} composition requires a finite range$"):
-            compose_expr(parse(f"{kind}(x1)"), args, memo)
+            compose_expr(parse(f"{kind}(x1)"), args)
     straddler = VectorModel((pm({(1, 0): 1.0, (0, 0): 0.5}), pm({(0, 1): 1.0})))
-    memo = {}
     for text in ("1/x1", "x1^-2", "sin(x1)/x1"):
         with pytest.raises(IntervalDomainError, match="^reciprocal of a model whose range contains zero$"):
-            compose_expr(parse(text), straddler, memo)
+            compose_expr(parse(text), straddler)
 
 
 def test_mul_by_exact_constant_scales():

@@ -9,11 +9,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from direach import symexpr
+from direach import mc, polymodel, symexpr
 from direach.flow import local_rates
-from direach.interval import Box, Interval, IntervalDomainError
+from direach.interval import (
+    Box,
+    Interval,
+    IntervalDomainError,
+    IntervalMatrix,
+    _add_up,
+    _mul_up,
+    lognorm_inf,
+    mat_inf_norm,
+    row_abs_sums,
+)
 from direach.localerr import _additive
 from direach.mc import compile_field
+from direach.polymodel import PolynomialModel, Role, VarInfo, compose_expr
 from direach.symexpr import (
     Add,
     Const,
@@ -26,7 +37,9 @@ from direach.symexpr import (
     Mul,
     Neg,
     Pow,
+    Program,
     Sin,
+    StepErrorBounds,
     Sub,
     Var,
     compute_bounds,
@@ -435,15 +448,76 @@ def test_system_interns_derivatives_with_fields():
     assert sys.d2f[0][2][2].b.a is sin3
 
 
-def _unmemoized(monkeypatch):
-    """Route every eval_interval call through a copy that drops the memo, so
-    each expression is evaluated on its own."""
-    plain = symexpr.eval_interval
-    monkeypatch.setattr(symexpr, "eval_interval", lambda e, x, memo=None: plain(e, x))
+def _fold(e, args, ops):
+    """The recursive evaluator that Program replaced, kept as the reference:
+    the value of e over one domain, each node's from its children's."""
+    t = type(e)
+    if t is Var:
+        return args[e.index - 1]
+    if t is Const:
+        return ops[Const](e.value, args)
+    if t is Pow:
+        return ops[Pow](_fold(e.base, args, ops), e.exponent)
+    if t in (Add, Sub, Mul, Div):
+        return ops[t](_fold(e.a, args, ops), _fold(e.b, args, ops))
+    return ops[t](_fold(e.a, args, ops))
+
+
+def _is_zero(e):
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def _reference_field(sys, value, inputs):
+    """f + sum g_k u_k per component from value(e) of each expression."""
+    out = []
+    for c in range(sys.n):
+        acc = value(sys.f[c])
+        for k, u in enumerate(inputs):
+            if not _is_zero(sys.g[k][c]):
+                acc = acc + value(sys.g[k][c]) * u
+        out.append(acc)
+    return out
+
+
+def _reference_bounds(sys, value, w_sups):
+    """(compute_bounds, local_rates) from value(e), the interval of each
+    expression alone; a zero entry is the point 0."""
+
+    def entry(e):
+        return Interval.point(0.0) if _is_zero(e) else value(e)
+
+    def matrix(rows):
+        return IntervalMatrix(tuple(tuple(entry(e) for e in row) for row in rows))
+
+    dfm, dgm = matrix(sys.df), [matrix(dgi) for dgi in sys.dg]
+    b = StepErrorBounds(
+        K=max(entry(e).mag for e in sys.f),
+        Kp=symexpr._weighted_max(sys.V, [[entry(e).mag for e in gi] for gi in sys.g]),
+        L=mat_inf_norm(dfm),
+        Lp=symexpr._weighted_max(sys.V, [row_abs_sums(d) for d in dgm]),
+        H=max(entry(e).mag for plane in sys.d2f for row in plane for e in row),
+        Hp=symexpr._weighted_max(
+            sys.V, [[entry(e).mag for plane in d2gi for row in plane for e in row] for d2gi in sys.d2g]
+        ),
+        Lam=lognorm_inf(dfm),
+    )
+    lam, lip = lognorm_inf(dfm), mat_inf_norm(dfm)
+    for ws, d in zip(w_sups, dgm):
+        nk = mat_inf_norm(d)
+        lam, lip = _add_up(lam, _mul_up(ws, nk)), _add_up(lip, _mul_up(ws, nk))
+    return b, (lam, lip)
+
+
+def _iv_bits(ivs):
+    return [(x.lo.hex(), x.hi.hex()) for x in ivs]
+
+
+def _bound_bits(b):
+    return [v.hex() for v in b._values()]
 
 
 # the systems of the select_error golden grid, and trig3
-MEMO_CASES = [
+SHARED_CASES = [
     (InputAffineSystem(2, ["x2", "-x1 - 0.2*x2"], [["0", "1"]], [0.1]), Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)])),
     (
         InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05]),
@@ -459,15 +533,164 @@ MEMO_CASES = [
 ]
 
 
-@pytest.mark.parametrize("sys, box", MEMO_CASES)
-def test_compute_bounds_memo_matches_unmemoized(sys, box, monkeypatch):
-    memoized = compute_bounds(sys, box)
-    rates = local_rates(sys, box, [0.1] * sys.m)
-    rhs = sys.rhs_interval(box, [Interval(-0.1, 0.1)] * sys.m)
-    _unmemoized(monkeypatch)
-    assert compute_bounds(sys, box) == memoized
-    assert local_rates(sys, box, [0.1] * sys.m) == rates
-    assert sys.rhs_interval(box, [Interval(-0.1, 0.1)] * sys.m) == rhs
+@pytest.mark.parametrize("sys, box", SHARED_CASES)
+def test_compute_bounds_memo_matches_unmemoized(sys, box):
+    """compute_bounds, local_rates and rhs_interval, one program run each
+    that shares every node as the per-box memo before it did, give bit for
+    bit what eval_interval of each expression alone gives, with fewer
+    nodes than the expressions have alone."""
+    w_sups = [0.1] * sys.m
+    inputs = [Interval(-0.1, 0.1)] * sys.m
+    for _ in range(2):  # the second run reuses the constant subtrees
+        bounds, rates = _reference_bounds(sys, lambda e: eval_interval(e, box), w_sups)
+        assert _bound_bits(compute_bounds(sys, box)) == _bound_bits(bounds)
+        assert [v.hex() for v in local_rates(sys, box, w_sups)] == [v.hex() for v in rates]
+        want = _reference_field(sys, lambda e: eval_interval(e, box), inputs)
+        assert _iv_bits(sys.rhs_interval(box, inputs)) == _iv_bits(want)
+    exprs = [*sys.f, *(e for gi in sys.g for e in gi)]
+    for d in (sys.df, sys.dg, sys.d2f, sys.d2g):
+        exprs += [e for e in np.ravel(np.array(d, dtype=object))]
+    assert len(sys.program.code) < sum(len(Program(((e,),)).code) for e in exprs)
+
+
+def _random_system(rng):
+    """A random 2-state system whose fields share subterms (drawn from one
+    pool) and hold constant subtrees, zero and constant entries, Div, Pow
+    and Exp."""
+    pool = [_random_expr(rng, 2) for _ in range(3)]
+    pool += [parse("sin(0.3)*x1"), parse("2^3*x2"), parse("x1/4"), parse("exp(-x2)"), parse("(x1 - x2)^-2")]
+
+    def component():
+        r = rng.random()
+        if r < 0.15:
+            return Const(0.0)
+        if r < 0.3:
+            return Const(rng.choice((1.0, -0.5, 3.0)))
+        a, b = rng.sample(pool, 2)
+        return rng.choice((Add, Sub, Mul, Div))(a, b)
+
+    m = rng.randint(0, 2)
+    return InputAffineSystem(
+        2,
+        [component() for _ in range(2)],
+        [[component() for _ in range(2)] for _ in range(m)],
+        [rng.uniform(0.01, 1.0) for _ in range(m)],
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or "undefined" when it raises as an undefined value does."""
+    try:
+        return fn(*args)
+    except UNDEFINED:
+        return "undefined"
+
+
+def test_program_matches_reference_fold_fuzz():
+    """On random systems and boxes, every consumer of the program gives
+    bit for bit what the recursive fold gives per expression: the bounds,
+    the rates, the interval field, mc's numpy field and one model run of
+    the fields (the compositions and the field assembled from them)."""
+    rng = random.Random(53)
+    vars2 = tuple(VarInfo(Role.STATE, axis=i) for i in range(2)) + (VarInfo(Role.INPUT),)
+    X = np.random.default_rng(53).uniform(-1.5, 1.5, size=(16, 2))
+    seen = {"bounds": 0, "rates": 0, "rhs": 0, "model": 0, "undefined": 0}
+    for _ in range(150):
+        sys = _random_system(rng)
+        w_sups = [rng.uniform(0.0, 1.0) for _ in range(sys.m)]
+        inputs = [Interval(-w, w) for w in w_sups]
+        for _ in range(2):
+            box = Box.from_bounds([sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(2)])
+
+            def value(e):
+                return _fold(e, box.components, symexpr._INTERVAL_OPS)
+
+            ref = _outcome(_reference_bounds, sys, value, w_sups)
+            got = _outcome(compute_bounds, sys, box)
+            if ref == "undefined" or got == "undefined":
+                assert ref == got
+                seen["undefined"] += 1
+            else:
+                assert _bound_bits(got) == _bound_bits(ref[0])
+                seen["bounds"] += 1
+            field = _outcome(_reference_field, sys, value, inputs)
+            assert field == "undefined" or _iv_bits(sys.rhs_interval(box, inputs)) == _iv_bits(field)
+            seen["rhs"] += field != "undefined"
+            if field != "undefined" and ref != "undefined":
+                # local_rates runs the program through the fields too
+                assert [v.hex() for v in local_rates(sys, box, w_sups)] == [v.hex() for v in ref[1]]
+                seen["rates"] += 1
+        V = np.random.default_rng(rng.randrange(2**32)).uniform(-1.0, 1.0, size=(16, sys.m))
+        with np.errstate(all="ignore"):
+            want = np.stack(_reference_field(sys, lambda e: _fold(e, X.T, mc._NUMPY_OPS), V.T), axis=1)
+            np.testing.assert_array_equal(compile_field(sys)(X, V), want)
+        args = [
+            PolynomialModel(vars2, {0: 0.3 * (i + 1), 1 << (4 * i): 0.2, 1 << 8: 0.05}, 1e-9, 3) for i in range(2)
+        ]
+        w = [PolynomialModel(vars2, {1 << 8: w_sups[k]}, 0.0, 3) for k in range(sys.m)]
+        want = _outcome(_reference_field, sys, lambda e: _fold(e, args, polymodel._MODEL_OPS), w)
+        vals = _outcome(compose_expr, sys.program, args, 0)
+        assert (want == "undefined") == (vals == "undefined")
+        if want != "undefined":
+            assert [_model_bits(m) for m in sys.field(vals, w)] == [_model_bits(m) for m in want]
+            seen["model"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _model_bits(model):
+    return [(k, c.hex()) for k, c in model.terms.items()], model.error.hex()
+
+
+def _counting(ops):
+    """A copy of the op table that counts its calls in .calls."""
+    calls = []
+
+    def counted(t, op):
+        return lambda *args: calls.append(t) or op(*args)
+
+    out = {t: counted(t, op) for t, op in ops.items()}
+    return out, calls
+
+
+def test_program_evaluates_each_node_once():
+    """One interval run evaluates each distinct node of the fields and
+    their derivatives once; a run over a second box evaluates no constant
+    subtree again, so for a linear field only the fields' nodes."""
+    linear = InputAffineSystem(2, ["-x1 + 0.5*x2", "-0.5*x1 - x2 + sin(0.3)*2^3"], [["0", "1"]], [0.05])
+    for sys, box in [*SHARED_CASES, (linear, VDP_D)]:
+        distinct = set()  # interned nodes are one object each, Consts one per bit pattern
+
+        def walk(e):
+            if isinstance(e, Const):
+                distinct.add(e.value.hex())
+            elif not isinstance(e, Var) and id(e) not in distinct:
+                distinct.add(id(e))
+                for c in e._values():
+                    if isinstance(c, Expr):
+                        walk(c)
+
+        for block in (sys.f, sys.g, sys.df, sys.dg, sys.d2f, sys.d2g):
+            for e in np.ravel(np.array(block, dtype=object)):
+                # a zero derivative entry is the one interned +0.0
+                walk(Const(0.0) if _is_zero(e) and block not in (sys.f, sys.g) else e)
+        ops, calls = _counting(symexpr._INTERVAL_OPS)
+        first = sys.program.run(box.components, ops, keep=True)
+        assert len(calls) == len(distinct)
+        del calls[:]
+        half = Box(tuple(Interval(c.lo, c.mid) for c in box))
+        second = sys.program.run(half.components, ops, keep=True)
+        constant, varying = sys.program._steps[None]
+        varying = [i for i, t, _, _ in varying if t is not Var]
+        assert len(calls) == len(varying) < len(distinct)
+        assert all(first[i] is second[i] for i, *_ in constant)
+        assert second == sys.program.run(half.components, symexpr._INTERVAL_OPS)
+        # the Jacobians' block evaluates only the nodes its roots need
+        del calls[:]
+        sys.program.run(half.components, ops, 1, keep=True)
+        assert len(calls) == sum(t is not Var for _, t, _, _ in sys.program._steps[1][1])
+    # the fields' nodes come first: nothing of a linear field's derivatives varies
+    assert max(varying) <= max(linear.program.roots[: 2 + 2 * linear.m])
+    assert linear.program._steps[1][1] == ()
 
 
 def test_compile_field_matches_eval_point():

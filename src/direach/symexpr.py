@@ -488,15 +488,15 @@ class Program:
         self._steps[None] = steps(set(range(len(code))))
         self._kept: dict = {}
 
-    def run(self, args: Sequence, ops: dict, block: int | None = None, keep: bool = False, scalars: bool = False) -> list:
+    def run(self, args: Sequence, ops: dict, block: int | None = None, keep: str = "", scalars: bool = False) -> list:
         """The values of the slots that block's roots need, or of all: x<i>
         is args[i-1], a Const ops[Const](value, args), a Pow ops[Pow](base,
         n), any other node ops[type] of its operands; with scalars, a Const
-        with True is its float.  With keep (for a domain whose Const ignores
-        args) the slots with no Var below are evaluated once, then kept."""
+        with True is its float.  keep names a domain whose Const ignores
+        args: its slots with no Var below are evaluated once, then kept."""
         constant, varying = self._steps[block]
         fresh = ([None] * len(self.code), set())
-        known, done = self._kept.setdefault(ops[Const], fresh) if keep else fresh
+        known, done = self._kept.setdefault(keep, fresh) if keep else fresh
         if block not in done:
             _execute(known, [ins for ins in constant if known[ins[0]] is None], args, ops, scalars)
             done.add(block)
@@ -534,15 +534,15 @@ _INTERVAL_OPS = {**ARITH_OPS, Const: lambda v, args: Interval.point(v), Sin: iv_
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> float:
-    return Program(((e,),)).run([float(v) for v in x], _POINT_OPS, keep=True)[-1]
+    return Program(((e,),)).run([float(v) for v in x], _POINT_OPS, keep="point")[-1]
 
 
 def eval_interval(e: Expr | Program, x: Box, block: int | None = None):
     """Natural interval extension over x: an Interval enclosing {e(p) : p
     in x}, or of a program the slot values of one run (Program.run)."""
     if isinstance(e, Program):
-        return e.run(x.components, _INTERVAL_OPS, block, keep=True)
-    return Program(((e,),)).run(x.components, _INTERVAL_OPS, keep=True)[-1]
+        return e.run(x.components, _INTERVAL_OPS, block, keep="interval")
+    return Program(((e,),)).run(x.components, _INTERVAL_OPS, keep="interval")[-1]
 
 
 def max_var_index(e: Expr) -> int:

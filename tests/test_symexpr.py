@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -547,6 +548,8 @@ def test_compute_bounds_memo_matches_unmemoized(sys, box):
         assert [v.hex() for v in local_rates(sys, box, w_sups)] == [v.hex() for v in rates]
         want = _reference_field(sys, lambda e: eval_interval(e, box), inputs)
         assert _iv_bits(sys.rhs_interval(box, inputs)) == _iv_bits(want)
+    # the kept constants do not stop a system from pickling
+    assert _bound_bits(compute_bounds(pickle.loads(pickle.dumps(sys)), box)) == _bound_bits(bounds)
     exprs = [*sys.f, *(e for gi in sys.g for e in gi)]
     for d in (sys.df, sys.dg, sys.d2f, sys.d2g):
         exprs += [e for e in np.ravel(np.array(d, dtype=object))]
@@ -674,11 +677,11 @@ def test_program_evaluates_each_node_once():
                 # a zero derivative entry is the one interned +0.0
                 walk(Const(0.0) if _is_zero(e) and block not in (sys.f, sys.g) else e)
         ops, calls = _counting(symexpr._INTERVAL_OPS)
-        first = sys.program.run(box.components, ops, keep=True)
+        first = sys.program.run(box.components, ops, keep="counting")
         assert len(calls) == len(distinct)
         del calls[:]
         half = Box(tuple(Interval(c.lo, c.mid) for c in box))
-        second = sys.program.run(half.components, ops, keep=True)
+        second = sys.program.run(half.components, ops, keep="counting")
         constant, varying = sys.program._steps[None]
         varying = [i for i, t, _, _ in varying if t is not Var]
         assert len(calls) == len(varying) < len(distinct)
@@ -686,7 +689,7 @@ def test_program_evaluates_each_node_once():
         assert second == sys.program.run(half.components, symexpr._INTERVAL_OPS)
         # the Jacobians' block evaluates only the nodes its roots need
         del calls[:]
-        sys.program.run(half.components, ops, 1, keep=True)
+        sys.program.run(half.components, ops, 1, keep="counting")
         assert len(calls) == sum(t is not Var for _, t, _, _ in sys.program._steps[1][1])
     # the fields' nodes come first: nothing of a linear field's derivatives varies
     assert max(varying) <= max(linear.program.roots[: 2 + 2 * linear.m])

@@ -960,7 +960,7 @@ def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
 
 
 def _model_div(a: PolynomialModel, b) -> PolynomialModel:
-    v = b if type(b) is float else b._scalar()  # a divisor Const comes as its float
+    v = b._scalar() if isinstance(b, PolynomialModel) else b  # a divisor Const comes as its value
     if v is not None:  # an exact constant: scale
         if v == 0.0:
             raise IntervalDomainError("division by a zero model")

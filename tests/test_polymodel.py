@@ -19,7 +19,7 @@ from direach.polymodel import (
     VectorModel,
     compose_expr,
 )
-from direach.symexpr import InputAffineSystem, Program, parse
+from direach.symexpr import Const, Div, InputAffineSystem, Mul, Program, Var, parse
 
 V2 = (VarInfo(Role.STATE, axis=0), VarInfo(Role.STATE, axis=1))
 
@@ -208,6 +208,9 @@ def test_compose_division_by_exact_constant_scales():
     neg = compose_expr(parse("x1/(-3)"), args)
     assert unpack(neg) == {k: -c for k, c in unpack(by_const).items()}
     assert neg.error == by_const.error
+    # a Const built with an int value scales as its float does
+    for e, text in ((Div(Var(1), Const(3)), "x1/3"), (Mul(Const(3), Var(1)), "3*x1")):
+        assert _bits(compose_expr(e, args)) == _bits(compose_expr(parse(text), args))
     # a model that is exactly zero cannot divide
     for text in ("x1/0", "x1/(x2 - x2)"):
         with pytest.raises(IntervalDomainError):

@@ -442,9 +442,9 @@ class Program:
     slot.  Instruction i is (i, type, a, b): a Var's index, a Const's value,
     a Pow's base slot and exponent, or the operands' slots (b None for one).
     A Const whose every use scales another operand (the left factor of a
-    product or the divisor of a quotient whose other operand is no Const,
-    or a root at a position in factors, which the caller only multiplies
-    on the left) has True in b."""
+    product or the divisor of a quotient beside a non-Const, or a root of
+    the first block, the one scalar runs are for, at a position in factors,
+    which the caller only multiplies on the left) has True in b."""
 
     __slots__ = ("code", "roots", "_steps", "_kept")
 
@@ -465,7 +465,7 @@ class Program:
         roots = [[place(e) for e in block] for block in blocks]
         self.roots = tuple(s for block in roots for s in block)
         scalar = {s for s, t, _, _ in code if t is Const}
-        scalar.difference_update(s for k, s in enumerate(self.roots) if k not in factors)
+        scalar.difference_update(s for k, s in enumerate(roots[0]) if k not in factors)
         for _, t, a, b in code:
             if t is Mul and code[b][1] is not Const or t is Div and code[a][1] is not Const:
                 continue  # a left factor or a divisor beside a non-Const may scale
@@ -534,7 +534,7 @@ _INTERVAL_OPS = {**ARITH_OPS, Const: lambda v, args: Interval.point(v), Sin: iv_
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> float:
-    return Program(((e,),)).run([float(v) for v in x], _POINT_OPS, keep="point")[-1]
+    return Program(((e,),)).run([float(v) for v in x], _POINT_OPS)[-1]
 
 
 def eval_interval(e: Expr | Program, x: Box, block: int | None = None):
@@ -660,9 +660,9 @@ class InputAffineSystem:
 
     def field(self, vals: Sequence, inputs: Sequence) -> list:
         """f(x) + sum_k g_k(x) u_k per component in one domain: vals are the
-        slot values of a run of the program through the fields, inputs[k] is
-        u_k.  Input fields that are the constant 0 are skipped: their product
-        and sum change nothing."""
+        slot values of a run of the program for its fields (block 0), inputs[k]
+        is u_k.  Input fields that are the constant 0 are skipped: their
+        product and sum change nothing."""
         f, g = self._slots[:2]
         out = []
         for c in range(self.n):

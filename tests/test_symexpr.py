@@ -645,7 +645,8 @@ def _model_bits(model):
 
 
 def _counting(ops):
-    """A copy of the op table that counts its calls in .calls."""
+    """(a copy of the op table ops that records each call, the list of
+    the node types called)."""
     calls = []
 
     def counted(t, op):

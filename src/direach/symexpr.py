@@ -6,9 +6,10 @@ need: variables x1..xn, decimal literals, + - * /, integer powers with ^,
 and sin/cos/exp.  Differentiation is exact.  Evaluation over points, over boxes
 (natural interval extension), over numpy columns (mc) and over polynomial
 models (polymodel.compose_expr) is a run of one Program, a flat list of the
-distinct nodes, with a table of operations per domain; a lone expression is
-a one-root program.  InputAffineSystem.field assembles f + sum_k g_k u_k
-from a run in any of them.
+distinct subtrees, told apart by structure alone, with a table of operations
+per domain; a lone expression is a one-root program.  A system's program is
+also where its expressions are checked.  InputAffineSystem.field assembles
+f + sum_k g_k u_k from a run in any of them.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ __all__ = [
     "ARITH_OPS",
     "eval_point",
     "eval_interval",
-    "max_var_index",
     "InputAffineSystem",
     "StepErrorBounds",
     "compute_bounds",
@@ -436,30 +436,37 @@ _BINARY = frozenset((Add, Sub, Mul, Div))
 
 
 class Program:
-    """The distinct nodes under blocks of root expressions as one list of
+    """The distinct subtrees under blocks of root expressions as one list of
     instructions in topological order, the "tape" of algorithmic
     differentiation (Griewank & Walther, 2008); roots holds every root's
     slot.  Instruction i is (i, type, a, b): a Var's index, a Const's value,
     a Pow's base slot and exponent, or the operands' slots (b None for one).
-    A Const whose every use scales another operand (the left factor of a
-    product or the divisor of a quotient beside a non-Const, or a root of
-    the first block, the one scalar runs are for, at a position in factors,
-    which the caller only multiplies on the left) has True in b."""
+    Subtrees of equal structure (type, operand slots, and the type and
+    value of each other field) share a slot whether or not they are one
+    object; floats are told apart by their bits, so 0.0 and -0.0 are two
+    slots.  A Const whose every use scales another operand (the left factor
+    of a product or the divisor of a quotient beside a non-Const, or a root
+    of the first block, the one scalar runs are for, at a position in
+    factors, which the caller only multiplies on the left) has True in b."""
 
     __slots__ = ("code", "roots", "_steps", "_kept")
 
     def __init__(self, blocks: Sequence[Sequence[Expr]], factors: Sequence[int] = ()):
-        slots: dict[int, int] = {}  # id(node) -> slot, while blocks keeps the nodes alive
+        slots: dict = {}  # structure -> slot
+        seen: dict[int, int] = {}  # id(node) -> slot, while blocks keeps the nodes alive
         code, varies = [], []  # per slot: [slot, type, a, b], and whether a Var is below
 
         def place(e: Expr) -> int:
-            s = slots.get(id(e))
+            s = seen.get(id(e))
             if s is None:
                 parts = [getattr(e, name) for name in e._fields]
                 kids = [place(p) for p in parts if isinstance(p, Expr)]
-                s = slots[id(e)] = len(code)
-                code.append([s, type(e), *kids, *(p for p in parts if not isinstance(p, Expr)), None][:4])
-                varies.append(type(e) is Var or any(varies[k] for k in kids))
+                other = [p for p in parts if not isinstance(p, Expr)]
+                key = (type(e), *kids, *((type(p), p.hex() if isinstance(p, float) else p) for p in other))
+                s = seen[id(e)] = slots.setdefault(key, len(code))
+                if s == len(code):
+                    code.append([s, type(e), *kids, *other, None][:4])
+                    varies.append(type(e) is Var or any(varies[k] for k in kids))
             return s
 
         roots = [[place(e) for e in block] for block in blocks]
@@ -545,28 +552,6 @@ def eval_interval(e: Expr | Program, x: Box, block: int | None = None):
     return Program(((e,),)).run(x.components, _INTERVAL_OPS, keep="interval")[-1]
 
 
-def max_var_index(e: Expr) -> int:
-    return max((a for _, t, a, _ in Program(((e,),)).code if t is Var), default=0)
-
-
-def _intern(e: Expr, table: dict) -> Expr:
-    """e rebuilt so that, among all expressions interned into the same
-    table, equal subtrees are one object.  It walks each node's field
-    slots, in the order of its constructor's parameters.  Constants are
-    told apart by their bits, so 0.0 and -0.0 stay two nodes."""
-    parts = [getattr(e, name) for name in e._fields]
-    parts = [_intern(p, table) if isinstance(p, Expr) else p for p in parts]
-    key = (type(e),) + tuple(
-        id(p) if isinstance(p, Expr) else p.hex() if isinstance(p, float) else p for p in parts
-    )
-    node = table.get(key)
-    if node is None:
-        # the table keeps node, and so its interned children, alive: the
-        # child ids in the keys stay unique
-        node = table[key] = type(e)(*parts)
-    return node
-
-
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
@@ -579,14 +564,17 @@ class InputAffineSystem:
     """System dx/dt = f(x) + sum_i g_i(x) v_i(t) with |v_i| <= V_i.
 
     Drift and input fields are expression vectors over x1..xn; their first
-    and second derivatives are prepared once at construction.  Fields and
-    derivatives are interned together, so that a subterm they share is one
-    object, and compiled into one Program of three blocks: the fields (f,
-    then every g_k), the Jacobians and the second derivatives (a zero entry
-    is the interned +0.0).  Each box (rhs_interval, jacobians,
-    compute_bounds) and each Picard iterate (flow) is one run; after the
-    first box no constant subtree, such as a linear field's Jacobian, is
-    evaluated again.
+    and second derivatives are prepared once at construction and compiled
+    into one Program of three blocks: the fields (f, then every g_k), the
+    Jacobians and the second derivatives (a zero entry is +0.0).  A subtree
+    that fields and derivatives share is one slot of it.  Each box
+    (rhs_interval, jacobians, compute_bounds) and each Picard iterate (flow)
+    is one run; after the first box no constant subtree, such as a linear
+    field's Jacobian, is evaluated again.
+
+    Construction raises ValueError on a variable other than x1..xn (x0
+    included), a constant that is not a finite float and a power whose
+    exponent is not an int, each named in the message.
     """
 
     def __init__(
@@ -596,16 +584,13 @@ class InputAffineSystem:
         inputs: Sequence[Sequence[Expr | str]] = (),
         magnitudes: Sequence[float] = (),
     ):
-        table: dict = {}
-
-        def _coerce(e):
-            return _intern(parse(e) if isinstance(e, str) else e, table)
-
         self.n = int(dim)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        self.f: tuple[Expr, ...] = tuple(_coerce(e) for e in drift)
-        self.g: tuple[tuple[Expr, ...], ...] = tuple(tuple(_coerce(e) for e in gi) for gi in inputs)
+        self.f: tuple[Expr, ...] = tuple(parse(e) if isinstance(e, str) else e for e in drift)
+        self.g: tuple[tuple[Expr, ...], ...] = tuple(
+            tuple(parse(e) if isinstance(e, str) else e for e in gi) for gi in inputs
+        )
         self.V: tuple[float, ...] = tuple(float(v) for v in magnitudes)
         if len(self.f) != self.n:
             raise ValueError(f"drift has {len(self.f)} components, expected {self.n}")
@@ -617,28 +602,28 @@ class InputAffineSystem:
         if not all(0 < v < math.inf for v in self.V):
             raise ValueError("input magnitudes must be positive")
         n = self.n
-
-        def _d(e, j):
-            return _intern(diff(e, j), table)
-
-        self.df = tuple(tuple(_d(self.f[i], j + 1) for j in range(n)) for i in range(n))
-        self.dg = tuple(tuple(tuple(_d(gi[i], j + 1) for j in range(n)) for i in range(n)) for gi in self.g)
+        self.df = tuple(tuple(diff(self.f[i], j + 1) for j in range(n)) for i in range(n))
+        self.dg = tuple(tuple(tuple(diff(gi[i], j + 1) for j in range(n)) for i in range(n)) for gi in self.g)
         self.d2f = tuple(
-            tuple(tuple(_d(self.df[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n)
+            tuple(tuple(diff(self.df[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n)
         )
         self.d2g = tuple(
-            tuple(tuple(tuple(_d(dgi[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n))
+            tuple(tuple(tuple(diff(dgi[i][j], k + 1) for k in range(n)) for j in range(n)) for i in range(n))
             for dgi in self.dg
         )
 
-        zero = _intern(Const(0.0), table)
+        zero = Const(0.0)
         fields = [e for gi in (self.f, *self.g) for e in gi]
         jac = [zero if _is_zero(e) else e for d in (self.df, *self.dg) for row in d for e in row]
         hess = [zero if _is_zero(e) else e for d in (self.d2f, *self.d2g) for p in d for row in p for e in row]
         self.program = Program((fields, jac, hess), factors=range(n, len(fields)))
-        if any(t is Var and a > n for _, t, a, _ in self.program.code):
-            e = next(e for e in fields if max_var_index(e) > n)
-            raise ValueError(f"expression {e} references a variable beyond x{n}")
+        for _, t, a, b in self.program.code:
+            if t is Var and not (type(a) is int and 1 <= a <= n):
+                raise ValueError(f"variable x{a} is not one of x1..x{n}")
+            if t is Const and not (isinstance(a, float) and math.isfinite(a)):
+                raise ValueError(f"constant {a!r} is not a finite float")
+            if t is Pow and type(b) is not int:
+                raise ValueError(f"exponent {b!r} is not an int")
         slots = iter(self.program.roots)
 
         def rows(k):  # the next k rows of n root slots

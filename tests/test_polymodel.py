@@ -273,9 +273,8 @@ def test_compose_elementary_soundness_fuzz():
 
 
 def test_compose_program_bit_identical():
-    # sin(x3) and cos(x3) recur across the fields; InputAffineSystem interns
-    # them into one object each, so one run of its program composes each
-    # of them once
+    # sin(x3) and cos(x3) recur across the fields; the system's program
+    # gives each one slot, so one run of it composes each of them once
     sys = InputAffineSystem(
         3,
         ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "sin(x3)*cos(x3) - sin(x3)^2"],
@@ -308,11 +307,11 @@ def _bits(model):
 
 
 def test_compose_power_table_shared_bit_identical(monkeypatch):
-    # sin, cos, exp and the reciprocals of one interned argument expand it
+    # sin, cos, exp and the reciprocals of one shared argument expand it
     # once per argument model, and each result equals its composition alone
     arg = "(2 + 0.3*x1 - 0.2*x1*x2 + 0.05*x3^2)"
     texts = [f"sin{arg}", f"cos{arg}", f"exp{arg}", f"1/{arg}", f"{arg}^-2"]
-    sys = InputAffineSystem(len(texts), texts)  # interns the argument: one node
+    sys = InputAffineSystem(len(texts), texts)  # the argument is one slot
     vars3 = tuple(VarInfo(Role.STATE, axis=i) for i in range(3))
     args = VectorModel(
         tuple(

@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from direach.interval import (
     IntervalMatrix,
     _add_up,
     _mul_up,
+    iv_sin,
     lognorm_inf,
     mat_inf_norm,
     row_abs_sums,
@@ -413,18 +415,67 @@ def test_system_validation():
         InputAffineSystem(2, ["x1"])
 
 
-def test_system_interns_equal_subtrees():
+def _rejected(drift, name):
+    """drift, and drift as an input field, are each rejected at
+    construction with name in the message."""
+    with pytest.raises(ValueError, match=re.escape(name)):
+        InputAffineSystem(2, drift)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        InputAffineSystem(2, ["x1", "x2"], [drift], [0.1])
+
+
+def test_system_rejects_variables_other_than_x1_to_xn():
+    # x0 would be args[-1], the last state, in every domain alike
+    for drift, name in [([Var(0), Var(1)], "x0"), ([Var(1.0), Var(2)], "x1.0"), ([Var(True), Var(2)], "xTrue")]:
+        _rejected(drift, name)
+    _rejected(["x1", "x3"], "x3")
+
+
+def test_system_rejects_constants_that_are_not_finite_floats():
+    _rejected(["1e999*x1", "x2"], "inf")
+    _rejected([Mul(Const(math.nan), Var(1)), "x2"], "nan")
+    _rejected([Add(Var(1), Const(2)), "x2"], "constant 2 ")
+
+
+def test_system_rejects_powers_that_are_not_integer():
+    _rejected([Pow(Var(1), 2.5), "x2"], "2.5")
+    _rejected([Pow(Var(1), True), "x2"], "True")
+
+
+def _slot(code, s, path):
+    """The slot reached from slot s by following operands: a is the first
+    (a Pow's base), b the second."""
+    for name in path:
+        s = code[s]["ab".index(name) + 2]
+    return s
+
+
+def _structures(code):
+    """The program's instructions without their slot numbers (nor a Const's
+    flag), floats as bits."""
+    return [tuple(p.hex() if isinstance(p, float) else p for p in ins[1 : 3 if ins[1] is Const else 4]) for ins in code]
+
+
+def test_system_shares_equal_subtrees():
     texts = ["sin(x3)*x1 + sin(x3)", "2*sin(x3) - x1", "cos(x3)"]
     sys = InputAffineSystem(3, texts, [["cos(x3)", "sin(x3)", "0"]], [0.1])
     a, b, c = sys.f
     assert list(sys.f) == [parse(t) for t in texts]
-    assert a.a.a is a.b is b.a.b is sys.g[0][1]
-    assert b.b is a.a.b
-    assert c is sys.g[0][0]
+    assert a.a.a is not a.b  # parsed apart: equal, but two objects
+    code = sys.program.code
+    ra, rb, rc, g0, g1, _ = sys.program.roots[:6]
+    assert _slot(code, ra, "aa") == _slot(code, ra, "b") == _slot(code, rb, "ab") == g1
+    assert _slot(code, rb, "b") == _slot(code, ra, "ab")
+    assert rc == g0
+    # no two slots hold the same structure
+    assert len(set(_structures(code))) == len(code)
     # constants are told apart by their bits
     sys = InputAffineSystem(2, [Mul(Const(0.0), Var(1)), Mul(Const(-0.0), Var(1))])
-    assert sys.f[0] is not sys.f[1]
-    assert math.copysign(1.0, sys.f[1].a.value) == -1.0
+    code = sys.program.code
+    r0, r1 = sys.program.roots[:2]
+    assert r0 != r1 and _slot(code, r0, "a") != _slot(code, r1, "a")
+    assert math.copysign(1.0, code[_slot(code, r1, "a")][2]) == -1.0
+    assert _slot(code, r0, "b") == _slot(code, r1, "b")
 
 
 def trig3_system():
@@ -436,17 +487,20 @@ def trig3_system():
     )
 
 
-def test_system_interns_derivatives_with_fields():
+def test_system_shares_derivative_slots_with_fields():
     sys = trig3_system()
-    cos3, sin3 = sys.g[1][0], sys.g[1][1]
+    code = sys.program.code
+    f, g, df, dg, d2f, d2g = sys._slots
+    cos3, sin3 = g[1][0], g[1][1]
+    assert sys.df[0][2].b is not sys.g[1][0]  # diff builds its own cos(x3)
     # d/dx3 of 0.3*sin(x3) is 0.3*cos(x3), whose cos(x3) is the input field's
-    assert sys.df[0][2].b is cos3
-    assert sys.dg[1][1][2] is cos3
-    assert sys.dg[1][0][2].a is sin3  # -sin(x3)
-    assert sys.d2g[1][0][2][2].a is cos3  # -cos(x3)
+    assert _slot(code, df[0][2], "b") == cos3
+    assert dg[1][1][2] == cos3
+    assert _slot(code, dg[1][0][2], "a") == sin3  # -sin(x3)
+    assert _slot(code, d2g[1][0 * 3 + 2][2], "a") == cos3  # -cos(x3)
     # 0.3*(-sin(x3)) shares the field's Const(0.3) and sin(x3)
-    assert sys.d2f[0][2][2].a is sys.f[0].b.a
-    assert sys.d2f[0][2][2].b.a is sin3
+    assert _slot(code, d2f[0 * 3 + 2][2], "a") == _slot(code, f[0], "ba")
+    assert _slot(code, d2f[0 * 3 + 2][2], "ba") == sin3
 
 
 def _fold(e, args, ops):
@@ -662,20 +716,18 @@ def test_program_evaluates_each_node_once():
     subtree again, so for a linear field only the fields' nodes."""
     linear = InputAffineSystem(2, ["-x1 + 0.5*x2", "-0.5*x1 - x2 + sin(0.3)*2^3"], [["0", "1"]], [0.05])
     for sys, box in [*SHARED_CASES, (linear, VDP_D)]:
-        distinct = set()  # interned nodes are one object each, Consts one per bit pattern
+        distinct = set()  # the structures of the nodes other than Vars, floats as bits
 
         def walk(e):
-            if isinstance(e, Const):
-                distinct.add(e.value.hex())
-            elif not isinstance(e, Var) and id(e) not in distinct:
-                distinct.add(id(e))
-                for c in e._values():
-                    if isinstance(c, Expr):
-                        walk(c)
+            parts = e._values()
+            key = (type(e), *(walk(c) if isinstance(c, Expr) else c.hex() if isinstance(c, float) else c for c in parts))
+            if not isinstance(e, Var):
+                distinct.add(key)
+            return key
 
         for block in (sys.f, sys.g, sys.df, sys.dg, sys.d2f, sys.d2g):
             for e in np.ravel(np.array(block, dtype=object)):
-                # a zero derivative entry is the one interned +0.0
+                # a zero derivative entry is compiled as +0.0
                 walk(Const(0.0) if _is_zero(e) and block not in (sys.f, sys.g) else e)
         ops, calls = _counting(symexpr._INTERVAL_OPS)
         first = sys.program.run(box.components, ops, keep="counting")
@@ -695,6 +747,28 @@ def test_program_evaluates_each_node_once():
     # the fields' nodes come first: nothing of a linear field's derivatives varies
     assert max(varying) <= max(linear.program.roots[: 2 + 2 * linear.m])
     assert linear.program._steps[1][1] == ()
+
+
+def test_equal_subtrees_apart_are_evaluated_once(monkeypatch):
+    """sin(x1) + sin(x1) from two separate objects evaluates sin once."""
+    ops, calls = _counting(symexpr._INTERVAL_OPS)
+    monkeypatch.setattr(symexpr, "_INTERVAL_OPS", ops)
+    box = Box.from_bounds([(0.1, 0.4)])
+    got = eval_interval(Add(Sin(Var(1)), Sin(Var(1))), box)
+    assert calls.count(Sin) == 1
+    x1 = box.components[0]
+    assert got == iv_sin(x1) + iv_sin(x1)
+
+
+def test_shared_dag_compiles_linearly():
+    """A 40-level DAG that reuses each level twice is 41 slots, compiled
+    by a walk over its 41 objects and not over its 2^41 - 1 tree nodes."""
+    e = Var(1)
+    for _ in range(40):
+        e = Add(e, e)
+    program = Program(((e,),))
+    assert len(program.code) == 41 and program.roots == (40,)
+    assert eval_interval(e, Box.from_bounds([(1.0, 2.0)])) == Interval(2.0**40, 2.0**41)
 
 
 def test_compile_field_matches_eval_point():

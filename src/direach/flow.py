@@ -1,11 +1,14 @@
 """Validated single-step flow of the surrogate system.
 
 apriori_bound certifies a box containing all trajectories over one step for
-every admissible input (true or surrogate); picard_flow then iterates the
-integral operator P on polynomial models and converts the final Picard
-residual into a rigorous remainder via the Banach fixed-point bound, with
-the incoming model error propagated separately at the local logarithmic-norm
-rate.
+every admissible input (true or surrogate): once a trial box B satisfies
+X + [0,h] * F(B) inside B, every solution from X stays in B on [0,h], and by
+the integral form x(t) = x(0) + int_0^t F(x(s)) ds it lies in
+X + [0,h] * F(B) itself (Lohner 1987; Nedialkov, Jackson & Corliss 1999).
+picard_flow then iterates the integral operator P on polynomial models and
+converts the final Picard residual into a rigorous remainder via the Banach
+fixed-point bound, with the incoming model error propagated separately at
+the local logarithmic-norm rate.
 
 Only the last iterate is certified.  The Banach bound needs one function y,
 a certified enclosure y_next of P(y) and a residual rho >= ||P(y) - y||; it
@@ -75,8 +78,10 @@ class StepGeometry(_Immutable):
 
 
 class AprioriBound(_Immutable):
-    """Box certified to contain all step trajectories: the self-mapping
-    inclusion X + [0,h] * RHS(box, inputs) inside box has been verified."""
+    """Box certified to contain all step trajectories: X + [0,h] * F(B) for a
+    trial box B that it lies inside, F the field's hull over B and the input
+    ranges.  Self-mapping keeps every solution from X in B on [0,h], and the
+    integral form then keeps it in X + [0,h] * F(B) (Lohner 1987)."""
 
     __slots__ = ("box", "input_ranges")
 
@@ -96,20 +101,18 @@ def input_hull_ranges(sys: InputAffineSystem, scheme: InputScheme) -> tuple[Inte
     return tuple(Interval(-r, r) for r in map(max, sys.V, _w_sups(sys, scheme)))
 
 
+def _failure(what: str, t0: float, exc: Exception | None = None) -> CertificationError:
+    """The module's one certification failure: what failed at t0, and why."""
+    why = "" if exc is None else f" ({exc})"
+    return CertificationError(f"{what} at t={t0:g}{why}; try a smaller step size")
+
+
 def _rhs(sys: InputAffineSystem, box: Box, u, t0: float) -> tuple[Interval, ...]:
     """Field hull on box; a field not bounded there is a certification failure."""
     try:
         return sys.rhs_interval(box, u)
     except IntervalDomainError as exc:
-        raise CertificationError(
-            f"field not bounded on the a-priori box at t={t0:g} ({exc}); try a smaller step size"
-        ) from exc
-
-
-def _try_map(sys: InputAffineSystem, X: Box, box: Box, u, h: float, t0: float) -> Box:
-    rhs = _rhs(sys, box, u, t0)
-    step = Interval(0.0, h)
-    return Box(tuple(X[i] + step * rhs[i] for i in range(sys.n)))
+        raise _failure("field not bounded on the a-priori box", t0, exc) from exc
 
 
 def apriori_bound(
@@ -119,34 +122,22 @@ def apriori_bound(
     geom: StepGeometry,
 ) -> AprioriBound:
     """Certified a-priori bound for one step from X, valid for the original
-    inclusion and for every surrogate of the scheme."""
+    inclusion and for every surrogate of the scheme: X + [0,h] * F(box) for
+    the first trial box it lies inside (see AprioriBound)."""
     u = input_hull_ranges(sys, scheme)
-    h = geom.h
-    rhs0 = _rhs(sys, X, u, geom.t0)
+    h, t0 = geom.h, geom.t0
+    step = Interval(0.0, h)
+    rhs0 = _rhs(sys, X, u, t0)
     box = X.inflate([2.0 * h * r.mag + 1e-14 * max(1.0, r.mag) for r in rhs0])
     for _ in range(_MAX_INFLATIONS):
-        trial = _try_map(sys, X, box, u, h, geom.t0)
+        rhs = _rhs(sys, box, u, t0)
+        trial = Box(tuple(X[i] + step * rhs[i] for i in range(sys.n)))
         if not all(c.is_finite for c in trial):
-            raise CertificationError(
-                f"a-priori bound diverged at t={geom.t0:g}; try a smaller step size"
-            )
+            raise _failure("a-priori bound diverged", t0)
         if box.contains_box(trial):
-            # trial maps into itself as well (inclusion monotonicity); verify
-            refined = _try_map(sys, X, trial, u, h, geom.t0)
-            if trial.contains_box(refined):
-                return AprioriBound(trial, u)
-            return AprioriBound(box, u)
-        merged = box.hull(trial)
-        box = Box(
-            tuple(
-                c.inflate(0.2 * c.rad + 1e-13 * max(1.0, abs(c.mid)))
-                for c in merged
-            )
-        )
-    raise CertificationError(
-        f"no a-priori bound certified within {_MAX_INFLATIONS} inflations at t={geom.t0:g}; "
-        "try a smaller step size"
-    )
+            return AprioriBound(trial, u)
+        box = Box(tuple(c.inflate(0.2 * c.rad + 1e-13 * max(1.0, abs(c.mid))) for c in box.hull(trial)))
+    raise _failure(f"no a-priori bound certified within {_MAX_INFLATIONS} inflations", t0)
 
 
 def local_rates(
@@ -176,28 +167,20 @@ def _padded(box: Box) -> Box:
     )
 
 
-def _rates(sys: InputAffineSystem, box: Box, w_sups: Sequence[float], t0: float) -> tuple[float, float]:
-    """local_rates on the Picard work box; raises CertificationError when the
-    field Jacobian is not finite there."""
+def _rates(
+    sys: InputAffineSystem, box: Box, w_sups: Sequence[float], h: float, t0: float
+) -> tuple[float, float]:
+    """(log-norm rate, Picard contraction factor h*Lip) of the surrogate
+    field on the Picard work box (local_rates); raises CertificationError
+    when the field Jacobian is not finite there or when the Picard operator
+    does not contract."""
     try:
-        return local_rates(sys, box, w_sups)
+        lam_rate, lip_rate = local_rates(sys, box, w_sups)
     except IntervalDomainError as exc:
-        raise CertificationError(
-            f"field rates unbounded on the Picard work box at t={t0:g} ({exc}); "
-            "try a smaller step size"
-        ) from exc
-
-
-def _contraction(rates: tuple[float, float], h: float, t0: float) -> tuple[float, float]:
-    """(log-norm rate, Picard contraction factor h*Lip) from the rates of
-    the surrogate field; raises when the Picard operator does not contract."""
-    lam_rate, lip_rate = rates
+        raise _failure("field rates unbounded on the Picard work box", t0, exc) from exc
     kappa = _mul_up(h, lip_rate)
     if kappa >= 1.0:
-        raise CertificationError(
-            f"Picard operator not contracting (h*Lip = {kappa:g} >= 1) at t={t0:g}; "
-            "try a smaller step size"
-        )
+        raise _failure(f"Picard operator not contracting (h*Lip = {kappa:g} >= 1)", t0)
     return lam_rate, kappa
 
 
@@ -238,7 +221,7 @@ def _picard_core(
     rates: tuple[float, float],
 ) -> VectorModel:
     """One Picard step over [t0, t0 + h]; work_box is _padded(bound.box)
-    and rates are local_rates on it.  Input i's surrogate has its
+    and rates are _rates on it for this h.  Input i's surrogate has its
     parameters at positions[i]; half selects the step scheme's sub-step
     parameter."""
     X0, e_x = _strip_errors(X)
@@ -251,18 +234,14 @@ def _picard_core(
         realize_w(scheme, sys.V[i], vars_t, positions[i], tpos, cap, half=half)
         for i in range(sys.m)
     ]
-
-    lam_rate, kappa = _contraction(rates, h, t0)
+    lam_rate, kappa = rates
 
     def apply_once(y: VectorModel) -> VectorModel:
         try:
             rhs = sys.field(compose_expr(sys.program, y, 0), w_models)
             comps = [Xt[c] + r.antiderivative(tpos) for c, r in enumerate(rhs)]
         except IntervalDomainError as exc:
-            raise CertificationError(
-                f"field not composable on the Picard iterate at t={t0:g} ({exc}); "
-                "try a smaller step size"
-            ) from exc
+            raise _failure("field not composable on the Picard iterate", t0, exc) from exc
         return VectorModel(tuple(comps))
 
     # Error-free iterates: y is one polynomial, y_next a certified enclosure
@@ -278,9 +257,7 @@ def _picard_core(
         except IntervalDomainError:  # the residual overflowed
             rho = math.inf
         if not math.isfinite(rho):
-            raise CertificationError(
-                f"Picard iteration diverged at t={t0:g}; try a smaller step size"
-            )
+            raise _failure("Picard iteration diverged", t0)
         j += 1
         if j >= max_iters or j >= iterations and (
             _banach_remainder(kappa, rho) <= max(c.error for c in y_next)
@@ -296,12 +273,10 @@ def _picard_core(
         # set.  Any superset of the a-priori box bounds the rates, so grow the
         # work box to the tube and bound the rates there.
         work_box = _padded(bound.box.hull(tube))
-        lam_rate, kappa = _contraction(_rates(sys, work_box, w_sups, t0), h, t0)
+        lam_rate, kappa = _rates(sys, work_box, w_sups, h, t0)
         e_flow, tube = _banach_bounds(y, kappa, rho)
     if not work_box.contains_box(tube):
-        raise CertificationError(
-            f"Picard tube escapes the a-priori bound at t={t0:g}; try a smaller step size"
-        )
+        raise _failure("Picard tube escapes the a-priori bound", t0)
 
     e_ic = 0.0
     if e_x > 0.0:
@@ -310,9 +285,7 @@ def _picard_core(
     try:
         out = [y_next[c].substitute_unit(tpos, 1.0).add_error(_add_up(e_flow, e_ic)) for c in range(sys.n)]
     except IntervalDomainError as exc:
-        raise CertificationError(
-            f"step enclosure overflowed at t={t0:g} ({exc}); try a smaller step size"
-        ) from exc
+        raise _failure("step enclosure overflowed", t0, exc) from exc
     return VectorModel(tuple(out))
 
 
@@ -348,13 +321,12 @@ def picard_flow(
     X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X
     positions = [tuple(base + i * p + q for q in range(p)) for i in range(sys.m)]
     w_sups = _w_sups(sys, scheme)
-    # both half steps of the step scheme work on this box: one set of rates
-    rates = _rates(sys, padded, w_sups, geom.t0)
-
     # the step scheme takes two half steps, one per input parameter; the
-    # other schemes one full step
+    # other schemes one full step.  Every (half) step works on this box with
+    # the sub-step, so they share one set of rates.
     halves = (0, 1) if scheme.uses_half_steps else (None,)
     sub = geom.h / len(halves)
+    rates = _rates(sys, padded, w_sups, sub, geom.t0)
     Y = X_ext
     for k, half in enumerate(halves):
         t0 = geom.t0 + k * sub

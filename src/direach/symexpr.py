@@ -7,9 +7,10 @@ and sin/cos/exp.  Differentiation is exact.  Evaluation over points, over boxes
 (natural interval extension), over numpy columns (mc) and over polynomial
 models (polymodel.compose_expr) is a run of one Program, a flat list of the
 distinct subtrees, told apart by structure alone, with a table of operations
-per domain; a lone expression is a one-root program.  A system's program is
-also where its expressions are checked.  InputAffineSystem.field assembles
-f + sum_k g_k u_k from a run in any of them.
+per domain; a lone expression is a one-root program.  A system checks its
+fields on their program before it differentiates them.
+InputAffineSystem.field assembles f + sum_k g_k u_k from a run in any of
+them.
 """
 from __future__ import annotations
 
@@ -114,7 +115,8 @@ class Add(_Binary):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return f"{self.a} + {self.b}"
+        b = f"({self.b})" if isinstance(self.b, (Add, Sub)) else self.b
+        return f"{self.a} + {b}"
 
 
 class Sub(_Binary):
@@ -128,7 +130,7 @@ class Mul(_Binary):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return f"{_paren_term(self.a)}*{_paren_term(self.b)}"
+        return f"{_paren_term(self.a)}*{_paren_factor(self.b)}"
 
 
 class Div(_Binary):
@@ -153,7 +155,8 @@ class Pow(Expr):
         _set(self, "exponent", exponent)
 
     def __str__(self) -> str:
-        return f"{_paren_factor(self.base)}^{self.exponent}"
+        base = f"({self.base})" if isinstance(self.base, Pow) else _paren_factor(self.base)
+        return f"{base}^{self.exponent}"
 
 
 class Sin(_Unary):
@@ -287,6 +290,11 @@ class _Parser:
                 return e
 
     def _power(self) -> Expr:
+        # a sign after an operator binds looser than ^, as at the start
+        kind, value = self._peek()
+        if kind == "op" and value == "-":
+            self._next()
+            return Neg(self._power())
         base = self._atom()
         kind, value = self._peek()
         if kind == "op" and value == "^":
@@ -328,8 +336,6 @@ class _Parser:
             if kind2 != "op" or value2 != ")":
                 self._fail_here("expected ')'")
             return e
-        if kind == "op" and value == "-":
-            return Neg(self._atom())
         self._fail_here("unexpected end of input" if kind == "end" else f"unexpected {value!r}")
 
 
@@ -433,6 +439,8 @@ def diff(e: Expr, j: int) -> Expr:
 
 
 _BINARY = frozenset((Add, Sub, Mul, Div))
+# how many of a node's leading fields are operands, where not all of them are
+_OPERANDS = {Var: 0, Const: 0, Pow: 1}
 
 
 class Program:
@@ -443,11 +451,13 @@ class Program:
     a Pow's base slot and exponent, or the operands' slots (b None for one).
     Subtrees of equal structure (type, operand slots, and the type and
     value of each other field) share a slot whether or not they are one
-    object; floats are told apart by their bits, so 0.0 and -0.0 are two
-    slots.  A Const whose every use scales another operand (the left factor
-    of a product or the divisor of a quotient beside a non-Const, or a root
-    of the first block, the one scalar runs are for, at a position in
-    factors, which the caller only multiplies on the left) has True in b."""
+    object; other fields are told apart by their repr, which tells floats
+    apart by their bits, so 0.0 and -0.0 are two slots.  An operand that is
+    not an Expr raises ValueError.  A Const whose every use scales another
+    operand (the left factor of a product or the divisor of a quotient
+    beside a non-Const, or a root of the first block, the one scalar runs
+    are for, at a position in factors, which the caller only multiplies on
+    the left) has True in b."""
 
     __slots__ = ("code", "roots", "_steps", "_kept")
 
@@ -457,12 +467,14 @@ class Program:
         code, varies = [], []  # per slot: [slot, type, a, b], and whether a Var is below
 
         def place(e: Expr) -> int:
+            if not isinstance(e, Expr):
+                raise ValueError(f"{e!r} is not an Expr")
             s = seen.get(id(e))
             if s is None:
                 parts = [getattr(e, name) for name in e._fields]
-                kids = [place(p) for p in parts if isinstance(p, Expr)]
-                other = [p for p in parts if not isinstance(p, Expr)]
-                key = (type(e), *kids, *((type(p), p.hex() if isinstance(p, float) else p) for p in other))
+                k = _OPERANDS.get(type(e), len(parts))
+                kids, other = [place(p) for p in parts[:k]], parts[k:]
+                key = (type(e), *kids, *((type(p), repr(p)) for p in other))
                 s = seen[id(e)] = slots.setdefault(key, len(code))
                 if s == len(code):
                     code.append([s, type(e), *kids, *other, None][:4])
@@ -572,9 +584,11 @@ class InputAffineSystem:
     is one run; after the first box no constant subtree, such as a linear
     field's Jacobian, is evaluated again.
 
-    Construction raises ValueError on a variable other than x1..xn (x0
-    included), a constant that is not a finite float and a power whose
-    exponent is not an int, each named in the message.
+    Construction raises ValueError on an operand that is not an Expr, a
+    variable other than x1..xn (x0 included), a constant that is not a
+    finite float and a power whose exponent is not an int of magnitude at
+    most 2**53 (so that its derivative's factor is exact), each named in the
+    message.  The fields are checked before they are differentiated.
     """
 
     def __init__(
@@ -602,6 +616,15 @@ class InputAffineSystem:
         if not all(0 < v < math.inf for v in self.V):
             raise ValueError("input magnitudes must be positive")
         n = self.n
+        fields = [e for gi in (self.f, *self.g) for e in gi]
+        # checked before diff, so that every derivative is built from checked nodes
+        for _, t, a, b in Program((fields,)).code:
+            if t is Var and not (type(a) is int and 1 <= a <= n):
+                raise ValueError(f"variable x{a} is not one of x1..x{n}")
+            if t is Const and not (isinstance(a, float) and math.isfinite(a)):
+                raise ValueError(f"constant {a!r} is not a finite float")
+            if t is Pow and not (type(b) is int and abs(b) <= 2**53):
+                raise ValueError(f"exponent {b!r} is not an int of magnitude at most 2**53")
         self.df = tuple(tuple(diff(self.f[i], j + 1) for j in range(n)) for i in range(n))
         self.dg = tuple(tuple(tuple(diff(gi[i], j + 1) for j in range(n)) for i in range(n)) for gi in self.g)
         self.d2f = tuple(
@@ -613,17 +636,9 @@ class InputAffineSystem:
         )
 
         zero = Const(0.0)
-        fields = [e for gi in (self.f, *self.g) for e in gi]
         jac = [zero if _is_zero(e) else e for d in (self.df, *self.dg) for row in d for e in row]
         hess = [zero if _is_zero(e) else e for d in (self.d2f, *self.d2g) for p in d for row in p for e in row]
         self.program = Program((fields, jac, hess), factors=range(n, len(fields)))
-        for _, t, a, b in self.program.code:
-            if t is Var and not (type(a) is int and 1 <= a <= n):
-                raise ValueError(f"variable x{a} is not one of x1..x{n}")
-            if t is Const and not (isinstance(a, float) and math.isfinite(a)):
-                raise ValueError(f"constant {a!r} is not a finite float")
-            if t is Pow and type(b) is not int:
-                raise ValueError(f"exponent {b!r} is not an int")
         slots = iter(self.program.roots)
 
         def rows(k):  # the next k rows of n root slots

@@ -105,6 +105,20 @@ def test_only_polymodel_reads_a_models_store():
     assert readers == {"polymodel.py"}
 
 
+def test_flow_builds_certification_errors_in_one_place():
+    """Every certification failure of flow has its message built by one
+    helper: the module calls CertificationError(...) in exactly one place,
+    the one place to change when a failure reports more (which check, at
+    what time, by what margin)."""
+    tree = ast.parse((Path(direach.__file__).parent / "flow.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "CertificationError"
+    ]
+    assert len(calls) == 1, calls
+
+
 _IV = Interval(-0.5, 1.25)
 _X1, _C = Var(1), Const(-2.5)
 _VARS = (VarInfo(Role.STATE, axis=0), VarInfo(Role.TIME, radius=0.1))

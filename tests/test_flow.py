@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -83,6 +84,74 @@ def test_apriori_exp_overflow_raises_certification_error():
     sys = InputAffineSystem(1, ["-exp(x1)"])
     with pytest.raises(CertificationError, match="not bounded"):
         apriori_bound(sys, Box.from_bounds([(709.5, 709.9)]), ZERO, StepGeometry(0.0, 1e-3))
+
+
+# the fields of two benchmark workloads, with their scheme, step size, a
+# step size that needs more inflation rounds, and a box around their start
+APRIORI_WORKLOADS = {
+    "vdp-affine-deg5": (
+        InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05]),
+        AFFINE, (0.01, 0.15), Box.from_bounds([(1.99, 2.01), (-0.01, 0.01)]),
+    ),
+    "trig3-step": (
+        InputAffineSystem(
+            3,
+            ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "-x3 + 0.5*x1"],
+            [["0", "0", "1"], ["cos(x3)", "sin(x3)", "0"]],
+            [0.05, 0.05],
+        ),
+        STEP, (0.02, 0.4), Box.from_bounds([(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k, calls", [("vdp-affine-deg5", 0, 3), ("trig3-step", 0, 2), ("trig3-step", 1, 5)])
+def test_apriori_bound_checks_each_trial_box_once(monkeypatch, name, k, calls):
+    """apriori_bound evaluates the field 1 + r times for r inflation rounds:
+    once on X, then once per trial box B, and returns X + [0,h] * F(B) for
+    the first B that holds it, without evaluating the field again.  The
+    first trial box of trig3-step at its own step maps into itself; the
+    others need two rounds or more."""
+    sys, scheme, steps, X = APRIORI_WORKLOADS[name]
+    h = steps[k]
+    boxes = []
+    rhs_interval = InputAffineSystem.rhs_interval
+    monkeypatch.setattr(InputAffineSystem, "rhs_interval", lambda s, box, u: boxes.append(box) or rhs_interval(s, box, u))
+    bound = apriori_bound(sys, X, scheme, StepGeometry(0.0, h))
+    monkeypatch.undo()
+    u = input_hull_ranges(sys, scheme)
+    assert boxes[0] == X and bound.input_ranges == u
+    step = Interval(0.0, h)
+    trials = [Box(tuple(x + step * r for x, r in zip(X, sys.rhs_interval(B, u)))) for B in boxes[1:]]
+    assert [B.contains_box(T) for B, T in zip(boxes[1:], trials)] == [False] * (len(trials) - 1) + [True]
+    assert bound.box == trials[-1] and len(boxes) == calls
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in sorted(APRIORI_WORKLOADS) for k in (0, 1)])
+def test_apriori_bound_holds_every_trajectory(name, k):
+    """X + [0,h] * F(B), returned once B holds it, contains every
+    trajectory of the inclusion over the step, at the workload's own step
+    size and at one that needs more inflation rounds: RK4 from the corners
+    and random points of X, each with its inputs held at a corner of +-V
+    or drawn at random per piece of [0, h], stays in the box at every
+    substep (1e-12 slack for RK4 rounding)."""
+    sys, scheme, steps, X = APRIORI_WORKLOADS[name]
+    h, pieces, substeps = steps[k], 20, 10
+    box = apriori_bound(sys, X, scheme, StepGeometry(0.0, h)).box
+    rng = np.random.default_rng(97 + k)
+    rhs = compile_field(sys)
+    V = np.array(sys.V)
+    corners = list(itertools.product(*[(c.lo, c.hi) for c in X]))
+    starts = corners + [[rng.uniform(c.lo, c.hi) for c in X] for _ in range(16)]
+    held = [np.array(s) * V for s in itertools.product((-1.0, 1.0), repeat=sys.m)] + [None] * 4
+    x = np.array([x0 for x0 in starts for _ in held], dtype=float)
+    lo = np.array([c.lo for c in box]) - 1e-12
+    hi = np.array([c.hi for c in box]) + 1e-12
+    for _ in range(pieces):
+        u = np.array([v if v is not None else rng.uniform(-1, 1, sys.m) * V for _ in starts for v in held])
+        for _ in range(substeps):
+            x = rk4_segment(rhs, x, u, h / (pieces * substeps), 1)
+            assert ((lo <= x) & (x <= hi)).all()
 
 
 def test_step_geometry_rejects_nan_and_infinite_steps():

@@ -98,6 +98,33 @@ def test_parse_roundtrip_structural():
         assert parse(str(e)) == e
 
 
+def test_parse_minus_after_operator_binds_looser_than_power():
+    # -a^n means -(a^n) after an operator as at the start of an expression
+    assert parse("x1 + -x1^2") == Add(Var(1), Neg(Pow(Var(1), 2)))
+    assert eval_point(parse("x1 + -x1^2"), (3.0,)) == -6.0
+    assert eval_point(parse("2*-x1^2"), (3.0,)) == -18.0
+    e = Add(Var(1), Neg(Pow(Var(1), 2)))
+    assert parse(str(e)) == e
+
+
+def test_parse_str_value_round_trip_fuzz():
+    """str prints a tree that parses to the same value wherever the tree is
+    finite: sums and products associate as printed, a power of a power
+    keeps its parentheses and a minus after an operator keeps its reach."""
+    rng = random.Random(17)
+    checked = 0
+    while checked < 1000:
+        e = _random_expr(rng)
+        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        try:
+            v = eval_point(e, p)
+        except UNDEFINED:
+            continue
+        if math.isfinite(v):
+            assert eval_point(parse(str(e)), p) == v, str(e)
+            checked += 1
+
+
 def test_diff_product():
     assert diff(parse("x1*x2"), 1) == Var(2)
 
@@ -440,6 +467,29 @@ def test_system_rejects_constants_that_are_not_finite_floats():
 def test_system_rejects_powers_that_are_not_integer():
     _rejected([Pow(Var(1), 2.5), "x2"], "2.5")
     _rejected([Pow(Var(1), True), "x2"], "True")
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        (Mul(Var(1), 2.0), "2.0"),
+        (1.0, "1.0"),
+        (Pow(Var(1), "2"), "'2'"),
+        (Const([1.0]), "[1.0]"),
+        ("x1^" + "9" * 400, "9" * 400),
+        (Pow(Var(1), 2**53 + 1), str(2**53 + 1)),
+    ],
+    ids=["float-operand", "float-field", "str-exponent", "list-constant", "400-digit-exponent", "inexact-exponent"],
+)
+def test_system_names_a_malformed_field_before_differentiating(field, name):
+    """A field that is not a well-formed tree raises ValueError naming the
+    value, as a drift and as an input field, before diff sees it: a float
+    where an Expr belongs, an exponent that is not an int or whose factor
+    float(n) in the derivative would be inexact, an unhashable constant."""
+    with pytest.raises(ValueError, match=re.escape(name)):
+        InputAffineSystem(1, [field])
+    with pytest.raises(ValueError, match=re.escape(name)):
+        InputAffineSystem(1, ["x1"], [[field]], [0.1])
 
 
 def _slot(code, s, path):

@@ -47,6 +47,10 @@ bounds the slack and the dropped mass with _grown, which adds one _TINY
 per rounded product or quotient; each slack is a plain-float sum, and that
 bound holds in any summation order.
 
+The _float_* kernels serve polymodel's float domain: the same truncated
+product and antiderivative with no slack, no dropped-mass bound and no
+overflow check, and the powers of a vector without its constant slot.
+
 Overflow: a result slot that overflows is charged an infinite slack, so
 the result's error is infinite and polymodel raises when it builds the
 model.  Only a bincount sum can overflow while each of its contributions,
@@ -309,16 +313,23 @@ def _dense_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, ra
     t = layout.table(position)
     top = len(t.up)
     with np.errstate(over="ignore"):
-        w = v * radius
-        w /= t.div
-        out = np.bincount(t.base, w * t.sign, layout.size)
-        out[t.up] = w[:top]
+        out, w = _antiderivative_terms(v, t, radius, layout.size)
         _check_finite(out)
         np.abs(w, out=w)
         dropped = float(w[top:].sum())
         w *= t.quotient_weight
         slack = float(w.sum())
     return out, dropped, slack
+
+
+def _antiderivative_terms(v: np.ndarray, t: _PositionTable, radius: float, size: int) -> tuple:
+    """(the antiderivative of v through t, the coefficients c * radius /
+    (e + 1) behind it); those of the slots of degree cap drop."""
+    w = v * radius
+    w /= t.div
+    out = np.bincount(t.base, w * t.sign, size)
+    out[t.up] = w[: len(t.up)]
+    return out, w
 
 
 def _dense_substitute_unit(v: np.ndarray, layout: _DenseLayout, position: int, value: float) -> tuple:
@@ -377,3 +388,38 @@ def _dense_sweep(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> 
     swept = np.abs(v[dropped])
     with np.errstate(over="ignore"):
         return v[take], float(swept.sum()), _count(swept)
+
+
+# The float domain's kernels: bare arithmetic on slot vectors, with no slack,
+# no dropped-mass bound and no overflow check (inf and NaN propagate).
+
+
+def _finite(v: np.ndarray) -> bool:
+    return bool(np.isfinite(v).all())
+
+
+def _float_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> np.ndarray:
+    """The truncated product of a and b over the layout's kept-pair table."""
+    I, J, K, _ = layout.pairs()
+    return np.bincount(K, a[I] * b[J], layout.size)
+
+
+def _float_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, radius: float) -> tuple:
+    """The antiderivative of v in the variable at position, of radius
+    radius: (vector, the plain-float magnitude sum of the terms that drop
+    at degree cap)."""
+    t = layout.table(position)
+    out, w = _antiderivative_terms(v, t, radius, layout.size)
+    return out, float(np.abs(w[len(t.up):]).sum())
+
+
+def _float_powers(v: np.ndarray, layout: _DenseLayout) -> np.ndarray:
+    """The rows delta^0 .. delta^cap of delta, v without its constant slot."""
+    rows = np.zeros((layout.cap + 1, layout.size))
+    rows[0, 0] = 1.0
+    if layout.cap:
+        rows[1] = v
+        rows[1, 0] = 0.0
+    for k in range(2, layout.cap + 1):
+        rows[k] = _float_product(rows[k - 1], rows[1], layout)
+    return rows

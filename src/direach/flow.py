@@ -12,23 +12,40 @@ the local logarithmic-norm rate.
 
 Only the last iterate is certified.  The Banach bound needs one function y,
 a certified enclosure y_next of P(y) and a residual rho >= ||P(y) - y||; it
-does not need y to enclose anything.  So each iterate's error band is
-dropped before the next application of P (the polynomial part is computed
-without validation, as in Taylor-model integrators), starting from the
-error-free initial model, and rho is |y_next - y| plus the error of y_next
-alone.  The remainder added to y_next is the Banach term
-e_flow = kappa*rho/(1-kappa), so the iteration stops at the first iterate
-whose e_flow is no bigger than its own error (e_flow <= err(y_next)), when
-rho stalls (rho > 0.7 * previous rho) or vanishes, and after at most
-max(iterations, 4 * (cap + 2)) iterates.  Every failure to certify (no
-contraction, a tube outside the bound, a diverging iterate, a field
-undefined or unbounded where it is evaluated, model arithmetic that
-overflows) raises CertificationError.
+needs neither that y enclose anything nor that it be accurate.  So the
+iterates before the last one run unvalidated in plain floats
+(polymodel.FloatPolynomial; Taylor-model integrators compute the
+polynomial part without validation too, Makino & Berz 2003):
+y <- X + int field(y, w) from y = X, with rho_f the largest coefficient
+magnitude sum of y_next - y over the components.  The float stage stops at
+the first iterate whose float Banach term kappa*rho_f/(1-kappa) is no
+bigger than the mass its antiderivative drops at the cap (which the
+certified iterate charges to its error anyway), when rho_f stalls
+(rho_f > 0.7 * previous) or vanishes, or after max(iterations,
+4 * (cap + 2)) iterates; a float iterate that is not finite is a
+certification failure.  It runs only when X's components carry slot
+vectors (polymodel.carries_slot_vectors): dict models never reached the
+product's pair-count threshold, and there the validated dict loops cost
+less than numpy calls, so the validated loop starts from X itself.
+
+The validated loop then applies P to error-free models, starting from the
+float iterate: each iterate's error band is dropped before the next
+application, and rho is |y_next - y| plus the error of y_next alone.  The
+remainder added to y_next is the Banach term e_flow = kappa*rho/(1-kappa),
+so the loop stops at the first iterate whose e_flow is no bigger than its
+own error (e_flow <= err(y_next)), when rho stalls (rho > 0.7 * previous
+rho) or vanishes, and after at least iterations and at most
+max(iterations, 4 * (cap + 2)) iterates; from a float start it mostly
+stops after one.  Every failure to certify (no contraction, a tube outside
+the bound, a diverging iterate, a field undefined or unbounded where it is
+evaluated, model arithmetic that overflows) raises CertificationError.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .interval import (
     Box,
@@ -45,7 +62,16 @@ from .interval import (
     _set,
 )
 from .inputs import InputScheme, SchemeKind, realize_w
-from .polymodel import Role, VarInfo, VectorModel, compose_expr
+from .polymodel import (
+    FLOAT_OPS,
+    FloatPolynomial,
+    PolynomialModel,
+    Role,
+    VarInfo,
+    VectorModel,
+    carries_slot_vectors,
+    compose_expr,
+)
 from .symexpr import InputAffineSystem
 
 __all__ = [
@@ -206,6 +232,45 @@ def _strip_errors(X: VectorModel) -> tuple[VectorModel, float]:
     return X.map(lambda c: c.with_error(0.0)), e_x
 
 
+def _stalled(rho: float, rho_prev: float | None) -> bool:
+    """The Picard residual vanished or fell by less than 30 % in one iterate."""
+    return rho < 1e-300 or rho_prev is not None and rho > 0.7 * rho_prev
+
+
+def _float_start(
+    sys: InputAffineSystem,
+    Xt: VectorModel,
+    w_models: Sequence[PolynomialModel],
+    tpos: int,
+    kappa: float,
+    max_iters: int,
+    t0: float,
+) -> VectorModel:
+    """The float stage of the module docstring, from the time-extended
+    initial models Xt, which carry slot vectors: its last iterate as
+    error-free models."""
+    x = [FloatPolynomial.of(c) for c in Xt]
+    w = [FloatPolynomial.of(m) for m in w_models]
+    radius = Xt.vars[tpos].radius
+    y, rho_prev = x, None
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite rho_f
+        for _ in range(max_iters):
+            rhs = sys.field(sys.program.run(y, FLOAT_OPS, 0, scalars=True), w)
+            y_next, dropped = [], 0.0
+            for xc, r in zip(x, rhs):
+                integral, mass = r.antiderivative(tpos, radius)
+                y_next.append(xc + integral)
+                dropped = max(dropped, mass)
+            rhos = [(a - b).magnitude() for a, b in zip(y_next, y)]
+            if not all(map(math.isfinite, rhos)):
+                raise _failure("Picard iteration diverged", t0)
+            y, rho = y_next, max(rhos)
+            if _banach_remainder(kappa, rho) <= dropped or _stalled(rho, rho_prev):
+                break
+            rho_prev = rho
+    return VectorModel(tuple(PolynomialModel.from_floats(Xt.vars, p) for p in y))
+
+
 def _picard_core(
     sys: InputAffineSystem,
     X: VectorModel,
@@ -245,9 +310,12 @@ def _picard_core(
         return VectorModel(tuple(comps))
 
     # Error-free iterates: y is one polynomial, y_next a certified enclosure
-    # of P(y), which is all the Banach bound needs.
+    # of P(y), which is all the Banach bound needs.  Over slot vectors the
+    # iterates before it run in plain floats.
     max_iters = max(iterations, 4 * (cap + 2))
     y = Xt
+    if carries_slot_vectors(Xt):
+        y = _float_start(sys, Xt, w_models, tpos, kappa, max_iters, t0)
     rho_prev = None
     j = 0
     while True:
@@ -260,9 +328,7 @@ def _picard_core(
             raise _failure("Picard iteration diverged", t0)
         j += 1
         if j >= max_iters or j >= iterations and (
-            _banach_remainder(kappa, rho) <= max(c.error for c in y_next)
-            or rho < 1e-300
-            or rho_prev is not None and rho > 0.7 * rho_prev
+            _banach_remainder(kappa, rho) <= max(c.error for c in y_next) or _stalled(rho, rho_prev)
         ):
             break
         y, rho_prev = _strip_errors(y_next)[0], rho
@@ -303,15 +369,16 @@ def picard_flow(
     normalized parameter choice, the surrogate solution at t0+h lies in the
     returned band.
 
-    iterations is the minimum number of Picard iterates.  Past it, the
-    iteration stops at the first iterate whose Banach term
+    iterations is the minimum number of validated Picard iterates.  Past
+    it, the iteration stops at the first iterate whose Banach term
     e_flow = kappa*rho/(1-kappa), the remainder added to it, is no bigger
     than its own error, or when the residual stalls; at most
-    max(iterations, 4 * (cap + 2)) iterates run.  Iterates carry no error
-    band: only the last one is certified, which is sound because the Banach
-    bound needs only one function y and a certified enclosure of P(y) (see
-    the module docstring).  Raises CertificationError when the step cannot
-    be certified."""
+    max(iterations, 4 * (cap + 2)) iterates run.  Over slot-vector models
+    the iterates before them run in plain floats, with the same cap.
+    Iterates carry no error band: only the last one is certified, which is
+    sound because the Banach bound needs only one function y and a
+    certified enclosure of P(y) (see the module docstring).  Raises
+    CertificationError when the step cannot be certified."""
     padded = _padded(bound.box)
     if not padded.contains_box(X.box()):
         raise ValueError("a-priori bound does not cover the initial set")

@@ -74,6 +74,15 @@ One power table per argument model, kept on that model, holds c, the
 powers of inner - c and their ranges, so every function of one argument
 shares them, and each series is summed in one pass over those powers
 (_series_sum).
+
+FloatPolynomial is a second domain over the same layouts, with no
+validation: a bare slot vector whose operations (FLOAT_OPS, for
+Program.run) compute only the polynomial part of the model operations.
+It never builds a model and carries no error, so nothing it computes is an
+enclosure; PolynomialModel.from_floats turns a finite one into a model
+with error 0, an exact enclosure of that polynomial.  flow runs the Picard
+iterates before the certified one in it when the iterate's models carry
+slot vectors (carries_slot_vectors).
 """
 from __future__ import annotations
 
@@ -96,6 +105,9 @@ __all__ = [
     "VectorModel",
     "ArityMismatchError",
     "compose_expr",
+    "FloatPolynomial",
+    "FLOAT_OPS",
+    "carries_slot_vectors",
 ]
 
 _SLACK_INFLATE = 1.000000002
@@ -377,6 +389,18 @@ class PolynomialModel(_Immutable):
         if not 0 <= position < len(vars):
             raise IndexError("variable position out of range")
         return PolynomialModel(vars, {1 << (4 * position): 1.0}, 0.0, max_degree)
+
+    @staticmethod
+    def from_floats(vars: tuple[VarInfo, ...], poly: "FloatPolynomial") -> "PolynomialModel":
+        """The float polynomial poly over vars as a model with error 0, an
+        exact enclosure of poly itself, that holds poly's vector (now
+        read-only).  Raises ValueError unless poly's layout has len(vars)
+        variables and its coefficients are finite."""
+        if poly.layout.arity != len(vars):
+            raise ValueError(f"a polynomial of {poly.layout.arity} variables is not one of {len(vars)}")
+        if not dense._finite(poly.vec):
+            raise ValueError("model coefficients must be finite")
+        return PolynomialModel._of(vars, None, poly.vec, 0.0, poly.layout.cap)
 
     @property
     def arity(self) -> int:
@@ -948,6 +972,11 @@ def _pow_model(base: PolynomialModel, n: int) -> PolynomialModel:
         return PolynomialModel.constant(1.0, base.vars, base.max_degree)
     if n < 0:
         return _pow_model(_compose_elementary("recip", base), -n)
+    return _squarings(base, n)
+
+
+def _squarings(base, n: int):
+    """base ** n for n >= 1 by repeated squaring, in any domain with *."""
     result = None
     power = base
     while n:
@@ -976,6 +1005,120 @@ _MODEL_OPS = {
     symexpr.Sin: partial(_compose_elementary, "sin"),
     symexpr.Cos: partial(_compose_elementary, "cos"),
     symexpr.Exp: partial(_compose_elementary, "exp"),
+}
+
+
+# ---------------------------------------------------------------------- float domain
+
+
+def carries_slot_vectors(models: Iterable[PolynomialModel]) -> bool:
+    """Whether every model holds a slot vector: its products have run on the
+    dense kernels, where the float domain pays for its numpy calls.  Dict
+    models are small enough that the validated dict loops cost less."""
+    return all(m._vec is not None for m in models)
+
+
+# 1/k! for the Taylor series of exp, sin and cos, k <= 7, the largest cap
+_INV_FACTORIAL = [1.0 / math.factorial(k) for k in range(8)]
+
+
+class FloatPolynomial:
+    """A polynomial in plain floats, the slot vector of the dense layout of
+    one (arity, cap), with no error (see the module docstring).  + and -
+    act slot by slot, * is the truncated product, and a number operand
+    scales.  sin, cos, exp and the reciprocal (for / and negative powers)
+    are Taylor series about the constant coefficient p0: delta = p - p0
+    has no constant term, so sum_{k <= cap} a_k delta^k cut at the cap is
+    the exact truncated composition.  Overflow raises nothing: inf and NaN
+    propagate, for the caller to find under numpy's errstate."""
+
+    __slots__ = ("vec", "layout", "_powers")
+
+    def __init__(self, vec, layout: "dense._DenseLayout"):
+        self.vec = vec
+        self.layout = layout
+        self._powers = None  # delta^0 .. delta^cap, built on first use
+
+    @staticmethod
+    def of(model: PolynomialModel) -> "FloatPolynomial":
+        """The polynomial part of model (a dict model is scattered)."""
+        layout = model._layout()
+        return FloatPolynomial(model._vector_in(layout), layout)
+
+    @staticmethod
+    def constant(value: float, layout: "dense._DenseLayout") -> "FloatPolynomial":
+        return FloatPolynomial(layout.vector({0: value}), layout)
+
+    def __add__(self, other: "FloatPolynomial") -> "FloatPolynomial":
+        return FloatPolynomial(self.vec + other.vec, self.layout)
+
+    def __sub__(self, other: "FloatPolynomial") -> "FloatPolynomial":
+        return FloatPolynomial(self.vec - other.vec, self.layout)
+
+    def __neg__(self) -> "FloatPolynomial":
+        return FloatPolynomial(-self.vec, self.layout)
+
+    def __mul__(self, other) -> "FloatPolynomial":
+        if isinstance(other, FloatPolynomial):
+            return FloatPolynomial(dense._float_product(self.vec, other.vec, self.layout), self.layout)
+        return FloatPolynomial(self.vec * other, self.layout)
+
+    __rmul__ = __mul__  # s * self for a number s
+
+    def __truediv__(self, other) -> "FloatPolynomial":
+        if isinstance(other, FloatPolynomial):
+            return self * _float_series("recip", other)
+        return FloatPolynomial(self.vec / other, self.layout)
+
+    def __pow__(self, n: int) -> "FloatPolynomial":
+        if n < 0:
+            return _float_series("recip", self) ** -n
+        if n == 0:
+            return FloatPolynomial.constant(1.0, self.layout)
+        return _squarings(self, n)
+
+    def antiderivative(self, position: int, radius: float) -> tuple["FloatPolynomial", float]:
+        """PolynomialModel.antiderivative's polynomial, in the variable at
+        position of radius radius, and the magnitude sum of the terms it
+        drops at the cap."""
+        vec, dropped = dense._float_antiderivative(self.vec, self.layout, position, radius)
+        return FloatPolynomial(vec, self.layout), dropped
+
+    def magnitude(self) -> float:
+        """The plain-float sum of the coefficient magnitudes."""
+        return float(abs(self.vec).sum())
+
+
+def _float_series(kind: str, p: FloatPolynomial) -> FloatPolynomial:
+    """kind (sin, cos, exp or recip) of p about p0, over the powers of delta
+    kept on p, so that sin(p) and cos(p) share them; NaN where p0 is
+    outside the function's float domain."""
+    cap = p.layout.cap
+    p0 = float(p.vec[0])
+    try:
+        if kind == "recip":
+            r = 1.0 / p0
+            a = [r * (-r) ** k for k in range(cap + 1)]
+        elif kind == "exp":
+            e = math.exp(p0)
+            a = [e * f for f in _INV_FACTORIAL[: cap + 1]]
+        else:
+            s, c = math.sin(p0), math.cos(p0)
+            cycle = (s, c, -s, -c) if kind == "sin" else (c, -s, -c, s)
+            a = [cycle[k % 4] * f for k, f in enumerate(_INV_FACTORIAL[: cap + 1])]
+    except (ArithmeticError, ValueError):
+        a = [math.nan] * (cap + 1)
+    if p._powers is None:
+        p._powers = dense._float_powers(p.vec, p.layout)
+    return FloatPolynomial(a @ p._powers, p.layout)
+
+
+FLOAT_OPS = {
+    **symexpr.ARITH_OPS,
+    symexpr.Const: lambda v, args: FloatPolynomial.constant(v, args[0].layout),
+    symexpr.Sin: partial(_float_series, "sin"),
+    symexpr.Cos: partial(_float_series, "cos"),
+    symexpr.Exp: partial(_float_series, "exp"),
 }
 
 

@@ -404,43 +404,80 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def diff(e: Expr, j: int) -> Expr:
-    """Exact partial derivative with respect to variable x<j> (1-based)."""
+    """Exact partial derivative with respect to variable x<j> (1-based),
+    each distinct node once, after its operands (_postorder)."""
+    done: dict[int, Expr] = {}  # id(node) -> derivative, while e keeps the nodes alive
+    for node, operands in _postorder(e, done):
+        done[id(node)] = _diff_node(node, j, *[done[id(p)] for p in operands])
+    return done[id(e)]
+
+
+def _diff_node(e: Expr, j: int, da: Expr | None = None, db: Expr | None = None) -> Expr:
+    """The derivative of e in x<j> from its operands' derivatives da, db."""
     if isinstance(e, Var):
         return Const(1.0 if e.index == j else 0.0)
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Add):
-        return _add(diff(e.a, j), diff(e.b, j))
+        return _add(da, db)
     if isinstance(e, Sub):
-        return _sub(diff(e.a, j), diff(e.b, j))
+        return _sub(da, db)
     if isinstance(e, Neg):
-        return _neg(diff(e.a, j))
+        return _neg(da)
     if isinstance(e, Mul):
-        return _add(_mul(diff(e.a, j), e.b), _mul(e.a, diff(e.b, j)))
+        return _add(_mul(da, e.b), _mul(e.a, db))
     if isinstance(e, Div):
-        num = _sub(_mul(diff(e.a, j), e.b), _mul(e.a, diff(e.b, j)))
+        num = _sub(_mul(da, e.b), _mul(e.a, db))
         if isinstance(num, Const) and num.value == 0.0:
             return Const(0.0)
         return Div(num, Pow(e.b, 2))
     if isinstance(e, Pow):
-        inner = diff(e.base, j)
-        if isinstance(inner, Const) and inner.value == 0.0:
+        if isinstance(da, Const) and da.value == 0.0:
             return Const(0.0)
         if e.exponent == 0:
             return Const(0.0)
-        return _mul(_mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1)), inner)
+        return _mul(_mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1)), da)
     if isinstance(e, Sin):
-        return _mul(Cos(e.a), diff(e.a, j))
+        return _mul(Cos(e.a), da)
     if isinstance(e, Cos):
-        return _neg(_mul(Sin(e.a), diff(e.a, j)))
+        return _neg(_mul(Sin(e.a), da))
     if isinstance(e, Exp):
-        return _mul(Exp(e.a), diff(e.a, j))
+        return _mul(Exp(e.a), da)
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
 _BINARY = frozenset((Add, Sub, Mul, Div))
-# how many of a node's leading fields are operands, where not all of them are
-_OPERANDS = {Var: 0, Const: 0, Pow: 1}
+
+
+def _operands(e: Expr) -> tuple:
+    if isinstance(e, _Binary):
+        return e.a, e.b
+    if isinstance(e, _Unary):
+        return (e.a,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Expr):
+        return ()
+    raise ValueError(f"{e!r} is not an Expr")
+
+
+def _postorder(root: Expr, done: dict):
+    """Yield (node, its operands) for the nodes under root whose id is not
+    a key of done, each after its operands, left to right; the caller
+    enters each node in done before it takes the next.  A stack stands in
+    for recursion, so any nesting depth works.  An operand that is not an
+    Expr raises ValueError."""
+    stack = [(root, None)]
+    while stack:
+        e, kids = stack.pop()
+        if id(e) in done:
+            continue
+        if kids is not None:
+            yield e, kids
+            continue
+        kids = _operands(e)
+        stack.append((e, kids))
+        stack += [(k, None) for k in reversed(kids) if id(k) not in done]
 
 
 class Program:
@@ -466,20 +503,15 @@ class Program:
         seen: dict[int, int] = {}  # id(node) -> slot, while blocks keeps the nodes alive
         code, varies = [], []  # per slot: [slot, type, a, b], and whether a Var is below
 
-        def place(e: Expr) -> int:
-            if not isinstance(e, Expr):
-                raise ValueError(f"{e!r} is not an Expr")
-            s = seen.get(id(e))
-            if s is None:
-                parts = [getattr(e, name) for name in e._fields]
-                k = _OPERANDS.get(type(e), len(parts))
-                kids, other = [place(p) for p in parts[:k]], parts[k:]
+        def place(root: Expr) -> int:
+            for e, operands in _postorder(root, seen):
+                kids, other = [seen[id(p)] for p in operands], e._values()[len(operands):]
                 key = (type(e), *kids, *((type(p), repr(p)) for p in other))
                 s = seen[id(e)] = slots.setdefault(key, len(code))
                 if s == len(code):
                     code.append([s, type(e), *kids, *other, None][:4])
                     varies.append(type(e) is Var or any(varies[k] for k in kids))
-            return s
+            return seen[id(root)]
 
         roots = [[place(e) for e in block] for block in blocks]
         self.roots = tuple(s for block in roots for s in block)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from direach import dense
+from direach import dense, flow
 from direach.flow import (
     AprioriBound,
     CertificationError,
@@ -21,7 +21,7 @@ from direach.flow import (
 from direach.inputs import InputScheme, SchemeKind
 from direach.interval import Box, Interval, _mul_up
 from direach.mc import compile_field, rk4_segment
-from direach.polymodel import PolynomialModel, Role, VarInfo, VectorModel
+from direach.polymodel import FloatPolynomial, PolynomialModel, Role, VarInfo, VectorModel
 from direach.symexpr import InputAffineSystem
 
 ZERO = InputScheme(SchemeKind.ZERO)
@@ -188,6 +188,19 @@ def test_picard_diverging_iterate_raises_certification_error(field, x0, h, itera
         )
 
 
+@pytest.mark.parametrize("field", ["x1^2", "x1^2*0.5 - x1^2"])
+def test_float_stage_overflow_raises_certification_error(field):
+    """From 1e160 over a step of 2e-162 the operator contracts, but the
+    float stage's square overflows (to inf, or inf - inf = NaN): with a
+    vector X the float iterate is not finite, which is a certification
+    failure, with no numpy warning."""
+    sys = InputAffineSystem(1, [field])
+    X = _vector(point_model([1e160]))
+    bound = AprioriBound(Box.from_bounds([(0.99e160, 1.01e160)]), ())
+    with pytest.raises(CertificationError, match="Picard iteration diverged"):
+        picard_flow(sys, X, ZERO, StepGeometry(0.0, 2e-162), bound)
+
+
 def test_input_hull_ranges_cover_surrogates():
     """The a-priori hull and the rates' sup|w| hold the true disturbances
     (+-V) and every surrogate (+-V * w_sup_factor), compared exactly:
@@ -275,6 +288,15 @@ def vdp():
     return InputAffineSystem(2, ["x2", "-x1 + 2*(1 - x1^2)*x2"], [["0", "1"]], [0.08])
 
 
+def trig3():
+    return InputAffineSystem(
+        3,
+        ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "-x3 + 0.5*x1"],
+        [["0", "0", "1"], ["cos(x3)", "sin(x3)", "0"]],
+        [0.05, 0.05],
+    )
+
+
 def test_picard_containment_harmonic_affine():
     sys = harmonic()
     X0 = Box.from_bounds([(0.9, 1.1), (-0.1, 0.1)])
@@ -323,12 +345,7 @@ def test_picard_containment_trig_two_inputs_step():
     """sin/cos in the drift and in an input field, two inputs, the step
     scheme: over three steps, each sweeping its input parameters into the
     band, every sampled surrogate trajectory stays in the band."""
-    sys = InputAffineSystem(
-        3,
-        ["-x1 + 0.3*sin(x3)", "-x2 + 0.3*cos(x3)", "-x3 + 0.5*x1"],
-        [["0", "0", "1"], ["cos(x3)", "sin(x3)", "0"]],
-        [0.05, 0.05],
-    )
+    sys = trig3()
     X0 = Box.from_bounds([(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)])
     X = box_model(X0, cap=3)
     h = 0.05
@@ -478,3 +495,71 @@ def test_picard_steps_keep_slot_vectors(monkeypatch):
     stripped, e_x = _strip_errors(Z)
     assert e_x == max(c.error for c in Z) > 0.0
     assert all(s.error == 0.0 and s._vec is c._vec and s._terms is None for s, c in zip(stripped, Z))
+
+
+def _vector(X: VectorModel) -> VectorModel:
+    """X with every component carrying its slot vector, as a step's
+    result does once its products run on the dense kernels."""
+    return X.map(lambda c: PolynomialModel.from_floats(c.vars, FloatPolynomial.of(c)))
+
+
+# (system, initial box, scheme, cap, h, halves): Van der Pol with one
+# state-dependent input and the 3-state sin/cos system of the benchmark
+FLOAT_START_CASES = [
+    (
+        lambda: InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05]),
+        [(1.99, 2.01), (-0.01, 0.01)], AFFINE, 5, 0.01, 1,
+    ),
+    (trig3, [(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)], STEP, 3, 0.02, 2),
+]
+
+
+@pytest.mark.parametrize("make, bounds, scheme, cap, h, halves", FLOAT_START_CASES)
+def test_vector_steps_certify_one_application(monkeypatch, make, bounds, scheme, cap, h, halves):
+    """Over vector models the Picard iterates before the certified one run
+    in floats, so each (half) step integrates the validated field once:
+    antiderivative runs n times per (half) step, against 4 * n over dict
+    models in test_picard_stops_on_certified_remainder."""
+    sys = make()
+    X0 = Box.from_bounds(bounds)
+    X = _vector(box_model(X0, cap=cap))
+    geom = StepGeometry(0.0, h)
+    b = apriori_bound(sys, X0, scheme, geom)
+    calls = []
+    antiderivative = PolynomialModel.antiderivative
+    monkeypatch.setattr(PolynomialModel, "antiderivative", lambda m, p: calls.append(p) or antiderivative(m, p))
+    picard_flow(sys, X, scheme, geom, b)
+    assert len(calls) == sys.n * halves
+
+
+@pytest.mark.parametrize("make, bounds, scheme, cap, h, halves", FLOAT_START_CASES)
+def test_perturbed_float_start_still_certifies(monkeypatch, make, bounds, scheme, cap, h, halves):
+    """The Banach bound needs no accuracy of the float start: moved by 1e-3
+    in one coefficient, it still certifies (the validated loop iterates
+    longer), and the enclosure holds the unperturbed step's polynomial at
+    200 sample points."""
+    sys = make()
+    X0 = Box.from_bounds(bounds)
+    X = _vector(box_model(X0, cap=cap))
+    geom = StepGeometry(0.0, h)
+    b = apriori_bound(sys, X0, scheme, geom)
+    Y = picard_flow(sys, X, scheme, geom, b)
+    start = flow._float_start
+    moved = []
+
+    def perturbed(*args):
+        y = start(*args)
+        terms = dict(y[0].terms)
+        terms[1] = terms.get(1, 0.0) + 1e-3  # the coefficient of z1
+        moved.append(terms)
+        return VectorModel((PolynomialModel(y.vars, terms, 0.0, cap),) + y.components[1:])
+
+    monkeypatch.setattr(flow, "_float_start", perturbed)
+    Z = picard_flow(sys, X, scheme, geom, b)
+    assert len(moved) == halves
+    assert max(c.error for c in Z) < 1e-6
+    rng = random.Random(97)
+    for _ in range(200):
+        z = [rng.uniform(-1.0, 1.0) for _ in Y.vars]
+        for y, c in zip(Y.eval_point(z), Z):
+            assert abs(c.eval_point(z) - y) <= c.error

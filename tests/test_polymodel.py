@@ -7,19 +7,23 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from direach import dense, polymodel
 from direach.interval import Box, Interval, IntervalDomainError
 from direach.polymodel import (
+    FLOAT_OPS,
     ArityMismatchError,
+    FloatPolynomial,
     PolynomialModel,
     Role,
     VarInfo,
     VectorModel,
     compose_expr,
 )
-from direach.symexpr import Const, Div, InputAffineSystem, Mul, Program, Var, parse
+from direach.symexpr import Add, Const, Cos, Div, Exp, InputAffineSystem, Mul, Pow, Program, Sin, Sub, Var, parse
+from test_symexpr import UNDEFINED, _random_system
 
 V2 = (VarInfo(Role.STATE, axis=0), VarInfo(Role.STATE, axis=1))
 
@@ -1623,3 +1627,67 @@ def test_slot_series_sum_charges_every_merge():
         r = _check_series_sum_at(coeffs, [_carrying(big)] + [_carrying(small)] * 5)
         assert r._vec is not None
         assert _hex_terms(r) == _hex_terms(big)
+
+
+def test_from_floats_is_an_exact_model():
+    """A finite float polynomial becomes an error-free model that carries
+    its vector; a non-finite one, or one of another arity, is refused."""
+    vars3 = V2 + (VarInfo(Role.TIME, radius=0.1),)
+    layout = dense._layout(3, 3)
+    vec = np.linspace(-1.0, 1.0, layout.size)
+    m = PolynomialModel.from_floats(vars3, FloatPolynomial(vec, layout))
+    assert m.error == 0.0 and m._vec is vec and m == PolynomialModel(vars3, layout.terms(vec), 0.0, 3)
+    for bad in (math.inf, math.nan):
+        vec = np.zeros(layout.size)
+        vec[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PolynomialModel.from_floats(vars3, FloatPolynomial(vec, layout))
+    with pytest.raises(ValueError, match="variables"):
+        PolynomialModel.from_floats(V2, FloatPolynomial(np.zeros(layout.size), layout))
+
+
+def test_float_domain_within_model_error_fuzz():
+    """On the random systems of test_program_matches_reference_fold_fuzz,
+    a run over random vector models in the float domain gives, at every
+    slot and every assembled field component, a polynomial within the
+    validated run's error of that run's polynomial, measured as a
+    coefficient magnitude sum: the float domain computes the polynomial
+    part that the validated run encloses.  Each system runs its program's
+    fields and a program of its fields alone, where constants that only
+    scale or divide reach both domains as floats."""
+    rng = random.Random(61)
+    vrng = np.random.default_rng(61)
+    vars3 = V2 + (VarInfo(Role.INPUT),)
+    layout = dense._layout(3, 3)
+    seen = {t: 0 for t in (Add, Sub, Mul, Div, Pow, Sin, Cos, Exp, float)}
+    undefined = 0
+    for _ in range(300):
+        sys = _random_system(rng)
+        args = []
+        for i in range(2):
+            vec = vrng.uniform(-0.05, 0.05, layout.size)
+            vec[0] = vrng.uniform(-1.5, 1.5)
+            args.append(PolynomialModel.from_floats(vars3, FloatPolynomial(vec, layout)))
+        floats = [FloatPolynomial.of(a) for a in args]
+        w = [PolynomialModel(vars3, {1 << 8: rng.uniform(0.01, 1.0)}, 0.0, 3) for _ in range(sys.m)]
+        fields = Program(([e for gi in (sys.f, *sys.g) for e in gi],))
+        try:
+            runs = [(q, compose_expr(q, args, 0), q.run(floats, FLOAT_OPS, 0, scalars=True)) for q in (sys.program, fields)]
+            model_field = sys.field(runs[0][1], w)
+        except UNDEFINED:
+            undefined += 1
+            continue
+        pairs = list(zip(model_field, sys.field(runs[0][2], [FloatPolynomial.of(u) for u in w])))
+        for q, vals, float_vals in runs:
+            pairs += zip(vals, float_vals)
+            for i, t, _, b in q.code:
+                key = float if t is Const and b is True else t
+                if vals[i] is not None and key in seen:
+                    seen[key] += 1
+        for m, f in pairs:
+            if m is None or m.__class__ is float:
+                assert f is m or f == m
+                continue
+            assert f.layout is layout
+            assert dense._magnitude(f.vec - FloatPolynomial.of(m).vec) <= m.error, (m, f.vec)
+    assert undefined < 150 and min(seen.values()) >= 10, (undefined, seen)

@@ -855,3 +855,15 @@ def test_compile_field_matches_eval_point():
                     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-9), (f, g, row)
             compared[exact] += 1
     assert min(seen.values()) >= 30 and min(compared.values()) >= 2000, (seen, compared)
+
+
+def test_system_builds_fields_of_any_depth():
+    """A left-deep chain of 1,499 sums or of 1,499 products is compiled and
+    differentiated from a stack rather than by recursion, so the system
+    builds, and its field and derivatives are exact at x1 = 1."""
+    one = Box.from_bounds([(1.0, 1.0)])
+    sums = InputAffineSystem(1, ["+".join(["x1"] * 1500)])
+    assert sums.df == ((Const(1500.0),),)
+    assert sums.rhs_interval(one, []) == (Interval(1500.0, 1500.0),)
+    b = compute_bounds(InputAffineSystem(1, ["*".join(["x1"] * 1500)]), one)
+    assert (b.K, b.L, b.H) == (1.0, 1500.0, 1500.0 * 1499.0)

@@ -51,8 +51,6 @@ from .interval import (
     Box,
     Interval,
     IntervalDomainError,
-    lognorm_inf,
-    mat_inf_norm,
     _Immutable,
     _add_down,
     _add_up,
@@ -170,15 +168,21 @@ def local_rates(
     sys: InputAffineSystem, box: Box, w_sups: Sequence[float]
 ) -> tuple[float, float]:
     """(log-norm rate, Lipschitz rate) of the surrogate field on box, i.e.
-    lognorm(Df) + sum w_sup_i ||Dg_i|| and ||Df|| + sum w_sup_i ||Dg_i||,
-    from one run of the system's program over box (jacobians)."""
-    dfm, dgm = sys.jacobians(box)
-    lam = lognorm_inf(dfm)
-    lip = mat_inf_norm(dfm)
+    lognorm(Df) + sum w_sup_i ||Dg_i|| and ||Df|| + sum w_sup_i ||Dg_i||.
+    The norms come from the system's bounds plan (jacobian_norms): one that
+    does not depend on the box is computed once per system, so no program
+    runs when all of them are kept, and each is bit for bit the norm of
+    the full matrix.  They are combined with w_sups on every call."""
+    df, dg = sys.jacobian_norms(box)
+    if df is None:
+        raise IntervalDomainError("logarithmic norm requires finite entries")
+    lip, lam = df
     for k, ws in enumerate(w_sups):
         if ws == 0.0:
             continue
-        nk = mat_inf_norm(dgm[k])
+        nk = dg[k]
+        if nk is None:
+            raise IntervalDomainError("matrix norm requires finite entries")
         lam = _add_up(lam, _mul_up(ws, nk))
         lip = _add_up(lip, _mul_up(ws, nk))
     return lam, lip

@@ -22,13 +22,10 @@ from typing import Sequence
 from .interval import (
     Box,
     Interval,
-    IntervalMatrix,
+    IntervalDomainError,
     iv_cos,
     iv_exp,
     iv_sin,
-    lognorm_inf,
-    mat_inf_norm,
-    row_abs_sums,
     _Immutable,
     _add_down,
     _add_up,
@@ -218,24 +215,22 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ExprSyntaxError(f"unrecognized input {rest[:10]!r}", len(tokens) + 1)
         pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     tokens.append(("end", ""))
     return tokens
 
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
+# the deepest nesting of signs, function calls and parentheses that parses
+_MAX_DEPTH = 100
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -245,6 +240,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def _accept(self, ops: str) -> str | None:
+        """The next token, consumed, if it is one of the operators in ops."""
+        kind, value = self.tokens[self.pos]
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
+
     def _fail(self, message: str):
         # report the upcoming (1-based) token position
         raise ExprSyntaxError(message, self.pos + 1)
@@ -252,6 +255,17 @@ class _Parser:
     def _fail_here(self, message: str):
         # report the token just consumed
         raise ExprSyntaxError(message, self.pos)
+
+    def _deeper(self, rule):
+        """rule() one level deeper, for the operand of a sign or what a
+        parenthesis opens; a level past _MAX_DEPTH fails at the token just
+        consumed, which opens it, before the stack could run out."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self._fail_here(f"nested more than {_MAX_DEPTH} levels deep")
+        e = rule()
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expr:
         e = self._expr()
@@ -261,49 +275,29 @@ class _Parser:
         return e
 
     def _expr(self) -> Expr:
-        kind, value = self._peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self._next()
-            negate = value == "-"
+        negate = self._accept("+-") == "-"
         e = self._term()
         if negate:
             e = Neg(e)
-        while True:
-            kind, value = self._peek()
-            if kind == "op" and value in "+-":
-                self._next()
-                rhs = self._term()
-                e = Add(e, rhs) if value == "+" else Sub(e, rhs)
-            else:
-                return e
+        while op := self._accept("+-"):
+            rhs = self._term()
+            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        return e
 
     def _term(self) -> Expr:
         e = self._power()
-        while True:
-            kind, value = self._peek()
-            if kind == "op" and value in "*/":
-                self._next()
-                rhs = self._power()
-                e = Mul(e, rhs) if value == "*" else Div(e, rhs)
-            else:
-                return e
+        while op := self._accept("*/"):
+            rhs = self._power()
+            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        return e
 
     def _power(self) -> Expr:
         # a sign after an operator binds looser than ^, as at the start
-        kind, value = self._peek()
-        if kind == "op" and value == "-":
-            self._next()
-            return Neg(self._power())
+        if self._accept("-"):
+            return Neg(self._deeper(self._power))
         base = self._atom()
-        kind, value = self._peek()
-        if kind == "op" and value == "^":
-            self._next()
-            sign = 1
-            kind, value = self._peek()
-            if kind == "op" and value == "-":
-                self._next()
-                sign = -1
+        if self._accept("^"):
+            sign = -1 if self._accept("-") else 1
             kind, value = self._peek()
             if kind != "num" or not value.isdigit():
                 self._fail("expected integer exponent after '^'")
@@ -322,21 +316,19 @@ class _Parser:
             fn = _FUNCTIONS.get(value)
             if fn is None:
                 self._fail_here(f"unknown identifier {value!r}")
-            kind2, value2 = self._next()
-            if kind2 != "op" or value2 != "(":
-                self._fail_here(f"expected '(' after {value}")
-            arg = self._expr()
-            kind2, value2 = self._next()
-            if kind2 != "op" or value2 != ")":
-                self._fail_here("expected ')'")
-            return fn(arg)
+            if not self._accept("("):
+                self._fail(f"expected '(' after {value}")
+            return fn(self._group())
         if kind == "op" and value == "(":
-            e = self._expr()
-            kind2, value2 = self._next()
-            if kind2 != "op" or value2 != ")":
-                self._fail_here("expected ')'")
-            return e
+            return self._group()
         self._fail_here("unexpected end of input" if kind == "end" else f"unexpected {value!r}")
+
+    def _group(self) -> Expr:
+        # the expression after an opening parenthesis, and its closing one
+        e = self._deeper(self._expr)
+        if not self._accept(")"):
+            self._fail("expected ')'")
+        return e
 
 
 def parse(text: str) -> Expr:
@@ -494,9 +486,10 @@ class Program:
     operand (the left factor of a product or the divisor of a quotient
     beside a non-Const, or a root of the first block, the one scalar runs
     are for, at a position in factors, which the caller only multiplies on
-    the left) has True in b."""
+    the left) has True in b.  varies[i] says whether a Var is below slot
+    i; a slot without one has the same value on every box."""
 
-    __slots__ = ("code", "roots", "_steps", "_kept")
+    __slots__ = ("code", "roots", "varies", "_steps", "_kept")
 
     def __init__(self, blocks: Sequence[Sequence[Expr]], factors: Sequence[int] = ()):
         slots: dict = {}  # structure -> slot
@@ -525,27 +518,29 @@ class Program:
         for s in scalar:
             code[s][3] = True
         self.code = tuple(map(tuple, code))
-
-        def steps(need: set) -> tuple:
-            # (constant, varying) instructions of the slots in need and of
-            # their operands, which come before them
-            for i, t, a, b in reversed(self.code):
-                if i in need and t is not Var and t is not Const:
-                    need.update((a, b) if t in _BINARY else (a,))
-            run = [ins for ins in self.code if ins[0] in need]
-            return tuple(ins for ins in run if not varies[ins[0]]), tuple(ins for ins in run if varies[ins[0]])
-
-        self._steps = {k: steps(set(block)) for k, block in enumerate(roots)}
-        self._steps[None] = steps(set(range(len(code))))
+        self.varies = tuple(varies)
+        self._steps = {k: self._need(block) for k, block in enumerate(roots)}
+        self._steps[None] = self._need(range(len(code)))
         self._kept: dict = {}
 
-    def run(self, args: Sequence, ops: dict, block: int | None = None, keep: str = "", scalars: bool = False) -> list:
-        """The values of the slots that block's roots need, or of all: x<i>
-        is args[i-1], a Const ops[Const](value, args), a Pow ops[Pow](base,
-        n), any other node ops[type] of its operands; with scalars, a Const
-        with True is its float.  keep names a domain whose Const ignores
-        args: its slots with no Var below are evaluated once, then kept."""
-        constant, varying = self._steps[block]
+    def _need(self, slots) -> tuple:
+        """The (constant, varying) instructions of slots and of their
+        operands, which come before them."""
+        need = set(slots)
+        for i, t, a, b in reversed(self.code):
+            if i in need and t is not Var and t is not Const:
+                need.update((a, b) if t in _BINARY else (a,))
+        run = [ins for ins in self.code if ins[0] in need]
+        return tuple(ins for ins in run if not self.varies[ins[0]]), tuple(ins for ins in run if self.varies[ins[0]])
+
+    def run(self, args: Sequence, ops: dict, block: int | tuple | None = None, keep: str = "", scalars: bool = False) -> list:
+        """The values of the slots that a block needs, or of all: block is
+        the index of a block of roots or a tuple of slots.  x<i> is
+        args[i-1], a Const ops[Const](value, args), a Pow ops[Pow](base, n),
+        any other node ops[type] of its operands; with scalars, a Const with
+        True is its float.  keep names a domain whose Const ignores args:
+        its slots with no Var below are evaluated once, then kept."""
+        constant, varying = self._steps.get(block) or self._steps.setdefault(block, self._need(block))
         fresh = ([None] * len(self.code), set())
         known, done = self._kept.setdefault(keep, fresh) if keep else fresh
         if block not in done:
@@ -588,7 +583,7 @@ def eval_point(e: Expr, x: Sequence[float]) -> float:
     return Program(((e,),)).run([float(v) for v in x], _POINT_OPS)[-1]
 
 
-def eval_interval(e: Expr | Program, x: Box, block: int | None = None):
+def eval_interval(e: Expr | Program, x: Box, block: int | tuple | None = None):
     """Natural interval extension over x: an Interval enclosing {e(p) : p
     in x}, or of a program the slot values of one run (Program.run)."""
     if isinstance(e, Program):
@@ -600,10 +595,6 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
-def _matrix(vals: list, rows) -> IntervalMatrix:
-    return IntervalMatrix(tuple(tuple(vals[s] for s in row) for row in rows))
-
-
 class InputAffineSystem:
     """System dx/dt = f(x) + sum_i g_i(x) v_i(t) with |v_i| <= V_i.
 
@@ -612,9 +603,17 @@ class InputAffineSystem:
     into one Program of three blocks: the fields (f, then every g_k), the
     Jacobians and the second derivatives (a zero entry is +0.0).  A subtree
     that fields and derivatives share is one slot of it.  Each box
-    (rhs_interval, jacobians, compute_bounds) and each Picard iterate (flow)
-    is one run; after the first box no constant subtree, such as a linear
-    field's Jacobian, is evaluated again.
+    (rhs_interval, jacobian_norms, compute_bounds) and each Picard iterate
+    (flow) is at most one run; after the first box no constant subtree, such
+    as a linear field's Jacobian, is evaluated again.
+
+    The derivative norms of compute_bounds and flow.local_rates come from
+    one bounds plan built from the root slots (_bounds_plan).  A quantity
+    of it that no box changes, as no Var is below a slot it reads, is
+    computed on the first box and kept on the system unless it met an entry
+    that is not finite; a later box runs only the slots of the quantities
+    not kept, and no program when all are.  Every value is bit for bit what
+    the norms of the full matrices give.
 
     Construction raises ValueError on an operand that is not an Expr, a
     variable other than x1..xn (x0 included), a constant that is not a
@@ -680,15 +679,35 @@ class InputAffineSystem:
         self._slots = (
             rows(1)[0], rows(self.m), rows(n), [rows(n) for _ in self.g], rows(n * n), [rows(n * n) for _ in self.g]
         )
+        self._plan = _bounds_plan(self.program, self._slots, self.V)
+        self._kept: list = [None] * len(self._plan)  # the box-independent values computed so far
+        self._runs: dict = {}  # the quantities a call computes -> the slots they read
 
     @property
     def m(self) -> int:
         return len(self.g)
 
-    def jacobians(self, box: Box) -> tuple[IntervalMatrix, list[IntervalMatrix]]:
-        """Df and every Dg_k over box, from one run for the Jacobians."""
-        vals = eval_interval(self.program, box, 1)
-        return _matrix(vals, self._slots[2]), [_matrix(vals, rows) for rows in self._slots[3]]
+    def _measure(self, box: Box, quantities: range) -> list:
+        """Every kept value of the bounds plan, and over box those of the
+        quantities not kept, from one run over the slots they read."""
+        todo = tuple(q for q in quantities if self._kept[q] is None)
+        values = self._kept[:]
+        if todo:
+            if todo not in self._runs:
+                self._runs[todo] = tuple(sorted({s for q in todo for s in self._plan[q][2]}))
+            vals = eval_interval(self.program, box, self._runs[todo])
+            for q in todo:
+                how, reads, _, constant = self._plan[q]
+                values[q] = how(vals, reads)
+                if constant and values[q] is not None:
+                    self._kept[q] = values[q]
+        return values
+
+    def jacobian_norms(self, box: Box) -> tuple:
+        """(||Df||, lognorm(Df)) and every ||Dg_k|| over box, from the
+        bounds plan; None for a matrix with an entry that is not finite."""
+        df, *dg = self._measure(box, range(2, 3 + self.m))[2 : 3 + self.m]
+        return df and df[1:], [d and d[1] for d in dg]
 
     def field(self, vals: Sequence, inputs: Sequence) -> list:
         """f(x) + sum_k g_k(x) u_k per component in one domain: vals are the
@@ -728,33 +747,81 @@ class StepErrorBounds(_Immutable):
             _set(self, name, value)
 
 
-def _weighted_max(V: Sequence[float], per_input: Sequence[Sequence[float]]) -> float:
-    """Max over slots of the upward sum of V_i * x_i, where per_input[i]
-    lists input i's nonnegative value x_i for every slot."""
+def _bounds_plan(program: Program, slots: tuple, V: Sequence[float]) -> tuple:
+    """A system's bounds plan: (how, reads, used, constant) per quantity, in
+    the order K, K', Df, every Dg_k, H, H'.  how(vals, reads) computes it
+    from a run's slot values; reads are its slots other than the +0.0 ones,
+    in the order how takes them, used are those distinct, and constant says
+    that no Var is below any of them."""
+    f, g, df, dg, d2f, d2g = slots
+    zero = {i for i, t, a, _ in program.code if t is Const and a == 0.0}
+
+    def entry(how, source, reads=None):
+        used = tuple(sorted(set(source) - zero))
+        return how, used if reads is None else reads, used, not any(program.varies[s] for s in used)
+
+    def norms(rows):  # per row, its (slot, on the diagonal) pairs
+        pairs = (((s, i == k) for i, s in enumerate(row) if s not in zero) for k, row in enumerate(rows))
+        return entry(_norms, [s for row in rows for s in row], tuple(map(tuple, pairs)))
+
+    def weighted(per_input):  # per entry, its (V_k, slot of input k) pairs
+        pairs = (tuple((v, s) for v, s in zip(V, col) if s not in zero) for col in zip(*per_input))
+        return entry(_weighted_mags, [s for row in per_input for s in row], tuple(e for e in pairs if e))
+
+    second = [[s for row in rows for s in row] for rows in (d2f, *d2g)]
+    return entry(_max_mag, f), weighted(g), norms(df), *map(norms, dg), entry(_max_mag, second[0]), weighted(second[1:])
+
+
+def _max_mag(vals: list, slots: Sequence[int]) -> float:
+    """The largest magnitude of the slots' values, 0 for none."""
+    return max((vals[s].mag for s in slots), default=0.0)
+
+
+def _weighted_max(entries) -> float:
+    """Max over entries of the upward sum of v * x over an entry's (v, x)
+    pairs, every x nonnegative; 0 for no entry."""
     best = 0.0
-    for xs in zip(*per_input):
+    for pairs in entries:
         s = 0.0
-        for v, x in zip(V, xs):
+        for v, x in pairs:
             s = _add_up(s, _mul_up(v, x))
         best = max(best, s)
     return best
 
 
+def _weighted_mags(vals: list, entries) -> float:
+    """_weighted_max of each entry's (V_k, slot) pairs, a slot's magnitude as x."""
+    return _weighted_max(((v, vals[s].mag) for v, s in pairs) for pairs in entries)
+
+
+def _norms(vals: list, rows) -> tuple | None:
+    """(row sums, their max, log-norm) from each row's (slot, on the
+    diagonal) pairs, summed upward in column order as row_abs_sums and
+    lognorm_inf sum them; None when an entry is not finite."""
+    sums, lam = [], -math.inf
+    for row in rows:
+        s = t = 0.0
+        for slot, diag in row:
+            x = vals[slot]
+            if not x.is_finite:
+                return None
+            s, t = _add_up(s, x.mag), _add_up(t, x.hi if diag else x.mag)
+        sums.append(s)
+        lam = max(lam, t)
+    return tuple(sums), max(sums), lam
+
+
 def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
     """Upper bounds for ||f||, ||Df||, lognorm(Df), ||D^2 f|| and the input
     analogues over box; everything rounded upward.  ||D^2 f|| is the
-    largest second-derivative magnitude.  Every value comes from one run
-    of the system's program over box.  A non-finite entry of Df or of an
-    input Jacobian raises IntervalDomainError.
+    largest second-derivative magnitude.  Every value comes from the
+    system's bounds plan (see InputAffineSystem): a box-independent one is
+    computed once per system, the others from one run over the slots they
+    read, bit for bit what the full matrices give.  A non-finite entry of
+    Df or of an input Jacobian raises IntervalDomainError.
     """
-    vals = eval_interval(sys.program, box)
-    f, g, df, dg, d2f, d2g = sys._slots
-    K = max(vals[s].mag for s in f)
-    Kp = _weighted_max(sys.V, [[vals[s].mag for s in gi] for gi in g])
-    dfm = _matrix(vals, df)
-    L = mat_inf_norm(dfm)
-    Lp = _weighted_max(sys.V, [row_abs_sums(_matrix(vals, rows)) for rows in dg])
-    Lam = lognorm_inf(dfm)
-    H = max(vals[s].mag for row in d2f for s in row)
-    Hp = _weighted_max(sys.V, [[vals[s].mag for row in rows for s in row] for rows in d2g])
-    return StepErrorBounds(K=K, Kp=Kp, L=L, Lp=Lp, H=H, Hp=Hp, Lam=Lam)
+    K, Kp, df, *dg, H, Hp = sys._measure(box, range(len(sys._plan)))
+    if df is None or None in dg:
+        raise IntervalDomainError("matrix norm requires finite entries")
+    Lp = _weighted_max(zip(sys.V, sums) for sums in zip(*(d[0] for d in dg)))
+    return StepErrorBounds(K=K, Kp=Kp, L=df[1], Lp=Lp, H=H, Hp=Hp, Lam=df[2])

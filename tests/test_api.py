@@ -105,6 +105,19 @@ def test_only_polymodel_reads_a_models_store():
     assert readers == {"polymodel.py"}
 
 
+def test_only_symexpr_reads_a_systems_slot_layout():
+    """Where a system's program holds each field and derivative entry
+    (_slots) and how the derivative norms read those slots (the bounds plan
+    _plan, its kept values _kept and the runs it makes _runs) is symexpr's
+    decision alone: no other module names those attributes."""
+    readers = set()
+    for path in Path(direach.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_slots", "_plan", "_kept", "_runs"):
+                readers.add(path.name)
+    assert readers == {"symexpr.py"}
+
+
 def test_flow_builds_certification_errors_in_one_place():
     """Every certification failure of flow has its message built by one
     helper: the module calls CertificationError(...) in exactly one place,

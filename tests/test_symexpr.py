@@ -79,6 +79,25 @@ def test_parse_error_position():
     assert "token 3" in str(exc.value)
 
 
+def test_parse_rejects_nesting_past_a_fixed_depth():
+    """Signs, calls and parentheses nested past the parser's fixed depth are
+    a syntax error at the token that opens the level past it, before the
+    stack runs out; up to that depth they parse.  A leading sign opens no
+    level."""
+    depth = symexpr._MAX_DEPTH
+    assert parse("(" * depth + "x1" + ")" * depth) == Var(1)
+    assert parse("sin(" * depth + "x1" + ")" * depth) is not None
+    e = parse("-" * (depth + 1) + "x1")
+    for _ in range(depth + 1):
+        e = e.a
+    assert e == Var(1)
+    for text, token in [("(" * 1500 + "x1" + ")" * 1500, depth + 1), ("-" * 1500 + "x1", depth + 2)]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert exc.value.token_index == token
+        assert f"nested more than {depth} levels deep" in str(exc.value)
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("x1 + foo")
@@ -584,6 +603,18 @@ def _reference_field(sys, value, inputs):
     return out
 
 
+def _weighted_max(V, per_input):
+    """Max over slots of the upward sum of V_i * x_i, where per_input[i]
+    lists input i's nonnegative value x_i for every slot."""
+    best = 0.0
+    for xs in zip(*per_input):
+        s = 0.0
+        for v, x in zip(V, xs):
+            s = _add_up(s, _mul_up(v, x))
+        best = max(best, s)
+    return best
+
+
 def _reference_bounds(sys, value, w_sups):
     """(compute_bounds, local_rates) from value(e), the interval of each
     expression alone; a zero entry is the point 0."""
@@ -597,11 +628,11 @@ def _reference_bounds(sys, value, w_sups):
     dfm, dgm = matrix(sys.df), [matrix(dgi) for dgi in sys.dg]
     b = StepErrorBounds(
         K=max(entry(e).mag for e in sys.f),
-        Kp=symexpr._weighted_max(sys.V, [[entry(e).mag for e in gi] for gi in sys.g]),
+        Kp=_weighted_max(sys.V, [[entry(e).mag for e in gi] for gi in sys.g]),
         L=mat_inf_norm(dfm),
-        Lp=symexpr._weighted_max(sys.V, [row_abs_sums(d) for d in dgm]),
+        Lp=_weighted_max(sys.V, [row_abs_sums(d) for d in dgm]),
         H=max(entry(e).mag for plane in sys.d2f for row in plane for e in row),
-        Hp=symexpr._weighted_max(
+        Hp=_weighted_max(
             sys.V, [[entry(e).mag for plane in d2gi for row in plane for e in row] for d2gi in sys.d2g]
         ),
         Lam=lognorm_inf(dfm),
@@ -621,7 +652,11 @@ def _bound_bits(b):
     return [v.hex() for v in b._values()]
 
 
-# the systems of the select_error golden grid, and trig3
+def dosc_system():
+    return InputAffineSystem(2, ["-x1 + 0.5*x2", "-0.5*x1 - x2"], [["0", "1"]], [0.05])
+
+
+# the systems of the select_error golden grid, trig3 and dosc-additive's
 SHARED_CASES = [
     (InputAffineSystem(2, ["x2", "-x1 - 0.2*x2"], [["0", "1"]], [0.1]), Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)])),
     (
@@ -635,6 +670,7 @@ SHARED_CASES = [
         Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)]),
     ),
     (trig3_system(), Box.from_bounds([(0.9, 1.1), (-0.2, 0.1), (0.3, 0.7)])),
+    (dosc_system(), Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)])),
 ]
 
 
@@ -643,21 +679,57 @@ def test_compute_bounds_memo_matches_unmemoized(sys, box):
     """compute_bounds, local_rates and rhs_interval, one program run each
     that shares every node as the per-box memo before it did, give bit for
     bit what eval_interval of each expression alone gives, with fewer
-    nodes than the expressions have alone."""
+    nodes than the expressions have alone.  A fresh system meets two
+    different boxes, each twice, so a box-dependent value kept from the
+    first box would show on the second."""
+    sys = InputAffineSystem(sys.n, sys.f, sys.g, sys.V)
     w_sups = [0.1] * sys.m
     inputs = [Interval(-0.1, 0.1)] * sys.m
-    for _ in range(2):  # the second run reuses the constant subtrees
-        bounds, rates = _reference_bounds(sys, lambda e: eval_interval(e, box), w_sups)
-        assert _bound_bits(compute_bounds(sys, box)) == _bound_bits(bounds)
-        assert [v.hex() for v in local_rates(sys, box, w_sups)] == [v.hex() for v in rates]
-        want = _reference_field(sys, lambda e: eval_interval(e, box), inputs)
-        assert _iv_bits(sys.rhs_interval(box, inputs)) == _iv_bits(want)
-    # the kept constants do not stop a system from pickling
-    assert _bound_bits(compute_bounds(pickle.loads(pickle.dumps(sys)), box)) == _bound_bits(bounds)
+    other = Box(tuple(Interval(c.lo - 0.25, c.mid) for c in box))
+    for b in (box, other, box, other):  # the later runs reuse the kept values
+        bounds, rates = _reference_bounds(sys, lambda e: eval_interval(e, b), w_sups)
+        assert _bound_bits(compute_bounds(sys, b)) == _bound_bits(bounds)
+        assert [v.hex() for v in local_rates(sys, b, w_sups)] == [v.hex() for v in rates]
+        want = _reference_field(sys, lambda e: eval_interval(e, b), inputs)
+        assert _iv_bits(sys.rhs_interval(b, inputs)) == _iv_bits(want)
+        # the kept values pickle with the system
+        assert _bound_bits(compute_bounds(pickle.loads(pickle.dumps(sys)), b)) == _bound_bits(bounds)
     exprs = [*sys.f, *(e for gi in sys.g for e in gi)]
     for d in (sys.df, sys.dg, sys.d2f, sys.d2g):
         exprs += [e for e in np.ravel(np.array(d, dtype=object))]
     assert len(sys.program.code) < sum(len(Program(((e,),)).code) for e in exprs)
+
+
+def test_kept_norms_leave_no_program_to_run(monkeypatch):
+    """Every derivative norm of dosc-additive's system is box-independent,
+    so after the first box local_rates runs no program and compute_bounds
+    one, over the drift's slots alone.  A box-independent Jacobian entry
+    that is not finite is never kept: compute_bounds and local_rates raise
+    on every call, each with its own message."""
+    calls = []
+    real = symexpr.eval_interval
+    monkeypatch.setattr(symexpr, "eval_interval", lambda *args: calls.append(args[2:]) or real(*args))
+    sys, first = SHARED_CASES[-1]
+    sys = InputAffineSystem(sys.n, sys.f, sys.g, sys.V)
+    w_sups = [0.1]
+    local_rates(sys, first, w_sups)
+    compute_bounds(sys, first)
+    assert len(calls) == 2
+    for box in (Box.from_bounds([(-1.0, 0.25), (0.0, 2.0)]), Box.from_bounds([(3.0, 3.5), (-2.0, -1.0)])):
+        bounds, rates = _reference_bounds(sys, lambda e: eval_interval(e, box), w_sups)
+        del calls[:]
+        assert [v.hex() for v in local_rates(sys, box, w_sups)] == [v.hex() for v in rates]
+        assert calls == []
+        assert _bound_bits(compute_bounds(sys, box)) == _bound_bits(bounds)
+        assert calls == [(tuple(sorted(set(sys._slots[0]))),)]
+    # d/dx1 of 1e300*1e300*x1 is the constant 1e300*1e300, which overflows
+    checks = [(compute_bounds, (), "matrix norm"), (local_rates, (w_sups,), "logarithmic norm")]
+    for order in (checks, checks[::-1]):
+        sys = InputAffineSystem(2, ["1e300*1e300*x1", "x2"], [["0", "1"]], [0.1])
+        for box in (first, Box.from_bounds([(-1.0, 1.0), (0.0, 1.0)])) * 2:
+            for fn, extra, message in order:
+                with pytest.raises(IntervalDomainError, match=f"^{message} requires finite entries$"):
+                    fn(sys, box, *extra)
 
 
 def _random_system(rng):

@@ -510,7 +510,10 @@ class Box(_Immutable):
 
 
 class IntervalMatrix(_Immutable):
-    """Square grid of intervals (used for Jacobian enclosures)."""
+    """Square grid of intervals, with row_abs_sums, mat_inf_norm and
+    lognorm_inf its norms.  The library builds none: a system's derivative
+    norms come from its bounds plan (symexpr), and this matrix family is
+    the public reference that the tests hold those norms to."""
 
     __slots__ = ("rows",)
 

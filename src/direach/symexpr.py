@@ -62,9 +62,58 @@ __all__ = [
 
 class Expr(_Immutable):
     """Base class for expression nodes: immutable slotted values (see
-    interval._Immutable)."""
+    interval._Immutable); each node class writes its text with
+    _format(*texts), from its operands' texts.  Equality, hash, str, repr
+    and pickling walk a tree from a stack (_postorder), so any nesting
+    depth works, and each distinct node object is visited once, so a
+    shared subtree costs once.  Equality is interval._Immutable's, field
+    by field within one class, so Const(0.0) == Const(-0.0); like the hash,
+    it needs the fields other than operands (a Var's index, a Const's
+    value, an exponent) hashable."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        numbers: dict = {}  # structure -> number; an identical subtree is numbered once
+
+        def number(e: Expr, kids: list) -> int:
+            return numbers.setdefault((type(e), *kids, *e._values()[len(kids):]), len(numbers))
+
+        done: dict = {}
+        return _postorder(self, number, done) == _postorder(other, number, done)
+
+    def __hash__(self):
+        return _postorder(self, lambda e, kids: hash((type(e), *kids, *e._values()[len(kids):])))
+
+    def __str__(self) -> str:
+        return _postorder(self, lambda e, texts: e._format(*texts))
+
+    def __repr__(self) -> str:
+        def text(e: Expr, kids: list) -> str:
+            values = (*kids, *map(repr, e._values()[len(kids):]))
+            return f"{type(e).__qualname__}({', '.join(f'{n}={v}' for n, v in zip(e._fields, values))})"
+
+        return _postorder(self, text)
+
+    def __reduce__(self):
+        flat = []  # per distinct node: (type, its operands' places in flat, its other fields)
+
+        def place(e: Expr, kids: list) -> int:
+            flat.append((type(e), tuple(kids), e._values()[len(kids):]))
+            return len(flat) - 1
+
+        _postorder(self, place)
+        return _unflatten, (tuple(flat),)
+
+
+def _unflatten(flat: tuple) -> Expr:
+    """The tree that Expr.__reduce__ flattened, built in its order."""
+    nodes = []
+    for t, kids, other in flat:
+        nodes.append(t(*[nodes[k] for k in kids], *other))
+    return nodes[-1]
 
 
 class Var(Expr):
@@ -73,7 +122,7 @@ class Var(Expr):
     def __init__(self, index: int):
         _set(self, "index", index)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return f"x{self.index}"
 
 
@@ -83,7 +132,7 @@ class Const(Expr):
     def __init__(self, value: float):
         _set(self, "value", value)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         if self.value < 0:
             return f"({self.value!r})"
         return repr(self.value)
@@ -111,37 +160,36 @@ class _Unary(Expr):
 class Add(_Binary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        b = f"({self.b})" if isinstance(self.b, (Add, Sub)) else self.b
-        return f"{self.a} + {b}"
+    def _format(self, a: str, b: str) -> str:
+        return f"{a} + ({b})" if isinstance(self.b, (Add, Sub)) else f"{a} + {b}"
 
 
 class Sub(_Binary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"{self.a} - {_paren_term(self.b)}"
+    def _format(self, a: str, b: str) -> str:
+        return f"{a} - {_paren_term(self.b, b)}"
 
 
 class Mul(_Binary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"{_paren_term(self.a)}*{_paren_factor(self.b)}"
+    def _format(self, a: str, b: str) -> str:
+        return f"{_paren_term(self.a, a)}*{_paren_factor(self.b, b)}"
 
 
 class Div(_Binary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"{_paren_term(self.a)}/{_paren_factor(self.b)}"
+    def _format(self, a: str, b: str) -> str:
+        return f"{_paren_term(self.a, a)}/{_paren_factor(self.b, b)}"
 
 
 class Neg(_Unary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"-{_paren_term(self.a)}"
+    def _format(self, a: str) -> str:
+        return f"-{_paren_term(self.a, a)}"
 
 
 class Pow(Expr):
@@ -151,42 +199,38 @@ class Pow(Expr):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
 
-    def __str__(self) -> str:
-        base = f"({self.base})" if isinstance(self.base, Pow) else _paren_factor(self.base)
+    def _format(self, base: str) -> str:
+        base = f"({base})" if isinstance(self.base, Pow) else _paren_factor(self.base, base)
         return f"{base}^{self.exponent}"
 
 
 class Sin(_Unary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"sin({self.a})"
+    def _format(self, a: str) -> str:
+        return f"sin({a})"
 
 
 class Cos(_Unary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"cos({self.a})"
+    def _format(self, a: str) -> str:
+        return f"cos({a})"
 
 
 class Exp(_Unary):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return f"exp({self.a})"
+    def _format(self, a: str) -> str:
+        return f"exp({a})"
 
 
-def _paren_term(e: Expr) -> str:
-    if isinstance(e, (Add, Sub, Neg)):
-        return f"({e})"
-    return str(e)
+def _paren_term(e: Expr, text: str) -> str:
+    return f"({text})" if isinstance(e, (Add, Sub, Neg)) else text
 
 
-def _paren_factor(e: Expr) -> str:
-    if isinstance(e, (Add, Sub, Mul, Div, Neg)):
-        return f"({e})"
-    return str(e)
+def _paren_factor(e: Expr, text: str) -> str:
+    return f"({text})" if isinstance(e, (Add, Sub, Mul, Div, Neg)) else text
 
 
 class ExprSyntaxError(ValueError):
@@ -398,10 +442,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def diff(e: Expr, j: int) -> Expr:
     """Exact partial derivative with respect to variable x<j> (1-based),
     each distinct node once, after its operands (_postorder)."""
-    done: dict[int, Expr] = {}  # id(node) -> derivative, while e keeps the nodes alive
-    for node, operands in _postorder(e, done):
-        done[id(node)] = _diff_node(node, j, *[done[id(p)] for p in operands])
-    return done[id(e)]
+    return _postorder(e, lambda node, kids: _diff_node(node, j, *kids))
 
 
 def _diff_node(e: Expr, j: int, da: Expr | None = None, db: Expr | None = None) -> Expr:
@@ -453,23 +494,26 @@ def _operands(e: Expr) -> tuple:
     raise ValueError(f"{e!r} is not an Expr")
 
 
-def _postorder(root: Expr, done: dict):
-    """Yield (node, its operands) for the nodes under root whose id is not
-    a key of done, each after its operands, left to right; the caller
-    enters each node in done before it takes the next.  A stack stands in
+def _postorder(root: Expr, node, done: dict | None = None):
+    """node(e, its operands' results) for each node e under root whose id
+    is not a key of done, after its operands, left to right; root's result.
+    Results go into done by id, so a subtree met again, in root or in a
+    later call with the same done, is not visited again.  A stack stands in
     for recursion, so any nesting depth works.  An operand that is not an
     Expr raises ValueError."""
+    done = {} if done is None else done
     stack = [(root, None)]
     while stack:
         e, kids = stack.pop()
         if id(e) in done:
             continue
         if kids is not None:
-            yield e, kids
+            done[id(e)] = node(e, [done[id(k)] for k in kids])
             continue
         kids = _operands(e)
         stack.append((e, kids))
         stack += [(k, None) for k in reversed(kids) if id(k) not in done]
+    return done[id(root)]
 
 
 class Program:
@@ -486,27 +530,24 @@ class Program:
     operand (the left factor of a product or the divisor of a quotient
     beside a non-Const, or a root of the first block, the one scalar runs
     are for, at a position in factors, which the caller only multiplies on
-    the left) has True in b.  varies[i] says whether a Var is below slot
-    i; a slot without one has the same value on every box."""
+    the left) has True in b.  A program holds no values: each run computes
+    its own."""
 
-    __slots__ = ("code", "roots", "varies", "_steps", "_kept")
+    __slots__ = ("code", "roots", "_steps")
 
     def __init__(self, blocks: Sequence[Sequence[Expr]], factors: Sequence[int] = ()):
         slots: dict = {}  # structure -> slot
         seen: dict[int, int] = {}  # id(node) -> slot, while blocks keeps the nodes alive
-        code, varies = [], []  # per slot: [slot, type, a, b], and whether a Var is below
+        code = []  # per slot: [slot, type, a, b]
 
-        def place(root: Expr) -> int:
-            for e, operands in _postorder(root, seen):
-                kids, other = [seen[id(p)] for p in operands], e._values()[len(operands):]
-                key = (type(e), *kids, *((type(p), repr(p)) for p in other))
-                s = seen[id(e)] = slots.setdefault(key, len(code))
-                if s == len(code):
-                    code.append([s, type(e), *kids, *other, None][:4])
-                    varies.append(type(e) is Var or any(varies[k] for k in kids))
-            return seen[id(root)]
+        def slot(e: Expr, kids: list) -> int:
+            other = e._values()[len(kids):]
+            s = slots.setdefault((type(e), *kids, *((type(p), repr(p)) for p in other)), len(code))
+            if s == len(code):
+                code.append([s, type(e), *kids, *other, None][:4])
+            return s
 
-        roots = [[place(e) for e in block] for block in blocks]
+        roots = [[_postorder(e, slot, seen) for e in block] for block in blocks]
         self.roots = tuple(s for block in roots for s in block)
         scalar = {s for s, t, _, _ in code if t is Const}
         scalar.difference_update(s for k, s in enumerate(roots[0]) if k not in factors)
@@ -518,52 +559,39 @@ class Program:
         for s in scalar:
             code[s][3] = True
         self.code = tuple(map(tuple, code))
-        self.varies = tuple(varies)
         self._steps = {k: self._need(block) for k, block in enumerate(roots)}
-        self._steps[None] = self._need(range(len(code)))
-        self._kept: dict = {}
+        self._steps[None] = self.code
 
     def _need(self, slots) -> tuple:
-        """The (constant, varying) instructions of slots and of their
-        operands, which come before them."""
+        """The instructions of slots and of their operands, in order."""
         need = set(slots)
         for i, t, a, b in reversed(self.code):
             if i in need and t is not Var and t is not Const:
                 need.update((a, b) if t in _BINARY else (a,))
-        run = [ins for ins in self.code if ins[0] in need]
-        return tuple(ins for ins in run if not self.varies[ins[0]]), tuple(ins for ins in run if self.varies[ins[0]])
+        return tuple(ins for ins in self.code if ins[0] in need)
 
-    def run(self, args: Sequence, ops: dict, block: int | tuple | None = None, keep: str = "", scalars: bool = False) -> list:
+    def run(self, args: Sequence, ops: dict, block: int | tuple | None = None, scalars: bool = False) -> list:
         """The values of the slots that a block needs, or of all: block is
         the index of a block of roots or a tuple of slots.  x<i> is
         args[i-1], a Const ops[Const](value, args), a Pow ops[Pow](base, n),
         any other node ops[type] of its operands; with scalars, a Const with
-        True is its float.  keep names a domain whose Const ignores args:
-        its slots with no Var below are evaluated once, then kept."""
-        constant, varying = self._steps.get(block) or self._steps.setdefault(block, self._need(block))
-        fresh = ([None] * len(self.code), set())
-        known, done = self._kept.setdefault(keep, fresh) if keep else fresh
-        if block not in done:
-            _execute(known, [ins for ins in constant if known[ins[0]] is None], args, ops, scalars)
-            done.add(block)
-        vals = known[:] if keep else known
-        _execute(vals, varying, args, ops, scalars)
+        True is its float.  Each run evaluates each slot it needs once."""
+        if block not in self._steps:
+            self._steps[block] = self._need(block)
+        vals = [None] * len(self.code)
+        const = ops[Const]
+        for i, t, a, b in self._steps[block]:
+            if t is Var:
+                vals[i] = args[a - 1]
+            elif t is Const:
+                vals[i] = a if b and scalars else const(a, args)
+            elif t is Pow:
+                vals[i] = ops[Pow](vals[a], b)
+            elif b is None:
+                vals[i] = ops[t](vals[a])
+            else:
+                vals[i] = ops[t](vals[a], vals[b])
         return vals
-
-
-def _execute(vals: list, steps: Sequence, args: Sequence, ops: dict, scalars: bool) -> None:
-    const = ops[Const]
-    for i, t, a, b in steps:
-        if t is Var:
-            vals[i] = args[a - 1]
-        elif t is Const:
-            vals[i] = a if b and scalars else const(a, args)
-        elif t is Pow:
-            vals[i] = ops[Pow](vals[a], b)
-        elif b is None:
-            vals[i] = ops[t](vals[a])
-        else:
-            vals[i] = ops[t](vals[a], vals[b])
 
 
 # the arithmetic nodes in every domain: the operators dispatch on the value type
@@ -585,10 +613,12 @@ def eval_point(e: Expr, x: Sequence[float]) -> float:
 
 def eval_interval(e: Expr | Program, x: Box, block: int | tuple | None = None):
     """Natural interval extension over x: an Interval enclosing {e(p) : p
-    in x}, or of a program the slot values of one run (Program.run)."""
+    in x}, or of a program the slot values of one run (Program.run), which
+    evaluates every slot it needs on every call; what no box changes is kept
+    only by InputAffineSystem's bounds plan."""
     if isinstance(e, Program):
-        return e.run(x.components, _INTERVAL_OPS, block, keep="interval")
-    return Program(((e,),)).run(x.components, _INTERVAL_OPS, keep="interval")[-1]
+        return e.run(x.components, _INTERVAL_OPS, block)
+    return Program(((e,),)).run(x.components, _INTERVAL_OPS)[-1]
 
 
 def _is_zero(e: Expr) -> bool:
@@ -604,16 +634,18 @@ class InputAffineSystem:
     Jacobians and the second derivatives (a zero entry is +0.0).  A subtree
     that fields and derivatives share is one slot of it.  Each box
     (rhs_interval, jacobian_norms, compute_bounds) and each Picard iterate
-    (flow) is at most one run; after the first box no constant subtree, such
-    as a linear field's Jacobian, is evaluated again.
+    (flow) is at most one run.
 
     The derivative norms of compute_bounds and flow.local_rates come from
-    one bounds plan built from the root slots (_bounds_plan).  A quantity
-    of it that no box changes, as no Var is below a slot it reads, is
-    computed on the first box and kept on the system unless it met an entry
-    that is not finite; a later box runs only the slots of the quantities
-    not kept, and no program when all are.  Every value is bit for bit what
-    the norms of the full matrices give.
+    one bounds plan built from the root slots (_bounds_plan), the one place
+    that decides and keeps what no box changes.  A quantity of it whose
+    slots have no Var below them is computed on the first box and kept on
+    the system unless it met an entry that is not finite; a later box runs
+    only the slots of the quantities not kept, and no program when all
+    are, so after the first box no plan quantity of a linear field's
+    Jacobian is evaluated again.  A run evaluates every slot it needs,
+    constant subtrees included.  Every value is bit for bit what the norms
+    of the full matrices give.
 
     Construction raises ValueError on an operand that is not an Expr, a
     variable other than x1..xn (x0 included), a constant that is not a
@@ -752,13 +784,16 @@ def _bounds_plan(program: Program, slots: tuple, V: Sequence[float]) -> tuple:
     the order K, K', Df, every Dg_k, H, H'.  how(vals, reads) computes it
     from a run's slot values; reads are its slots other than the +0.0 ones,
     in the order how takes them, used are those distinct, and constant says
-    that no Var is below any of them."""
+    that no Var is below any of them, so that no box changes it."""
     f, g, df, dg, d2f, d2g = slots
     zero = {i for i, t, a, _ in program.code if t is Const and a == 0.0}
+    varies = []  # per slot, whether a Var is below it
+    for _, t, a, b in program.code:
+        varies.append(t is Var or t is not Const and (varies[a] or t in _BINARY and varies[b]))
 
     def entry(how, source, reads=None):
         used = tuple(sorted(set(source) - zero))
-        return how, used if reads is None else reads, used, not any(program.varies[s] for s in used)
+        return how, used if reads is None else reads, used, not any(varies[s] for s in used)
 
     def norms(rows):  # per row, its (slot, on the diagonal) pairs
         pairs = (((s, i == k) for i, s in enumerate(row) if s not in zero) for k, row in enumerate(rows))

@@ -118,6 +118,25 @@ def test_only_symexpr_reads_a_systems_slot_layout():
     assert readers == {"symexpr.py"}
 
 
+def test_only_the_bounds_plan_knows_what_varies():
+    """Whether a Var is below a slot, which decides what no box changes, is
+    known in one place: no module, class or function names varies but
+    symexpr._bounds_plan, so a program keeps no values of its own."""
+    namers = set()
+    for path in Path(direach.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): top.name
+            for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if "varies" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None)):
+                namers.add(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    assert namers == {"symexpr._bounds_plan"}
+
+
 def test_flow_builds_certification_errors_in_one_place():
     """Every certification failure of flow has its message built by one
     helper: the module calls CertificationError(...) in exactly one place,

@@ -833,42 +833,45 @@ def _counting(ops):
 
 
 def test_program_evaluates_each_node_once():
-    """One interval run evaluates each distinct node of the fields and
-    their derivatives once; a run over a second box evaluates no constant
-    subtree again, so for a linear field only the fields' nodes."""
+    """Each interval run evaluates each distinct node of the fields and
+    their derivatives once, on every box alike: a program keeps no values
+    between runs.  The Jacobians' block evaluates only what its roots need,
+    and for a linear field none of it reads a variable, which is what lets
+    the bounds plan keep the field's Jacobian norms."""
     linear = InputAffineSystem(2, ["-x1 + 0.5*x2", "-0.5*x1 - x2 + sin(0.3)*2^3"], [["0", "1"]], [0.05])
     for sys, box in [*SHARED_CASES, (linear, VDP_D)]:
-        distinct = set()  # the structures of the nodes other than Vars, floats as bits
 
-        def walk(e):
-            parts = e._values()
-            key = (type(e), *(walk(c) if isinstance(c, Expr) else c.hex() if isinstance(c, float) else c for c in parts))
-            if not isinstance(e, Var):
-                distinct.add(key)
-            return key
+        def distinct(blocks):  # the structures of the nodes other than Vars, floats as bits
+            keys = set()
 
-        for block in (sys.f, sys.g, sys.df, sys.dg, sys.d2f, sys.d2g):
-            for e in np.ravel(np.array(block, dtype=object)):
-                # a zero derivative entry is compiled as +0.0
-                walk(Const(0.0) if _is_zero(e) and block not in (sys.f, sys.g) else e)
+            def walk(e):
+                parts = e._values()
+                key = (type(e), *(walk(c) if isinstance(c, Expr) else c.hex() if isinstance(c, float) else c for c in parts))
+                if not isinstance(e, Var):
+                    keys.add(key)
+                return key
+
+            for block in blocks:
+                for e in np.ravel(np.array(block, dtype=object)):
+                    # a zero derivative entry is compiled as +0.0
+                    walk(Const(0.0) if _is_zero(e) and block not in (sys.f, sys.g) else e)
+            return keys
+
         ops, calls = _counting(symexpr._INTERVAL_OPS)
-        first = sys.program.run(box.components, ops, keep="counting")
-        assert len(calls) == len(distinct)
-        del calls[:]
+        every = len(distinct((sys.f, sys.g, sys.df, sys.dg, sys.d2f, sys.d2g)))
         half = Box(tuple(Interval(c.lo, c.mid) for c in box))
-        second = sys.program.run(half.components, ops, keep="counting")
-        constant, varying = sys.program._steps[None]
-        varying = [i for i, t, _, _ in varying if t is not Var]
-        assert len(calls) == len(varying) < len(distinct)
-        assert all(first[i] is second[i] for i, *_ in constant)
-        assert second == sys.program.run(half.components, symexpr._INTERVAL_OPS)
+        for b in (box, half):
+            del calls[:]
+            vals = sys.program.run(b.components, ops)
+            assert len(calls) == every
+            assert vals == sys.program.run(b.components, symexpr._INTERVAL_OPS)
         # the Jacobians' block evaluates only the nodes its roots need
         del calls[:]
-        sys.program.run(half.components, ops, 1, keep="counting")
-        assert len(calls) == sum(t is not Var for _, t, _, _ in sys.program._steps[1][1])
-    # the fields' nodes come first: nothing of a linear field's derivatives varies
-    assert max(varying) <= max(linear.program.roots[: 2 + 2 * linear.m])
-    assert linear.program._steps[1][1] == ()
+        sys.program.run(half.components, ops, 1)
+        assert len(calls) == len(distinct((sys.df, sys.dg))) < every
+    # no variable is read (there is none to read), so every Jacobian norm is box-independent
+    assert linear.program.run((), symexpr._INTERVAL_OPS, 1)
+    assert all(constant for *_, constant in linear._plan[2 : 3 + linear.m])
 
 
 def test_equal_subtrees_apart_are_evaluated_once(monkeypatch):
@@ -939,3 +942,35 @@ def test_system_builds_fields_of_any_depth():
     assert sums.rhs_interval(one, []) == (Interval(1500.0, 1500.0),)
     b = compute_bounds(InputAffineSystem(1, ["*".join(["x1"] * 1500)]), one)
     assert (b.K, b.L, b.H) == (1.0, 1500.0, 1500.0 * 1499.0)
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_fields_of_any_depth_compare_print_and_pickle(op):
+    """The 1,500-deep chains above compare, hash, print and pickle from a
+    stack rather than by recursion: a field equals a second parse of its
+    text and has its hash, its str is that text and parses back to it, and
+    the system pickles with bit-identical fields and bounds."""
+    text = op.join(["x1"] * 1500)
+    sys = InputAffineSystem(1, [text])
+    e, again = sys.f[0], parse(text)
+    assert e is not again and e == again and hash(e) == hash(again)
+    assert e != parse(text + op + "x1") and e != parse(text.replace("x1", "x2", 1))
+    assert str(e) == text.replace("+", " + ") and parse(str(e)) == e
+    assert repr(e).count("Var(index=1)") == 1500
+    copy = pickle.loads(pickle.dumps(sys))
+    assert (copy.f, copy.df, copy.d2f) == (sys.f, sys.df, sys.d2f)
+    one = Box.from_bounds([(1.0, 1.0)])
+    assert _bound_bits(compute_bounds(copy, one)) == _bound_bits(compute_bounds(sys, one))
+
+
+def test_shared_subtrees_are_walked_once():
+    """A DAG of 1,501 nodes whose tree has 2**1501 - 1 hashes, compares
+    and pickles in time linear in its nodes, and its copy shares as it
+    does."""
+    e, f = Var(1), Var(1)
+    for _ in range(1500):
+        e, f = Add(e, e), Add(f, f)
+    assert e == f and hash(e) == hash(f) and e != Add(f, Var(1))
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and copy.a is copy.b
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))

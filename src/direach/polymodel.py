@@ -531,9 +531,15 @@ class PolynomialModel(_Immutable):
 
     def scale(self, s: float) -> "PolynomialModel":
         """The model times the float s.  A product that underflows to zero
-        leaves no term."""
+        leaves no term.  Scaling by 1.0 returns the model itself and by
+        -1.0 its negation: both products are exact, so neither charges
+        rounding slack."""
         if s == 0.0:
             return PolynomialModel.constant(0.0, self.vars, self.max_degree)
+        if s == 1.0:
+            return self
+        if s == -1.0:
+            return -self
         if self._vec is not None:
             vec, slack, products = dense._dense_scale(self._vec, s)
             out = None

@@ -645,7 +645,8 @@ class InputAffineSystem:
     are, so after the first box no plan quantity of a linear field's
     Jacobian is evaluated again.  A run evaluates every slot it needs,
     constant subtrees included.  Every value is bit for bit what the norms
-    of the full matrices give.
+    of the full matrices give.  A system pickles as its definition (n, f,
+    g, V) alone; loading builds the rest again.
 
     Construction raises ValueError on an operand that is not an Expr, a
     variable other than x1..xn (x0 included), a constant that is not a
@@ -713,7 +714,13 @@ class InputAffineSystem:
         )
         self._plan = _bounds_plan(self.program, self._slots, self.V)
         self._kept: list = [None] * len(self._plan)  # the box-independent values computed so far
+        self._lp: float | None = None  # L' of compute_bounds, kept once every Dg_k is
         self._runs: dict = {}  # the quantities a call computes -> the slots they read
+
+    def __reduce__(self):
+        # the definition alone: loading differentiates and compiles again, and
+        # the kept values are computed again, bit for bit, on first use
+        return InputAffineSystem, (self.n, self.f, self.g, self.V)
 
     @property
     def m(self) -> int:
@@ -784,7 +791,9 @@ def _bounds_plan(program: Program, slots: tuple, V: Sequence[float]) -> tuple:
     the order K, K', Df, every Dg_k, H, H'.  how(vals, reads) computes it
     from a run's slot values; reads are its slots other than the +0.0 ones,
     in the order how takes them, used are those distinct, and constant says
-    that no Var is below any of them, so that no box changes it."""
+    that no Var is below any of them, so that no box changes it.  L', which
+    compute_bounds combines from the Dg_k row sums, is kept beside these
+    once every Dg_k is."""
     f, g, df, dg, d2f, d2g = slots
     zero = {i for i, t, a, _ in program.code if t is Const and a == 0.0}
     varies = []  # per slot, whether a Var is below it
@@ -852,11 +861,18 @@ def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
     largest second-derivative magnitude.  Every value comes from the
     system's bounds plan (see InputAffineSystem): a box-independent one is
     computed once per system, the others from one run over the slots they
-    read, bit for bit what the full matrices give.  A non-finite entry of
-    Df or of an input Jacobian raises IntervalDomainError.
+    read, bit for bit what the full matrices give.  L' = max_i sum_k V_k
+    (row sum i of Dg_k) is combined from the row sums, and kept on the
+    system once every Dg_k is, so it too is built once when no input
+    Jacobian depends on the box.  A non-finite entry of Df or of an input
+    Jacobian raises IntervalDomainError.
     """
     K, Kp, df, *dg, H, Hp = sys._measure(box, range(len(sys._plan)))
     if df is None or None in dg:
         raise IntervalDomainError("matrix norm requires finite entries")
-    Lp = _weighted_max(zip(sys.V, sums) for sums in zip(*(d[0] for d in dg)))
+    Lp = sys._lp
+    if Lp is None:
+        Lp = _weighted_max(zip(sys.V, sums) for sums in zip(*(d[0] for d in dg)))
+        if None not in sys._kept[3 : 3 + sys.m]:
+            sys._lp = Lp
     return StepErrorBounds(K=K, Kp=Kp, L=df[1], Lp=Lp, H=H, Hp=Hp, Lam=df[2])

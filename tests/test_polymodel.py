@@ -1546,6 +1546,31 @@ def test_slot_vector_ops_exact_fuzz(op):
                     operation(m)
 
 
+def test_scale_by_one_returns_the_model_and_by_minus_one_its_negation():
+    """Both products are exact: scale(1.0) is the model itself and
+    scale(-1.0) its negation, with the error unchanged, for a dict model
+    and for one that carries its slot vector."""
+    a = pm({(1, 0): 0.3, (0, 2): -1.7, (2, 1): 0.1, (0, 0): 2.5}, error=1e-3)
+    for m in _forms(a):
+        assert m.scale(1.0) is m
+        r = m.scale(-1.0)
+        assert r == -m and r.error == m.error and (r._vec is None) == (m._vec is None)
+
+
+def test_vector_scale_overflow_raises_without_warning():
+    """A model that carries its slot vector, doubled until its magnitude
+    sum passes the largest double (at 2**1023 the coefficients are still
+    finite, their sum 2 * 2**1023 is not), raises IntervalDomainError, and
+    numpy warns of no overflow on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = _carrying(pm({(1, 0): 0.3, (0, 2): -1.7}))
+        with pytest.raises(IntervalDomainError, match="^model arithmetic overflowed$"):
+            for _ in range(1100):
+                m = m.scale(2.0)
+        assert m._vec is not None
+
+
 def test_vector_models_keep_value_semantics():
     """A model that carries its slot vector equals the dict model with the
     same terms, builds its terms in slot order whatever the insertion

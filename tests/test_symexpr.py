@@ -692,7 +692,8 @@ def test_compute_bounds_memo_matches_unmemoized(sys, box):
         assert [v.hex() for v in local_rates(sys, b, w_sups)] == [v.hex() for v in rates]
         want = _reference_field(sys, lambda e: eval_interval(e, b), inputs)
         assert _iv_bits(sys.rhs_interval(b, inputs)) == _iv_bits(want)
-        # the kept values pickle with the system
+        # a pickled system is its definition: loading builds the plan again,
+        # and the kept values are computed again, bit for bit, on first use
         assert _bound_bits(compute_bounds(pickle.loads(pickle.dumps(sys)), b)) == _bound_bits(bounds)
     exprs = [*sys.f, *(e for gi in sys.g for e in gi)]
     for d in (sys.df, sys.dg, sys.d2f, sys.d2g):
@@ -942,6 +943,57 @@ def test_system_builds_fields_of_any_depth():
     assert sums.rhs_interval(one, []) == (Interval(1500.0, 1500.0),)
     b = compute_bounds(InputAffineSystem(1, ["*".join(["x1"] * 1500)]), one)
     assert (b.K, b.L, b.H) == (1.0, 1500.0, 1500.0 * 1499.0)
+
+
+def vdp_workload_system():
+    return InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05])
+
+
+@pytest.mark.parametrize("make", [dosc_system, vdp_workload_system])
+def test_compute_bounds_keeps_lp_once_every_input_jacobian_is_kept(monkeypatch, make):
+    """On a system whose input Jacobians do not depend on the box, L' is
+    combined from their row sums on the first compute_bounds call only,
+    and every call's L' is bit for bit the one combined from the full
+    matrices: two boxes, each twice.  The combinations counted are the
+    _weighted_max calls outside _weighted_mags, which K' and H' make."""
+    builds, inner = [], [False]
+    weighted_max, weighted_mags = symexpr._weighted_max, symexpr._weighted_mags
+
+    def counted_max(entries):
+        builds[-1] += not inner[0]
+        return weighted_max(entries)
+
+    def counted_mags(vals, entries):
+        inner[0] = True
+        try:
+            return weighted_mags(vals, entries)
+        finally:
+            inner[0] = False
+
+    monkeypatch.setattr(symexpr, "_weighted_max", counted_max)
+    monkeypatch.setattr(symexpr, "_weighted_mags", counted_mags)
+    sys = make()  # built after the patch, so that its plan holds counted_mags
+    box = Box.from_bounds([(0.5, 1.5), (-0.5, 0.5)])
+    other = Box(tuple(Interval(c.lo - 0.25, c.mid) for c in box))
+    for b in (box, other, box, other):
+        builds.append(0)
+        Lp = compute_bounds(sys, b).Lp
+        want = _reference_bounds(sys, lambda e: eval_interval(e, b), [0.0] * sys.m)[0].Lp
+        assert Lp.hex() == want.hex()
+    assert builds == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("make", [vdp_workload_system, dosc_system, trig3_system])
+def test_system_pickles_as_its_definition(make):
+    """A benchmark workload's system pickles as (n, f, g, V) alone, in under
+    600 bytes, and loads with a program of the same length: its shared
+    derivative subtrees are built again, not copied once per root."""
+    sys = make()
+    data = pickle.dumps(sys)
+    copy = pickle.loads(data)
+    assert len(data) < 600
+    assert (copy.n, copy.f, copy.g, copy.V) == (sys.n, sys.f, sys.g, sys.V)
+    assert len(copy.program.code) == len(sys.program.code)
 
 
 @pytest.mark.parametrize("op", ["+", "*"])

@@ -251,12 +251,10 @@ def _dense_add_scalar(v: np.ndarray, value: float) -> tuple:
 
 
 def _dense_scale(v: np.ndarray, s: float) -> tuple:
-    """v times the float s: (vector, slack, products behind it).  The
-    slack's magnitude sum is _magnitude's, under this kernel's errstate."""
+    """v times the float s: (vector, slack, products behind it)."""
     with np.errstate(over="ignore"):
         out = v * s
-        mag = float(np.abs(out).sum())
-    return out, mag * _EPS, _count(v)
+    return out, _magnitude(out) * _EPS, _count(v)
 
 
 def _dense_range(v: np.ndarray, layout: _DenseLayout) -> tuple:

@@ -42,7 +42,6 @@ evaluated, model arithmetic that overflows) raises CertificationError.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
@@ -115,25 +114,15 @@ class AprioriBound(_Immutable):
         _set(self, "input_ranges", input_ranges)
 
 
+def _w_sups(sys: InputAffineSystem, scheme: InputScheme) -> list[float]:
+    """Upper bound of each input's sup|w| = V * w_sup_factor, rounded upward."""
+    return [_mul_up(v, scheme.w_sup_factor) for v in sys.V]
+
+
 def input_hull_ranges(sys: InputAffineSystem, scheme: InputScheme) -> tuple[Interval, ...]:
     """Input ranges covering both the true disturbances (+-V) and every
-    surrogate member (+-w_sup); one tuple per (V, w_sup_factor), built on
-    its first call."""
-    return _hull(sys.V, scheme.w_sup_factor)
-
-
-# _hull and _w_sups are keyed by value, not by system: V and the factor are
-# all they read, and a system's id may be reused once it is gone.
-@functools.lru_cache(maxsize=16)
-def _hull(V: tuple[float, ...], factor: float) -> tuple[Interval, ...]:
-    return tuple(Interval(-r, r) for r in map(max, V, _w_sups(V, factor)))
-
-
-@functools.lru_cache(maxsize=16)
-def _w_sups(V: tuple[float, ...], factor: float) -> tuple[float, ...]:
-    """Upper bound of each input's sup|w| = V * factor, rounded upward; one
-    tuple per (V, factor)."""
-    return tuple(_mul_up(v, factor) for v in V)
+    surrogate member (+-w_sup)."""
+    return tuple(Interval(-r, r) for r in map(max, sys.V, _w_sups(sys, scheme)))
 
 
 def _failure(what: str, t0: float, exc: Exception | None = None) -> CertificationError:
@@ -402,7 +391,7 @@ def picard_flow(
     base = len(X.vars)
     X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X
     positions = [tuple(base + i * p + q for q in range(p)) for i in range(sys.m)]
-    w_sups = _w_sups(sys.V, scheme.w_sup_factor)
+    w_sups = _w_sups(sys, scheme)
     # the step scheme takes two half steps, one per input parameter; the
     # other schemes one full step.  Every (half) step works on this box with
     # the sub-step, so they share one set of rates.

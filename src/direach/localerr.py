@@ -8,8 +8,7 @@ formula is evaluated on plain floats with every operation rounded upward
 arithmetic by this implementation can only increase the bound.  The growth
 factor phi(u) = (e^u - 1)/u is increasing, so it is taken at Lam*h rounded
 upward.  select_error computes it once per call and passes it to every
-formula as phi; a formula called without it computes it.  growth_factor
-keeps its last few values, so a repeated Lam*h costs one lookup.
+formula as phi; a formula called without it computes it.
 
 Each row of the formula table _FORMULAS serves one family of surrogates:
 O1 any surrogate with sup|w| <= cV (c = 0 for the zero scheme, the
@@ -22,7 +21,6 @@ needs one formula calls its err_* function or its row.
 """
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -62,13 +60,9 @@ class InapplicableError(ValueError):
     """The formula's hypotheses fail for these bounds / this step size."""
 
 
-@functools.lru_cache(maxsize=8)
 def growth_factor(u: float) -> float:
     """Upper bound of (e^u - 1)/u, continued by 1 at u = 0; decreasing below
-    1 for negative u.  The last few arguments keep their values: a system
-    whose Lam does not depend on the box meets the same Lam*h on every step
-    of one size.  0.0 and -0.0 share an entry, which is exact: both give
-    1 + 1e-15 rounded upward."""
+    1 for negative u."""
     if abs(u) < 1e-8:
         # |phi(u) - (1 + u/2)| <= u^2/6 < 1.7e-17 here
         return _add_up(_add_up(1.0, _mul_up(u, 0.5)), 1e-15)

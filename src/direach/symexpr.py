@@ -714,7 +714,6 @@ class InputAffineSystem:
         )
         self._plan = _bounds_plan(self.program, self._slots, self.V)
         self._kept: list = [None] * len(self._plan)  # the box-independent values computed so far
-        self._lp: float | None = None  # L' of compute_bounds, kept once every Dg_k is
         self._runs: dict = {}  # the quantities a call computes -> the slots they read
 
     def __reduce__(self):
@@ -788,12 +787,11 @@ class StepErrorBounds(_Immutable):
 
 def _bounds_plan(program: Program, slots: tuple, V: Sequence[float]) -> tuple:
     """A system's bounds plan: (how, reads, used, constant) per quantity, in
-    the order K, K', Df, every Dg_k, H, H'.  how(vals, reads) computes it
+    the order K, K', Df, every Dg_k, H, H', L'.  how(vals, reads) computes it
     from a run's slot values; reads are its slots other than the +0.0 ones,
     in the order how takes them, used are those distinct, and constant says
-    that no Var is below any of them, so that no box changes it.  L', which
-    compute_bounds combines from the Dg_k row sums, is kept beside these
-    once every Dg_k is."""
+    that no Var is below any of them, so that no box changes it.  L' reads
+    every Dg_k's slots, so it is constant exactly when every Dg_k is."""
     f, g, df, dg, d2f, d2g = slots
     zero = {i for i, t, a, _ in program.code if t is Const and a == 0.0}
     varies = []  # per slot, whether a Var is below it
@@ -813,7 +811,9 @@ def _bounds_plan(program: Program, slots: tuple, V: Sequence[float]) -> tuple:
         return entry(_weighted_mags, [s for row in per_input for s in row], tuple(e for e in pairs if e))
 
     second = [[s for row in rows for s in row] for rows in (d2f, *d2g)]
-    return entry(_max_mag, f), weighted(g), norms(df), *map(norms, dg), entry(_max_mag, second[0]), weighted(second[1:])
+    dgs = [norms(rows) for rows in dg]
+    lp = entry(_weighted_row_sums, [s for rows in dg for row in rows for s in row], (tuple(V), tuple(d[1] for d in dgs)))
+    return entry(_max_mag, f), weighted(g), norms(df), *dgs, entry(_max_mag, second[0]), weighted(second[1:]), lp
 
 
 def _max_mag(vals: list, slots: Sequence[int]) -> float:
@@ -855,24 +855,27 @@ def _norms(vals: list, rows) -> tuple | None:
     return tuple(sums), max(sums), lam
 
 
+def _weighted_row_sums(vals: list, reads) -> float | None:
+    """L' = max_i sum_k V_k (row sum i of Dg_k) from (V, each Dg_k's _norms
+    reads), the row sums _norms gives; None when an entry is not finite."""
+    V, per_input = reads
+    dg = [_norms(vals, rows) for rows in per_input]
+    if None in dg:
+        return None
+    return _weighted_max(zip(V, sums) for sums in zip(*(d[0] for d in dg)))
+
+
 def compute_bounds(sys: InputAffineSystem, box: Box) -> StepErrorBounds:
     """Upper bounds for ||f||, ||Df||, lognorm(Df), ||D^2 f|| and the input
     analogues over box; everything rounded upward.  ||D^2 f|| is the
     largest second-derivative magnitude.  Every value comes from the
     system's bounds plan (see InputAffineSystem): a box-independent one is
     computed once per system, the others from one run over the slots they
-    read, bit for bit what the full matrices give.  L' = max_i sum_k V_k
-    (row sum i of Dg_k) is combined from the row sums, and kept on the
-    system once every Dg_k is, so it too is built once when no input
-    Jacobian depends on the box.  A non-finite entry of Df or of an input
-    Jacobian raises IntervalDomainError.
+    read, bit for bit what the full matrices give; so L' is built once
+    when no input Jacobian depends on the box.  A non-finite entry of Df
+    or of an input Jacobian raises IntervalDomainError.
     """
-    K, Kp, df, *dg, H, Hp = sys._measure(box, range(len(sys._plan)))
+    K, Kp, df, *dg, H, Hp, Lp = sys._measure(box, range(len(sys._plan)))
     if df is None or None in dg:
         raise IntervalDomainError("matrix norm requires finite entries")
-    Lp = sys._lp
-    if Lp is None:
-        Lp = _weighted_max(zip(sys.V, sums) for sums in zip(*(d[0] for d in dg)))
-        if None not in sys._kept[3 : 3 + sys.m]:
-            sys._lp = Lp
     return StepErrorBounds(K=K, Kp=Kp, L=df[1], Lp=Lp, H=H, Hp=Hp, Lam=df[2])

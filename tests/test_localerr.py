@@ -80,27 +80,6 @@ def test_growth_factor():
         assert mpmath.mpf(got) <= exact * (1 + mpmath.mpf(tol)), u
 
 
-def test_growth_factor_computes_a_repeated_argument_once(monkeypatch):
-    """growth_factor gives, bit for bit, what the uncached function gives,
-    at 0.0 and -0.0 (which share an entry), at +-1e-9 (the series branch)
-    and at the exp branch's +-0.0025, +-0.0075, +-0.1 and +-50; each
-    argument met a second time costs no exp."""
-    from direach import localerr
-
-    us = [0.0, -0.0]
-    us += [x for a in (1e-9, 0.0025, 0.0075, 0.1, 50.0) for x in (a, -a)]
-    want = [growth_factor.__wrapped__(u).hex() for u in us]
-    exps = []
-    for name in ("_exp_up", "_exp_down"):
-        fn = getattr(localerr, name)
-        monkeypatch.setattr(localerr, name, lambda u, fn=fn: exps.append(u) or fn(u))
-    growth_factor.cache_clear()
-    for u, bits in zip(us, want):
-        assert growth_factor(u).hex() == bits, u
-        assert growth_factor(u).hex() == bits, u
-    assert len(exps) == sum(abs(u) >= 1e-8 for u in us) == 8
-
-
 def test_growth_factor_overflows_to_infinity():
     assert growth_factor(709.9) == math.inf
     assert growth_factor(1e300) == math.inf

@@ -18,6 +18,16 @@ O3-single-input (one input) the surrogates that match the mean and the
 first centred moment: affine, affine-reduced and step.  select_error takes
 the smallest bound among the rows that cover the scheme; a caller that
 needs one formula calls its err_* function or its row.
+
+Under constant input fields (L' = H' = 0) the O3-additive row supersedes
+both general two-moment rows, which select_error then does not evaluate:
+the O3-single-input bound collapses to the additive one, and the O2-affine
+bound reduces to it term for term, up to how (7h^3/48)HK'(K + K') is
+associated.  The affine and the additive evaluation each lie in
+[E, E(1 + 2^-52)^5] for one exact E, so skipping the affine row can raise
+a selected bound by at most that factor (a few ulps), and only where the
+minimum of both would have picked the affine rounding.  The err_*
+functions keep their own hypothesis checks for direct callers.
 """
 from __future__ import annotations
 
@@ -198,6 +208,11 @@ def _additive(b: StepErrorBounds) -> bool:
     return b.Lp == 0.0 and b.Hp == 0.0
 
 
+def _varying(b: StepErrorBounds) -> bool:
+    """Some input field varies on the box: the additive row does not apply."""
+    return not _additive(b)
+
+
 def _always(b: StepErrorBounds) -> bool:
     return True
 
@@ -212,18 +227,24 @@ class _Formula(NamedTuple):
 _TWO_MOMENT = frozenset((SchemeKind.AFFINE, SchemeKind.AFFINE_REDUCED, SchemeKind.STEP))
 _CONSTANT = frozenset((SchemeKind.CONSTANT,))
 
-# Higher orders first, so that min() resolves ties to the best order.
+# Higher orders first, so that min() resolves ties to the best order.  Under
+# constant input fields the additive row supersedes both general two-moment
+# rows, O3-single-input and O2-affine, whose applies predicates skip them.
 _FORMULAS = (
     _Formula(ErrorOrder.O3_ADDITIVE, lambda sys, s, b, h, phi: err_o3_additive(b, h, phi), _TWO_MOMENT),
-    # the additive corollary is preferred where both apply
     _Formula(
         ErrorOrder.O3_SINGLE,
         lambda sys, s, b, h, phi: err_o3_single(b, h, sys.m, phi),
         _TWO_MOMENT,
-        lambda b: not _additive(b),
+        _varying,
     ),
     _Formula(ErrorOrder.O2_CONSTANT, lambda sys, s, b, h, phi: err_o2_constant(b, h, phi), _CONSTANT),
-    _Formula(ErrorOrder.O2_AFFINE, lambda sys, s, b, h, phi: err_o2_affine(b, h, phi), _TWO_MOMENT),
+    _Formula(
+        ErrorOrder.O2_AFFINE,
+        lambda sys, s, b, h, phi: err_o2_affine(b, h, phi),
+        _TWO_MOMENT,
+        _varying,
+    ),
     _Formula(
         ErrorOrder.O1_ZERO, lambda sys, s, b, h, phi: err_o1(b, h, s.w_sup_factor, phi), frozenset(SchemeKind)
     ),
@@ -242,9 +263,12 @@ def select_error(
 
     Each formula checks its own hypotheses (hL < 2 or h(L/2 + L') < 1,
     additive noise, one input) and a formula whose hypotheses fail is
-    skipped; the table's applies predicate prefers the additive corollary
-    to the single-input one.  The first-order row covers every scheme and
-    cannot fail once phi(Lam h) is known, so an answer always exists.
+    skipped.  Under constant input fields the table's applies predicates
+    leave the additive corollary as the only two-moment row: it supersedes
+    the single-input bound and the affine one, which equals it up to a few
+    ulps of rounding (see the module docstring).  The first-order row
+    covers every scheme and cannot fail once phi(Lam h) is known, so an
+    answer always exists.
     InapplicableError is raised only for an h that is not positive and
     finite.  Without inputs, or with inputs that vanish on the box, the
     bound is 0, once h has passed its check.  phi(Lam h) is computed once

@@ -623,16 +623,19 @@ class PolynomialModel(_Immutable):
     # ------------------------------------------------------------------ structure ops
     def sweep(self, positions: Iterable[int]) -> "PolynomialModel":
         """Replace dependence on the given variables by a uniform error and
-        drop them from the layout."""
-        pos = sorted(set(positions))
-        if not pos:
+        drop them from the layout.  A vector model gathers its kept slots
+        directly; a dict model that sweeps a trailing set of variables
+        keeps its remaining terms as they are, with no reindex pass, and
+        any other dict model reindexes them."""
+        drop = set(positions)
+        if not drop:
             return self
         mask = 0
-        for p in pos:
+        for p in drop:
             if not 0 <= p < self.arity:
                 raise IndexError("sweep position out of range")
             mask |= 0xF << (4 * p)
-        keep = tuple(i for i in range(self.arity) if i not in set(pos))
+        keep = tuple(i for i in range(self.arity) if i not in drop)
         if self._vec is not None:
             vec, swept, n = dense._dense_sweep(self._vec, self._layout(), keep)
             e = _add_up(self.error, _sum_bound(swept, n))
@@ -645,15 +648,29 @@ class PolynomialModel(_Immutable):
             else:
                 out[k] = c
         e = _add_up(self.error, _sum_bound(swept, len(self._terms) - len(out)))
+        if min(drop) == len(keep):  # the swept variables are the trailing ones
+            return self._prefix(len(keep), out, None, e)
         return PolynomialModel._of(self.vars, out, None, e, self.max_degree).reindex(keep)
+
+    def _prefix(self, n: int, terms, vec, error: float) -> "PolynomialModel":
+        """The model of terms or vec (the other None), over this model's
+        layout but inert in every variable at position n and above, as a
+        model of the first n variables: a dict model shares its terms, a
+        vector model gathers its slots into the layout of (n, cap)."""
+        if vec is not None:
+            vec = vec[self._layout().gather(tuple(range(n)))[0]]
+        return PolynomialModel._of(self.vars[:n], terms, vec, error, self.max_degree)
 
     def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
         """Keep only the listed, distinct variable positions (the model must
         be inert in the dropped ones); re-pack keys accordingly.  A vector
         model gathers its slots into the layout of the kept variables.  A
-        dict model that keeps a prefix of its variables (as sweep and
-        substitute_unit do) shares its terms unchanged; any other keep
-        moves each key's nibbles to their new positions."""
+        dict model that keeps a prefix of its variables shares its terms
+        unchanged once it is seen to be inert in the others; any other keep
+        moves each key's nibbles to their new positions.  sweep of a
+        trailing set and substitute_unit of the last variable build their
+        results without this pass, because their loops have already
+        removed every exponent of the dropped variables."""
         keep = tuple(keep)
         if len(set(keep)) < len(keep):
             raise ValueError("reindex positions must be distinct")
@@ -667,7 +684,7 @@ class PolynomialModel(_Immutable):
             bits = 4 * len(keep)
             if any(k >> bits for k in terms):
                 raise ValueError("cannot drop a variable the model still depends on")
-            return PolynomialModel._of(new_vars, terms, None, self.error, self.max_degree)
+            return self._prefix(len(keep), terms, None, self.error)
         dropped_mask = 0
         for i in range(self.arity):
             if i not in keep:
@@ -699,7 +716,9 @@ class PolynomialModel(_Immutable):
     def substitute_unit(self, position: int, value: float) -> "PolynomialModel":
         """Substitute z_position := value with value in {-1.0, 1.0} (exact):
         the dense kernel for a vector model, the dict loop for a dict
-        model."""
+        model.  Both clear every exponent of z_position, so the result of
+        substituting the last variable is built over the others directly,
+        with no reindex pass; any other position is reindexed away."""
         if value not in (-1.0, 1.0):
             raise ValueError("substitute_unit only supports the endpoints -1 and 1")
         if self._vec is not None:
@@ -708,7 +727,10 @@ class PolynomialModel(_Immutable):
         else:
             out, slack = _substitute_unit_loop(self._terms, position, value)
             vec = None
-        m = PolynomialModel._of(self.vars, out, vec, _add_up(self.error, _grown(slack)), self.max_degree)
+        e = _add_up(self.error, _grown(slack))
+        if position == self.arity - 1:
+            return self._prefix(position, out, vec, e)
+        m = PolynomialModel._of(self.vars, out, vec, e, self.max_degree)
         return m.reindex([i for i in range(self.arity) if i != position])
 
     def antiderivative(self, time_position: int) -> "PolynomialModel":

@@ -321,6 +321,41 @@ def test_select_error_computes_phi_once(monkeypatch):
                 assert eps.hex() == expect.hex()
 
 
+def test_affine_bound_is_the_additive_one_under_constant_input_fields():
+    """With L' = H' = 0 the O2-affine bound reduces term for term to the
+    O3-additive one: both share phi, the denominator and every other
+    rounded operation, and differ only in how (7h^3/48)HK'(K + K') is
+    associated.  So both raise together.  Otherwise each lies in [E,
+    E(1 + u)^5] for the same E (u = 2^-52: three rounded products in the
+    changed term, then the rounded sum and quotient), so they differ by at
+    most (1 + u)^5 - 1 of the smaller, in either direction.  Most draws
+    are bit-equal and the others, in this seed's draws, differ by 1 to 3
+    ulps: select_error, which skips the affine row under constant input
+    fields, answers at most that much above the minimum of both rows."""
+    rng = random.Random(67)
+
+    def const():
+        return rng.choice((0.0, rng.uniform(0, 3), rng.uniform(0, 3) * 1e-8, rng.uniform(0, 3) * 1e8))
+
+    rel = (1 + Fraction(1, 2**52)) ** 5 - 1
+    outcomes = {"equal": 0, "differ": 0, "raise": 0}
+    for _ in range(10_000):
+        b = mk(K=const(), Kp=const(), L=const(), H=const(), Lam=rng.choice((-1.0, 1.0)) * const())
+        h = rng.choice((rng.uniform(0.0, 1.5), 10 ** rng.uniform(-4, 0)))
+        if h == 0.0:
+            continue
+        affine, additive = _outcome(err_o2_affine, b, h), _outcome(err_o3_additive, b, h)
+        if affine is InapplicableError or additive is InapplicableError:
+            assert affine is additive, (b, h)
+            outcomes["raise"] += 1
+        elif affine == additive:
+            outcomes["equal"] += 1
+        else:
+            assert abs(Fraction(affine) - Fraction(additive)) <= rel * Fraction(min(affine, additive)), (b, h)
+            outcomes["differ"] += 1
+    assert outcomes["equal"] > 10 * outcomes["differ"] > 0 and outcomes["raise"] > 0, outcomes
+
+
 def _rand_bounds(rng, additive=False):
     return mk(
         K=rng.uniform(0, 3),

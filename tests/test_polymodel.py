@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from direach import dense, polymodel
-from direach.interval import Box, Interval, IntervalDomainError
+from direach.interval import Box, Interval, IntervalDomainError, _add_up
 from direach.polymodel import (
     FLOAT_OPS,
     ArityMismatchError,
@@ -565,6 +565,78 @@ def test_reindex_matches_per_nibble_remap():
             bad = PolynomialModel(vars_, {**terms, 1 << (4 * rng.choice(dropped)): 1.0}, 0.0, 5)
             with pytest.raises(ValueError):
                 bad.reindex(keep)
+
+
+def _unreduced(m, op, positions, value):
+    """The result of m.sweep(positions) or m.substitute_unit(positions[0],
+    value) over all of m's variables, before the dropped ones leave the
+    layout, as the operation's loop or kernel leaves it."""
+    if op == "substitute_unit":
+        if m._vec is not None:
+            vec, slack = dense._dense_substitute_unit(m._vec, m._layout(), positions[0], value)
+            terms = None
+        else:
+            terms, slack = polymodel._substitute_unit_loop(m._terms, positions[0], value)
+            vec = None
+        return PolynomialModel._of(m.vars, terms, vec, _add_up(m.error, polymodel._grown(slack)), m.max_degree)
+    if m._vec is not None:
+        dropped = m._layout().gather(tuple(i for i in range(m.arity) if i not in positions))[1]
+        swept = np.abs(m._vec[dropped])
+        kept = m._vec.copy()
+        kept[dropped] = 0.0
+        e = _add_up(m.error, polymodel._sum_bound(float(swept.sum()), dense._count(swept)))
+        return PolynomialModel._of(m.vars, None, kept, e, m.max_degree)
+    mask = sum(0xF << (4 * p) for p in positions)
+    swept = [abs(c) for k, c in m._terms.items() if k & mask]
+    s = 0.0
+    for c in swept:
+        s += c
+    terms = {k: c for k, c in m._terms.items() if not k & mask}
+    return PolynomialModel._of(m.vars, terms, None, _add_up(m.error, polymodel._sum_bound(s, len(swept))), m.max_degree)
+
+
+@pytest.mark.parametrize("op", ["sweep", "substitute_unit"])
+def test_trailing_drop_equals_general_route(op):
+    """sweep of a trailing set of variables and substitute_unit of the last
+    one build their result over the remaining variables directly; it equals,
+    field for field, the operation over all variables followed by the
+    per-nibble remap of the general route: vars, terms in order, error and
+    store kind.  A drop that is not trailing gives the same fields through
+    the library's reindex, and a dependent model still cannot be reindexed
+    to a prefix."""
+    rng = random.Random(173)
+    trailing = total = 0
+    for arity, cap in ((1, 3), (2, 5), (3, 3), (5, 5), (8, 3)):
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        for _ in range(30):
+            m = _fuzz_model(rng, vars_, cap, rng.randint(0, 40), rng.choice(("unit", "random")))
+            if op == "sweep":
+                positions = sorted(rng.sample(range(arity), rng.randint(1, arity)))
+                if rng.random() < 0.5:
+                    positions = list(range(positions[0], arity))
+            else:
+                positions = [rng.choice((arity - 1, rng.randrange(arity)))]
+            keep = [i for i in range(arity) if i not in positions]
+            value = rng.choice((-1.0, 1.0))
+            for x in _forms(m):
+                total += 1
+                full = _unreduced(x, op, positions, value)
+                r = x.sweep(positions) if op == "sweep" else x.substitute_unit(positions[0], value)
+                assert r.vars == tuple(vars_[i] for i in keep)
+                assert [(k, c.hex()) for k, c in r.terms.items()] == [
+                    (k, c.hex()) for k, c in _reindex_reference(full, keep).items()
+                ]
+                assert r.error.hex() == full.error.hex()
+                assert (r._vec is None) == (x._vec is None)
+                if positions[0] == len(keep):
+                    trailing += 1
+                else:
+                    general = full.reindex(keep)
+                    assert (general.vars, _hex_terms(general), general.error) == (r.vars, _hex_terms(r), r.error)
+                if keep and any(k >> (4 * len(keep)) for k in x.terms):
+                    with pytest.raises(ValueError, match="still depends"):
+                        x.reindex(range(len(keep)))
+    assert 0 < trailing < total
 
 
 def _random_key(rng, arity, degree):

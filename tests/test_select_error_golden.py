@@ -25,9 +25,12 @@ directly, which is what forcing its ErrorOrder computed.
 import json
 from pathlib import Path
 
+import pytest
+
+from direach import localerr
 from direach.interval import Box
 from direach.inputs import InputScheme, SchemeKind
-from direach.localerr import _FORMULAS, select_error
+from direach.localerr import _FORMULAS, ErrorOrder, select_error
 from direach.symexpr import InputAffineSystem, compute_bounds
 
 GOLDEN = Path(__file__).with_name("select_error_golden.json")
@@ -76,6 +79,24 @@ def test_golden_covers_grid():
     # every order that a formula serves, and rejection, occur on the grid
     assert {(f.order.value,) for f in _FORMULAS} <= answers
     assert ("raises", "InapplicableError") in answers
+
+
+@pytest.mark.parametrize("name", ["additive", "one-state-dependent"])
+def test_affine_row_is_skipped_under_constant_input_fields(monkeypatch, name):
+    """select_error evaluates no O2-affine bound where the O3-additive row
+    supersedes it (constant input fields), and one per call otherwise, on
+    every scheme that the affine row covers."""
+    calls = []
+    counted = localerr.err_o2_affine
+    monkeypatch.setattr(localerr, "err_o2_affine", lambda *args: calls.append(args) or counted(*args))
+    (affine,) = [row for row in _FORMULAS if row.order is ErrorOrder.O2_AFFINE]
+    sys = SYSTEMS[name]
+    b = compute_bounds(sys, BOX)
+    for kind in SchemeKind:
+        for h in STEPS:
+            calls.clear()
+            select_error(sys, InputScheme(kind), b, h)
+            assert len(calls) == (name != "additive" and kind in affine.kinds), (kind, h)
 
 
 def test_select_error_golden():

@@ -16,6 +16,10 @@ The kernels, each on whole vectors:
 
 - the truncated product, over the layout's kept-pair table I, J -> K
   (built on first use);
+- the shift product by a dict model of at most two monomials, such as a
+  surrogate input: each monomial scales the prefix of slots of degree
+  <= cap - its degree onto the slots of their keys plus its key, over a
+  shift table per key (built on first use);
 - the antiderivative in one variable, over a table per position: each
   slot's divisor e + 1 (e its exponent of that variable), the slot of its
   antiderivative term (none for a slot of degree cap, whose term drops),
@@ -38,14 +42,22 @@ n_k contributions, where n_k counts the slots of the table that land on k,
 in bincount's fixed order.  Whatever the order, the rounding error of such
 a sum is at most gamma_{n_k} times the sum of the magnitudes it adds
 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1),
-so each contribution c is charged n_k * |c| * _EPS of slack.  An
-antiderivative coefficient, a rounded product and quotient, also charges
-its own 2 * |c| * _EPS, as the dict loop does.  The slot-by-slot kernels
-charge what the dict loops charge: |v| * _EPS for each rounded product v,
-and for each merge, a slot where both operands are nonzero.  polymodel
-bounds the slack and the dropped mass with _grown, which adds one _TINY
-per rounded product or quotient; each slack is a plain-float sum, and that
-bound holds in any summation order.
+so each contribution c is charged n_k * |c| * _EPS of slack.  The shift
+product charges the dict loop's slack instead: |p| * _EPS for each
+rounded product p and |v| * _EPS for each merge v of two products.  Its
+dropped mass, the sum over the monomials c_e of |c_e| times the mass of
+the slots above cap - deg(e), is summed as the product over the pair
+table sums it with the monomials as its left operand.  With at most two
+contributions per slot, its float form is bit-identical to the pair
+table's, whose other contributions are zeros: two numbers add to the
+same float in either order.  An antiderivative coefficient, a rounded
+product and quotient, also charges its own 2 * |c| * _EPS, as the dict
+loop does.  The slot-by-slot kernels charge what the dict loops charge:
+|v| * _EPS for each rounded product v, and for each merge, a slot where
+both operands are nonzero.  polymodel bounds the slack and the dropped
+mass with _grown, which adds one _TINY per rounded product or quotient;
+each slack is a plain-float sum, and that bound holds in any summation
+order.
 
 The _float_* kernels serve polymodel's float domain: the same truncated
 product and antiderivative with no slack, no dropped-mass bound and no
@@ -73,13 +85,13 @@ class _DenseLayout:
     """The slots of one (arity, cap), each with its packed key and degree;
     each slot's kind for range, 0 for the constant, 1 with an odd
     exponent, 2 for the other (all-even) slots, which even marks with 1;
-    and, built on first use, the kept-pair table of the
-    product, the per-position tables and the scatter and gather maps to
-    the layouts of other arities."""
+    and, built on first use, the kept-pair table of the product, the
+    shift table per key, the per-position tables and the scatter and
+    gather maps to the layouts of other arities."""
 
     __slots__ = (
         "arity", "cap", "size", "keys", "slot_of", "packed", "degree", "kind", "even",
-        "_pairs", "_tables", "_scatters", "_gathers",
+        "_pairs", "_shifts", "_tables", "_scatters", "_gathers",
     )
 
     def __init__(self, arity: int, cap: int):
@@ -102,6 +114,7 @@ class _DenseLayout:
         self.even[0] = 0  # slot 0 is the constant
         self.kind = odd + 2 * self.even
         self._pairs = None
+        self._shifts: dict[int, np.ndarray] = {}
         self._tables: dict[int, _PositionTable] = {}
         self._scatters: dict[int, np.ndarray] = {}
         self._gathers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -119,6 +132,16 @@ class _DenseLayout:
             K = np.array([slot_of[k] for k in (self.packed[I] + self.packed[J]).tolist()], dtype=np.intp)
             self._pairs = I, J, K, np.bincount(K, minlength=self.size)[K] * _EPS
         return self._pairs
+
+    def shift(self, key: int) -> np.ndarray:
+        """For the slots of degree <= cap - degree(key), a prefix as long
+        as the table, the slot of their key plus key."""
+        t = self._shifts.get(key)
+        if t is None:
+            top = int(np.searchsorted(self.degree, self.cap - self.degree[self.slot_of[key]], side="right"))
+            slot_of = self.slot_of
+            t = self._shifts[key] = np.array([slot_of[k] for k in (self.packed[:top] + key).tolist()], dtype=np.intp)
+        return t
 
     def vector(self, terms: dict[int, float]) -> np.ndarray:
         """The coefficients of terms, monomials of this layout, by slot."""
@@ -288,15 +311,58 @@ def _dense_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> tuple:
         np.abs(p, out=p)
         p *= weight
         slack = float(p.sum())
-        mass_a = np.bincount(layout.degree, np.abs(a), cap + 1).tolist()
-        mass_b = mass_a if b is a else np.bincount(layout.degree, np.abs(b), cap + 1).tolist()
-    # left terms of degree cap + 1 - d drop the right terms of degree >= d
+        mass_a = _masses(a, layout)
+        mass_b = mass_a if b is a else _masses(b, layout)
+    # cap products make up the dropped mass, len(p) the slack
+    return out, _dropped(mass_a, mass_b, cap), cap, slack, len(p)
+
+
+def _masses(v: np.ndarray, layout: _DenseLayout) -> list[float]:
+    """The plain-float sums of v's slot magnitudes by degree."""
+    return np.bincount(layout.degree, np.abs(v), layout.cap + 1).tolist()
+
+
+def _dropped(mass_a: list[float], mass_b: list[float], cap: int) -> float:
+    """The dropped mass of a truncated product from its operands' masses
+    by degree: left terms of degree cap + 1 - d drop the right terms of
+    degree >= d, whose mass is a suffix sum."""
     above = dropped = 0.0
     for d in range(cap, 0, -1):
         above += mass_b[d]
         dropped += mass_a[cap + 1 - d] * above
-    # cap products make up the dropped mass, len(p) the slack
-    return out, dropped, cap, slack, len(p)
+    return dropped
+
+
+def _dense_shift_product(v: np.ndarray, monomials, layout: _DenseLayout) -> tuple:
+    """The truncated product of the slot vector v and the (key,
+    coefficient) pairs monomials, at most two, as _dense_product returns
+    it: (vector, dropped mass, products behind it, slack, products behind
+    it).  Each product p is charged |p| * _EPS and each merge v of two
+    products |v| * _EPS, as in the dict loop.  The dropped mass, each
+    |c_e| times the mass of v's slots above cap - deg(e), is summed as
+    _dense_product sums it with the monomials as its left operand."""
+    cap = layout.cap
+    out = np.zeros(layout.size)
+    mass_w = [0.0] * (cap + 1)
+    slack = 0.0
+    n_products = 0
+    with np.errstate(over="ignore"):
+        for key, c in monomials:
+            to = layout.shift(key)
+            p = v[: len(to)] * c
+            if n_products:
+                prev = out[to]
+                merged = prev + p
+                slack += _merge_slack(merged, prev, p)
+                out[to] = merged
+            else:
+                out[to] = p
+            slack += float(np.abs(p).sum())
+            n_products += len(to)
+            mass_w[layout.degree[layout.slot_of[key]]] += abs(c)
+        _check_finite(out)
+        dropped = _dropped(mass_w, _masses(v, layout), cap)
+    return out, dropped, cap, slack * _EPS, n_products
 
 
 def _dense_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, radius: float) -> tuple:
@@ -402,6 +468,17 @@ def _float_product(a: np.ndarray, b: np.ndarray, layout: _DenseLayout) -> np.nda
     """The truncated product of a and b over the layout's kept-pair table."""
     I, J, K, _ = layout.pairs()
     return np.bincount(K, a[I] * b[J], layout.size)
+
+
+def _float_shift_product(v: np.ndarray, monomials, layout: _DenseLayout) -> np.ndarray:
+    """The truncated product of v and the (key, coefficient) pairs
+    monomials, at most two, bit for bit _float_product's for finite
+    operands."""
+    out = np.zeros(layout.size)
+    for key, c in monomials:
+        to = layout.shift(key)
+        out[to] += v[: len(to)] * c
+    return out
 
 
 def _float_antiderivative(v: np.ndarray, layout: _DenseLayout, position: int, radius: float) -> tuple:

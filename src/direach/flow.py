@@ -382,15 +382,20 @@ def picard_flow(
     Iterates carry no error band: only the last one is certified, which is
     sound because the Banach bound needs only one function y and a
     certified enclosure of P(y) (see the module docstring).  Raises
-    CertificationError when the step cannot be certified."""
+    CertificationError when the step cannot be certified.
+
+    The fresh variables follow X's, one per parameter: parameter q of
+    input i sits at position len(X.vars) + q * sys.m + i, so parameter
+    q of every input comes before parameter q + 1 of any.  The models
+    are extended by only what the next (half) step uses: the step
+    scheme adds parameter q of every input before half q, the other
+    schemes add all their parameters before their one step."""
     padded = _padded(bound.box)
     if not padded.contains_box(X.box()):
         raise ValueError("a-priori bound does not cover the initial set")
-    p = scheme.params_per_input
-    new_infos = tuple(VarInfo(Role.INPUT, born=born) for _ in range(sys.m * p))
+    m = sys.m
     base = len(X.vars)
-    X_ext = X.map(lambda c: c.extend(new_infos)) if new_infos else X
-    positions = [tuple(base + i * p + q for q in range(p)) for i in range(sys.m)]
+    positions = [tuple(base + q * m + i for q in range(scheme.params_per_input)) for i in range(m)]
     w_sups = _w_sups(sys, scheme)
     # the step scheme takes two half steps, one per input parameter; the
     # other schemes one full step.  Every (half) step works on this box with
@@ -398,8 +403,11 @@ def picard_flow(
     halves = (0, 1) if scheme.uses_half_steps else (None,)
     sub = geom.h / len(halves)
     rates = _rates(sys, padded, w_sups, sub, geom.t0)
-    Y = X_ext
+    fresh = tuple(VarInfo(Role.INPUT, born=born) for _ in range(m * scheme.params_per_input // len(halves)))
+    Y = X
     for k, half in enumerate(halves):
+        if fresh:
+            Y = Y.map(lambda c: c.extend(fresh))
         t0 = geom.t0 + k * sub
         Y = _picard_core(sys, Y, scheme, positions, half, t0, sub, bound, padded, iterations, w_sups, rates)
     return Y

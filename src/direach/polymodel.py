@@ -25,8 +25,8 @@ degree cap must stay <= 7 (monomial products then never overflow a nibble).
 
 The product is truncated Taylor-model multiplication (Makino & Berz, 2003):
 it multiplies only the term pairs whose total degree fits under the cap
-(3,003 of 63,504 for two full arity-5, cap-5 models).  Both of its
-kernels bound the mass of the dropped pairs from suffix sums of the right
+(3,003 of 63,504 for two full arity-5, cap-5 models).  Each of its
+kernels bounds the mass of the dropped pairs from suffix sums of the right
 operand's coefficient magnitudes by degree, which are built by addition
 only, so cancellation cannot under-count it.  A product with an exact
 constant (no error, no term but the constant one) is a scaling.
@@ -50,22 +50,24 @@ vector model builds from its nonzero slots on each read.  Each operation
 has one vector form and one dict loop, and the stores of its operands
 pick one of them: the vector form runs when an operand carries a vector
 (a dict operand is then scattered into the layout), the dict loop
-otherwise.  The one exception is the product, which also scatters two
+otherwise.  The one exception is the product: it also scatters two
 dict models when the product of their term counts reaches the kept pairs
-of two full models, C(2*arity + cap, cap).  Above 15 variables there is
-no layout, and extend turns the vector of a model that grows past it
-into a dict.
+of two full models, C(2*arity + cap, cap), and it does not scatter a dict
+model of at most two terms that meets a vector model, whose slots it
+shifts instead.  Above 15 variables there is no layout, and extend turns
+the vector of a model that grows past it into a dict.
 
 - In the product, antiderivative and substitute_unit, a result slot that
   sums n_k contributions charges n_k * |c| * _EPS of slack per
   contribution c (Higham's gamma_{n_k}), and each rounded product or
-  quotient its own |c| * _EPS, through _grown.  Sums, differences,
-  negation, scale, add_scalar and the series sum apply the dict loop's
-  IEEE operation to each slot, in the same order, and charge what it
-  charges; extend, reindex and sweep move coefficients unchanged.  Their
-  coefficients are bit-identical to the loop's.  Range, poly_magnitude and
-  the swept mass add up in numpy's order, which _sum_bound and _grown
-  cover in any order.
+  quotient its own |c| * _EPS, through _grown; the shift product charges
+  what the dict loop charges.  Sums, differences, negation, scale,
+  add_scalar and the series sum apply the dict loop's IEEE operation to
+  each slot, in the same order, and charge what it charges; extend,
+  reindex and sweep move coefficients unchanged.  Their coefficients are
+  bit-identical to the loop's.  Range, poly_magnitude and the swept mass
+  add up in numpy's order, which _sum_bound and _grown cover in any
+  order.
 - The dict loops charge each rounded product and merge.
 
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
@@ -475,17 +477,23 @@ class PolynomialModel(_Immutable):
 
     def __mul__(self, other: "PolynomialModel") -> "PolynomialModel":
         """Truncated product: only term pairs whose degree fits under the cap
-        are multiplied.  When an operand carries a slot vector, or
-        len(self.terms) * len(other.terms) reaches the kept pairs of two
-        full models, dense._dense_product multiplies the whole pair table
-        of the (arity, cap) layout with numpy; otherwise _pair_product
-        loops over the kept pairs of the terms.  This pair-count rule is
-        the only place where two dict models become slot vectors.
+        are multiplied, by one of three routes, tried in this order.
 
-        An exact constant operand (no error, no term but the constant one),
-        such as the 0.3 of 0.3*sin(x3), is a scalar: the product is the
-        other operand's scale by it, which skips the pair kernels and does not
-        charge the constant's poly_magnitude inflation to the other's error.
+        - Scale: an exact constant operand (no error, no term but the
+          constant one), such as the 0.3 of 0.3*sin(x3), is a scalar: the
+          product is the other operand's scale by it, which skips the pair
+          kernels and does not charge the constant's poly_magnitude
+          inflation to the other's error.
+        - Shift: a vector model times a dict model of at most two terms,
+          such as a surrogate input, runs dense._dense_shift_product, which
+          shifts the vector's slots by each term's key and charges the dict
+          loop's slack.
+        - Pair table: when an operand carries a slot vector, or
+          len(self.terms) * len(other.terms) reaches the kept pairs of two
+          full models, dense._dense_product multiplies the whole pair table
+          of the (arity, cap) layout with numpy; otherwise _pair_product
+          loops over the kept pairs of the terms.  This pair-count rule is
+          the only place where two dict models become slot vectors.
         """
         self._check_compat(other)
         s = self._scalar()
@@ -495,7 +503,12 @@ class PolynomialModel(_Immutable):
         if s is not None:
             return self.scale(s)
         cap = self.max_degree
-        if (
+        # the slot vector of one operand and the term dict of the other
+        shifted, few = (other._vec, self._terms) if self._vec is None else (self._vec, other._terms)
+        if shifted is not None and few is not None and len(few) <= 2:
+            vec, dropped, n_dropped, slack, n_products = dense._dense_shift_product(shifted, few.items(), self._layout())
+            out = None
+        elif (
             self._vec is not None
             or other._vec is not None
             or len(self._terms) * len(other._terms) >= _pair_count(self.arity, cap)
@@ -721,6 +734,8 @@ class PolynomialModel(_Immutable):
         with no reindex pass; any other position is reindexed away."""
         if value not in (-1.0, 1.0):
             raise ValueError("substitute_unit only supports the endpoints -1 and 1")
+        if not 0 <= position < self.arity:
+            raise IndexError("substitute position out of range")
         if self._vec is not None:
             vec, slack = dense._dense_substitute_unit(self._vec, self._layout(), position, value)
             out = None
@@ -1054,24 +1069,32 @@ class FloatPolynomial:
     """A polynomial in plain floats, the slot vector of the dense layout of
     one (arity, cap), with no error (see the module docstring).  + and -
     act slot by slot, * is the truncated product, and a number operand
-    scales.  sin, cos, exp and the reciprocal (for / and negative powers)
-    are Taylor series about the constant coefficient p0: delta = p - p0
-    has no constant term, so sum_{k <= cap} a_k delta^k cut at the cap is
-    the exact truncated composition.  Overflow raises nothing: inf and NaN
-    propagate, for the caller to find under numpy's errstate."""
+    scales.  One made by of from a dict model of at most two terms keeps
+    them as _monomials, (key, coefficient) pairs, and a product with it
+    shifts the other operand's slots (dense._float_shift_product, bit for
+    bit the pair table's).  sin, cos, exp and the reciprocal (for / and
+    negative powers) are Taylor series about the constant coefficient p0:
+    delta = p - p0 has no constant term, so sum_{k <= cap} a_k delta^k cut
+    at the cap is the exact truncated composition.  Overflow raises
+    nothing: inf and NaN propagate, for the caller to find under numpy's
+    errstate."""
 
-    __slots__ = ("vec", "layout", "_powers")
+    __slots__ = ("vec", "layout", "_powers", "_monomials")
 
     def __init__(self, vec, layout: "dense._DenseLayout"):
         self.vec = vec
         self.layout = layout
         self._powers = None  # delta^0 .. delta^cap, built on first use
+        self._monomials = None
 
     @staticmethod
     def of(model: PolynomialModel) -> "FloatPolynomial":
         """The polynomial part of model (a dict model is scattered)."""
         layout = model._layout()
-        return FloatPolynomial(model._vector_in(layout), layout)
+        p = FloatPolynomial(model._vector_in(layout), layout)
+        if model._vec is None and len(model._terms) <= 2:
+            p._monomials = tuple(model._terms.items())
+        return p
 
     @staticmethod
     def constant(value: float, layout: "dense._DenseLayout") -> "FloatPolynomial":
@@ -1088,7 +1111,13 @@ class FloatPolynomial:
 
     def __mul__(self, other) -> "FloatPolynomial":
         if isinstance(other, FloatPolynomial):
-            return FloatPolynomial(dense._float_product(self.vec, other.vec, self.layout), self.layout)
+            if other._monomials is not None:
+                vec = dense._float_shift_product(self.vec, other._monomials, self.layout)
+            elif self._monomials is not None:
+                vec = dense._float_shift_product(other.vec, self._monomials, self.layout)
+            else:
+                vec = dense._float_product(self.vec, other.vec, self.layout)
+            return FloatPolynomial(vec, self.layout)
         return FloatPolynomial(self.vec * other, self.layout)
 
     __rmul__ = __mul__  # s * self for a number s

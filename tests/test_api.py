@@ -95,12 +95,14 @@ def test_no_dense_kernel_returns_none():
 def test_only_polymodel_reads_a_models_store():
     """How a polynomial model holds its terms (a dict in _terms or a slot
     vector in _vec) and its caches (the power table _table and the
-    poly_magnitude _mag) is polymodel's decision alone: no other module
-    names those attributes, and dense sees only arrays."""
+    poly_magnitude _mag), and which terms a float polynomial keeps for the
+    shift product (_monomials), is polymodel's decision alone: no other
+    module names those attributes, and dense sees only arrays and the
+    (key, coefficient) pairs it is handed."""
     readers = set()
     for path in Path(direach.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_vec", "_table", "_mag"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_vec", "_table", "_mag", "_monomials"):
                 readers.add(path.name)
     assert readers == {"polymodel.py"}
 

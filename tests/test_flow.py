@@ -310,7 +310,8 @@ def test_picard_containment_harmonic_affine():
         zs.append([rng.uniform(-1, 1) for _ in range(2)])
         za.append([rng.uniform(-1, 1) for _ in range(4)])
     alpha = np.array(za)
-    a0, a1 = 0.1 * alpha[:, 0::2], 3 * 0.1 * alpha[:, 1::2]
+    # parameter q of input i is fresh variable q * m + i: both inputs' a0, then their a1
+    a0, a1 = 0.1 * alpha[:, :2], 3 * 0.1 * alpha[:, 2:]
     w = lambda t: a0 + a1 * (t - (geom.t0 + geom.h / 2)) / geom.h
     ref = _integrate_surrogate(sys, _box_points(X0, zs), w, 0.0, 0.25)
     for z, a, r in zip(zs, za, ref):
@@ -563,3 +564,68 @@ def test_perturbed_float_start_still_certifies(monkeypatch, make, bounds, scheme
         z = [rng.uniform(-1.0, 1.0) for _ in Y.vars]
         for y, c in zip(Y.eval_point(z), Z):
             assert abs(c.eval_point(z) - y) <= c.error
+
+
+def test_step_scheme_extends_the_models_one_half_at_a_time(monkeypatch):
+    """On the trig3-step system (n = 3 states, m = 2 inputs) the step
+    scheme adds one parameter per input before each half: the half-0
+    surrogates are models of n + m + 1 = 6 variables (time last), the
+    half-1 ones of 8, and parameter q of input i sits at position
+    n + q * m + i."""
+    sys = trig3()
+    X0 = Box.from_bounds([(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)])
+    X = _vector(box_model(X0, cap=3))
+    geom = StepGeometry(0.0, 0.02)
+    b = apriori_bound(sys, X0, STEP, geom)
+    seen = []
+    realize_w = flow.realize_w
+
+    def spied(scheme, magnitude, vars, positions, time_position, cap, half=None):
+        seen.append((half, len(vars), tuple(positions), time_position))
+        return realize_w(scheme, magnitude, vars, positions, time_position, cap, half=half)
+
+    monkeypatch.setattr(flow, "realize_w", spied)
+    Y = picard_flow(sys, X, STEP, geom, b, born=1)
+    assert seen == [(0, 6, (3, 5), 5), (0, 6, (4, 6), 5), (1, 8, (3, 5), 7), (1, 8, (4, 6), 7)]
+    assert [v.role for v in Y.vars] == [Role.STATE] * 3 + [Role.INPUT] * 4
+
+
+def test_field_multiplies_by_a_surrogate_by_shifting(monkeypatch):
+    """In a trig3-step picard_flow over vector models, the field's
+    products cos(x3) * w and sin(x3) * w by the one-term surrogate shift
+    the slots, in the float stage and in the validated application (one
+    per half step), and never run the kept-pair table; 1 * w is w
+    itself."""
+    sys = trig3()
+    X0 = Box.from_bounds([(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)])
+    X = _vector(box_model(X0, cap=3))
+    geom = StepGeometry(0.0, 0.02)
+    b = apriori_bound(sys, X0, STEP, geom)
+    calls = []
+    in_field = []
+    field = InputAffineSystem.field
+
+    def spied_field(self, vals, inputs):
+        in_field.append(True)
+        try:
+            return field(self, vals, inputs)
+        finally:
+            in_field.pop()
+
+    def counting(name):
+        kernel = getattr(dense, name)
+
+        def run(*args):
+            if in_field:
+                calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(dense, name, run)
+
+    monkeypatch.setattr(InputAffineSystem, "field", spied_field)
+    for name in ("_dense_product", "_dense_shift_product", "_float_product", "_float_shift_product"):
+        counting(name)
+    picard_flow(sys, X, STEP, geom, b)
+    assert calls.count("_dense_shift_product") == 2 * 2
+    assert calls.count("_float_shift_product") >= 2 * 2
+    assert set(calls) == {"_dense_shift_product", "_float_shift_product"}

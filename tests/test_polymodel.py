@@ -512,6 +512,19 @@ def test_truncation_preserves_enclosure():
             assert abs(v - full.eval_point(z)) <= full.error * (1 + 1e-9) + 1e-13
 
 
+@pytest.mark.parametrize("store", ["dict", "vector"])
+def test_substitute_unit_rejects_positions_out_of_range(store):
+    """substitute_unit raises IndexError for a position outside [0, arity)
+    from either store, as sweep and from_var do."""
+    m = pm({(2, 1): 0.5, (1, 1): 0.25, (0, 1): -1.0, (0, 0): 2.0})
+    if store == "vector":
+        m = _carrying(m)
+    for position in (-1, m.arity, m.arity + 3):
+        for value in (-1.0, 1.0):
+            with pytest.raises(IndexError, match="^substitute position out of range$"):
+                m.substitute_unit(position, value)
+
+
 def test_substitute_unit_endpoint():
     m = pm({(2, 1): 0.5, (1, 1): 0.25, (0, 1): -1.0, (0, 0): 2.0})
     r = m.substitute_unit(0, 1.0)
@@ -723,6 +736,7 @@ def kernels(monkeypatch):
 
     counted(polymodel, polymodel._pair_product)
     counted(dense, dense._dense_product)
+    counted(dense, dense._dense_shift_product)
     counted(dense, dense._dense_antiderivative)
     counted(dense, dense._dense_substitute_unit)
     return used
@@ -903,6 +917,76 @@ def test_layout_built_only_for_large_products(monkeypatch):
     full = PolynomialModel(vars5, {k: 0.5 for k in dense._DenseLayout(5, 5).keys}, 0.0, 5)
     full * full
     assert list(dense._LAYOUTS) == [(5, 5)]
+
+
+# the layouts of the shift products' tests: those of the benchmark's
+# vector models, (5, 5), (6, 3) and (8, 3), and a small one
+SHIFT_LAYOUTS = [(2, 5), (5, 5), (6, 3), (8, 3)]
+
+
+def _few_terms(rng, layout):
+    """One or two random monomials of layout with random coefficients."""
+    return {
+        k: rng.choice([1.0, -1.0, 0.5]) if rng.random() < 0.3 else rng.uniform(-2, 2) * 10.0 ** rng.randint(-8, 3)
+        for k in rng.sample(layout.keys, rng.randint(1, 2))
+    }
+
+
+def test_float_shift_product_is_the_pair_tables_bit_for_bit(monkeypatch):
+    """A float product by a dict model of one or two terms shifts the other
+    operand's slots, in either order, and every slot's bits are those of
+    the kept-pair table's product: a slot sums at most two nonzero
+    products, and two numbers add to the same float in either order.  A
+    vector model's float polynomial records no terms."""
+    shifts = []
+    shift = dense._float_shift_product
+    monkeypatch.setattr(dense, "_float_shift_product", lambda *args: shifts.append(args) or shift(*args))
+    rng = random.Random(101)
+    for arity, cap in SHIFT_LAYOUTS:
+        layout = dense._layout(arity, cap)
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        for _ in range(40):
+            few = PolynomialModel(vars_, _few_terms(rng, layout), 0.0, cap)
+            w = FloatPolynomial.of(few)
+            assert w._monomials == tuple(few.terms.items())
+            assert FloatPolynomial.of(_carrying(few))._monomials is None
+            # some slots are zero, which a negative coefficient makes -0.0
+            v = np.array([rng.uniform(-2, 2) * 10.0 ** rng.randint(-8, 3) if rng.random() < 0.7 else 0.0 for _ in range(layout.size)])
+            p = FloatPolynomial(v, layout)
+            want = dense._float_product(v, w.vec, layout).tobytes()
+            assert dense._float_product(w.vec, v, layout).tobytes() == want
+            assert (p * w).vec.tobytes() == want
+            assert (w * p).vec.tobytes() == want
+    assert len(shifts) == 2 * 40 * len(SHIFT_LAYOUTS)
+
+
+def test_shift_product_encloses_the_exact_product(kernels):
+    """A vector model times a dict model of one or two terms, in either
+    order, takes the shift kernel and encloses the exact rational product
+    (_check_mul: the coefficient deviations, the dropped mass and the
+    propagated errors), with ties and underflows that round one way,
+    cancellations, coefficients near 2**+-1000 and subnormals.  Its error
+    is no bigger than the pair table's on the same operands, the few terms
+    on the left: the dropped mass is summed as that route sums it, and
+    its slack charges each product n_k times."""
+    rng = random.Random(103)
+    for n in range(120):
+        arity, cap = SHIFT_LAYOUTS[n % len(SHIFT_LAYOUTS)]
+        layout = dense._layout(arity, cap)
+        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
+        case = ("ties", "underflow", "regimes", "regimes", "regimes")[n // len(SHIFT_LAYOUTS) % 5]
+        a, b = _dense_operands(rng, layout.keys, 0.7, case)
+        # one or two nonconstant terms of b, so that the dict operand is no scalar
+        few = dict(rng.sample(sorted((k, c) for k, c in b.items() if k), rng.randint(1, 2)))
+        errors = [0.0, 0.0, 0.0, rng.random() * 1e-6, _SUBNORMAL] if case == "regimes" else [0.0]
+        vector = _carrying(PolynomialModel(vars_, a, rng.choice(errors), cap))
+        terms = PolynomialModel(vars_, few, rng.choice(errors), cap)
+        _check_mul(vector, terms)
+        _check_mul(terms, vector)
+        r = vector * terms
+        assert _bits(terms * vector) == _bits(r)
+        assert r.error <= (_carrying(terms) * vector).error
+    assert kernels["_dense_shift_product"] == 120 * 4 and kernels["_dense_product"] == 120
 
 
 # ---------------------------------------------------------------- exact soundness fuzz

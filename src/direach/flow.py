@@ -17,16 +17,21 @@ iterates before the last one run unvalidated in plain floats
 (polymodel.FloatPolynomial; Taylor-model integrators compute the
 polynomial part without validation too, Makino & Berz 2003):
 y <- X + int field(y, w) from y = X, with rho_f the largest coefficient
-magnitude sum of y_next - y over the components.  The float stage stops at
-the first iterate whose float Banach term kappa*rho_f/(1-kappa) is no
-bigger than the mass its antiderivative drops at the cap (which the
-certified iterate charges to its error anyway), when rho_f stalls
+magnitude sum of y_next - y over the components, and d the mass its
+antiderivative drops at the cap (which the certified iterate charges to its
+error anyway).  The certified iterate is one more application of P, so by
+contraction its residual is about kappa*rho_f + err(y_next), and
+err(y_next) >= d: the float stage stops at the first iterate from which one
+certified iterate is predicted to pass its own test e_flow <= err(y_next),
+kappa*(kappa*rho_f + d)/(1-kappa) <= d.  It also stops when rho_f stalls
 (rho_f > 0.7 * previous) or vanishes, or after max(iterations,
 4 * (cap + 2)) iterates; a float iterate that is not finite is a
-certification failure.  It runs only when X's components carry slot
-vectors (polymodel.carries_slot_vectors): dict models never reached the
-product's pair-count threshold, and there the validated dict loops cost
-less than numpy calls, so the validated loop starts from X itself.
+certification failure.  The prediction only saves float iterates, it
+certifies nothing: a certified iterate that misses its test is followed by
+another.  The float stage runs only when X's components carry slot vectors
+(polymodel.carries_slot_vectors): dict models never reached the product's
+pair-count threshold, and there the validated dict loops cost less than
+numpy calls, so the validated loop starts from X itself.
 
 The validated loop then applies P to error-free models, starting from the
 float iterate: each iterate's error band is dropped before the next
@@ -252,7 +257,9 @@ def _float_start(
 ) -> VectorModel:
     """The float stage of the module docstring, from the time-extended
     initial models Xt, which carry slot vectors: its last iterate as
-    error-free models."""
+    error-free models.  It stops where one certified iterate is predicted
+    to pass its test, which is mostly one float iterate before the float
+    residual itself would pass it."""
     x = [FloatPolynomial.of(c) for c in Xt]
     w = [FloatPolynomial.of(m) for m in w_models]
     radius = Xt.vars[tpos].radius
@@ -269,7 +276,10 @@ def _float_start(
             if not all(map(math.isfinite, rhos)):
                 raise _failure("Picard iteration diverged", t0)
             y, rho = y_next, max(rhos)
-            if _banach_remainder(kappa, rho) <= dropped or _stalled(rho, rho_prev):
+            # the certified iterate's residual, P applied once more to y:
+            # about kappa*rho + err(y_next), with err(y_next) >= dropped
+            predicted = _add_up(_mul_up(kappa, rho), dropped)
+            if _banach_remainder(kappa, predicted) <= dropped or _stalled(rho, rho_prev):
                 break
             rho_prev = rho
     return VectorModel(tuple(PolynomialModel.from_floats(Xt.vars, p) for p in y))
@@ -378,7 +388,11 @@ def picard_flow(
     e_flow = kappa*rho/(1-kappa), the remainder added to it, is no bigger
     than its own error, or when the residual stalls; at most
     max(iterations, 4 * (cap + 2)) iterates run.  Over slot-vector models
-    the iterates before them run in plain floats, with the same cap.
+    the iterates before them run in plain floats, with the same cap, up to
+    the first from which one certified iterate is predicted to pass that
+    test, kappa*(kappa*rho_f + d)/(1-kappa) <= d for the float residual
+    rho_f and the mass d dropped at the cap; so the validated loop mostly
+    stops after one application.
     Iterates carry no error band: only the last one is certified, which is
     sound because the Banach bound needs only one function y and a
     certified enclosure of P(y) (see the module docstring).  Raises

@@ -756,6 +756,8 @@ class PolynomialModel(_Immutable):
         full step length h.  A vector model takes the dense kernel, a dict
         model the dict loop.
         """
+        if not 0 <= time_position < self.arity:
+            raise IndexError("antiderivative position out of range")
         info = self.vars[time_position]
         if info.role is not Role.TIME:
             raise ValueError("antiderivative requires the time variable")
@@ -1138,6 +1140,8 @@ class FloatPolynomial:
         """PolynomialModel.antiderivative's polynomial, in the variable at
         position of radius radius, and the magnitude sum of the terms it
         drops at the cap."""
+        if not 0 <= position < self.layout.arity:
+            raise IndexError("antiderivative position out of range")
         vec, dropped = dense._float_antiderivative(self.vec, self.layout, position, radius)
         return FloatPolynomial(vec, self.layout), dropped
 

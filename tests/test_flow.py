@@ -20,9 +20,10 @@ from direach.flow import (
 )
 from direach.inputs import InputScheme, SchemeKind
 from direach.interval import Box, Interval, _mul_up
+from direach.localerr import select_error
 from direach.mc import compile_field, rk4_segment
 from direach.polymodel import FloatPolynomial, PolynomialModel, Role, VarInfo, VectorModel
-from direach.symexpr import InputAffineSystem
+from direach.symexpr import InputAffineSystem, compute_bounds
 
 ZERO = InputScheme(SchemeKind.ZERO)
 CONSTANT = InputScheme(SchemeKind.CONSTANT)
@@ -629,3 +630,72 @@ def test_field_multiplies_by_a_surrogate_by_shifting(monkeypatch):
     assert calls.count("_dense_shift_product") == 2 * 2
     assert calls.count("_float_shift_product") >= 2 * 2
     assert set(calls) == {"_dense_shift_product", "_float_shift_product"}
+
+
+def _reach(sys, scheme, X, h, steps):
+    """steps benchmark-style steps from X: apriori_bound -> picard_flow ->
+    compute_bounds -> select_error -> add_error -> sweep of the step's
+    input parameters."""
+    for k in range(steps):
+        geom = StepGeometry(k * h, h)
+        b = apriori_bound(sys, X.box(), scheme, geom)
+        Y = picard_flow(sys, X, scheme, geom, b, born=k + 1)
+        _, err = select_error(sys, scheme, compute_bounds(sys, b.box), h)
+        fresh = [i for i, v in enumerate(Y.vars) if v.role is Role.INPUT]
+        X = Y.map(lambda c: c.add_error(err).sweep(fresh))
+    return X
+
+
+def test_float_stage_stops_where_one_certified_iterate_suffices(monkeypatch):
+    """The float stage stops at the first iterate from which one certified
+    iterate is predicted to pass e_flow <= err(y_next).  Over a 10-step
+    trig3-step reach from vector models every half step runs 2 float
+    iterates (n antiderivatives each) and then 1 certified application,
+    where waiting for the float residual itself to pass runs 3.  On 10
+    vdp-affine-deg5 steps the certified loop still stops after one
+    application, on its own test e_flow <= err(y_next)."""
+    events = []
+    float_antiderivative = FloatPolynomial.antiderivative
+    compose = flow.compose_expr
+    monkeypatch.setattr(
+        FloatPolynomial, "antiderivative", lambda p, *a: events.append("float") or float_antiderivative(p, *a)
+    )
+    monkeypatch.setattr(flow, "compose_expr", lambda *a: events.append("certified") or compose(*a))
+
+    sys = trig3()
+    X = _vector(box_model(Box.from_bounds([(0.99, 1.01), (-0.01, 0.01), (0.49, 0.51)]), cap=3))
+    _reach(sys, STEP, X, 0.02, 10)
+    assert events == (["float"] * (2 * sys.n) + ["certified"]) * (2 * 10)
+
+    events.clear()
+    banach_bounds = flow._banach_bounds
+    substitute_unit = PolynomialModel.substitute_unit
+
+    def spied_bounds(*args):
+        out = banach_bounds(*args)
+        events.append(("e_flow", out[0]))
+        return out
+
+    monkeypatch.setattr(flow, "_banach_bounds", spied_bounds)
+    # picard_flow substitutes the time end point into each component of y_next
+    monkeypatch.setattr(
+        PolynomialModel, "substitute_unit", lambda m, *a: events.append(("err", m.error)) or substitute_unit(m, *a)
+    )
+    sys = InputAffineSystem(2, ["x2", "(1 - x1^2)*x2 - x1"], [["0", "x1"]], [0.05])
+    X = _vector(box_model(Box.from_bounds([(1.99, 2.01), (-0.01, 0.01)]), cap=5))
+    _reach(sys, AFFINE, X, 0.01, 10)
+    steps = []
+    for e in events:
+        if e == "certified":
+            steps.append([])
+        elif e != "float":
+            steps[-1].append(e)
+    assert len(steps) == 10
+    assert all(e == "float" for e, then in zip(events, events[1:]) if then == "certified")
+    for step in steps:
+        # one certified application per step: its Banach bounds (once more
+        # on a grown work box when the tube leaves the padded one), then
+        # the components of y_next
+        kinds = [kind for kind, _ in step]
+        assert kinds[-sys.n :] == ["err"] * sys.n and set(kinds[: -sys.n]) == {"e_flow"}, kinds
+        assert 0.0 < step[0][1] <= max(err for _, err in step[-sys.n :]), step

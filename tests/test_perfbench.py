@@ -7,6 +7,7 @@ unmeasured, and the run fails.  The trace test guards that here.  The
 reference test holds the driver's enclosure of the dosc-additive system
 against the exact reachable set of that linear inclusion.
 """
+import argparse
 import cmath
 import importlib
 import json
@@ -22,8 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("interval", "symexpr", "polymodel", "inputs", "localerr", "flow", "mc")
 
 
-@pytest.fixture(scope="module")
-def perfbench():
+def load_perfbench():
     """The perfbench modules (they import one another by bare name) and the
     library namespace they take."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -33,6 +33,11 @@ def perfbench():
         sys.path.remove(str(ROOT / "perfbench"))
     lib = types.SimpleNamespace(**{m: importlib.import_module(f"direach.{m}") for m in MODULES})
     return types.SimpleNamespace(lib=lib, **mods)
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    return load_perfbench()
 
 
 def test_trace_hooks_see_every_layer(perfbench):
@@ -211,9 +216,19 @@ def test_reach_golden_boxes(perfbench):
     """The first steps of every workload give, bit for bit, the boxes
     recorded in reach_golden.json.  A change that claims identical
     enclosures is held to it here; one that moves them on purpose
-    re-records the file with write_golden and says so."""
+    re-records the file with python tests/test_perfbench.py
+    --write-golden and says so."""
     assert golden_boxes(perfbench) == json.loads(GOLDEN.read_text())
 
 
 def write_golden(perfbench):
     GOLDEN.write_text(json.dumps(golden_boxes(perfbench), indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=f"Re-record {GOLDEN.name} from the library in src.")
+    ap.add_argument("--write-golden", action="store_true", required=True)
+    ap.parse_args()
+    sys.path.insert(0, str(ROOT / "src"))
+    write_golden(load_perfbench())
+    print(f"wrote {GOLDEN}")

@@ -525,6 +525,22 @@ def test_substitute_unit_rejects_positions_out_of_range(store):
                 m.substitute_unit(position, value)
 
 
+@pytest.mark.parametrize("store", ["dict", "vector", "float"])
+def test_antiderivative_rejects_positions_out_of_range(store):
+    """antiderivative raises IndexError for a position outside [0, arity)
+    from the dict store, the vector store and the float domain, as
+    substitute_unit does; -1 is refused although the last variable is the
+    time variable."""
+    m = pm({(2, 1): 0.5, (1, 1): 0.25, (0, 1): -1.0, (0, 0): 2.0}, vars=TIME2)
+    if store == "float":
+        integrate = lambda position: FloatPolynomial.of(m).antiderivative(position, 0.05)
+    else:
+        integrate = (_carrying(m) if store == "vector" else m).antiderivative
+    for position in (-1, m.arity, m.arity + 3):
+        with pytest.raises(IndexError, match="^antiderivative position out of range$"):
+            integrate(position)
+
+
 def test_substitute_unit_endpoint():
     m = pm({(2, 1): 0.5, (1, 1): 0.25, (0, 1): -1.0, (0, 0): 2.0})
     r = m.substitute_unit(0, 1.0)

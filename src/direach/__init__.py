@@ -1,15 +1,12 @@
 """Rigorous reachable-set computation for input-affine differential inclusions."""
 
-from .interval import Box, Interval, IntervalDomainError, IntervalMatrix, iv_cos, iv_exp, iv_sin, lognorm_inf, mat_inf_norm
+from .interval import Box, Interval, IntervalDomainError, iv_cos, iv_exp, iv_sin
 
 __all__ = [
     "Box",
     "Interval",
     "IntervalDomainError",
-    "IntervalMatrix",
     "iv_cos",
     "iv_exp",
     "iv_sin",
-    "lognorm_inf",
-    "mat_inf_norm",
 ]

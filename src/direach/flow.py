@@ -403,7 +403,14 @@ def picard_flow(
     q of every input comes before parameter q + 1 of any.  The models
     are extended by only what the next (half) step uses: the step
     scheme adds parameter q of every input before half q, the other
-    schemes add all their parameters before their one step."""
+    schemes add all their parameters before their one step.  Initial
+    models or an a-priori bound of another dimension than sys.n raise
+    ValueError."""
+    if not len(X.components) == len(bound.box.components) == sys.n:
+        raise ValueError(
+            f"initial models have dimension {len(X.components)} and the a-priori bound"
+            f" {len(bound.box.components)}, expected {sys.n}"
+        )
     padded = _padded(bound.box)
     if not padded.contains_box(X.box()):
         raise ValueError("a-priori bound does not cover the initial set")

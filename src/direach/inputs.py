@@ -52,18 +52,21 @@ _W_SUP_FACTOR = {
 
 
 class InputScheme(_Immutable):
+    """One surrogate family, by its SchemeKind or the kind's name."""
+
     __slots__ = ("kind",)
 
-    def __init__(self, kind: SchemeKind):
+    def __init__(self, kind: SchemeKind | str):
+        try:
+            kind = SchemeKind(kind)
+        except ValueError:
+            valid = ", ".join(k.value for k in SchemeKind)
+            raise ValueError(f"unknown input scheme {kind!r}; expected one of: {valid}") from None
         _set(self, "kind", kind)
 
     @staticmethod
     def from_name(name: str) -> "InputScheme":
-        try:
-            return InputScheme(SchemeKind(name))
-        except ValueError:
-            valid = ", ".join(k.value for k in SchemeKind)
-            raise ValueError(f"unknown input scheme {name!r}; expected one of: {valid}") from None
+        return InputScheme(name)
 
     @property
     def params_per_input(self) -> int:

@@ -17,10 +17,10 @@ It is computed as 0.0 - up(...), not -up(...), so that a zero bound is
 +0.0, as fl gives for an exact cancellation.  The other modules round
 through these functions (symexpr's exact constant folding too).
 
-Interval, Box and IntervalMatrix, like the library's other values (the
-expression nodes, the variable and vector models, the step data), are
-immutable slotted classes built on _Immutable, the lowest module's base for
-them, so that building one costs little more than setting its slots.
+Interval and Box, like the library's other values (the expression nodes,
+the variable and vector models, the step data), are immutable slotted
+classes built on _Immutable, the lowest module's base for them, so that
+building one costs little more than setting its slots.
 """
 from __future__ import annotations
 
@@ -33,14 +33,10 @@ from typing import Iterator, Sequence
 __all__ = [
     "Interval",
     "Box",
-    "IntervalMatrix",
     "IntervalDomainError",
     "iv_exp",
     "iv_sin",
     "iv_cos",
-    "mat_inf_norm",
-    "row_abs_sums",
-    "lognorm_inf",
 ]
 
 _INF = math.inf
@@ -507,57 +503,3 @@ class Box(_Immutable):
 
     def __repr__(self) -> str:
         return "x".join(repr(c) for c in self.components)
-
-
-class IntervalMatrix(_Immutable):
-    """Square grid of intervals, with row_abs_sums, mat_inf_norm and
-    lognorm_inf its norms.  The library builds none: a system's derivative
-    norms come from its bounds plan (symexpr), and this matrix family is
-    the public reference that the tests hold those norms to."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[Interval, ...], ...]):
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("interval matrix must be square and nonempty")
-        _set(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-
-def row_abs_sums(m: IntervalMatrix) -> list[float]:
-    """Upper bound of each row's abs sum over all point matrices in m."""
-    sums = []
-    for row in m.rows:
-        s = 0.0
-        for entry in row:
-            if not entry.is_finite:
-                raise IntervalDomainError("matrix norm requires finite entries")
-            s = _add_up(s, entry.mag)
-        sums.append(s)
-    return sums
-
-
-def mat_inf_norm(m: IntervalMatrix) -> float:
-    """Upper bound of the max-row-abs-sum norm over all point matrices in m."""
-    return max(row_abs_sums(m))
-
-
-def lognorm_inf(m: IntervalMatrix) -> float:
-    """Upper bound of the logarithmic norm max_k(q_kk + sum_{i!=k}|q_ki|); may be negative.
-
-    Accumulates in the same entry order as mat_inf_norm so that
-    lognorm_inf(M) <= mat_inf_norm(M) holds exactly in floating point.
-    """
-    best = -_INF
-    for k, row in enumerate(m.rows):
-        if any(not entry.is_finite for entry in row):
-            raise IntervalDomainError("logarithmic norm requires finite entries")
-        s = 0.0
-        for i, entry in enumerate(row):
-            s = _add_up(s, entry.hi if i == k else entry.mag)
-        best = max(best, s)
-    return best

@@ -48,7 +48,6 @@ __all__ = [
     "err_o3_additive",
     "err_o3_single",
     "select_error",
-    "param_requirements",
     "growth_factor",
 ]
 
@@ -190,17 +189,6 @@ def err_o3_single(b: StepErrorBounds, h: float, m: int = 1, phi: float | None = 
     )
     rhs = _add_up(rhs, _mul_up(_mul_up(_div_up(h3, 48.0), _add_up(k, kp)), tail))
     return _div_up(rhs, pre)
-
-
-def param_requirements(m: int) -> tuple[int, int, int]:
-    """(independent moment equations, minimal polynomial degree, available
-    parameters) for a third-order surrogate with m inputs."""
-    if m < 1:
-        raise ValueError("input count must be >= 1")
-    equations = m * (m + 3) // 2
-    degree = math.ceil((m + 1) / 2)
-    parameters = m * (degree + 1)
-    return equations, degree, parameters
 
 
 def _additive(b: StepErrorBounds) -> bool:

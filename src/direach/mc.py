@@ -64,8 +64,22 @@ def sample_trajectories(
 
     Disturbances are piecewise constant on a grid `refine` times finer than
     the reachability grid, resampled uniformly in [-V, V].  Returns
-    (times (steps+1,), states (n_traj, steps+1, n)).
+    (times (steps+1,), states (n_traj, steps+1, n)).  Raises ValueError
+    unless total_time is positive and finite, n_traj, steps, refine and
+    substeps are at least 1 and initial is a bounded box of dimension
+    sys.n: with no trajectory, no time or no disturbance drawn (refine = 0)
+    the oracle could not fail.
     """
+    if not 0 < total_time < np.inf:
+        raise ValueError(f"total time must be positive and finite, got {total_time}")
+    if min(n_traj, steps, refine, substeps) < 1:
+        raise ValueError(
+            f"n_traj, steps, refine and substeps must be >= 1, got {n_traj}, {steps}, {refine}, {substeps}"
+        )
+    if len(initial.components) != sys.n:
+        raise ValueError(f"initial box has dimension {len(initial.components)}, expected {sys.n}")
+    if not all(c.is_finite for c in initial):
+        raise ValueError(f"initial box {initial} is not bounded")
     rng = np.random.default_rng(seed)
     rhs = compile_field(sys)
     h = total_time / steps

@@ -652,7 +652,10 @@ class InputAffineSystem:
     variable other than x1..xn (x0 included), a constant that is not a
     finite float and a power whose exponent is not an int of magnitude at
     most 2**53 (so that its derivative's factor is exact), each named in the
-    message.  The fields are checked before they are differentiated.
+    message.  The fields are checked before they are differentiated.  A
+    dimension that is not an int raises ValueError too, and so does a
+    box of another dimension than n given to rhs_interval, jacobian_norms
+    or compute_bounds.
     """
 
     def __init__(
@@ -662,7 +665,10 @@ class InputAffineSystem:
         inputs: Sequence[Sequence[Expr | str]] = (),
         magnitudes: Sequence[float] = (),
     ):
-        self.n = int(dim)
+        try:
+            self.n = operator.index(dim)
+        except TypeError:
+            raise ValueError(f"dimension {dim!r} is not an int") from None
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         self.f: tuple[Expr, ...] = tuple(parse(e) if isinstance(e, str) else e for e in drift)
@@ -728,6 +734,8 @@ class InputAffineSystem:
     def _measure(self, box: Box, quantities: range) -> list:
         """Every kept value of the bounds plan, and over box those of the
         quantities not kept, from one run over the slots they read."""
+        if len(box.components) != self.n:
+            raise ValueError(f"box has dimension {len(box.components)}, expected {self.n}")
         todo = tuple(q for q in quantities if self._kept[q] is None)
         values = self._kept[:]
         if todo:
@@ -764,6 +772,8 @@ class InputAffineSystem:
 
     def rhs_interval(self, box: Box, input_ranges: Sequence[Interval]) -> tuple[Interval, ...]:
         """Interval hull of f(x) + sum g_i(x)u_i over x in box, u_i in input_ranges."""
+        if len(box.components) != self.n:
+            raise ValueError(f"box has dimension {len(box.components)}, expected {self.n}")
         return tuple(self.field(eval_interval(self.program, box, 0), input_ranges))
 
 
@@ -840,8 +850,9 @@ def _weighted_mags(vals: list, entries) -> float:
 
 def _norms(vals: list, rows) -> tuple | None:
     """(row sums, their max, log-norm) from each row's (slot, on the
-    diagonal) pairs, summed upward in column order as row_abs_sums and
-    lognorm_inf sum them; None when an entry is not finite."""
+    diagonal) pairs, each row summed upward in column order (the diagonal
+    entry's upper endpoint for the log-norm), so that the log-norm is at
+    most the max exactly; None when an entry is not finite."""
     sums, lam = [], -math.inf
     for row in rows:
         s = t = 0.0

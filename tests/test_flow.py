@@ -48,6 +48,58 @@ def box_model(box: Box, cap=5):
     return VectorModel(tuple(comps))
 
 
+_OSC = InputAffineSystem(2, ["x2", "-x1"], [["0", "1"]], [0.1])
+_BOX1 = Box.from_bounds([(0.9, 1.1)])
+_BOX2 = Box.from_bounds([(0.9, 1.1), (-0.1, 0.1)])
+_BOX3 = Box.from_bounds([(0.9, 1.1), (-0.1, 0.1), (0.0, 0.1)])
+_GEOM = StepGeometry(0.0, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _OSC.rhs_interval(_BOX1, input_hull_ranges(_OSC, AFFINE)), "box has dimension 1, expected 2"),
+        (lambda: _OSC.rhs_interval(_BOX3, input_hull_ranges(_OSC, AFFINE)), "box has dimension 3, expected 2"),
+        (lambda: compute_bounds(_OSC, _BOX1), "box has dimension 1, expected 2"),
+        (lambda: compute_bounds(_OSC, _BOX3), "box has dimension 3, expected 2"),
+        (lambda: _OSC.jacobian_norms(_BOX3), "box has dimension 3, expected 2"),
+        (lambda: apriori_bound(_OSC, _BOX1, AFFINE, _GEOM), "box has dimension 1, expected 2"),
+        (lambda: apriori_bound(_OSC, _BOX3, AFFINE, _GEOM), "box has dimension 3, expected 2"),
+        (
+            lambda: picard_flow(_OSC, box_model(_BOX1), AFFINE, _GEOM, apriori_bound(_OSC, _BOX2, AFFINE, _GEOM)),
+            "initial models have dimension 1 and the a-priori bound 2, expected 2",
+        ),
+        (
+            lambda: picard_flow(_OSC, box_model(_BOX2), AFFINE, _GEOM, AprioriBound(_BOX3, (Interval(-1.0, 1.0),))),
+            "initial models have dimension 2 and the a-priori bound 3, expected 2",
+        ),
+        (lambda: InputAffineSystem(1.5, ["-x1"]), "dimension 1.5 is not an int"),
+        (lambda: InputAffineSystem(math.inf, ["-x1"]), "dimension inf is not an int"),
+    ],
+    ids=[
+        "rhs_interval-1",
+        "rhs_interval-3",
+        "compute_bounds-1",
+        "compute_bounds-3",
+        "jacobian_norms-3",
+        "apriori_bound-1",
+        "apriori_bound-3",
+        "picard_flow-X",
+        "picard_flow-bound",
+        "InputAffineSystem-1.5",
+        "InputAffineSystem-inf",
+    ],
+)
+def test_public_entries_reject_a_wrong_dimension(call, message):
+    """A box, model vector or bound of another dimension than the system's,
+    and a dimension that is not an integer, raise a plain ValueError that
+    names both: not an IndexError, a zip error or a certification failure
+    to retry, and no silent answer."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_apriori_zero_field_identity():
     sys = InputAffineSystem(1, ["0"])
     b = apriori_bound(sys, Box.from_bounds([(0, 1)]), ZERO, StepGeometry(0.0, 0.5))

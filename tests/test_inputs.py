@@ -153,3 +153,15 @@ def test_scheme_from_name():
     assert InputScheme.from_name("affine-reduced").kind is SchemeKind.AFFINE_REDUCED
     with pytest.raises(ValueError):
         InputScheme.from_name("quadratic")
+
+
+def test_scheme_takes_a_kind_or_its_name():
+    """A name builds the scheme of its kind, so that the step realizes its
+    surrogate; an unknown name raises ValueError at construction."""
+    for kind in SchemeKind:
+        assert InputScheme(kind.value).kind is kind and InputScheme(kind.value) == InputScheme(kind)
+    w = realize_w(InputScheme("step"), 0.5, layout(2, with_time=False), (0, 1), None, 3, half=1)
+    assert (w.range().lo, w.range().hi) == (-1.0, 1.0)
+    valid = "zero, constant, affine, affine-reduced, step"
+    with pytest.raises(ValueError, match=f"^unknown input scheme 'bogus'; expected one of: {valid}$"):
+        InputScheme("bogus")

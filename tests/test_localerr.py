@@ -16,7 +16,6 @@ from direach.localerr import (
     err_o3_additive,
     err_o3_single,
     growth_factor,
-    param_requirements,
     select_error,
 )
 from direach.symexpr import InputAffineSystem, StepErrorBounds
@@ -221,22 +220,6 @@ def test_err_o3_single_zero_field():
 def test_err_o3_single_needs_one_input():
     with pytest.raises(InapplicableError):
         err_o3_single(mk(Kp=1.0), 0.01, m=2)
-
-
-def test_param_requirements_table():
-    expected = {
-        1: (2, 1, 2),
-        2: (5, 2, 6),
-        3: (9, 2, 9),
-        4: (14, 3, 16),
-        5: (20, 3, 20),
-        6: (27, 4, 30),
-        10: (65, 6, 70),
-    }
-    for m, row in expected.items():
-        assert param_requirements(m) == row
-    with pytest.raises(ValueError):
-        param_requirements(0)
 
 
 def harmonic():

@@ -17,13 +17,9 @@ from direach.interval import (
     Box,
     Interval,
     IntervalDomainError,
-    IntervalMatrix,
     _add_up,
     _mul_up,
     iv_sin,
-    lognorm_inf,
-    mat_inf_norm,
-    row_abs_sums,
 )
 from direach.localerr import _additive
 from direach.mc import compile_field
@@ -51,6 +47,7 @@ from direach.symexpr import (
     eval_point,
     parse,
 )
+from norm_reference import lognorm_inf, mat_inf_norm, row_abs_sums
 
 VDP_D = Box.from_bounds([(0, 2), (-1, 3)])
 
@@ -623,7 +620,7 @@ def _reference_bounds(sys, value, w_sups):
         return Interval.point(0.0) if _is_zero(e) else value(e)
 
     def matrix(rows):
-        return IntervalMatrix(tuple(tuple(entry(e) for e in row) for row in rows))
+        return tuple(tuple(entry(e) for e in row) for row in rows)
 
     dfm, dgm = matrix(sys.df), [matrix(dgi) for dgi in sys.dg]
     b = StepErrorBounds(

@@ -33,9 +33,9 @@ The kernels, each on whole vectors:
   are bit-identical to the dict loop's;
 - range, over the slots with an odd exponent and the nonconstant
   all-even ones;
-- extend, a scatter into the layout of more variables, and reindex and
-  sweep to a list of kept variables, a gather from the layout of fewer;
-  neither changes a coefficient.
+- extend, and the change of variables that ends sweep and
+  substitute_unit, over one gather table per layout and list of kept
+  variables; neither changes a coefficient.
 
 In the product, antiderivative and substitute_unit each result slot k sums
 n_k contributions, where n_k counts the slots of the table that land on k,
@@ -86,12 +86,12 @@ class _DenseLayout:
     each slot's kind for range, 0 for the constant, 1 with an odd
     exponent, 2 for the other (all-even) slots, which even marks with 1;
     and, built on first use, the kept-pair table of the product, the
-    shift table per key, the per-position tables and the scatter and
-    gather maps to the layouts of other arities."""
+    shift table per key, the per-position tables and the gather table per
+    list of kept variables."""
 
     __slots__ = (
         "arity", "cap", "size", "keys", "slot_of", "packed", "degree", "kind", "even",
-        "_pairs", "_shifts", "_tables", "_scatters", "_gathers",
+        "_pairs", "_shifts", "_tables", "_gathers",
     )
 
     def __init__(self, arity: int, cap: int):
@@ -116,7 +116,6 @@ class _DenseLayout:
         self._pairs = None
         self._shifts: dict[int, np.ndarray] = {}
         self._tables: dict[int, _PositionTable] = {}
-        self._scatters: dict[int, np.ndarray] = {}
         self._gathers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def pairs(self) -> tuple:
@@ -161,15 +160,6 @@ class _DenseLayout:
         if t is None:
             t = self._tables[position] = _PositionTable(self, position)
         return t
-
-    def scatter(self, arity: int) -> np.ndarray:
-        """The slot of each of this layout's keys in the layout of (arity,
-        cap), arity >= this layout's."""
-        m = self._scatters.get(arity)
-        if m is None:
-            slot_of = _layout(arity, self.cap).slot_of
-            m = self._scatters[arity] = np.array([slot_of[k] for k in self.keys], dtype=np.intp)
-        return m
 
     def gather(self, keep: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(take, dropped) for keeping the variables at the distinct
@@ -431,29 +421,20 @@ def _dense_series_sum(mids: list[float], vectors: list[np.ndarray], layout: _Den
 
 def _dense_extend(v: np.ndarray, layout: _DenseLayout, arity: int) -> np.ndarray:
     """v in the layout of (arity, cap), arity >= the layout's: the new
-    variables' slots are zero."""
-    out = np.zeros(_layout(arity, layout.cap).size)
-    out[layout.scatter(arity)] = v
+    variables' slots are zero.  The wide layout's gather table of its
+    first variables lists the slot of each of v's."""
+    wide = _layout(arity, layout.cap)
+    out = np.zeros(wide.size)
+    out[wide.gather(tuple(range(layout.arity)))[0]] = v
     return out
 
 
-def _dense_reindex(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> np.ndarray:
-    """v in the layout of the variables at the positions keep; raises
-    ValueError when v depends on a variable that is not kept."""
-    take, dropped = layout.gather(keep)
-    if v[dropped].any():
-        raise ValueError("cannot drop a variable the model still depends on")
-    return v[take]
-
-
 def _dense_sweep(v: np.ndarray, layout: _DenseLayout, keep: tuple[int, ...]) -> tuple:
-    """v without the terms of the variables not in keep, gathered into the
-    layout of the kept ones: (vector, plain-float sum of the magnitudes of
-    the swept terms, their number)."""
-    take, dropped = layout.gather(keep)
-    swept = np.abs(v[dropped])
+    """The terms of v in the variables not in keep: (plain-float sum of
+    their magnitudes, their number)."""
+    swept = np.abs(v[layout.gather(keep)[1]])
     with np.errstate(over="ignore"):
-        return v[take], float(swept.sum()), _count(swept)
+        return float(swept.sum()), _count(swept)
 
 
 # The float domain's kernels: bare arithmetic on slot vectors, with no slack,

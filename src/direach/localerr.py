@@ -82,8 +82,14 @@ def growth_factor(u: float) -> float:
 
 def _phi(b: StepErrorBounds, h: float, phi: float | None = None) -> float:
     """phi(Lam h), unless the caller passes it as phi; every formula takes
-    it, so the step-size check is here."""
+    it, so the step-size check is here.  A phi that is not positive, or
+    NaN, raises ValueError, not InapplicableError: it is a caller's
+    mistake, not a hypothesis that select_error may skip.  phi = +inf is
+    still an upper bound, select_error's for Lam = +inf; err_o1 then
+    returns its bound that does not use phi."""
     if phi is not None:
+        if not phi > 0.0:
+            raise ValueError(f"growth factor phi = {phi!r} is not positive")
         return phi
     if not 0 < h < math.inf:
         raise InapplicableError("step size must be positive")
@@ -110,7 +116,10 @@ def err_o1(b: StepErrorBounds, h: float, w_factor: float = 0.0, phi: float | Non
     c = 0 is the zero-surrogate theorem; for nonzero surrogates both the
     true and the surrogate solution are compared against the undisturbed
     flow, which inflates the disturbance term by the surrogate's range.
+    A c outside [0, inf) raises ValueError.
     """
+    if not 0.0 <= w_factor < math.inf:
+        raise ValueError(f"surrogate range factor w_factor = {w_factor!r} is not in [0, inf)")
     kp_eff = _mul_up(b.Kp, _add_up(1.0, w_factor))
     e1 = _mul_up(_mul_up(h, kp_eff), _phi(b, h, phi))
     e2 = _mul_up(h, _add_up(_mul_up(b.K, 2.0), kp_eff))

@@ -63,11 +63,11 @@ the vector of a model that grows past it into a dict.
   quotient its own |c| * _EPS, through _grown; the shift product charges
   what the dict loop charges.  Sums, differences, negation, scale,
   add_scalar and the series sum apply the dict loop's IEEE operation to
-  each slot, in the same order, and charge what it charges; extend,
-  reindex and sweep move coefficients unchanged.  Their coefficients are
-  bit-identical to the loop's.  Range, poly_magnitude and the swept mass
-  add up in numpy's order, which _sum_bound and _grown cover in any
-  order.
+  each slot, in the same order, and charge what it charges; extend and
+  the change of variables that ends sweep and substitute_unit (_onto)
+  move coefficients unchanged.  Their coefficients are bit-identical to
+  the loop's.  Range, poly_magnitude and the swept mass add up in
+  numpy's order, which _sum_bound and _grown cover in any order.
 - The dict loops charge each rounded product and merge.
 
 compose_expr expands sin, cos, exp and reciprocals about the midpoint c of
@@ -89,6 +89,7 @@ slot vectors (carries_slot_vectors).
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from functools import partial
 from types import MappingProxyType
@@ -127,11 +128,21 @@ class Role(str, Enum):
 
 class VarInfo(_Immutable):
     """One unit-domain variable z: its meaning and, for the step's time
-    variable, its radius (t - t_mid = radius * z)."""
+    variable, its radius (t - t_mid = radius * z).  Raises ValueError for
+    a role that is not a Role or a Role's value, and for a radius that is
+    not positive and finite."""
 
     __slots__ = ("role", "born", "radius", "axis")
 
-    def __init__(self, role: Role, born: int = 0, radius: float = 1.0, axis: int | None = None):
+    def __init__(self, role: Role | str, born: int = 0, radius: float = 1.0, axis: int | None = None):
+        if role.__class__ is not Role:  # the library passes a Role
+            try:
+                role = Role(role)
+            except ValueError:
+                valid = ", ".join(r.value for r in Role)
+                raise ValueError(f"unknown variable role {role!r}; expected one of: {valid}") from None
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"variable radius {radius!r} is not positive and finite")
         _set(self, "role", role)
         _set(self, "born", born)
         _set(self, "radius", radius)
@@ -322,11 +333,11 @@ class PolynomialModel(_Immutable):
     degree <= max_degree.  Immutable, with value equality and no hash.
 
     PolynomialModel(vars, terms, error, max_degree) raises ValueError
-    unless every key of terms is a monomial of vars of degree <=
-    max_degree, every coefficient is finite and error is finite and
-    nonnegative; the operations rely on that and check nothing of it
-    again.  A result whose error is not finite raises
-    IntervalDomainError("model arithmetic overflowed").
+    unless vars is a tuple of VarInfo, max_degree an int in [0, 7], every
+    key of terms a monomial of vars of degree <= max_degree, every
+    coefficient finite and error finite and nonnegative; the operations
+    rely on that and check nothing of it again.  A result whose error is
+    not finite raises IntervalDomainError("model arithmetic overflowed").
 
     p is held in one store: _terms, a term dict (packed key ->
     coefficient), or _vec, the slot vector of the dense layout of (arity,
@@ -342,6 +353,12 @@ class PolynomialModel(_Immutable):
     __slots__ = ("vars", "error", "max_degree", "_terms", "_vec", "_table", "_mag")
 
     def __init__(self, vars: tuple[VarInfo, ...], terms: dict[int, float], error: float, max_degree: int):
+        if not isinstance(vars, tuple) or not {VarInfo}.issuperset(map(type, vars)):
+            raise ValueError("model variables must be a tuple of VarInfo")
+        try:
+            max_degree = operator.index(max_degree)
+        except TypeError:
+            raise ValueError(f"degree cap {max_degree!r} is not an int") from None
         if not 0 <= max_degree <= 7:
             raise ValueError("degree cap must be between 0 and 7")
         terms = dict(terms)  # the caller's dict may change after the checks
@@ -636,10 +653,7 @@ class PolynomialModel(_Immutable):
     # ------------------------------------------------------------------ structure ops
     def sweep(self, positions: Iterable[int]) -> "PolynomialModel":
         """Replace dependence on the given variables by a uniform error and
-        drop them from the layout.  A vector model gathers its kept slots
-        directly; a dict model that sweeps a trailing set of variables
-        keeps its remaining terms as they are, with no reindex pass, and
-        any other dict model reindexes them."""
+        drop them from the layout (_onto)."""
         drop = set(positions)
         if not drop:
             return self
@@ -650,72 +664,48 @@ class PolynomialModel(_Immutable):
             mask |= 0xF << (4 * p)
         keep = tuple(i for i in range(self.arity) if i not in drop)
         if self._vec is not None:
-            vec, swept, n = dense._dense_sweep(self._vec, self._layout(), keep)
-            e = _add_up(self.error, _sum_bound(swept, n))
-            return PolynomialModel._of(tuple(self.vars[i] for i in keep), None, vec, e, self.max_degree)
-        out = {}
-        swept = 0.0
-        for k, c in self._terms.items():
-            if k & mask:
-                swept += abs(c)
-            else:
-                out[k] = c
-        e = _add_up(self.error, _sum_bound(swept, len(self._terms) - len(out)))
-        if min(drop) == len(keep):  # the swept variables are the trailing ones
-            return self._prefix(len(keep), out, None, e)
-        return PolynomialModel._of(self.vars, out, None, e, self.max_degree).reindex(keep)
+            swept, n = dense._dense_sweep(self._vec, self._layout(), keep)
+            out = None
+        else:
+            out = {}
+            swept = 0.0
+            for k, c in self._terms.items():
+                if k & mask:
+                    swept += abs(c)
+                else:
+                    out[k] = c
+            n = len(self._terms) - len(out)
+        return self._onto(keep, out, self._vec, _add_up(self.error, _sum_bound(swept, n)))
 
-    def _prefix(self, n: int, terms, vec, error: float) -> "PolynomialModel":
+    def _onto(self, keep: tuple[int, ...], terms, vec, error: float) -> "PolynomialModel":
         """The model of terms or vec (the other None), over this model's
-        layout but inert in every variable at position n and above, as a
-        model of the first n variables: a dict model shares its terms, a
-        vector model gathers its slots into the layout of (n, cap)."""
+        layout but inert in every variable not at the sorted positions keep,
+        as a model of the variables at keep: a vector model gathers its kept
+        slots into the layout of (len(keep), cap), a dict model that keeps a
+        prefix of its variables shares its terms, and any other dict model
+        moves each key's nibbles to their new positions.  No coefficient
+        changes, and nothing checks that the dropped variables are inert:
+        sweep removes their terms, substitute_unit clears their exponents,
+        and a gather does not read a vector's other slots."""
+        n = len(keep)
+        prefix = not keep or keep[-1] == n - 1
+        vars = self.vars[:n] if prefix else tuple(self.vars[i] for i in keep)
         if vec is not None:
-            vec = vec[self._layout().gather(tuple(range(n)))[0]]
-        return PolynomialModel._of(self.vars[:n], terms, vec, error, self.max_degree)
-
-    def reindex(self, keep: Sequence[int]) -> "PolynomialModel":
-        """Keep only the listed, distinct variable positions (the model must
-        be inert in the dropped ones); re-pack keys accordingly.  A vector
-        model gathers its slots into the layout of the kept variables.  A
-        dict model that keeps a prefix of its variables shares its terms
-        unchanged once it is seen to be inert in the others; any other keep
-        moves each key's nibbles to their new positions.  sweep of a
-        trailing set and substitute_unit of the last variable build their
-        results without this pass, because their loops have already
-        removed every exponent of the dropped variables."""
-        keep = tuple(keep)
-        if len(set(keep)) < len(keep):
-            raise ValueError("reindex positions must be distinct")
-        new_vars = tuple(self.vars[i] for i in keep)
-        if self._vec is not None:
-            vec = dense._dense_reindex(self._vec, self._layout(), keep)
-            return PolynomialModel._of(new_vars, None, vec, self.error, self.max_degree)
-        terms = self._terms
-        if keep == tuple(range(len(keep))):
-            # every position at or above len(keep) is dropped
-            bits = 4 * len(keep)
-            if any(k >> bits for k in terms):
-                raise ValueError("cannot drop a variable the model still depends on")
-            return self._prefix(len(keep), terms, None, self.error)
-        dropped_mask = 0
-        for i in range(self.arity):
-            if i not in keep:
-                dropped_mask |= 0xF << (4 * i)
-        shifts = [(4 * old, 4 * new) for new, old in enumerate(keep)]
-        out = {}
-        for k, c in terms.items():
-            if k & dropped_mask:
-                raise ValueError("cannot drop a variable the model still depends on")
-            nk = 0
-            for old, new in shifts:
-                nk |= ((k >> old) & 0xF) << new
-            out[nk] = c
-        return PolynomialModel._of(new_vars, out, None, self.error, self.max_degree)
+            vec = vec[self._layout().gather(keep)[0]]
+        elif not prefix:
+            shifts = [(4 * old, 4 * new) for new, old in enumerate(keep)]
+            moved = {}
+            for k, c in terms.items():
+                nk = 0
+                for old, new in shifts:
+                    nk |= ((k >> old) & 0xF) << new
+                moved[nk] = c
+            terms = moved
+        return PolynomialModel._of(vars, terms, vec, error, self.max_degree)
 
     def extend(self, new_vars: Sequence[VarInfo]) -> "PolynomialModel":
         """Append fresh (independent) variables; keys are unchanged, and a
-        vector model scatters its slots into the larger layout, or becomes
+        vector model writes its slots into the larger layout, or becomes
         a dict model above 15 variables, where there is no layout."""
         new_vars = self.vars + tuple(new_vars)
         vec = self._vec
@@ -729,9 +719,8 @@ class PolynomialModel(_Immutable):
     def substitute_unit(self, position: int, value: float) -> "PolynomialModel":
         """Substitute z_position := value with value in {-1.0, 1.0} (exact):
         the dense kernel for a vector model, the dict loop for a dict
-        model.  Both clear every exponent of z_position, so the result of
-        substituting the last variable is built over the others directly,
-        with no reindex pass; any other position is reindexed away."""
+        model.  Both clear every exponent of z_position, which then leaves
+        the layout (_onto)."""
         if value not in (-1.0, 1.0):
             raise ValueError("substitute_unit only supports the endpoints -1 and 1")
         if not 0 <= position < self.arity:
@@ -742,11 +731,8 @@ class PolynomialModel(_Immutable):
         else:
             out, slack = _substitute_unit_loop(self._terms, position, value)
             vec = None
-        e = _add_up(self.error, _grown(slack))
-        if position == self.arity - 1:
-            return self._prefix(position, out, vec, e)
-        m = PolynomialModel._of(self.vars, out, vec, e, self.max_degree)
-        return m.reindex([i for i in range(self.arity) if i != position])
+        keep = (*range(position), *range(position + 1, self.arity))
+        return self._onto(keep, out, vec, _add_up(self.error, _grown(slack)))
 
     def antiderivative(self, time_position: int) -> "PolynomialModel":
         """Integral from the interval start in the semantic time variable.
@@ -830,7 +816,8 @@ class VectorModel(_Immutable):
 
     __slots__ = ("components", "_box")
 
-    def __init__(self, components: tuple[PolynomialModel, ...]):
+    def __init__(self, components: Iterable[PolynomialModel]):
+        components = tuple(components)
         if not components:
             raise ValueError("vector model needs at least one component")
         v0 = components[0].vars

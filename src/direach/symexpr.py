@@ -784,13 +784,17 @@ class StepErrorBounds(_Immutable):
     and its derivatives), which is what the error formulas consume.  Since
     every V_i is positive, Lp and Hp are 0 exactly when every input field
     has zero first and second derivatives on the box (additive noise).
+    Raises ValueError for a NaN in any field or a negative one other than
+    Lam, the log-norm bound; +inf stays allowed, an unbounded magnitude.
     """
 
     __slots__ = ("K", "Kp", "L", "Lp", "H", "Hp", "Lam")
 
     def __init__(self, K: float, Kp: float, L: float, Lp: float, H: float, Hp: float, Lam: float):
-        if min(K, Kp, L, Lp, H, Hp) < 0:
-            raise ValueError("bounds must be nonnegative")
+        # NaN fails every comparison, so the one test also rejects it
+        if not (K >= 0.0 and Kp >= 0.0 and L >= 0.0 and Lp >= 0.0 and H >= 0.0 and Hp >= 0.0 and Lam == Lam):
+            nan = any(map(math.isnan, (K, Kp, L, Lp, H, Hp, Lam)))
+            raise ValueError("bounds must not be NaN" if nan else "bounds must be nonnegative")
         for name, value in zip(self.__slots__, (K, Kp, L, Lp, H, Hp, Lam)):
             _set(self, name, value)
 

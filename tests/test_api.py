@@ -7,6 +7,7 @@ import importlib
 import math
 import pickle
 import pkgutil
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -69,6 +70,38 @@ def test_every_declared_name_is_read_by_the_code():
         if n not in read and n not in READ_BY_TESTS_ONLY
     )
     assert unread == []
+
+
+# public class members that no code outside their class reads, each kept on purpose
+MEMBERS_READ_BY_TESTS_ONLY = {
+    "Interval.contains",  # the tests' point reference for an enclosure
+    "VectorModel.eval_point",  # the tests' point reference for a vector model
+    "PolynomialModel.poly_magnitude",  # read inside its class only; the tests pin its cache
+}
+
+
+def _attributes_read(nodes) -> Counter:
+    """How often the code under nodes reads each attribute name."""
+    return Counter(
+        n.attr for top in nodes for n in ast.walk(top) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_public_member_is_read_outside_its_class():
+    """A public method or property of a library class is there because code
+    of the library or the benchmark outside that class reads it: one that
+    only its own class or the tests reach is a private helper or dead,
+    unless it is kept on purpose (MEMBERS_READ_BY_TESTS_ONLY, whose every
+    entry must still be unread)."""
+    library = [ast.parse(p.read_text()) for p in Path(direach.__file__).parent.glob("*.py")]
+    read = _attributes_read(library + [ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")])
+    unread = set()
+    for cls in (node for tree in library for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        inside = _attributes_read([cls])
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and read[fn.name] == inside[fn.name]:
+                unread.add(f"{cls.name}.{fn.name}")
+    assert sorted(unread ^ MEMBERS_READ_BY_TESTS_ONLY) == []
 
 
 def test_declared_scripts_import():

@@ -105,6 +105,38 @@ def test_err_o1_widens_by_the_surrogate_factor():
     assert bounds == sorted(bounds) and bounds[0] < bounds[-1]
 
 
+@pytest.mark.parametrize("field", ["K", "Kp", "L", "Lp", "H", "Hp", "Lam"])
+def test_bounds_reject_nan_in_every_field(field):
+    """NaN passes a test of < 0, so a NaN field used to build bounds from
+    which select_error picked an infinite or a too-small bound; it raises
+    now.  +inf stays allowed: H and H' bound second derivatives, which
+    can be unbounded."""
+    with pytest.raises(ValueError, match="^bounds must not be NaN$"):
+        mk(**{field: math.nan})
+    assert getattr(mk(**{field: math.inf}), field) == math.inf
+
+
+@pytest.mark.parametrize("fn", [err_o1, err_o2_constant, err_o2_affine, err_o3_additive, err_o3_single])
+def test_formulas_reject_a_growth_factor_that_is_not_positive(fn):
+    """A phi that is not positive, or NaN, made every formula return a
+    negative, NaN or infinite "upper bound"; it raises ValueError, which
+    select_error does not skip.  phi = +inf is an upper bound still."""
+    b = mk(K=1.0, Kp=0.5, L=2.0, H=1.0, Lam=1.0)
+    for phi in (-3.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not positive$") as exc:
+            fn(b, 0.01, phi=phi)
+        assert not isinstance(exc.value, InapplicableError)
+    assert fn(b, 0.01, phi=math.inf) >= fn(b, 0.01)
+
+
+def test_err_o1_rejects_a_surrogate_factor_outside_zero_to_infinity():
+    """w_factor = -2 returned a negative bound."""
+    b = mk(K=1.0, Kp=0.5, L=2.0, Lam=1.0)
+    for c in (-2.0, -1e-300, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"is not in \[0, inf\)$"):
+            err_o1(b, 0.01, w_factor=c)
+
+
 def test_growth_factor_argument_rounded_up():
     # Lam*h rounds to nearest below its exact value; phi of the rounded
     # product fell below the exact h*K'*phi(Lam*h) = 7921.65223368647176...

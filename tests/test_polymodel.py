@@ -483,6 +483,69 @@ def test_constructor_admits_only_finite_terms_within_the_cap():
         pm({(1, 0): 1.0}, error=1.7e308) + pm({(0, 1): 1.0}, error=1.7e308)
 
 
+_TIME = (VarInfo(Role.STATE, axis=0), VarInfo(Role.TIME, radius=0.5))
+
+
+def _role_from_its_value():
+    # the role's value is the role: antiderivative finds its time variable
+    vars_ = (VarInfo(Role.STATE, axis=0), VarInfo("time", radius=0.5))
+    assert vars_ == _TIME and vars_[1].role is Role.TIME
+    r = PolynomialModel(vars_, {0: 1.0, 1: 0.5}, 0.0, 3).antiderivative(1)
+    assert r == PolynomialModel(_TIME, {0: 1.0, 1: 0.5}, 0.0, 3).antiderivative(1)
+
+
+def _components_copied():
+    # the vector model keeps its own tuple, so its kept box cannot go stale
+    components = [pm({(1, 0): 1.0})]
+    vm = VectorModel(components)
+    vm.box()
+    components.append(pm({(0, 1): 2.0}))
+    assert isinstance(vm.components, tuple) and vm.n == 1 and len(vm.box().components) == 1
+
+
+def _refused(message, build):
+    def check():
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(_refused("^degree cap 2.5 is not an int$", lambda: PolynomialModel(V2, {0: 1.0}, 0.0, 2.5)), id="cap-2.5"),
+        pytest.param(_refused("^degree cap 3.0 is not an int$", lambda: PolynomialModel(V2, {0: 1.0}, 0.0, 3.0)), id="cap-3.0"),
+        *(
+            pytest.param(_refused("^model variables must be a tuple of VarInfo$", lambda v=v: PolynomialModel(v, {}, 0.0, 3)), id=name)
+            for name, v in (("vars-list", list(V2)), ("vars-str", ("x1",)))
+        ),
+        pytest.param(
+            _refused("^unknown variable role 'bogus'; expected one of: state, input, time$", lambda: VarInfo("bogus")), id="role-bogus"
+        ),
+        *(
+            pytest.param(
+                _refused(f"^variable radius {r!r} is not positive and finite$", lambda r=r: VarInfo(Role.TIME, radius=r)),
+                id=f"radius-{r}",
+            )
+            for r in (-0.5, 0.0, math.nan, math.inf)
+        ),
+        pytest.param(_role_from_its_value, id="role-value"),
+        pytest.param(_components_copied, id="components-list"),
+    ],
+)
+def test_constructors_reject_what_fails_later(check):
+    """The public constructors refuse, with a ValueError that names it, or
+    normalize what a later operation would trip on: a degree cap that is a
+    float (the first product raised a bare TypeError), variables that are
+    not a tuple of VarInfo (extend raised TypeError), a role that is not a
+    Role (antiderivative did not find a time variable given "time"), a
+    radius that is not positive and finite (-0.5 negated an integral, NaN
+    raised "model arithmetic overflowed"), and a list of components (the
+    vector model shared it with its caller)."""
+    check()
+
+
 def test_reciprocal_remainder_overflow_raises_domain_error():
     """The reciprocal's remainder factor (1/mig)**(d + 2) is rounded
     upward; past the largest double it is infinite, and the composition
@@ -550,7 +613,7 @@ def test_substitute_unit_endpoint():
     assert unpack(r2) == {(1,): -0.75, (0,): 2.0}
 
 
-def _reindex_reference(m, keep):
+def _nibble_remap(m, keep):
     # every nibble of every key moved to its new position
     out = {}
     for k, c in m.terms.items():
@@ -559,41 +622,6 @@ def _reindex_reference(m, keep):
             nk |= ((k >> (4 * old)) & 0xF) << (4 * new)
         out[nk] = c
     return out
-
-
-def test_reindex_matches_per_nibble_remap():
-    rng = random.Random(107)
-    for _ in range(400):
-        arity = rng.randint(1, 8)
-        vars_ = tuple(VarInfo(Role.STATE, axis=i) for i in range(arity))
-        shape = rng.choice(("prefix", "subset", "permuted"))
-        if shape == "prefix":
-            keep = list(range(rng.randint(0, arity)))
-        else:
-            keep = sorted(rng.sample(range(arity), rng.randint(0, arity)))
-            if shape == "permuted":
-                rng.shuffle(keep)
-        used = keep or [0]
-        terms = {}
-        for _ in range(rng.randint(0, 30)):
-            exps = [0] * arity
-            for _ in range(rng.randint(0, 5)):
-                exps[rng.choice(used)] += 1
-            terms[sum(e << (4 * i) for i, e in enumerate(exps))] = rng.uniform(-2, 2)
-        if not keep:
-            terms = {k: c for k, c in terms.items() if k == 0}
-        m = PolynomialModel(vars_, terms, 0.125, 5)
-        r = m.reindex(keep)
-        assert r.vars == tuple(vars_[i] for i in keep)
-        assert list(r.terms.items()) == list(_reindex_reference(m, keep).items())
-        assert r.error == m.error
-        if shape == "prefix":  # the keep of sweep and substitute_unit
-            assert r._terms is m._terms
-        dropped = [i for i in range(arity) if i not in keep]
-        if dropped:
-            bad = PolynomialModel(vars_, {**terms, 1 << (4 * rng.choice(dropped)): 1.0}, 0.0, 5)
-            with pytest.raises(ValueError):
-                bad.reindex(keep)
 
 
 def _unreduced(m, op, positions, value):
@@ -630,9 +658,7 @@ def test_trailing_drop_equals_general_route(op):
     one build their result over the remaining variables directly; it equals,
     field for field, the operation over all variables followed by the
     per-nibble remap of the general route: vars, terms in order, error and
-    store kind.  A drop that is not trailing gives the same fields through
-    the library's reindex, and a dependent model still cannot be reindexed
-    to a prefix."""
+    store kind.  So does a drop that is not trailing, whose keys move."""
     rng = random.Random(173)
     trailing = total = 0
     for arity, cap in ((1, 3), (2, 5), (3, 3), (5, 5), (8, 3)):
@@ -653,18 +679,11 @@ def test_trailing_drop_equals_general_route(op):
                 r = x.sweep(positions) if op == "sweep" else x.substitute_unit(positions[0], value)
                 assert r.vars == tuple(vars_[i] for i in keep)
                 assert [(k, c.hex()) for k, c in r.terms.items()] == [
-                    (k, c.hex()) for k, c in _reindex_reference(full, keep).items()
+                    (k, c.hex()) for k, c in _nibble_remap(full, keep).items()
                 ]
                 assert r.error.hex() == full.error.hex()
                 assert (r._vec is None) == (x._vec is None)
-                if positions[0] == len(keep):
-                    trailing += 1
-                else:
-                    general = full.reindex(keep)
-                    assert (general.vars, _hex_terms(general), general.error) == (r.vars, _hex_terms(r), r.error)
-                if keep and any(k >> (4 * len(keep)) for k in x.terms):
-                    with pytest.raises(ValueError, match="still depends"):
-                        x.reindex(range(len(keep)))
+                trailing += positions[0] == len(keep)
     assert 0 < trailing < total
 
 
@@ -1587,34 +1606,13 @@ def _check_slot_sweep(rng, a, b):
         _check_sweep(rng, m)
 
 
-def _check_slot_reindex(rng, a, b):
-    keep = sorted(rng.sample(range(a.arity), rng.randint(0, a.arity)))
-    if rng.random() < 0.5:
-        rng.shuffle(keep)
-    dropped = sum(0xF << (4 * i) for i in range(a.arity) if i not in keep)
-    inert = PolynomialModel(a.vars, {k: c for k, c in a.terms.items() if not k & dropped}, a.error, a.max_degree)
-    ref = {k: c.hex() for k, c in _reindex_reference(inert, keep).items()}
-    for m in _forms(inert):
-        r = _admitted(m.reindex(keep))
-        assert (r._vec is None) == (m._vec is None) and r.vars == tuple(a.vars[i] for i in keep)
-        assert r.error == a.error and _hex_terms(r) == ref
-    if any(k & dropped for k in a.terms):
-        for m in _forms(a):
-            with pytest.raises(ValueError, match="still depends"):
-                m.reindex(keep)
-    if keep:
-        for m in _forms(inert):
-            with pytest.raises(ValueError, match="^reindex positions must be distinct$"):
-                m.reindex(keep + keep[:1])
-
-
 def _check_slot_extend(rng, a, b):
     extra = tuple(VarInfo(Role.INPUT, born=j) for j in range(rng.randint(1, 3)))
     for m in _forms(a):
         r = _admitted(m.extend(extra))
         assert r.vars == a.vars + extra and r.error == a.error and _hex_terms(r) == _hex_terms(a)
         assert (r._vec is None) == (m._vec is None or r.arity > 15)
-        back = r.reindex(range(a.arity))
+        back = r.sweep(range(a.arity, r.arity))
         assert (back._vec is None) == (r._vec is None) and _hex_terms(back) == _hex_terms(a)
     if a.arity <= 15:
         # no layout above 15 variables: the dict model
@@ -1643,7 +1641,6 @@ _SLOT_CHECKS = {
     "substitute_unit": _check_slot_substitute_unit,
     "range": _check_slot_range,
     "sweep": _check_slot_sweep,
-    "reindex": _check_slot_reindex,
     "extend": _check_slot_extend,
     "series_sum": _check_slot_series_sum,
 }
@@ -1776,7 +1773,7 @@ def test_vector_models_keep_value_semantics():
             # the model and for every model that shares its store
             held = dict(model.terms)
             sibling = model.with_error(0.5)
-            prefix = model.reindex(range(model.arity))
+            prefix = model.extend((VarInfo(Role.INPUT),)).sweep([model.arity])
             with pytest.raises(TypeError):
                 model.terms[0] = math.inf
             with pytest.raises(TypeError):
